@@ -28,6 +28,8 @@
 //!   variant* (bit-identical parallel execution; variants differ by ≤2 ulp,
 //!   so cross-variant checksums legitimately differ);
 //! * steady-state allocation count is a small constant — *not* O(pencils);
+//! * `ConvolveSession::accumulate_fields` of the cell's contributions has
+//!   the same checksum across thread counts and allocates only its output;
 //! * on hosts with ≥ 4 cores (full mode), ≥ 2× speedup at 4 threads for
 //!   the (n=128, k=32) configuration;
 //! * on AVX2+FMA hosts (full mode), the vector variant sustains ≥ 1.5×
@@ -41,7 +43,7 @@ use std::time::Instant;
 use lcc_bench::alloc_track::CountingAlloc;
 use lcc_bench::json::{gflops, roofline_fraction, speedup_vs_baseline, write_report, Json};
 use lcc_bench::roofline::stream_bandwidth_gbs;
-use lcc_core::LocalConvolver;
+use lcc_core::{ConvolveMode, LowCommConfig, LowCommConvolver};
 use lcc_fft::complex::c64;
 use lcc_fft::{fft_axis, Complex64, FftDirection, FftPlanner};
 use lcc_greens::GaussianKernel;
@@ -130,7 +132,13 @@ fn child_main() {
     let batch = env_usize("LCC_PPERF_B");
     let reps = env_usize("LCC_PPERF_REPS").max(1);
 
-    let conv = LocalConvolver::new(n, k, batch);
+    let lowcomm = LowCommConvolver::new(LowCommConfig {
+        n,
+        k,
+        batch,
+        schedule: RateSchedule::uniform(1),
+    });
+    let conv = lowcomm.local();
     let kernel = GaussianKernel::new(n, 1.2);
     let corner = [n / 4, n / 8, 0];
     let domain = BoxRegion::new(corner, [corner[0] + k, corner[1] + k, corner[2] + k]);
@@ -170,15 +178,32 @@ fn child_main() {
         );
     }
 
+    // The accumulate fold of three such contributions: warm once (the
+    // kernel's per-thread scratch grows), then count one steady call.
+    let field = conv.convolve_compressed(&sub, corner, &kernel, plan);
+    let fields = [field.clone(), field.clone(), field];
+    let session = lowcomm.session(ConvolveMode::Normal);
+    let fold_sum = checksum(session.accumulate_fields(&fields).as_slice());
+    ALLOC.reset();
+    let folded = session.accumulate_fields(&fields);
+    let fold_stats = ALLOC.snapshot();
+    assert_eq!(
+        checksum(folded.as_slice()),
+        fold_sum,
+        "warm fold changed the result"
+    );
+
     println!(
         "RESULT threads={} n={n} k={k} batch={batch} wall_ns={best_ns} \
          alloc_bytes={} alloc_count={} pencils={} variant={} flops={flops} \
-         bytes={bytes} checksum={sum:016x}",
+         bytes={bytes} checksum={sum:016x} fold_alloc_count={} \
+         fold_checksum={fold_sum:016x}",
         rayon::current_num_threads(),
         stats.bytes,
         stats.count,
         n * n,
         lcc_fft::variant_name(),
+        fold_stats.count,
     );
 }
 
@@ -241,6 +266,10 @@ struct Cell {
     flops: f64,
     bytes: f64,
     checksum: String,
+    /// Steady-state allocations and result checksum of the accumulate fold
+    /// (pipeline cells only).
+    fold_alloc_count: u64,
+    fold_checksum: String,
 }
 
 fn parse_result(stdout: &str) -> Cell {
@@ -257,6 +286,8 @@ fn parse_result(stdout: &str) -> Cell {
         flops: 0.0,
         bytes: 0.0,
         checksum: String::new(),
+        fold_alloc_count: 0,
+        fold_checksum: String::new(),
     };
     for tok in line.split_whitespace().skip(1) {
         let (key, val) = tok.split_once('=').expect("key=value token");
@@ -269,6 +300,8 @@ fn parse_result(stdout: &str) -> Cell {
             "flops" => cell.flops = val.parse().expect("flops"),
             "bytes" => cell.bytes = val.parse().expect("bytes"),
             "checksum" => cell.checksum = val.to_string(),
+            "fold_alloc_count" => cell.fold_alloc_count = val.parse().expect("fold_alloc_count"),
+            "fold_checksum" => cell.fold_checksum = val.to_string(),
             _ => {}
         }
     }
@@ -390,6 +423,21 @@ fn main() {
                     c.threads, cfg.n
                 );
             }
+            // The slab-parallel fold gives every point its addends in field
+            // order whatever the pool size, and allocates its output only.
+            for c in &cells {
+                assert_eq!(
+                    c.fold_checksum, cells[0].fold_checksum,
+                    "threads={} changed accumulate_fields for n={} variant={variant}",
+                    c.threads, cfg.n
+                );
+                assert!(
+                    c.fold_alloc_count <= 2,
+                    "steady-state accumulate_fields allocated {} times (threads={})",
+                    c.fold_alloc_count,
+                    c.threads
+                );
+            }
             // Zero allocations per pencil: steady traffic must be a small
             // constant, not O(pencils).
             let pencils = (cfg.n * cfg.n) as u64;
@@ -471,6 +519,11 @@ fn main() {
                         Json::Num(c.alloc_count as f64 / pencils as f64),
                     ),
                     ("checksum", Json::str(c.checksum.clone())),
+                    (
+                        "fold_steady_alloc_count",
+                        Json::int(c.fold_alloc_count as i64),
+                    ),
+                    ("fold_checksum", Json::str(c.fold_checksum.clone())),
                 ]));
             }
         }

@@ -18,7 +18,8 @@ use lcc_greens::KernelSpectrum;
 use lcc_grid::{BoxRegion, Grid3};
 use lcc_octree::{RateSchedule, SamplingPlan};
 
-use crate::lowcomm::RunReport;
+use crate::fold::fold_fields;
+use crate::lowcomm::ConvolveReport;
 use crate::pipeline::LocalConvolver;
 
 /// Convolver over variable-size sub-domains.
@@ -86,7 +87,7 @@ impl AdaptiveConvolver {
         input: &Grid3<f64>,
         kernel: &dyn KernelSpectrum,
         domains: &[BoxRegion],
-    ) -> (Grid3<f64>, RunReport) {
+    ) -> (Grid3<f64>, ConvolveReport) {
         let n = self.n;
         assert_eq!(input.shape(), (n, n, n), "input shape mismatch");
         // Validate the tiling covers the grid exactly.
@@ -115,23 +116,18 @@ impl AdaptiveConvolver {
             })
             .collect();
 
-        let mut out = Grid3::zeros((n, n, n));
-        let cube = BoxRegion::cube(n);
-        let mut report = RunReport {
+        let mut report = ConvolveReport {
             dense_stage_bytes: n * n * n * 16,
+            domains_skipped: fields.iter().filter(|f| f.is_none()).count(),
             ..Default::default()
         };
-        for f in fields.into_iter() {
-            match f {
-                Some(f) => {
-                    report.domains_processed += 1;
-                    report.total_samples += f.plan().total_samples();
-                    report.exchange_bytes += f.message_bytes();
-                    f.add_region_into(&cube, &mut out, 1.0);
-                }
-                None => report.domains_skipped += 1,
-            }
+        for f in fields.iter().flatten() {
+            report.domains_processed += 1;
+            report.total_samples += f.plan().total_samples();
+            report.exchange_bytes += f.message_bytes();
         }
+        let mut out = Grid3::zeros((n, n, n));
+        fold_fields(fields.iter().flatten(), &BoxRegion::cube(n), &mut out);
         (out, report)
     }
 }

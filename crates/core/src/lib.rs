@@ -38,6 +38,7 @@
 
 pub mod adaptive;
 pub mod config;
+pub mod fold;
 pub mod lowcomm;
 pub mod memory_model;
 pub mod pipeline;
@@ -49,7 +50,8 @@ pub mod traditional;
 
 pub use adaptive::AdaptiveConvolver;
 pub use config::{ConfigError, LowCommConfigBuilder};
-pub use lowcomm::{ConvolveReport, LowCommConfig, LowCommConvolver, RunReport};
+pub use fold::fold_fields;
+pub use lowcomm::{ConvolveReport, LowCommConfig, LowCommConvolver};
 pub use memory_model::{
     allowable_k, domains_per_device, local_slab_bytes, table1_rows, traditional_bytes,
     traditional_fits, PipelineFootprint, Table1Row, TABLE1_CASES,

@@ -27,6 +27,7 @@ use lcc_obs::metrics as obs;
 use lcc_octree::{CompressedField, PlanCache, RateSchedule, SamplingPlan};
 
 use crate::config::ConfigError;
+use crate::fold::fold_fields;
 use crate::pipeline::LocalConvolver;
 use crate::session::{ConvolveMode, ConvolveSession};
 
@@ -87,9 +88,6 @@ pub struct ConvolveReport {
     /// exchange.
     pub recovery_extra_bytes: usize,
 }
-
-/// Former name of [`ConvolveReport`], kept for downstream code.
-pub type RunReport = ConvolveReport;
 
 /// The end-to-end approximate convolver.
 pub struct LowCommConvolver {
@@ -248,11 +246,8 @@ impl LowCommConvolver {
     /// of Fig. 1b).
     pub(crate) fn accumulate_impl(&self, fields: &[CompressedField]) -> Grid3<f64> {
         let n = self.cfg.n;
-        let cube = BoxRegion::cube(n);
         let mut out = Grid3::zeros((n, n, n));
-        for f in fields {
-            f.add_region_into(&cube, &mut out, 1.0);
-        }
+        fold_fields(fields, &BoxRegion::cube(n), &mut out);
         out
     }
 
@@ -332,15 +327,11 @@ impl LowCommConvolver {
         degraded: &[(usize, BoxRegion)],
     ) -> (Grid3<f64>, ConvolveReport) {
         let n = self.cfg.n;
-        let cube = BoxRegion::cube(n);
-        let mut out = Grid3::zeros((n, n, n));
         let mut report = ConvolveReport {
             dense_stage_bytes: n * n * n * 16,
             ..Default::default()
         };
-        // BTreeMap iteration is ascending by domain id.
         for f in contributions.values() {
-            f.add_region_into(&cube, &mut out, 1.0);
             report.domains_processed += 1;
             report.total_samples += f.plan().total_samples();
             report.exchange_bytes += f.message_bytes();
@@ -354,18 +345,23 @@ impl LowCommConvolver {
             report.recovery_extra_flops += self.local.flops_estimate(f.plan());
             report.recovery_extra_bytes += f.message_bytes();
         }
-        for (_, d) in degraded {
-            match self.compress_domain_impl(input, d, kernel, true) {
-                Some(f) => {
-                    f.add_region_into(&cube, &mut out, 1.0);
-                    report.degraded_domains += 1;
-                }
-                None => report.domains_skipped += 1,
-            }
-        }
+        let rebuilt: Vec<CompressedField> = degraded
+            .iter()
+            .filter_map(|(_, d)| self.compress_domain_impl(input, d, kernel, true))
+            .collect();
+        report.degraded_domains = rebuilt.len();
+        report.domains_skipped = degraded.len() - rebuilt.len();
         if report.degraded_domains > 0 {
             report.degraded_rate = Some(self.coarsest_rate());
         }
+        // BTreeMap iteration is ascending by domain id; the rebuilt orphans
+        // follow in the order they were listed.
+        let mut out = Grid3::zeros((n, n, n));
+        fold_fields(
+            contributions.values().chain(&rebuilt),
+            &BoxRegion::cube(n),
+            &mut out,
+        );
         obs::CONVOLVE_DOMAINS_RECOVERED.add(report.recovered_domains as u64);
         obs::CONVOLVE_DOMAINS_DEGRADED.add(report.degraded_domains as u64);
         (out, report)

@@ -13,7 +13,7 @@
 //! ```
 
 pub use crate::config::{ConfigError, LowCommConfigBuilder};
-pub use crate::lowcomm::{ConvolveReport, LowCommConfig, LowCommConvolver, RunReport};
+pub use crate::lowcomm::{ConvolveReport, LowCommConfig, LowCommConvolver};
 pub use crate::pipeline::LocalConvolver;
 pub use crate::recovery::{RecoveryPlanner, RecoveryPolicy};
 pub use crate::session::{ConvolveMode, ConvolveSession};

@@ -24,7 +24,7 @@ use crate::checkpoint::{self, Checkpoint, CheckpointConfig, CheckpointError};
 use crate::fields::TensorField;
 use crate::microstructure::Microstructure;
 
-use lcc_core::{LowCommConfig, LowCommConvolver};
+use lcc_core::{fold_fields, LowCommConfig, LowCommConvolver};
 
 /// Strategy for computing `Δε = Γ⁰ ⊛ σ`.
 pub trait GammaConvolution {
@@ -151,7 +151,7 @@ impl GammaConvolution for LowCommGamma {
                     .local()
                     .convolve_tensor_compressed(&sub, d.lo, &self.gamma, plan);
             for (c, f) in fields.iter().enumerate() {
-                f.add_region_into(&cube, out.component_mut(c), 1.0);
+                fold_fields([f], &cube, out.component_mut(c));
             }
         }
         out

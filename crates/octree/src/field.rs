@@ -13,6 +13,7 @@ use std::sync::Arc;
 use lcc_grid::{BoxRegion, Grid3};
 
 use crate::plan::SamplingPlan;
+use crate::reconstruct;
 
 /// A field compressed under a sampling plan.
 #[derive(Clone, Debug)]
@@ -46,11 +47,11 @@ impl CompressedField {
     }
 
     fn capture_fn(&mut self, f: impl Fn(usize, usize, usize) -> f64) {
-        let plan = self.plan.clone();
+        let (plan, samples) = (&*self.plan, &mut self.samples);
         for (i, cell) in plan.cells().iter().enumerate() {
             let base = plan.cell_offset(i) as usize;
             for (j, p) in cell.sample_positions().enumerate() {
-                self.samples[base + j] = f(p[0], p[1], p[2]);
+                samples[base + j] = f(p[0], p[1], p[2]);
             }
         }
     }
@@ -62,9 +63,9 @@ impl CompressedField {
     /// as it streams out of the inverse transform; the dense N³ volume never
     /// materializes.
     pub fn capture_plane(&mut self, z: usize, plane: &[f64]) {
-        let n = self.plan.n();
+        let (plan, samples) = (&*self.plan, &mut self.samples);
+        let n = plan.n();
         assert_eq!(plane.len(), n * n, "plane must be N×N row-major");
-        let plan = self.plan.clone();
         let mut captured = 0u64;
         for (i, cell) in plan.cells().iter().enumerate() {
             let r = cell.rate as usize;
@@ -79,7 +80,7 @@ impl CompressedField {
                 let x = cell.corner[0] + tx * r;
                 for ty in 0..spa {
                     let y = cell.corner[1] + ty * r;
-                    self.samples[base + cell.local_sample_index(tx, ty, tz)] = plane[x * n + y];
+                    samples[base + cell.local_sample_index(tx, ty, tz)] = plane[x * n + y];
                 }
             }
             captured += (spa * spa) as u64;
@@ -141,18 +142,48 @@ impl CompressedField {
     /// Rebuilds a (partial) compressed field from a region payload. Cells
     /// not present stay zero; reconstruction is only valid inside the
     /// region the payload was extracted for.
+    ///
+    /// Panics on a payload that does not fit the plan; a payload that came
+    /// off the wire goes through [`Self::try_from_region_payload`].
     pub fn from_region_payload(plan: Arc<SamplingPlan>, payload: &RegionPayload) -> Self {
-        let mut field = CompressedField::zeros(plan.clone());
+        Self::try_from_region_payload(plan, payload).expect("region payload must fit the plan")
+    }
+
+    /// [`Self::from_region_payload`] for a payload from outside the
+    /// program: the cell ids must be strictly ascending indices into the
+    /// plan (what [`Self::region_payload`] produces) and the sample vector
+    /// exactly as long as those cells' sample counts add up to.
+    pub fn try_from_region_payload(
+        plan: Arc<SamplingPlan>,
+        payload: &RegionPayload,
+    ) -> Result<Self, PayloadError> {
+        let cells = plan.cells();
+        let mut expected = 0usize;
+        for (at, &id) in payload.cells.iter().enumerate() {
+            let cell = cells.get(id as usize).ok_or(PayloadError::CellOutOfRange {
+                id,
+                cells: cells.len(),
+            })?;
+            if at > 0 && payload.cells[at - 1] >= id {
+                return Err(PayloadError::CellsNotAscending { at });
+            }
+            expected += cell.sample_count();
+        }
+        if expected != payload.samples.len() {
+            return Err(PayloadError::SampleLength {
+                expected,
+                got: payload.samples.len(),
+            });
+        }
+        let mut samples = vec![0.0; plan.total_samples()];
         let mut off = 0;
-        for &ci in &payload.cells {
-            let ci = ci as usize;
-            let base = plan.cell_offset(ci) as usize;
-            let count = plan.cells()[ci].sample_count();
-            field.samples[base..base + count].copy_from_slice(&payload.samples[off..off + count]);
+        for &id in &payload.cells {
+            let base = plan.cell_offset(id as usize) as usize;
+            let count = cells[id as usize].sample_count();
+            samples[base..base + count].copy_from_slice(&payload.samples[off..off + count]);
             off += count;
         }
-        assert_eq!(off, payload.samples.len(), "payload length mismatch");
-        field
+        Ok(CompressedField { plan, samples })
     }
 
     /// Reconstructs the full dense grid by per-cell trilinear interpolation.
@@ -161,9 +192,10 @@ impl CompressedField {
         self.reconstruct_region(&BoxRegion::cube(n))
     }
 
-    /// Reconstructs only `region` (clipped to the grid), returning a dense
-    /// grid of the region's shape. This is what a worker evaluates for its
-    /// own sub-domain during accumulation.
+    /// Reconstructs only `region`, returning a dense grid of the region's
+    /// shape. This is what a worker evaluates for its own sub-domain during
+    /// accumulation. Points of the region outside the grid stay zero (see
+    /// [`Self::add_region_into_slice`]).
     pub fn reconstruct_region(&self, region: &BoxRegion) -> Grid3<f64> {
         let (sx, sy, sz) = region.size();
         let mut out = Grid3::zeros((sx, sy, sz));
@@ -176,7 +208,46 @@ impl CompressedField {
     /// without intermediate allocations.
     pub fn add_region_into(&self, region: &BoxRegion, out: &mut Grid3<f64>, scale: f64) {
         assert_eq!(out.shape(), region.size(), "output shape must match region");
+        self.add_region_into_slice(region, out.as_mut_slice(), scale);
+    }
+
+    /// [`Self::add_region_into`] on the region's row-major buffer, so a
+    /// caller can hand out disjoint x-slabs of one grid (a slab is a
+    /// contiguous slice) to different threads.
+    ///
+    /// Nothing is clipped or wrapped: cells that do not meet the region are
+    /// skipped, each point of the region inside the grid receives exactly
+    /// one cell's interpolant, and points of the region outside the grid
+    /// `[0, n)³` lie in no cell and stay untouched.
+    pub fn add_region_into_slice(&self, region: &BoxRegion, out: &mut [f64], scale: f64) {
+        assert_eq!(
+            out.len(),
+            region.volume(),
+            "output length must match region"
+        );
         let _sp = lcc_obs::span("octree_add_region");
+        let plan = &self.plan;
+        reconstruct::with_scratch(|scratch| {
+            for (i, cell) in plan.cells().iter().enumerate() {
+                // Nearly every cell misses a thin x-slab; reject on x alone.
+                if cell.corner[0] >= region.hi[0] || cell.corner[0] + cell.size <= region.lo[0] {
+                    continue;
+                }
+                let Some(overlap) = cell.region().intersect(region) else {
+                    continue;
+                };
+                let base = plan.cell_offset(i) as usize;
+                let cell_samples = &self.samples[base..base + cell.sample_count()];
+                reconstruct::add_cell(scratch, cell, cell_samples, &overlap, region, out, scale);
+            }
+        });
+    }
+
+    /// The per-point form of [`Self::add_region_into`] that the streaming
+    /// kernel replaced: the oracle its outputs must equal bit for bit.
+    #[cfg(test)]
+    fn add_region_into_per_point(&self, region: &BoxRegion, out: &mut Grid3<f64>, scale: f64) {
+        assert_eq!(out.shape(), region.size(), "output shape must match region");
         let plan = &self.plan;
         for (i, cell) in plan.cells().iter().enumerate() {
             let Some(overlap) = cell.region().intersect(region) else {
@@ -236,6 +307,51 @@ impl CompressedField {
     }
 }
 
+/// Why a [`RegionPayload`] does not fit the plan it claims to be cut from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PayloadError {
+    /// A cell id is not an index into the plan's cells.
+    CellOutOfRange {
+        /// The offending id.
+        id: u32,
+        /// Number of cells in the plan.
+        cells: usize,
+    },
+    /// The id at position `at` is not greater than the one before it.
+    CellsNotAscending {
+        /// Position of the offending id in the payload.
+        at: usize,
+    },
+    /// The sample vector is not as long as the listed cells require.
+    SampleLength {
+        /// Sum of the listed cells' sample counts.
+        expected: usize,
+        /// Length of the payload's sample vector.
+        got: usize,
+    },
+}
+
+impl std::fmt::Display for PayloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            PayloadError::CellOutOfRange { id, cells } => {
+                write!(f, "cell id {id} out of range for a plan of {cells} cells")
+            }
+            PayloadError::CellsNotAscending { at } => {
+                write!(f, "cell ids not strictly ascending at position {at}")
+            }
+            PayloadError::SampleLength { expected, got } => {
+                write!(
+                    f,
+                    "payload carries {got} samples, its cells hold {expected}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for PayloadError {}
+
 /// The per-region slice of a compressed field: cell indices (into the
 /// shared plan) plus their samples, in cell order.
 #[derive(Clone, Debug, PartialEq)]
@@ -255,7 +371,7 @@ impl RegionPayload {
 
 /// Trilinear interpolation of the 8 cube corners `c[x][y][z]` flattened as
 /// `c000, c001, c010, c011, c100, c101, c110, c111`, at fractions `f`.
-#[inline]
+#[cfg(test)]
 fn trilinear(c: [f64; 8], f: [f64; 3]) -> f64 {
     let c00 = c[0] * (1.0 - f[2]) + c[1] * f[2];
     let c01 = c[2] * (1.0 - f[2]) + c[3] * f[2];
@@ -418,6 +534,184 @@ mod tests {
         let a = full.reconstruct_region(&region);
         let b = partial.reconstruct_region(&region);
         assert_eq!(a, b, "partial payload reconstructs the region identically");
+    }
+
+    #[test]
+    fn malformed_region_payloads_are_typed_errors() {
+        let plan = make_plan(16, 4, 4);
+        let full = CompressedField::compress(
+            plan.clone(),
+            &Grid3::from_fn((16, 16, 16), |x, _, _| x as f64),
+        );
+        let good = full.region_payload(&BoxRegion::new([0; 3], [8; 3]));
+        assert!(good.cells.len() >= 2);
+        assert!(CompressedField::try_from_region_payload(plan.clone(), &good).is_ok());
+        let try_with = |edit: &dyn Fn(&mut RegionPayload)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            CompressedField::try_from_region_payload(plan.clone(), &bad).map(|_| ())
+        };
+
+        let cells = plan.cells().len();
+        assert_eq!(
+            try_with(&|p| *p.cells.last_mut().unwrap() = cells as u32),
+            Err(PayloadError::CellOutOfRange {
+                id: cells as u32,
+                cells
+            })
+        );
+        assert_eq!(
+            try_with(&|p| p.cells[1] = p.cells[0]),
+            Err(PayloadError::CellsNotAscending { at: 1 })
+        );
+        assert_eq!(
+            try_with(&|p| p.cells.swap(0, 1)),
+            Err(PayloadError::CellsNotAscending { at: 1 })
+        );
+        let expected = good.samples.len();
+        assert_eq!(
+            try_with(&|p| {
+                p.samples.pop();
+            }),
+            Err(PayloadError::SampleLength {
+                expected,
+                got: expected - 1
+            })
+        );
+        assert_eq!(
+            try_with(&|p| p.samples.push(0.0)),
+            Err(PayloadError::SampleLength {
+                expected,
+                got: expected + 1
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "region payload must fit the plan")]
+    fn from_region_payload_panics_on_a_bad_payload() {
+        let plan = make_plan(16, 4, 4);
+        let payload = RegionPayload {
+            cells: vec![u32::MAX],
+            samples: Vec::new(),
+        };
+        CompressedField::from_region_payload(plan, &payload);
+    }
+
+    #[test]
+    fn region_beyond_the_grid_stays_untouched_outside_it() {
+        // Nothing clips or wraps: the part of the region inside the grid is
+        // reconstructed, the part outside lies in no cell and keeps its value.
+        let n = 16;
+        let plan = make_plan(n, 4, 4);
+        let dense = Grid3::from_fn((n, n, n), |x, y, z| (x * 3 + y * 5 + z * 7) as f64);
+        let field = CompressedField::compress(plan, &dense);
+        let region = BoxRegion::new([12, 0, 10], [20, 16, 18]);
+        let mut out = Grid3::filled(region.size(), -1.0);
+        field.add_region_into(&region, &mut out, 1.0);
+        let inside = BoxRegion::new([12, 0, 10], [16, 16, 16]);
+        let want = field.reconstruct_region(&inside);
+        for ((x, y, z), &v) in out.indexed_iter() {
+            if x < 4 && z < 6 {
+                assert_eq!(v, -1.0 + want[(x, y, z)]);
+            } else {
+                assert_eq!(v, -1.0, "point outside the grid was written");
+            }
+        }
+        // A region wholly outside meets no cell at all.
+        let far = BoxRegion::new([n; 3], [n + 2; 3]);
+        assert!(field
+            .reconstruct_region(&far)
+            .as_slice()
+            .iter()
+            .all(|&v| v == 0.0));
+    }
+
+    /// A plan `SamplingPlan::build` never produces: size-2 cells that
+    /// alternate between one sample (`spa == 1`, rate 2) and eight.
+    fn single_sample_cell_plan(n: usize) -> Arc<SamplingPlan> {
+        let mut encoded = Vec::new();
+        let mut before = 0u64;
+        for x in (0..n).step_by(2) {
+            for y in (0..n).step_by(2) {
+                for z in (0..n).step_by(2) {
+                    let single = (x + y + z) % 4 == 0;
+                    let rate = if single { 2 } else { 1 };
+                    encoded.extend([x as u64, y as u64, z as u64, rate, before]);
+                    before += if single { 1 } else { 8 };
+                }
+            }
+        }
+        let plan = SamplingPlan::decode(n, BoxRegion::cube(n), &encoded, before).unwrap();
+        assert!(plan.cells().iter().any(|c| c.samples_per_axis() == 1));
+        Arc::new(plan)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The streaming kernel equals the per-point form bit for bit, for
+        /// every plan shape, region shape and scale.
+        #[test]
+        fn streaming_kernel_matches_per_point_oracle(
+            n_log in 4usize..=6,
+            k_log in 1usize..=4,
+            plan_kind in 0usize..5,
+            rate_log in 1u32..=3,
+            region_kind in 0usize..4,
+            picks in proptest::collection::vec(0usize..1 << 16, 12),
+            scale in -3.0f64..3.0,
+        ) {
+            let n = 1 << n_log;
+            let k = 1 << k_log.min(n_log - 1);
+            let lo: [usize; 3] = std::array::from_fn(|a| picks[a] % (n - k + 1));
+            let domain = BoxRegion::new(lo, lo.map(|l| l + k));
+            let plan = match plan_kind {
+                0 => Arc::new(SamplingPlan::build(n, domain, &RateSchedule::paper_default(k, 16))),
+                1 => Arc::new(SamplingPlan::build(
+                    n,
+                    domain,
+                    &RateSchedule::for_kernel_spread(k, 1.5, 16),
+                )),
+                2 => Arc::new(SamplingPlan::build(n, domain, &RateSchedule::uniform(1))),
+                3 => Arc::new(SamplingPlan::build(n, domain, &RateSchedule::uniform(1 << rate_log))),
+                _ => single_sample_cell_plan(n),
+            };
+            let seed = picks[3] as f64;
+            let field = CompressedField::compress_with(plan, |x, y, z| {
+                ((x * 131 + y * 31 + z * 7) as f64 * 0.37 + seed).sin() * 1e3
+            });
+
+            // A random box cuts cells on every face; the other shapes are
+            // the ones callers use: one plane, one x-slab, the whole cube.
+            let mut lo: [usize; 3] = std::array::from_fn(|a| picks[4 + a] % n);
+            let mut hi: [usize; 3] = std::array::from_fn(|a| lo[a] + 1 + picks[7 + a] % (n - lo[a]));
+            match region_kind {
+                0 => {}
+                1 => {
+                    let a = picks[10] % 3;
+                    hi[a] = lo[a] + 1;
+                }
+                2 => {
+                    (lo[1], lo[2], hi[1], hi[2]) = (0, 0, n, n);
+                }
+                _ => (lo, hi) = ([0; 3], [n; 3]),
+            }
+            let region = BoxRegion::new(lo, hi);
+
+            let start = Grid3::from_fn(region.size(), |x, y, z| (x + 2 * y + 3 * z) as f64 * 0.25);
+            let mut want = start.clone();
+            field.add_region_into_per_point(&region, &mut want, scale);
+            let mut got = start;
+            field.add_region_into(&region, &mut got, scale);
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                proptest::prop_assert!(
+                    g.to_bits() == w.to_bits(),
+                    "point {:?} of {region:?}: {g:e} vs {w:e}",
+                    got.unlinear(i)
+                );
+            }
+        }
     }
 
     #[test]

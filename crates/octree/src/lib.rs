@@ -18,6 +18,7 @@ pub mod bounds;
 pub mod cache;
 pub mod field;
 pub mod plan;
+mod reconstruct;
 pub mod schedule;
 
 pub use bounds::{
@@ -25,6 +26,6 @@ pub use bounds::{
     InverseDistanceDecay,
 };
 pub use cache::PlanCache;
-pub use field::{CompressedField, RegionPayload};
+pub use field::{CompressedField, PayloadError, RegionPayload};
 pub use plan::{OctCell, RateStats, SamplingPlan};
 pub use schedule::{RateBand, RateSchedule};

@@ -222,10 +222,7 @@ fn point_json(p: &Point, reqs_per_client: u64) -> Json {
         ),
         ("plan_builds", Json::int(p.report.plan_builds as i64)),
         ("plan_hits", Json::int(p.report.plan_hits as i64)),
-        (
-            "plan_evictions",
-            Json::int(p.report.plan_evictions as i64),
-        ),
+        ("plan_evictions", Json::int(p.report.plan_evictions as i64)),
         (
             "accounting_balanced",
             Json::Bool(p.report.admission.balanced()),

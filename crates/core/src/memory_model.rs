@@ -59,12 +59,15 @@ pub fn table1_rows() -> Vec<Table1Row> {
 
 /// Detailed device-footprint model of the streaming pipeline at `(n, k)`
 /// with `retained_z` kept z-planes and a z-stage batch of `batch` pencils.
-/// All working buffers are complex double (16 B/point).
+/// All working buffers are complex double (16 B/point); the input is real,
+/// so the slab and the retained planes hold the `h = N/2 + 1` non-redundant
+/// bins of one axis only.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineFootprint {
-    /// N×N×k slab holding the 2D-transformed sub-domain.
+    /// N×h×k half-spectrum slab holding the 2D-transformed sub-domain:
+    /// [`local_slab_bytes`] plus the one Nyquist column, `16·N·k`.
     pub slab_bytes: u64,
-    /// Retained z-planes buffer (`retained_z`·N² complex).
+    /// Retained z-planes buffer (`retained_z`·N·h complex).
     pub retained_bytes: u64,
     /// z-stage batch working buffer (`batch`·N complex, in and out).
     pub batch_bytes: u64,
@@ -83,22 +86,23 @@ impl PipelineFootprint {
         batch: usize,
         compressed_bytes: u64,
     ) -> Self {
+        let h = n / 2 + 1;
         let mut plans = PlanSet::new();
         // 2D stage: the y-pass and x-pass are separate batched plans over
-        // the k slices, each holding its own slab-sized work area (this is
-        // the dominant share of the "cuFFT temporaries" gap of Table 4).
-        plans.add(PlanShape::c2c(n, k * n));
-        plans.add(PlanShape::c2c(n, k * n));
+        // the k half-slices, each holding its own slab-sized work area (this
+        // is the dominant share of the "cuFFT temporaries" gap of Table 4).
+        plans.add(PlanShape::c2c(n, k * h));
+        plans.add(PlanShape::c2c(n, k * h));
         // z stage: `batch` pencils of length n at a time (forward + inverse
         // plans both alive).
         plans.add(PlanShape::c2c(n, batch));
         plans.add(PlanShape::c2c(n, batch));
-        // Final 2D inverse over retained planes (two passes).
-        plans.add(PlanShape::c2c(n, n));
-        plans.add(PlanShape::c2c(n, n));
+        // Final 2D inverse over one retained half-plane (two passes).
+        plans.add(PlanShape::c2c(n, h));
+        plans.add(PlanShape::c2c(n, h));
         PipelineFootprint {
-            slab_bytes: 16 * (n as u64) * (n as u64) * (k as u64),
-            retained_bytes: 16 * (retained_z as u64) * (n as u64) * (n as u64),
+            slab_bytes: 16 * (n as u64) * (h as u64) * (k as u64),
+            retained_bytes: 16 * (retained_z as u64) * (n as u64) * (h as u64),
             batch_bytes: 2 * 16 * (batch as u64) * (n as u64),
             compressed_bytes,
             plan_workspace_bytes: plans.total_workspace_bytes(),

@@ -1,24 +1,39 @@
 //! The streaming local convolution pipeline (paper §4, Fig. 2, Fig. 4).
 //!
 //! Convolves one `k³` sub-domain against the full `N³` periodic grid
-//! *without ever materializing the N³ result*:
+//! *without ever materializing the N³ result*. The input is real, so its
+//! spectrum is Hermitian and only the bins `fy ∈ 0..h`, `h = N/2 + 1`, are
+//! ever formed (Fig. 5's "RDFT converts small cube into slab"):
 //!
 //! 1. **2D stage** — each of the `k` z-slices is zero-padded from `k×k` to
 //!    `N×N` implicitly: pruned-input FFTs transform only the `k` nonzero
-//!    rows/columns ("zero structure is implicit in the 1D calls"). Output:
-//!    an `N×N×k` slab, the paper's `8·N·N·k`-byte working set.
-//! 2. **z stage** — batches of `B` pencils (the paper's batch parameter) are
-//!    zero-padded `k → N` by a pruned transform, multiplied by the kernel
-//!    spectrum *and* the sub-domain's position phase on the fly, inverse
-//!    transformed, and immediately **compressed**: only the z-planes the
-//!    octree plan retains are kept.
-//! 3. **2D inverse stage** — each retained z-plane is inverse transformed
-//!    and sampled into the octree's compressed storage
-//!    ([`CompressedField::capture_plane`]).
+//!    rows along y and then only the `h` non-redundant columns along x
+//!    ("zero structure is implicit in the 1D calls"). Output: an `N×h×k`
+//!    slab in `(zloc, fx, fy)` order — the paper's `8·N·N·k`-byte working
+//!    set plus one Nyquist column.
+//! 2. **z stage** — batches of `B` of the `N·h` pencils (the paper's batch
+//!    parameter) are zero-padded `k → N` by a pruned transform, multiplied
+//!    by the kernel spectrum *and* the sub-domain's position phase on the
+//!    fly, inverse transformed, and immediately **compressed**: only the
+//!    z-planes the octree plan retains are kept, as `N×h` half-planes.
+//! 3. **2D inverse stage** — each retained half-plane is inverse
+//!    transformed along x over its `h` columns and finished by a c2r along
+//!    y, every row in place (`h` complex hold their own `N` reals, see
+//!    [`RealIfft::process_packed`]), then sampled into the octree's
+//!    compressed storage ([`CompressedField::capture_plane`]).
 //!
 //! The sub-domain is presented at the origin; its true position enters as a
 //! frequency-domain phase `e^{-2πi f·c/N}` folded into the pointwise
 //! multiply, so the pruned transforms never see shifted data.
+//!
+//! **Non-Hermitian kernels.** The result is defined as `Re(ifft(K̂·X̂))` for
+//! any [`KernelSpectrum`]. With `X̂` Hermitian the real part keeps exactly
+//! the Hermitian part of the product,
+//! `½(K̂(f)X̂(f) + conj(K̂(−f)X̂(−f))) = K̂ₕ(f)·X̂(f)` with
+//! `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))`, so the z stage multiplies by `K̂ₕ`: a
+//! second kernel pencil at `(−fx, −fy)` read in reversed `fz` order. For a
+//! Hermitian kernel `K̂ₕ = K̂`; `MassifGamma` components that are odd in one
+//! `ξᵢ` are not Hermitian on bins with a Nyquist coordinate (DESIGN.md §5a).
 
 // lcc-lint: hot-path — pipeline stages 1-3; only per-solve setup may allocate.
 
@@ -28,7 +43,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-use lcc_fft::{fft_2d, workspace, Complex64, FftDirection, FftPlanner, PrunedInputFft};
+use lcc_fft::{fft_axis, workspace, Complex64, FftDirection, FftPlanner, PrunedInputFft, RealIfft};
 use lcc_greens::KernelSpectrum;
 use lcc_grid::Grid3;
 use lcc_octree::{CompressedField, SamplingPlan};
@@ -43,6 +58,8 @@ pub struct LocalConvolver {
     planner: Arc<FftPlanner>,
     /// Pruned k→N forward transform shared by all three axes.
     pruned: Arc<PrunedInputFft>,
+    /// c2r along y, the last inverse transform of stage 3.
+    c2r: RealIfft,
     /// Position-phase tables `e^{-2πi f·c/N}` keyed by corner coordinate
     /// `c`. The table depends only on `(n, c)`, so repeated convolves of
     /// sub-domains at recurring corners (every rank in a fixed
@@ -62,12 +79,14 @@ impl LocalConvolver {
         // Warm the plan cache so timed runs measure execution only.
         planner.plan(n, FftDirection::Inverse);
         planner.plan(n, FftDirection::Forward);
+        let c2r = RealIfft::new(&planner, n);
         LocalConvolver {
             n,
             k,
             batch,
             planner,
             pruned,
+            c2r,
             phase_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -101,9 +120,10 @@ impl LocalConvolver {
         self.batch
     }
 
-    /// The shared dense planner (used by the tensor-field variant).
-    pub(crate) fn planner(&self) -> &FftPlanner {
-        &self.planner
+    /// `h = n/2 + 1`: the non-redundant bins along y of a real field's
+    /// spectrum, and the row length of every slab and retained plane.
+    pub(crate) fn half(&self) -> usize {
+        self.n / 2 + 1
     }
 
     /// The shared pruned k→N forward plan.
@@ -117,13 +137,14 @@ impl LocalConvolver {
     }
 
     /// Stage 1 of the pipeline: pruned 2D transforms of a k³ sub-domain
-    /// into the `(zloc, fx, fy)` slab (k contiguous N² planes). `slab` must
-    /// have length `k·n²`; every element is overwritten.
+    /// into the `(zloc, fx, fy)` half-spectrum slab (k contiguous `n·h`
+    /// planes). `slab` must have length `k·n·h`; every element is
+    /// overwritten.
     pub(crate) fn forward_2d_slab_into(&self, sub: &Grid3<f64>, slab: &mut [Complex64]) {
-        let (n, k) = (self.n, self.k);
+        let (n, k, h) = (self.n, self.k, self.half());
         assert_eq!(sub.shape(), (k, k, k), "sub-domain must be k³");
-        assert_eq!(slab.len(), k * n * n, "slab must be k·n² planes");
-        slab.par_chunks_mut(n * n)
+        assert_eq!(slab.len(), k * n * h, "slab must be k half-planes of n·h");
+        slab.par_chunks_mut(n * h)
             .enumerate()
             .for_each_init(workspace, |ws, (zloc, plane)| {
                 // All five buffers are fully written before being read:
@@ -138,14 +159,16 @@ impl LocalConvolver {
                     self.pruned
                         .process(row_in, &mut rows[x * n..(x + 1) * n], scratch);
                 }
-                // x transforms: every fy column has k nonzero entries (x<k).
-                for fy in 0..n {
+                // x transforms: each of the h non-redundant fy columns has
+                // k nonzero entries (x<k); columns fy ≥ h are the conjugate
+                // mirror of these and are never formed.
+                for fy in 0..h {
                     for x in 0..k {
                         col_in[x] = rows[x * n + fy];
                     }
                     self.pruned.process(col_in, col_out, scratch);
                     for fx in 0..n {
-                        plane[fx * n + fy] = col_out[fx];
+                        plane[fx * h + fy] = col_out[fx];
                     }
                 }
             });
@@ -155,9 +178,43 @@ impl LocalConvolver {
     /// tensor-field variant, which owns its slabs).
     pub(crate) fn forward_2d_slab(&self, sub: &Grid3<f64>) -> Vec<Complex64> {
         // lcc-lint: allow(alloc) — one slab per solve, owned by the caller.
-        let mut slab = vec![Complex64::ZERO; self.k * self.n * self.n];
+        let mut slab = vec![Complex64::ZERO; self.k * self.n * self.half()];
         self.forward_2d_slab_into(sub, &mut slab);
         slab
+    }
+
+    /// Stage 3 of the pipeline: turns the retained half-planes `kept`
+    /// (`(zi, fx, fy)` order, `n·h` each) into real planes — inverse along x
+    /// over the `h` columns, then c2r along y, each row in place — and
+    /// samples plane `zi` into a fresh compressed field at `z = retained[zi]`.
+    /// The `1/n³` of the three unnormalized inverses rides on the c2r.
+    pub(crate) fn inverse_2d_capture(
+        &self,
+        kept: &mut [Complex64],
+        real_plane: &mut [f64],
+        retained: &[usize],
+        plan: Arc<SamplingPlan>,
+    ) -> CompressedField {
+        let (n, h) = (self.n, self.half());
+        let scale = 1.0 / (n * n * n) as f64;
+        kept.par_chunks_mut(n * h)
+            .for_each_init(workspace, |ws, plane| {
+                fft_axis(&self.planner, plane, (1, n, h), 1, FftDirection::Inverse);
+                // Fully written by the odd-n fallback before it is read;
+                // empty for even n.
+                let [scratch] = ws.complex_bufs([self.c2r.scratch_len()]);
+                for row in plane.chunks_exact_mut(h) {
+                    self.c2r.process_packed(row, scratch, scale);
+                }
+            });
+        let mut field = CompressedField::zeros(plan);
+        for (plane, &z) in kept.chunks_exact(n * h).zip(retained) {
+            for (row, out) in plane.chunks_exact(h).zip(real_plane.chunks_exact_mut(n)) {
+                RealIfft::unpack(row, out);
+            }
+            field.capture_plane(z, real_plane);
+        }
+        field
     }
 
     /// Convolves sub-domain `sub` (shape `k³`, positioned with its low
@@ -179,6 +236,7 @@ impl LocalConvolver {
             "corner must lie inside the grid"
         );
 
+        let h = self.half();
         let retained = plan.retained_z();
         let nzr = retained.len();
 
@@ -190,10 +248,10 @@ impl LocalConvolver {
         // real_plane per plane).
         let mut ws = workspace();
         let ([slab, kept, batch_out], real_plane) =
-            ws.split([k * n * n, nzr * n * n, self.batch * nzr], n * n);
+            ws.split([k * n * h, nzr * n * h, self.batch * nzr], n * n);
 
-        // ---- Stage 1: 2D pruned transforms into the N×N×k slab. ----
-        // Slab layout: (zloc, fx, fy), each z-slice a contiguous N² plane.
+        // ---- Stage 1: 2D pruned transforms into the N×h×k slab. ----
+        // Slab layout: (zloc, fx, fy), each z-slice a contiguous N·h plane.
         let s1 = lcc_obs::span("stage1_2d_fft");
         self.forward_2d_slab_into(sub, slab);
         drop(s1);
@@ -201,14 +259,14 @@ impl LocalConvolver {
 
         // ---- Stage 2: batched z pencils with on-the-fly multiply and
         //      compression to retained z-planes. ----
-        let inv_n = self.planner.plan(n, FftDirection::Inverse);
+        let inv_n = self.plan_inverse_n();
         // Phase of the sub-domain position: e^{-2πi f·c / N} per axis,
         // cached across calls (it depends only on the corner coordinate).
         let phx = self.phase_table(corner[0]);
         let phy = self.phase_table(corner[1]);
         let phz = self.phase_table(corner[2]);
 
-        let total_pencils = n * n;
+        let total_pencils = n * h;
         let s2 = lcc_obs::span("stage2_z_pencils");
         lcc_obs::metrics::PIPELINE_PENCILS.add(total_pencils as u64);
         let mut q0 = 0;
@@ -219,32 +277,34 @@ impl LocalConvolver {
                 .enumerate()
                 .for_each_init(workspace, |pws, (i, out)| {
                     let q = q0 + i;
-                    let (fx, fy) = (q / n, q % n);
+                    let (fx, fy) = (q / h, q % h);
                     // Per-pencil buffers from the per-participant workspace:
-                    // zin/kbuf are fully written below, pencil and scratch
-                    // inside the pruned transform.
-                    let [zin, pencil, scratch, kbuf] = pws.complex_bufs([k, n, k, n]);
+                    // zin/kbuf/kmir are fully written below, pencil and
+                    // scratch inside the pruned transform.
+                    let [zin, pencil, scratch, kbuf, kmir] = pws.complex_bufs([k, n, k, n, n]);
                     for (zloc, zi) in zin.iter_mut().enumerate() {
-                        *zi = slab[zloc * n * n + q];
+                        *zi = slab[zloc * n * h + q];
                     }
                     self.pruned.process(zin, pencil, scratch);
-                    // Pointwise: kernel × position phase, evaluated on the fly.
+                    // Pointwise: Hermitian part of the kernel (module doc)
+                    // × position phase, evaluated on the fly.
                     kernel.eval_pencil_axis2(fx, fy, kbuf);
+                    kernel.eval_pencil_axis2((n - fx) % n, (n - fy) % n, kmir);
                     let pxy = phx[fx] * phy[fy];
                     for fz in 0..n {
-                        pencil[fz] *= kbuf[fz] * (pxy * phz[fz]);
+                        let kh = (kbuf[fz] + kmir[(n - fz) % n].conj()).scale(0.5);
+                        pencil[fz] *= kh * (pxy * phz[fz]);
                     }
                     inv_n.process(pencil);
-                    let s = 1.0 / n as f64;
                     for (o, &z) in out.iter_mut().zip(retained.iter()) {
-                        *o = pencil[z] * s;
+                        *o = pencil[z];
                     }
                 });
             // Scatter the batch into the retained-plane buffer.
             for i in 0..b {
                 let q = q0 + i;
-                for (zi, _) in retained.iter().enumerate() {
-                    kept[zi * n * n + q] = batch_out[i * nzr + zi];
+                for zi in 0..nzr {
+                    kept[zi * n * h + q] = batch_out[i * nzr + zi];
                 }
             }
             q0 += b;
@@ -252,45 +312,30 @@ impl LocalConvolver {
         drop(s2);
 
         // ---- Stage 3: inverse 2D per retained plane + octree sampling. ----
-        let s3 = lcc_obs::span("stage3_inverse_sample");
-        kept.par_chunks_mut(n * n).for_each(|plane| {
-            fft_2d(&self.planner, plane, (n, n), FftDirection::Inverse);
-            let s = 1.0 / (n * n) as f64;
-            for v in plane.iter_mut() {
-                *v *= s;
-            }
-        });
-        let mut field = CompressedField::zeros(plan);
-        for (zi, &z) in retained.iter().enumerate() {
-            let plane = &kept[zi * n * n..(zi + 1) * n * n];
-            for (r, v) in real_plane.iter_mut().zip(plane.iter()) {
-                *r = v.re;
-            }
-            field.capture_plane(z, real_plane);
-        }
-        drop(s3);
-        field
+        let _s3 = lcc_obs::span("stage3_inverse_sample");
+        self.inverse_2d_capture(kept, real_plane, &retained, plan)
     }
 
     /// Modeled flop count of one [`LocalConvolver::convolve_compressed`]
     /// call under `plan`, using the standard `5·N·log₂N` per-transform
-    /// count ([`lcc_device::fft_flops`]):
+    /// count ([`lcc_device::fft_flops`]), with `h = n/2 + 1`:
     ///
-    /// * stage 1 — per z-slice, `k` pruned row FFTs + `n` column FFTs,
+    /// * stage 1 — per z-slice, `k` pruned row FFTs + `h` column FFTs,
     ///   each length `n`, over `k` slices;
-    /// * stage 2 — `n²` pencils, each a pruned forward + a dense inverse
+    /// * stage 2 — `n·h` pencils, each a pruned forward + a dense inverse
     ///   length-`n` FFT plus the 6-flop complex pointwise multiply per bin;
-    /// * stage 3 — one inverse 2D FFT (`2n` length-`n` transforms) per
-    ///   retained z-plane.
+    /// * stage 3 — per retained z-plane, `h` length-`n` column inverses
+    ///   and `n` c2r rows, each one length-`n/2` FFT.
     ///
     /// This is the unit the recovery accounting uses to price an exact
     /// recompute of a dead rank's domain.
     pub fn flops_estimate(&self, plan: &SamplingPlan) -> f64 {
-        let (n, k) = (self.n, self.k);
+        let (n, k, h) = (self.n, self.k, self.half());
         let retained = plan.retained_z().len();
-        let stage1 = lcc_device::fft_flops(n, k * (k + n));
-        let stage2 = lcc_device::fft_flops(n, 2 * n * n) + 6.0 * (n * n * n) as f64;
-        let stage3 = lcc_device::fft_flops(n, retained * 2 * n);
+        let stage1 = lcc_device::fft_flops(n, k * (k + h));
+        let stage2 = lcc_device::fft_flops(n, 2 * n * h) + 6.0 * (n * n * h) as f64;
+        let stage3 =
+            lcc_device::fft_flops(n, retained * h) + lcc_device::fft_flops(n / 2, retained * n);
         stage1 + stage2 + stage3
     }
 
@@ -304,19 +349,19 @@ impl LocalConvolver {
     /// core once — a 16-byte `Complex64` read plus write per element per
     /// pass (32 B) — and each transform itself runs from cache (pencils
     /// fit L2 by construction of the batch tiling). The stage-2 pointwise
-    /// kernel multiply streams one extra read+write pass over the `n³`
-    /// spectrum. Compulsory traffic only: extra write-allocate fills and
-    /// conflict misses make the real number higher, which biases
+    /// kernel multiply streams one extra read+write pass over the `n·h·n`
+    /// half spectrum. Compulsory traffic only: extra write-allocate fills
+    /// and conflict misses make the real number higher, which biases
     /// `roofline_frac` conservative (reported fraction ≤ true fraction).
     pub fn bytes_estimate(&self, plan: &SamplingPlan) -> f64 {
         /// Complex64 read + write per element per streaming pass.
         const PASS_BYTES: f64 = 32.0;
-        let (n, k) = (self.n, self.k);
+        let (n, k, h) = (self.n, self.k, self.half());
         let retained = plan.retained_z().len();
         let fft_bytes = |len: usize, batch: usize| PASS_BYTES * (len * batch) as f64;
-        let stage1 = fft_bytes(n, k * (k + n));
-        let stage2 = fft_bytes(n, 2 * n * n) + PASS_BYTES * (n * n * n) as f64;
-        let stage3 = fft_bytes(n, retained * 2 * n);
+        let stage1 = fft_bytes(n, k * (k + h));
+        let stage2 = fft_bytes(n, 2 * n * h) + PASS_BYTES * (n * n * h) as f64;
+        let stage3 = fft_bytes(n, retained * h) + fft_bytes(n / 2, retained * n);
         stage1 + stage2 + stage3
     }
 
@@ -488,7 +533,11 @@ mod tests {
         let domain = BoxRegion::new([0; 3], [k; 3]);
         let plan = SamplingPlan::build(n, domain, &RateSchedule::paper_default(k, 16));
         let fp = conv.footprint(&plan);
-        assert_eq!(fp.slab_bytes, 16 * (n as u64) * (n as u64) * (k as u64));
+        // Table 1's 8·N·N·k half spectrum plus the one Nyquist column.
+        assert_eq!(
+            fp.slab_bytes,
+            crate::memory_model::local_slab_bytes(n, k) + 16 * (n as u64) * (k as u64)
+        );
         assert!(
             fp.estimated_bytes() < 16 * (n as u64).pow(3),
             "must beat dense"

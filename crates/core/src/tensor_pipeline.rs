@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use lcc_fft::{fft_2d, workspace, Complex64, FftDirection};
+use lcc_fft::{workspace, Complex64};
 use lcc_greens::Sym3C;
 use lcc_grid::Grid3;
 use lcc_octree::{CompressedField, SamplingPlan};
@@ -60,7 +60,9 @@ impl LocalConvolver {
             assert_eq!(s.shape(), (k, k, k), "sub-domain components must be k³");
         }
 
-        // Stage 1 per component: pruned 2D transforms into six slabs.
+        // Stage 1 per component: pruned 2D transforms into six half-spectrum
+        // slabs (`h = n/2 + 1` bins along y, as in the scalar pipeline).
+        let h = self.half();
         let slabs: Vec<Vec<Complex64>> = sub
             .iter()
             .map(|component| self.forward_2d_slab(component))
@@ -72,8 +74,7 @@ impl LocalConvolver {
         let nzr = retained.len();
         // lcc-lint: allow(alloc) — six per-solve output buffers, kept until
         // compression; not per-pencil traffic.
-        let mut kept: Vec<Vec<Complex64>> =
-            (0..6).map(|_| vec![Complex64::ZERO; nzr * n * n]).collect();
+        let mut kept: [_; 6] = std::array::from_fn(|_| vec![Complex64::ZERO; nzr * n * h]);
         let inv_n = self.plan_inverse_n();
         let pruned = self.pruned_plan();
         // Position-phase tables, cached per corner coordinate in the
@@ -82,7 +83,7 @@ impl LocalConvolver {
         let phy = self.phase_table(corner[1]);
         let phz = self.phase_table(corner[2]);
 
-        let total = n * n;
+        let total = n * h;
         let batch = self.batch();
         // Per-pencil output: 6 components × nzr retained values.
         // lcc-lint: allow(alloc) — one batch buffer per solve, reused across
@@ -96,34 +97,37 @@ impl LocalConvolver {
                 .enumerate()
                 .for_each_init(workspace, |ws, (i, out)| {
                     let q = q0 + i;
-                    let (fx, fy) = (q / n, q % n);
+                    let (fx, fy) = (q / h, q % h);
                     // Per-pencil buffers from the pooled workspace; each is
                     // fully written before being read.
                     let [pencils, zin, scratch] = ws.complex_bufs([6 * n, k, k]);
                     for (c, slab) in slabs.iter().enumerate() {
                         for (zloc, zi) in zin.iter_mut().enumerate() {
-                            *zi = slab[zloc * n * n + q];
+                            *zi = slab[zloc * n * h + q];
                         }
                         pruned.process(zin, &mut pencils[c * n..(c + 1) * n], scratch);
                     }
-                    // Tensor contraction + position phase per fz.
+                    // Tensor contraction + position phase per fz. As in the
+                    // scalar pipeline the operator's Hermitian part is what
+                    // the real result keeps: ½(Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂)).
                     let pxy = phx[fx] * phy[fy];
+                    let (mx, my) = ((n - fx) % n, (n - fy) % n);
                     for fz in 0..n {
                         let mut sig = Sym3C::ZERO;
                         for c in 0..6 {
                             sig.c[c] = pencils[c * n + fz];
                         }
-                        let d = kernel.apply([fx, fy, fz], &sig);
-                        let ph = pxy * phz[fz];
+                        let mirror = kernel.apply([mx, my, (n - fz) % n], &sig.conj());
+                        let d = kernel.apply([fx, fy, fz], &sig).add(&mirror.conj());
+                        let ph = (pxy * phz[fz]).scale(0.5);
                         for c in 0..6 {
                             pencils[c * n + fz] = d.c[c] * ph;
                         }
                     }
-                    let s = 1.0 / n as f64;
                     for c in 0..6 {
                         inv_n.process(&mut pencils[c * n..(c + 1) * n]);
                         for (zi, &z) in retained.iter().enumerate() {
-                            out[c * nzr + zi] = pencils[c * n + z] * s;
+                            out[c * nzr + zi] = pencils[c * n + z];
                         }
                     }
                 });
@@ -131,7 +135,7 @@ impl LocalConvolver {
                 let q = q0 + i;
                 for c in 0..6 {
                     for zi in 0..nzr {
-                        kept[c][zi * n * n + q] = batch_out[(i * 6 + c) * nzr + zi];
+                        kept[c][zi * n * h + q] = batch_out[(i * 6 + c) * nzr + zi];
                     }
                 }
             }
@@ -140,62 +144,21 @@ impl LocalConvolver {
         drop(slabs);
 
         // Stage 3 per component: inverse 2D per retained plane + sampling.
-        let fields: Vec<CompressedField> = kept
-            .into_iter()
-            .map(|mut planes| {
-                planes.par_chunks_mut(n * n).for_each(|plane| {
-                    fft_2d(self.planner(), plane, (n, n), FftDirection::Inverse);
-                    let s = 1.0 / (n * n) as f64;
-                    for v in plane.iter_mut() {
-                        *v *= s;
-                    }
-                });
-                let mut field = CompressedField::zeros(plan.clone());
-                let mut ws = workspace();
-                let real_plane = ws.real_buf(n * n);
-                for (zi, &z) in retained.iter().enumerate() {
-                    for (r, v) in real_plane
-                        .iter_mut()
-                        .zip(&planes[zi * n * n..(zi + 1) * n * n])
-                    {
-                        *r = v.re;
-                    }
-                    field.capture_plane(z, real_plane);
-                }
-                field
-            })
-            .collect();
-        match fields.try_into() {
-            Ok(six) => six,
-            Err(_) => unreachable!("exactly six components"),
-        }
+        let mut ws = workspace();
+        let real_plane = ws.real_buf(n * n);
+        kept.map(|mut planes| {
+            self.inverse_2d_capture(&mut planes, real_plane, &retained, plan.clone())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_common::GammaComp;
     use lcc_greens::MassifGamma;
     use lcc_grid::{relative_l2, BoxRegion};
     use lcc_octree::RateSchedule;
-
-    /// Scalar view of one Γ̂ component for the reference path.
-    struct GammaComp {
-        gamma: MassifGamma,
-        ij: (usize, usize),
-        kl: (usize, usize),
-    }
-    impl lcc_greens::KernelSpectrum for GammaComp {
-        fn n(&self) -> usize {
-            self.gamma.n()
-        }
-        fn eval(&self, f: [usize; 3]) -> Complex64 {
-            Complex64::from_real(
-                self.gamma
-                    .component(f, self.ij.0, self.ij.1, self.kl.0, self.kl.1),
-            )
-        }
-    }
 
     #[test]
     fn tensor_pipeline_matches_componentwise_scalar_sum() {

@@ -153,6 +153,24 @@ proptest! {
         // The inverse consumes slightly-diverged spectra, so allow the
         // round trip one extra ulp of headroom on top of the kernel bound.
         prop_assert!(d <= 2.0 * MAX_ULP, "c2r n={n}: {d} ulp");
+
+        // The in-place forms the pipeline calls are the same kernels: r2c
+        // into a dirty output and packed c2r must reproduce the allocating
+        // wrappers bit for bit, per planner.
+        for (fwd, inv, spec, real) in [(&fa, &ia, &sa, &ra), (&fb, &ib, &sb, &rb)] {
+            let mut out = vec![c64(f64::NAN, f64::NAN); n / 2 + 1];
+            fwd.process(&input, &mut out);
+            let same = |x: &Complex64, y: &Complex64| {
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+            };
+            prop_assert!(out.iter().zip(spec).all(|(x, y)| same(x, y)), "r2c n={n}");
+            let mut row = spec.clone();
+            inv.process_packed(&mut row, &mut [], 1.0);
+            let mut packed = vec![0.0; n];
+            RealIfft::unpack(&row, &mut packed);
+            let same = packed.iter().zip(real).all(|(x, y)| x.to_bits() == y.to_bits());
+            prop_assert!(same, "packed c2r n={n}");
+        }
     }
 
     /// Pruned-input forward transform (the paper's implicit zero padding).

@@ -13,27 +13,31 @@ use lcc_fft::Complex64;
 use lcc_grid::Grid3;
 
 use crate::kernel::KernelSpectrum;
+use crate::poisson::laplacian_table;
 
 /// Spectral inverse of the discrete screened Laplacian
 /// `Ĝ(ξ) = 1 / (κ² + Σᵢ (2 − 2cos(2πfᵢ/n)))` on a periodic `n³` grid.
 ///
 /// Unlike the pure Poisson kernel there is no zero-mode gauge: `κ > 0`
 /// makes the operator invertible everywhere.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ScreenedPoissonSpectrum {
-    n: usize,
     kappa: f64,
+    /// [`laplacian_table`]; its length is the grid size.
+    c: Vec<f64>,
 }
 
 impl ScreenedPoissonSpectrum {
     /// Creates the spectrum; `kappa > 0`.
     pub fn new(n: usize, kappa: f64) -> Self {
-        assert!(n >= 2, "grid too small");
         assert!(
             kappa > 0.0,
             "kappa must be positive (use PoissonSpectrum for kappa = 0)"
         );
-        ScreenedPoissonSpectrum { n, kappa }
+        ScreenedPoissonSpectrum {
+            kappa,
+            c: laplacian_table(n),
+        }
     }
 
     /// The screening parameter κ.
@@ -49,21 +53,26 @@ impl ScreenedPoissonSpectrum {
 
     /// Discrete symbol `κ² + Σᵢ (2 − 2cos(2πfᵢ/n))` at bin `f`.
     pub fn symbol(&self, f: [usize; 3]) -> f64 {
-        let n = self.n as f64;
-        self.kappa * self.kappa
-            + f.iter()
-                .map(|&fi| 2.0 - 2.0 * (2.0 * std::f64::consts::PI * fi as f64 / n).cos())
-                .sum::<f64>()
+        self.kappa * self.kappa + (self.c[f[0]] + self.c[f[1]] + self.c[f[2]])
     }
 }
 
 impl KernelSpectrum for ScreenedPoissonSpectrum {
     fn n(&self) -> usize {
-        self.n
+        self.c.len()
     }
 
     fn eval(&self, f: [usize; 3]) -> Complex64 {
         Complex64::from_real(1.0 / self.symbol(f))
+    }
+
+    fn eval_pencil_axis2(&self, f0: usize, f1: usize, out: &mut [Complex64]) {
+        assert_eq!(out.len(), self.c.len());
+        let k2 = self.kappa * self.kappa;
+        let xy = self.c[f0] + self.c[f1];
+        for (o, &cz) in out.iter_mut().zip(&self.c) {
+            *o = Complex64::from_real(1.0 / (k2 + (xy + cz)));
+        }
     }
 }
 
@@ -94,6 +103,20 @@ mod tests {
         let s = ScreenedPoissonSpectrum::new(16, 0.5);
         assert!(s.eval([0, 0, 0]).re > 0.0);
         assert!((s.eval([0, 0, 0]).re - 1.0 / 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pencil_matches_pointwise() {
+        for n in [9usize, 16] {
+            let s = ScreenedPoissonSpectrum::new(n, 0.7);
+            let mut out = vec![Complex64::ZERO; n];
+            for (f0, f1) in [(0, 0), (3, 7), (n - 1, n / 2)] {
+                s.eval_pencil_axis2(f0, f1, &mut out);
+                for (f2, &v) in out.iter().enumerate() {
+                    assert_eq!(v, s.eval([f0, f1, f2]));
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,14 @@ pub fn wrap_freq(f: usize, n: usize) -> i64 {
 }
 
 /// A scalar transfer function on the `n³` frequency grid.
+///
+/// A spectrum need not be Hermitian (`K̂(−f) = conj K̂(f)`, the spectrum of a
+/// real spatial kernel). The convolution pipelines define their result as
+/// `Re(ifft(K̂·X̂))` for real input `x`, which is the convolution with the
+/// *real part* of the spatial kernel: only the Hermitian part
+/// `½(K̂(f) + conj K̂(−f))` of the spectrum contributes, and the half-spectrum
+/// pipeline multiplies by exactly that. [`hermitian_defect`] measures how
+/// far a spectrum is from its Hermitian part.
 pub trait KernelSpectrum: Send + Sync {
     /// Grid size n.
     fn n(&self) -> usize;
@@ -51,6 +59,30 @@ pub trait KernelSpectrum: Send + Sync {
     }
 }
 
+/// How far `kernel` is from Hermitian symmetry on its grid: the maximum over
+/// all bins of `|K̂(f) − conj K̂(−f)|`, `−f = ((n−f₀)%n, (n−f₁)%n, (n−f₂)%n)`,
+/// relative to `max |K̂|`. Zero (to round-off) for the spectrum of a real
+/// spatial kernel; an O(n³) diagnostic, not a hot-path call.
+pub fn hermitian_defect(kernel: &dyn KernelSpectrum) -> f64 {
+    let n = kernel.n();
+    let (mut defect, mut peak) = (0.0f64, 0.0f64);
+    for f0 in 0..n {
+        for f1 in 0..n {
+            for f2 in 0..n {
+                let v = kernel.eval([f0, f1, f2]);
+                let m = kernel.eval([(n - f0) % n, (n - f1) % n, (n - f2) % n]);
+                defect = defect.max((v - m.conj()).norm());
+                peak = peak.max(v.norm());
+            }
+        }
+    }
+    if peak == 0.0 {
+        0.0
+    } else {
+        defect / peak
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,6 +104,33 @@ mod tests {
         fn eval(&self, _f: [usize; 3]) -> Complex64 {
             Complex64::ONE
         }
+    }
+
+    #[test]
+    fn shipped_scalar_kernels_are_hermitian() {
+        use crate::{GaussianKernel, PoissonSpectrum, ScreenedPoissonSpectrum};
+        assert!(hermitian_defect(&GaussianKernel::new(8, 1.3)) <= 1e-12);
+        for n in [8usize, 9] {
+            assert!(hermitian_defect(&PoissonSpectrum::new(n)) <= 1e-12);
+            assert!(hermitian_defect(&ScreenedPoissonSpectrum::new(n, 0.6)) <= 1e-12);
+        }
+    }
+
+    #[test]
+    fn defect_sees_a_non_hermitian_spectrum() {
+        /// `K̂ = i` everywhere: an odd-symmetric imaginary part would be
+        /// Hermitian, a constant one is as far from it as possible.
+        struct ConstI;
+        impl KernelSpectrum for ConstI {
+            fn n(&self) -> usize {
+                4
+            }
+            fn eval(&self, _f: [usize; 3]) -> Complex64 {
+                Complex64::I
+            }
+        }
+        assert_eq!(hermitian_defect(&ConstI), 2.0);
+        assert_eq!(hermitian_defect(&Flat(4)), 0.0);
     }
 
     #[test]

@@ -11,41 +11,62 @@ use lcc_grid::Grid3;
 
 use crate::kernel::KernelSpectrum;
 
+/// The separable 1D factor of the 7-point Laplacian symbol,
+/// `c[f] = 2 − 2cos(2πf/n)` for `f in 0..n` — the symbol at bin `f` is
+/// `c[f₀] + c[f₁] + c[f₂]`. Shared with the screened variant.
+pub(crate) fn laplacian_table(n: usize) -> Vec<f64> {
+    assert!(n >= 2, "grid too small");
+    (0..n)
+        .map(|f| 2.0 - 2.0 * (2.0 * std::f64::consts::PI * f as f64 / n as f64).cos())
+        .collect()
+}
+
 /// Spectral inverse of the (negative) 7-point discrete Laplacian on a
 /// periodic `n³` grid with unit spacing: `Ĝ(ξ) = 1 / Σᵢ (2 − 2 cos(2πfᵢ/n))`,
 /// with `Ĝ(0) = 0` (the compatibility gauge: zero-mean solutions).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct PoissonSpectrum {
-    n: usize,
+    /// [`laplacian_table`]; its length is the grid size.
+    c: Vec<f64>,
 }
 
 impl PoissonSpectrum {
     /// Creates the spectrum for an `n³` grid.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "grid too small");
-        PoissonSpectrum { n }
+        PoissonSpectrum {
+            c: laplacian_table(n),
+        }
     }
 
     /// Discrete Laplacian symbol `Σᵢ (2 − 2 cos(2πfᵢ/n))` at bin `f`.
     pub fn laplacian_symbol(&self, f: [usize; 3]) -> f64 {
-        let n = self.n as f64;
-        f.iter()
-            .map(|&fi| 2.0 - 2.0 * (2.0 * std::f64::consts::PI * fi as f64 / n).cos())
-            .sum()
+        self.c[f[0]] + self.c[f[1]] + self.c[f[2]]
+    }
+}
+
+/// `1/s`, with the zero mode gauged to 0.
+fn gauged_inverse(s: f64) -> Complex64 {
+    if s == 0.0 {
+        Complex64::ZERO
+    } else {
+        Complex64::from_real(1.0 / s)
     }
 }
 
 impl KernelSpectrum for PoissonSpectrum {
     fn n(&self) -> usize {
-        self.n
+        self.c.len()
     }
 
     fn eval(&self, f: [usize; 3]) -> Complex64 {
-        let s = self.laplacian_symbol(f);
-        if s == 0.0 {
-            Complex64::ZERO
-        } else {
-            Complex64::from_real(1.0 / s)
+        gauged_inverse(self.laplacian_symbol(f))
+    }
+
+    fn eval_pencil_axis2(&self, f0: usize, f1: usize, out: &mut [Complex64]) {
+        assert_eq!(out.len(), self.c.len());
+        let xy = self.c[f0] + self.c[f1];
+        for (o, &cz) in out.iter_mut().zip(&self.c) {
+            *o = gauged_inverse(xy + cz);
         }
     }
 }
@@ -100,6 +121,20 @@ mod tests {
         let p = PoissonSpectrum::new(16);
         assert_eq!(p.eval([0, 0, 0]), Complex64::ZERO);
         assert!(p.eval([1, 0, 0]).re > 0.0);
+    }
+
+    #[test]
+    fn pencil_matches_pointwise() {
+        for n in [9usize, 16] {
+            let p = PoissonSpectrum::new(n);
+            let mut out = vec![Complex64::ZERO; n];
+            for (f0, f1) in [(0, 0), (3, 7), (n - 1, n / 2)] {
+                p.eval_pencil_axis2(f0, f1, &mut out);
+                for (f2, &v) in out.iter().enumerate() {
+                    assert_eq!(v, p.eval([f0, f1, f2]));
+                }
+            }
+        }
     }
 
     #[test]

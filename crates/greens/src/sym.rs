@@ -91,6 +91,13 @@ impl Sym3C {
         out
     }
 
+    /// Component-wise complex conjugate.
+    pub fn conj(&self) -> Sym3C {
+        Sym3C {
+            c: self.c.map(Complex64::conj),
+        }
+    }
+
     /// Scales by a complex factor.
     pub fn scale(&self, s: Complex64) -> Sym3C {
         let mut out = *self;

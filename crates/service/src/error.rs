@@ -73,9 +73,7 @@ impl ServiceError {
                 in_flight, quota, ..
             } => (REJECT_QUOTA, *in_flight as u64, *quota as u64),
             ServiceError::Shedding { queued, .. } => (REJECT_SHEDDING, *queued as u64, 0),
-            ServiceError::DuplicateRequest { request_id, .. } => {
-                (REJECT_DUPLICATE, *request_id, 0)
-            }
+            ServiceError::DuplicateRequest { request_id, .. } => (REJECT_DUPLICATE, *request_id, 0),
             ServiceError::Config(_) => (REJECT_CONFIG, 0, 0),
             // A codec failure cannot echo ids it failed to decode; it is
             // reported per-connection, not per-request.
@@ -130,10 +128,9 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "shedding load ({queued} queued): {tenant} required exact service"
             ),
-            ServiceError::DuplicateRequest { tenant, request_id } => write!(
-                f,
-                "{tenant} request id {request_id} is already in flight"
-            ),
+            ServiceError::DuplicateRequest { tenant, request_id } => {
+                write!(f, "{tenant} request id {request_id} is already in flight")
+            }
             ServiceError::Codec(e) => write!(f, "undecodable request: {e}"),
             ServiceError::Config(e) => write!(f, "invalid plan parameters: {e}"),
             ServiceError::Stopped => write!(f, "service stopped"),

@@ -283,7 +283,11 @@ mod tests {
             reg.entry_for(&hot).unwrap();
             reg.entry_for(&req(16, 4, 10.0 + i as f64)).unwrap();
         }
-        assert!(reg.len() <= 16, "registry grew past its bound: {}", reg.len());
+        assert!(
+            reg.len() <= 16,
+            "registry grew past its bound: {}",
+            reg.len()
+        );
         assert_eq!(reg.evictions(), reg.builds() - reg.len() as u64);
         assert!(reg.evictions() > 0, "40 distinct keys must evict");
         // The hot key survived every eviction round: no rebuild.

@@ -491,10 +491,7 @@ mod tests {
         let service = ConvolveService::new(ServiceConfig::default());
         let mut bad = request(0, 0);
         bad.k = 5; // does not divide n = 16
-        assert!(matches!(
-            service.submit(bad),
-            Err(ServiceError::Config(_))
-        ));
+        assert!(matches!(service.submit(bad), Err(ServiceError::Config(_))));
         // A typed request claiming a huge grid is stopped by the same n³
         // ceiling the wire codec enforces — before any plan/grid work.
         let mut huge = request(0, 1);
@@ -502,7 +499,9 @@ mod tests {
         huge.k = 1 << 20;
         assert!(matches!(
             service.submit(huge),
-            Err(ServiceError::Codec(crate::wire::CodecError::Oversize { .. }))
+            Err(ServiceError::Codec(
+                crate::wire::CodecError::Oversize { .. }
+            ))
         ));
         let report = service.report();
         assert_eq!(report.admission.offered, 0);

@@ -65,6 +65,9 @@ fn distributed_matches_serial_lowcomm_and_oracle() {
             w.barrier().expect("barrier failed");
             let before = w.stats().bytes();
             assert_eq!(before, 0, "local phase must not communicate");
+            // ... and a second time, so that no rank starts the exchange
+            // while a slower one has yet to read the counter.
+            w.barrier().expect("barrier failed");
 
             // Single exchange: allgather the compressed samples.
             let payload: Vec<f64> = my_fields

@@ -208,12 +208,15 @@ impl LowCommConvolver {
         let fields: Vec<Option<CompressedField>> = domains
             .par_iter()
             .map(|d| {
-                let sub = input.extract(d);
-                if sub.as_slice().iter().all(|&v| v == 0.0) {
+                // Tested in place: a skipped domain costs no copy.
+                if input.all_in(d, |&v| v == 0.0) {
                     return None;
                 }
                 let plan = self.plan_for(self.response_region(d, kernel));
-                Some(self.local.convolve_compressed(&sub, d.lo, kernel, plan))
+                Some(
+                    self.local
+                        .convolve_compressed(&input.extract(d), d.lo, kernel, plan),
+                )
             })
             .collect();
 
@@ -293,8 +296,7 @@ impl LowCommConvolver {
         kernel: &dyn KernelSpectrum,
         degraded: bool,
     ) -> Option<CompressedField> {
-        let sub = input.extract(domain);
-        if sub.as_slice().iter().all(|&v| v == 0.0) {
+        if input.all_in(domain, |&v| v == 0.0) {
             return None;
         }
         let region = self.response_region(domain, kernel);
@@ -305,7 +307,7 @@ impl LowCommConvolver {
         };
         Some(
             self.local
-                .convolve_compressed(&sub, domain.lo, kernel, plan),
+                .convolve_compressed(&input.extract(domain), domain.lo, kernel, plan),
         )
     }
 

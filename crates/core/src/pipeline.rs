@@ -16,15 +16,25 @@
 //!    by the kernel spectrum *and* the sub-domain's position phase on the
 //!    fly, inverse transformed, and immediately **compressed**: only the
 //!    z-planes the octree plan retains are kept, as `N×h` half-planes.
+//!    Adjacent pencils `q = fx·h + fy` are contiguous in the slab, so the
+//!    stage runs over [`lcc_fft::tile`]s of 8 of them ([`ZStage`], shared
+//!    with the tensor pipeline): slab rows load straight into the vector
+//!    lanes and the retained rows store straight into the half-planes.
 //! 3. **2D inverse stage** — each retained half-plane is inverse
 //!    transformed along x over its `h` columns and finished by a c2r along
 //!    y, every row in place (`h` complex hold their own `N` reals, see
 //!    [`RealIfft::process_packed`]), then sampled into the octree's
 //!    compressed storage ([`CompressedField::capture_plane`]).
 //!
+//! The strided x transforms of stages 1 and 3 run over the same tiles (lanes
+//! across `fy`); the y transforms are along the contiguous axis and stay
+//! one plan call per row.
+//!
 //! The sub-domain is presented at the origin; its true position enters as a
-//! frequency-domain phase `e^{-2πi f·c/N}` folded into the pointwise
-//! multiply, so the pruned transforms never see shifted data.
+//! frequency-domain phase `e^{-2πi f·c/N}`: the x and y factors are constant
+//! along a z-pencil and ride on its input rows (the forward transform is
+//! linear), the z factor is folded into the pointwise multiply, so the
+//! pruned transforms never see shifted data.
 //!
 //! **Non-Hermitian kernels.** The result is defined as `Re(ifft(K̂·X̂))` for
 //! any [`KernelSpectrum`]. With `X̂` Hermitian the real part keeps exactly
@@ -43,7 +53,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-use lcc_fft::{fft_axis, workspace, Complex64, FftDirection, FftPlanner, PrunedInputFft, RealIfft};
+use lcc_fft::tile::{carve, load_row, rows_mut, store_row, W};
+use lcc_fft::{
+    fft_axis, workspace, Complex64, FftDirection, FftPlanner, PrunedInputFft, RealIfft, TileFft,
+    ZStage, ZTile,
+};
 use lcc_greens::KernelSpectrum;
 use lcc_grid::Grid3;
 use lcc_octree::{CompressedField, SamplingPlan};
@@ -58,6 +72,8 @@ pub struct LocalConvolver {
     planner: Arc<FftPlanner>,
     /// Pruned k→N forward transform shared by all three axes.
     pruned: Arc<PrunedInputFft>,
+    /// Dense inverse along z over tiles of adjacent pencils.
+    inverse_z: TileFft,
     /// c2r along y, the last inverse transform of stage 3.
     c2r: RealIfft,
     /// Position-phase tables `e^{-2πi f·c/N}` keyed by corner coordinate
@@ -80,12 +96,14 @@ impl LocalConvolver {
         planner.plan(n, FftDirection::Inverse);
         planner.plan(n, FftDirection::Forward);
         let c2r = RealIfft::new(&planner, n);
+        let inverse_z = TileFft::new(&planner, n, FftDirection::Inverse);
         LocalConvolver {
             n,
             k,
             batch,
             planner,
             pruned,
+            inverse_z,
             c2r,
             phase_cache: Mutex::new(HashMap::new()),
         }
@@ -126,14 +144,16 @@ impl LocalConvolver {
         self.n / 2 + 1
     }
 
-    /// The shared pruned k→N forward plan.
-    pub(crate) fn pruned_plan(&self) -> &PrunedInputFft {
-        &self.pruned
-    }
-
-    /// The cached full-length inverse plan.
-    pub(crate) fn plan_inverse_n(&self) -> lcc_fft::FftPlan {
-        self.planner.plan(self.n, FftDirection::Inverse)
+    /// The z stage over `retained`, shared by the scalar and the tensor
+    /// pipeline: they differ only in the pointwise step they hand to
+    /// [`ZStage::run`].
+    pub(crate) fn z_stage<'a>(&'a self, retained: &'a [usize]) -> ZStage<'a> {
+        ZStage {
+            forward: &self.pruned,
+            inverse: &self.inverse_z,
+            retained,
+            batch: self.batch,
+        }
     }
 
     /// Stage 1 of the pipeline: pruned 2D transforms of a k³ sub-domain
@@ -144,31 +164,46 @@ impl LocalConvolver {
         let (n, k, h) = (self.n, self.k, self.half());
         assert_eq!(sub.shape(), (k, k, k), "sub-domain must be k³");
         assert_eq!(slab.len(), k * n * h, "slab must be k half-planes of n·h");
+        let pruned = &*self.pruned;
+        let lane_len = pruned.tile_scratch_len();
         slab.par_chunks_mut(n * h)
             .enumerate()
             .for_each_init(workspace, |ws, (zloc, plane)| {
-                // All five buffers are fully written before being read:
-                // row_in/col_in per inner loop, rows/col_out as pruned
-                // transform outputs, scratch inside `process`.
-                let [scratch, row_in, rows, col_in, col_out] = ws.complex_bufs([k, k, k * n, k, n]);
-                // y transforms: k nonzero rows, each with k nonzero entries.
+                // Every buffer is fully written before being read: row_in
+                // per inner loop, rows and the tiles as pruned transform
+                // outputs, scratch and lane inside the transforms.
+                let ([scratch, row_in, rows, lane], mut real) =
+                    ws.split([k, k, k * n, lane_len], (4 * k + 2 * n) * W);
+                let real = &mut real;
+                let (xre, xim) = (carve(real, k), carve(real, k));
+                let (sre, sim) = (carve(real, k), carve(real, k));
+                let (ore, oim) = (carve(real, n), carve(real, n));
+                // y transforms: k nonzero rows, each with k nonzero entries,
+                // along the contiguous axis — one pencil at a time.
                 for x in 0..k {
                     for y in 0..k {
                         row_in[y] = Complex64::from_real(sub[(x, y, zloc)]);
                     }
-                    self.pruned
-                        .process(row_in, &mut rows[x * n..(x + 1) * n], scratch);
+                    pruned.process(row_in, &mut rows[x * n..(x + 1) * n], scratch);
                 }
                 // x transforms: each of the h non-redundant fy columns has
                 // k nonzero entries (x<k); columns fy ≥ h are the conjugate
-                // mirror of these and are never formed.
-                for fy in 0..h {
+                // mirror of these and are never formed. Adjacent columns
+                // are contiguous in `rows` and in `plane`: a tile at a time.
+                for fy in (0..h).step_by(W) {
+                    let live = W.min(h - fy);
                     for x in 0..k {
-                        col_in[x] = rows[x * n + fy];
+                        load_row(&rows[x * n + fy..][..live], &mut xre[x], &mut xim[x]);
                     }
-                    self.pruned.process(col_in, col_out, scratch);
-                    for fx in 0..n {
-                        plane[fx * h + fy] = col_out[fx];
+                    pruned.process_tile(
+                        (&*xre, &*xim),
+                        (&mut *ore, &mut *oim),
+                        (&mut *sre, &mut *sim),
+                        lane,
+                        |fx| fx,
+                    );
+                    for (fx, (r, i)) in ore.iter().zip(oim.iter()).enumerate() {
+                        store_row(r, i, &mut plane[fx * h + fy..][..live]);
                     }
                 }
             });
@@ -197,16 +232,22 @@ impl LocalConvolver {
     ) -> CompressedField {
         let (n, h) = (self.n, self.half());
         let scale = 1.0 / (n * n * n) as f64;
-        kept.par_chunks_mut(n * h)
-            .for_each_init(workspace, |ws, plane| {
-                fft_axis(&self.planner, plane, (1, n, h), 1, FftDirection::Inverse);
-                // Fully written by the odd-n fallback before it is read;
-                // empty for even n.
-                let [scratch] = ws.complex_bufs([self.c2r.scratch_len()]);
-                for row in plane.chunks_exact_mut(h) {
-                    self.c2r.process_packed(row, scratch, scale);
-                }
+        let odd = self.c2r.scratch_len();
+        kept.par_chunks_mut(n * h).for_each(|plane| {
+            fft_axis(&self.planner, plane, (1, n, h), 1, FftDirection::Inverse);
+            // Only the odd-n fallback needs scratch (which it fully writes
+            // before reading), and it is leased after the x pass has
+            // returned its own lease: the two never nest, so no third
+            // arena grows behind them.
+            let mut ws = (odd > 0).then(workspace);
+            let scratch = ws.as_mut().map_or(&mut [][..], |ws| {
+                let [s] = ws.complex_bufs([odd]);
+                s
             });
+            for row in plane.chunks_exact_mut(h) {
+                self.c2r.process_packed(row, scratch, scale);
+            }
+        });
         let mut field = CompressedField::zeros(plan);
         for (plane, &z) in kept.chunks_exact(n * h).zip(retained) {
             for (row, out) in plane.chunks_exact(h).zip(real_plane.chunks_exact_mut(n)) {
@@ -240,75 +281,73 @@ impl LocalConvolver {
         let retained = plan.retained_z();
         let nzr = retained.len();
 
-        // Call-level arena: the slab, the retained-plane buffer, the batch
-        // staging buffer and the stage-3 real plane all come from one pooled
-        // workspace, so a warm convolve allocates nothing for them. Each is
-        // fully overwritten before it is read (slab by stage 1, kept by the
-        // batch scatter over every (plane, pencil), batch_out by each batch,
-        // real_plane per plane).
+        // Call-level arena: the slab, the retained-plane buffer and the
+        // stage-3 real plane all come from one pooled workspace, so a warm
+        // convolve allocates nothing for them. Each is fully overwritten
+        // before it is read (slab by stage 1, kept by the z stage's stores
+        // over every (plane, pencil), real_plane per plane).
         let mut ws = workspace();
-        let ([slab, kept, batch_out], real_plane) =
-            ws.split([k * n * h, nzr * n * h, self.batch * nzr], n * n);
+        let ([slab, kept], real_plane) = ws.split([k * n * h, nzr * n * h], n * n);
 
         // ---- Stage 1: 2D pruned transforms into the N×h×k slab. ----
         // Slab layout: (zloc, fx, fy), each z-slice a contiguous N·h plane.
         let s1 = lcc_obs::span("stage1_2d_fft");
         self.forward_2d_slab_into(sub, slab);
         drop(s1);
-        let slab: &[Complex64] = slab;
 
         // ---- Stage 2: batched z pencils with on-the-fly multiply and
         //      compression to retained z-planes. ----
-        let inv_n = self.plan_inverse_n();
         // Phase of the sub-domain position: e^{-2πi f·c / N} per axis,
         // cached across calls (it depends only on the corner coordinate).
         let phx = self.phase_table(corner[0]);
         let phy = self.phase_table(corner[1]);
         let phz = self.phase_table(corner[2]);
 
-        let total_pencils = n * h;
         let s2 = lcc_obs::span("stage2_z_pencils");
-        lcc_obs::metrics::PIPELINE_PENCILS.add(total_pencils as u64);
-        let mut q0 = 0;
-        while q0 < total_pencils {
-            let b = self.batch.min(total_pencils - q0);
-            batch_out[..b * nzr]
-                .par_chunks_mut(nzr)
-                .enumerate()
-                .for_each_init(workspace, |pws, (i, out)| {
-                    let q = q0 + i;
-                    let (fx, fy) = (q / h, q % h);
-                    // Per-pencil buffers from the per-participant workspace:
-                    // zin/kbuf/kmir are fully written below, pencil and
-                    // scratch inside the pruned transform.
-                    let [zin, pencil, scratch, kbuf, kmir] = pws.complex_bufs([k, n, k, n, n]);
-                    for (zloc, zi) in zin.iter_mut().enumerate() {
-                        *zi = slab[zloc * n * h + q];
+        lcc_obs::metrics::PIPELINE_PENCILS.add((n * h) as u64);
+        self.z_stage(&retained).run(
+            [&*slab],
+            [&mut *kept],
+            (2 * n, 2 * n * W),
+            // The lane-constant half of the multiplier: the ½ of the
+            // Hermitian projection (exact) times the x and y phases.
+            |q| (phx[q / h] * phy[q % h]).scale(0.5),
+            // Pointwise: Hermitian part of the kernel (module doc) × the z
+            // phase, evaluated on the fly and built lane-contiguous so the
+            // multiply itself is a vector operation per row.
+            |tile: ZTile<'_>| {
+                let (kbuf, kmir) = tile.cbuf.split_at_mut(n);
+                let (mre, mim) = rows_mut(tile.rbuf).split_at_mut(n);
+                for lane in 0..W {
+                    if lane >= tile.live {
+                        // Padding lanes carry zeros; keep them finite.
+                        for (r, i) in mre.iter_mut().zip(mim.iter_mut()) {
+                            (r[lane], i[lane]) = (0.0, 0.0);
+                        }
+                        continue;
                     }
-                    self.pruned.process(zin, pencil, scratch);
-                    // Pointwise: Hermitian part of the kernel (module doc)
-                    // × position phase, evaluated on the fly.
+                    let q = tile.q0 + lane;
+                    let (fx, fy) = (q / h, q % h);
                     kernel.eval_pencil_axis2(fx, fy, kbuf);
                     kernel.eval_pencil_axis2((n - fx) % n, (n - fy) % n, kmir);
-                    let pxy = phx[fx] * phy[fy];
-                    for fz in 0..n {
-                        let kh = (kbuf[fz] + kmir[(n - fz) % n].conj()).scale(0.5);
-                        pencil[fz] *= kh * (pxy * phz[fz]);
+                    // −fz is n − fz except at fz = 0, peeled.
+                    let m = (kbuf[0] + kmir[0].conj()) * phz[0];
+                    (mre[0][lane], mim[0][lane]) = (m.re, m.im);
+                    for fz in 1..n {
+                        let m = (kbuf[fz] + kmir[n - fz].conj()) * phz[fz];
+                        (mre[fz][lane], mim[fz][lane]) = (m.re, m.im);
                     }
-                    inv_n.process(pencil);
-                    for (o, &z) in out.iter_mut().zip(retained.iter()) {
-                        *o = pencil[z];
-                    }
-                });
-            // Scatter the batch into the retained-plane buffer.
-            for i in 0..b {
-                let q = q0 + i;
-                for zi in 0..nzr {
-                    kept[zi * n * h + q] = batch_out[i * nzr + zi];
                 }
-            }
-            q0 += b;
-        }
+                for (fz, &row) in tile.rows.iter().enumerate() {
+                    let (re, im) = (&mut tile.re[row as usize], &mut tile.im[row as usize]);
+                    for l in 0..W {
+                        let (xr, xi) = (re[l], im[l]);
+                        re[l] = xr * mre[fz][l] - xi * mim[fz][l];
+                        im[l] = xr * mim[fz][l] + xi * mre[fz][l];
+                    }
+                }
+            },
+        );
         drop(s2);
 
         // ---- Stage 3: inverse 2D per retained plane + octree sampling. ----
@@ -444,17 +483,21 @@ mod tests {
         let sub = sub_field(k);
         let domain = BoxRegion::new(corner, [8, 8, 8]);
         let plan = dense_plan(n, domain);
+        // Bitwise: a pencil's arithmetic does not depend on the tile, lane
+        // or dispatch it lands in, and `batch` only groups tiles.
         let base =
             LocalConvolver::new(n, k, 1).convolve_compressed(&sub, corner, &kernel, plan.clone());
-        for b in [3, 64, 256, 1024] {
+        for b in [3, 7, 64, 256, 1024] {
             let other = LocalConvolver::new(n, k, b).convolve_compressed(
                 &sub,
                 corner,
                 &kernel,
                 plan.clone(),
             );
-            let err = relative_l2(base.samples(), other.samples());
-            assert!(err < 1e-12, "batch {b} changed the result: {err}");
+            assert_eq!(base.samples().len(), other.samples().len());
+            for (x, y) in base.samples().iter().zip(other.samples()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "batch {b} changed the result");
+            }
         }
     }
 

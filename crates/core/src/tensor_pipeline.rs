@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
-use lcc_fft::{workspace, Complex64};
+use lcc_fft::{c64, workspace, Complex64, ZTile};
 use lcc_greens::Sym3C;
 use lcc_grid::Grid3;
 use lcc_octree::{CompressedField, SamplingPlan};
@@ -68,79 +66,51 @@ impl LocalConvolver {
             .map(|component| self.forward_2d_slab(component))
             .collect();
 
-        // Stage 2: batched z pencils; all six components share a pencil's
-        // frequency bin, so the tensor contraction happens in-register.
+        // Stage 2: the scalar pipeline's z stage over tiles of adjacent
+        // pencils, with all six components in one tile set; they share a
+        // pencil's frequency bin, so the tensor contraction is the stage's
+        // pointwise step.
         let retained = plan.retained_z();
         let nzr = retained.len();
         // lcc-lint: allow(alloc) — six per-solve output buffers, kept until
         // compression; not per-pencil traffic.
         let mut kept: [_; 6] = std::array::from_fn(|_| vec![Complex64::ZERO; nzr * n * h]);
-        let inv_n = self.plan_inverse_n();
-        let pruned = self.pruned_plan();
         // Position-phase tables, cached per corner coordinate in the
         // convolver (shared with the scalar pipeline).
         let phx = self.phase_table(corner[0]);
         let phy = self.phase_table(corner[1]);
         let phz = self.phase_table(corner[2]);
-
-        let total = n * h;
-        let batch = self.batch();
-        // Per-pencil output: 6 components × nzr retained values.
-        // lcc-lint: allow(alloc) — one batch buffer per solve, reused across
-        // all batches.
-        let mut batch_out = vec![Complex64::ZERO; batch * nzr * 6];
-        let mut q0 = 0;
-        while q0 < total {
-            let b = batch.min(total - q0);
-            batch_out[..b * nzr * 6]
-                .par_chunks_mut(nzr * 6)
-                .enumerate()
-                .for_each_init(workspace, |ws, (i, out)| {
-                    let q = q0 + i;
-                    let (fx, fy) = (q / h, q % h);
-                    // Per-pencil buffers from the pooled workspace; each is
-                    // fully written before being read.
-                    let [pencils, zin, scratch] = ws.complex_bufs([6 * n, k, k]);
-                    for (c, slab) in slabs.iter().enumerate() {
-                        for (zloc, zi) in zin.iter_mut().enumerate() {
-                            *zi = slab[zloc * n * h + q];
-                        }
-                        pruned.process(zin, &mut pencils[c * n..(c + 1) * n], scratch);
-                    }
-                    // Tensor contraction + position phase per fz. As in the
-                    // scalar pipeline the operator's Hermitian part is what
-                    // the real result keeps: ½(Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂)).
-                    let pxy = phx[fx] * phy[fy];
-                    let (mx, my) = ((n - fx) % n, (n - fy) % n);
-                    for fz in 0..n {
+        self.z_stage(&retained).run(
+            std::array::from_fn(|c| slabs[c].as_slice()),
+            kept.each_mut().map(|planes| planes.as_mut_slice()),
+            (0, 0),
+            // As in the scalar pipeline: ½ and the x, y phases ride on the
+            // input rows (the contraction below is complex-linear in σ̂).
+            |q| (phx[q / h] * phy[q % h]).scale(0.5),
+            // The operator's Hermitian part is what the real result keeps:
+            // Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂), times the z phase.
+            |tile: ZTile<'_>| {
+                for (fz, &row) in tile.rows.iter().enumerate() {
+                    let row = row as usize;
+                    let mz = (n - fz) % n;
+                    for lane in 0..tile.live {
+                        let q = tile.q0 + lane;
+                        let (fx, fy) = (q / h, q % h);
                         let mut sig = Sym3C::ZERO;
                         for c in 0..6 {
-                            sig.c[c] = pencils[c * n + fz];
+                            sig.c[c] = c64(tile.re[c * n + row][lane], tile.im[c * n + row][lane]);
                         }
-                        let mirror = kernel.apply([mx, my, (n - fz) % n], &sig.conj());
+                        let mirror = kernel.apply([(n - fx) % n, (n - fy) % n, mz], &sig.conj());
                         let d = kernel.apply([fx, fy, fz], &sig).add(&mirror.conj());
-                        let ph = (pxy * phz[fz]).scale(0.5);
                         for c in 0..6 {
-                            pencils[c * n + fz] = d.c[c] * ph;
+                            let v = d.c[c] * phz[fz];
+                            tile.re[c * n + row][lane] = v.re;
+                            tile.im[c * n + row][lane] = v.im;
                         }
-                    }
-                    for c in 0..6 {
-                        inv_n.process(&mut pencils[c * n..(c + 1) * n]);
-                        for (zi, &z) in retained.iter().enumerate() {
-                            out[c * nzr + zi] = pencils[c * n + z];
-                        }
-                    }
-                });
-            for i in 0..b {
-                let q = q0 + i;
-                for c in 0..6 {
-                    for zi in 0..nzr {
-                        kept[c][zi * n * h + q] = batch_out[(i * 6 + c) * nzr + zi];
                     }
                 }
-            }
-            q0 += b;
-        }
+            },
+        );
         drop(slabs);
 
         // Stage 3 per component: inverse 2D per retained plane + sampling.
@@ -212,11 +182,18 @@ mod tests {
             &gamma,
             plan.clone(),
         );
-        let b =
-            LocalConvolver::new(n, k, 64).convolve_tensor_compressed(&sub, [0; 3], &gamma, plan);
-        for c in 0..6 {
-            for (x, y) in a[c].samples().iter().zip(b[c].samples()) {
-                assert!((x - y).abs() < 1e-10);
+        for batch in [3, 7, 64, 256, 1024] {
+            let b = LocalConvolver::new(n, k, batch).convolve_tensor_compressed(
+                &sub,
+                [0; 3],
+                &gamma,
+                plan.clone(),
+            );
+            for c in 0..6 {
+                assert_eq!(a[c].samples().len(), b[c].samples().len());
+                for (x, y) in a[c].samples().iter().zip(b[c].samples()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "batch {batch}, component {c}");
+                }
             }
         }
     }

@@ -7,7 +7,10 @@
 //! them. These properties pin that down by comparing the ambient pool
 //! (whatever `LCC_THREADS` configures; CI runs 1 and 4) against
 //! `rayon::run_sequential`, which forces inline single-thread execution of
-//! the very same code. Random `(n, k, B, corner)` come from proptest.
+//! the very same code. Random `(n, k, B, corner)` come from proptest. The
+//! pool's size is fixed for the life of a process, so
+//! [`properties_hold_under_pools_of_1_2_and_4_threads`] runs the properties
+//! again in child processes, one per pool size.
 
 use std::sync::Arc;
 
@@ -15,7 +18,7 @@ use proptest::prelude::*;
 
 use lcc_core::LocalConvolver;
 use lcc_fft::{c64, fft_axis, Complex64, FftDirection, FftPlanner};
-use lcc_greens::GaussianKernel;
+use lcc_greens::{GaussianKernel, MassifGamma};
 use lcc_grid::{BoxRegion, Grid3};
 use lcc_octree::{RateSchedule, SamplingPlan};
 
@@ -59,6 +62,45 @@ proptest! {
         }
     }
 
+    /// `LocalConvolver::convolve_tensor_compressed`: six components through
+    /// the same z-stage tiles, each task storing its own column range of
+    /// all six retained-plane buffers.
+    #[test]
+    fn tensor_convolve_parallel_bit_identical_to_sequential(
+        k in prop_oneof![Just(2usize), Just(4)],
+        mult in prop_oneof![Just(1usize), Just(2), Just(4)],
+        batch in prop_oneof![Just(1usize), Just(7), Just(64)],
+        cx in 0usize..64,
+        seed in 0u64..1000,
+    ) {
+        let n = k * mult;
+        let corner = [cx % (n - k + 1), 0, n - k];
+        let sub: [Grid3<f64>; 6] = std::array::from_fn(|c| {
+            Grid3::from_fn((k, k, k), |x, y, z| {
+                ((x * 3 + y * 5 + z * 7 + c) as f64 * 0.31 + seed as f64 * 0.013).sin()
+            })
+        });
+        let gamma = MassifGamma::new(n, 1.3, 0.8);
+        let domain = BoxRegion::new(
+            corner,
+            [corner[0] + k, corner[1] + k, corner[2] + k],
+        );
+        let plan = Arc::new(SamplingPlan::build(n, domain, &RateSchedule::uniform(1)));
+        let conv = LocalConvolver::new(n, k, batch);
+
+        let par = conv.convolve_tensor_compressed(&sub, corner, &gamma, plan.clone());
+        let seq = rayon::run_sequential(|| {
+            conv.convolve_tensor_compressed(&sub, corner, &gamma, plan.clone())
+        });
+
+        for (p, s) in par.iter().zip(&seq) {
+            prop_assert_eq!(p.samples().len(), s.samples().len());
+            for (a, b) in p.samples().iter().zip(s.samples()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
     /// `fft::batch`'s axis sweeps (contiguous and strided pencil paths) are
     /// bit-identical under the pool and under sequential execution.
     #[test]
@@ -94,5 +136,26 @@ proptest! {
             prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
             prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
+    }
+}
+
+/// The properties above, under pools of exactly 1, 2 and 4 threads: each
+/// child process runs them (selected by their common name suffix, which this
+/// test's own name must not contain) with `LCC_THREADS` set.
+#[test]
+fn properties_hold_under_pools_of_1_2_and_4_threads() {
+    let exe = std::env::current_exe().expect("test binary path");
+    for threads in ["1", "2", "4"] {
+        let out = std::process::Command::new(&exe)
+            .arg("bit_identical_to_sequential")
+            .env("LCC_THREADS", threads)
+            .output()
+            .expect("spawn the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("3 passed"),
+            "LCC_THREADS={threads}:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }

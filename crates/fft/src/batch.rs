@@ -6,17 +6,23 @@
 //! x/y transforms, the pencil stage a batch of z transforms processed `B`
 //! pencils at a time.
 //!
-//! Pencils along a non-contiguous axis are gathered into pooled workspace
-//! scratch, transformed, and scattered back. Work is distributed with rayon;
-//! pencil base offsets are *generated* from the axis geometry instead of
-//! materialized into a per-call `Vec`, keeping the hot path allocation-free.
+//! Pencils along axis 2 are contiguous and transformed in place, one plan
+//! call per row. Pencils along axis 0 or 1 are strided, but *adjacent*
+//! pencils are contiguous in memory: they are transformed [`W`] at a time as
+//! a [`crate::tile`] — each strided step loads one `W`-element run into a
+//! row of split-layout scratch carved from the dispatch's workspace lease,
+//! the butterflies run across the lanes, and the rows are stored back. There
+//! is no gather into contiguous pencils and no transpose. Work is
+//! distributed with rayon; pencil base offsets are *generated* from the axis
+//! geometry, keeping the hot path allocation-free.
 
 // lcc-lint: hot-path — per-pencil dispatch; warm-path allocations are banned.
 
 use rayon::prelude::*;
 
 use crate::complex::Complex64;
-use crate::planner::{FftPlan, FftPlanner};
+use crate::planner::FftPlanner;
+use crate::tile::{carve, load_row, store_row, TileFft, W};
 use crate::workspace::workspace;
 use crate::FftDirection;
 
@@ -30,19 +36,16 @@ pub type Dims3 = (usize, usize, usize);
 /// Pencil `p` with base offset `off(p)` touches exactly the index set
 /// `{off(p) + t·stride : 0 ≤ t < len}`. Tasks running on different threads
 /// hold `&mut` views derived from this pointer **only** into their own
-/// pencil's index set, so the views are disjoint iff the index sets are:
-///
-/// * distinct bases from a [`PencilSet::Grid`] differ in a coordinate
-///   orthogonal to the stride axis, so their strided sets never meet;
-/// * explicit batches are rejected up front if two bases alias
-///   (`fft_axis2_batch`'s duplicate check), and every base is a multiple of
-///   the pencil length along a distinct row.
+/// pencils' index sets, so the views are disjoint iff the index sets are:
+/// distinct bases from a [`PencilSet`] differ in a coordinate orthogonal to
+/// the stride axis, so their strided sets never meet, and a tile task owns
+/// the `≤ W` adjacent pencils of its tile and no other.
 ///
 /// Debug builds additionally verify the invariant for every call via
 /// [`assert_disjoint`]: two same-stride pencils intersect iff their bases
 /// are congruent mod `stride` and closer than `len·stride`.
 #[derive(Clone, Copy)]
-struct SendPtr(*mut Complex64);
+pub(crate) struct SendPtr(pub(crate) *mut Complex64);
 // SAFETY: see the disjointness invariant above; the pointer itself is just
 // an address, sending it between threads is safe as long as accesses stay
 // disjoint, which the offset construction guarantees (and debug builds
@@ -51,41 +54,25 @@ unsafe impl Send for SendPtr {}
 // SAFETY: same disjointness argument as `Send` above.
 unsafe impl Sync for SendPtr {}
 
-/// Pencil base offsets described by their generator rather than a
-/// materialized list, so the per-call offsets `Vec` disappears from the
-/// hot path.
-enum PencilSet<'a> {
-    /// Lexicographic grid over `(outer, inner)` coordinates:
-    /// `offset(o·inner + i) = o·outer_step + i·inner_step`.
-    Grid {
-        outer: usize,
-        outer_step: usize,
-        inner: usize,
-        inner_step: usize,
-    },
-    /// Arbitrary caller-provided bases (the streamed batch path).
-    Explicit(&'a [usize]),
+/// Pencil base offsets described by their generator — a lexicographic grid
+/// over `(outer, inner)` coordinates,
+/// `offset(o·inner + i) = o·outer_step + i·inner_step` — rather than a
+/// materialized list, so no per-call offsets `Vec` sits on the hot path.
+struct PencilSet {
+    outer: usize,
+    outer_step: usize,
+    inner: usize,
+    inner_step: usize,
 }
 
-impl PencilSet<'_> {
+impl PencilSet {
     fn count(&self) -> usize {
-        match *self {
-            PencilSet::Grid { outer, inner, .. } => outer * inner,
-            PencilSet::Explicit(offs) => offs.len(),
-        }
+        self.outer * self.inner
     }
 
     #[inline]
     fn offset(&self, i: usize) -> usize {
-        match *self {
-            PencilSet::Grid {
-                outer_step,
-                inner,
-                inner_step,
-                ..
-            } => (i / inner) * outer_step + (i % inner) * inner_step,
-            PencilSet::Explicit(offs) => offs[i],
-        }
+        (i / self.inner) * self.outer_step + (i % self.inner) * self.inner_step
     }
 }
 
@@ -132,7 +119,7 @@ pub fn fft_axis(
         0 => (
             n0,
             n1 * n2,
-            PencilSet::Grid {
+            PencilSet {
                 outer: 1,
                 outer_step: 0,
                 inner: n1 * n2,
@@ -142,7 +129,7 @@ pub fn fft_axis(
         1 => (
             n1,
             n2,
-            PencilSet::Grid {
+            PencilSet {
                 outer: n0,
                 outer_step: n1 * n2,
                 inner: n2,
@@ -152,7 +139,7 @@ pub fn fft_axis(
         2 => (
             n2,
             1,
-            PencilSet::Grid {
+            PencilSet {
                 outer: n0,
                 outer_step: n1 * n2,
                 inner: n1,
@@ -164,24 +151,20 @@ pub fn fft_axis(
     if len == 0 || set.count() == 0 {
         return;
     }
-    let plan = planner.plan(len, direction);
-    process_pencils(data, &set, stride, &plan);
+    process_pencils(planner, data, &set, stride, len, direction);
 }
 
-/// Cache-block budget for a gather/scatter tile: tile footprint
-/// `width · len · 16 bytes` stays within half a typical 256 KiB L2 so the
-/// tile, its split-layout scratch and the twiddle tables coexist.
-const TILE_BYTES: usize = 128 * 1024;
-
-/// Pencils per tile for transform length `len`, at most `max_width`.
-fn tile_width(len: usize, max_width: usize) -> usize {
-    (TILE_BYTES / (std::mem::size_of::<Complex64>() * len.max(1))).clamp(1, max_width.max(1))
-}
-
-/// Transforms the given disjoint pencils (defined by base offsets from
-/// `set`, common `stride`, and the plan's length) in parallel.
-fn process_pencils(data: &mut [Complex64], set: &PencilSet, stride: usize, plan: &FftPlan) {
-    let len = plan.len();
+/// Transforms the disjoint pencils of `set` (common `stride` and `len`) in
+/// parallel: contiguous pencils (`stride == 1`) in place, strided ones —
+/// which must be runs of adjacent pencils, `inner_step == 1` — by tiles.
+fn process_pencils(
+    planner: &FftPlanner,
+    data: &mut [Complex64],
+    set: &PencilSet,
+    stride: usize,
+    len: usize,
+    direction: FftDirection,
+) {
     let count = set.count();
     if count == 0 {
         return;
@@ -202,7 +185,8 @@ fn process_pencils(data: &mut [Complex64], set: &PencilSet, stride: usize, plan:
 
     let ptr = SendPtr(data.as_mut_ptr());
     if stride == 1 {
-        // Contiguous pencils: transform in place without gather/scatter.
+        // Contiguous pencils: transform in place, one plan call per row.
+        let plan = planner.plan(len, direction);
         (0..count).into_par_iter().for_each(|i| {
             // Copy the Sync wrapper, not the bare `*mut` field, so the
             // closure stays shareable across pool threads.
@@ -216,122 +200,50 @@ fn process_pencils(data: &mut [Complex64], set: &PencilSet, stride: usize, plan:
         });
         return;
     }
-    // Cache-blocked path for grids of *adjacent* strided pencils
-    // (`inner_step == 1`, the axis-0/axis-1 geometry): gather a tile of
-    // `w ≤ inner` neighboring pencils per task so every memory pass reads
-    // `w` contiguous elements instead of one element per cache line, then
-    // transform the tile's rows from L2. `inner ≤ stride` guarantees the
-    // tile's index map `(t, u) → off + t·stride + u` is injective and tiles
-    // of distinct rows stay disjoint.
-    if let PencilSet::Grid {
-        outer,
-        outer_step,
-        inner,
-        inner_step: 1,
-    } = *set
-    {
-        if inner > 1 && inner <= stride {
-            let tw = tile_width(len, inner);
-            let tiles_per_row = inner.div_ceil(tw);
-            (0..outer * tiles_per_row)
-                .into_par_iter()
-                .for_each_init(workspace, |ws, ti| {
-                    let p = ptr;
-                    let i0 = (ti % tiles_per_row) * tw;
-                    let w = tw.min(inner - i0);
-                    let off = (ti / tiles_per_row) * outer_step + i0;
-                    let _claim = crate::detector::register_wide(
-                        p.0 as usize,
-                        off,
-                        stride,
-                        len,
-                        w,
-                        "pencil tile",
-                    );
-                    let [tile] = ws.complex_bufs([w * len]);
-                    // Gather: pencil `u` of the tile becomes the contiguous
-                    // row tile[u·len..], reading `w` adjacent elements per
-                    // strided step.
-                    for t in 0..len {
-                        let src = off + t * stride;
-                        for u in 0..w {
-                            // SAFETY: tiles of the same row cover disjoint
-                            // base intervals, tiles of different rows are
-                            // `outer_step` apart; all indices are below
-                            // `max_needed`, checked above. The tile scratch
-                            // is fully overwritten before the transform
-                            // reads it.
-                            tile[u * len + t] = unsafe { *p.0.add(src + u) };
-                        }
-                    }
-                    for row in tile.chunks_exact_mut(len) {
-                        plan.process(row);
-                    }
-                    for t in 0..len {
-                        let dst = off + t * stride;
-                        for u in 0..w {
-                            // SAFETY: as above.
-                            unsafe { *p.0.add(dst + u) = tile[u * len + t] };
-                        }
-                    }
-                });
-            return;
-        }
-    }
-    (0..count)
+    // Runs of *adjacent* strided pencils (the axis-0/axis-1 geometry): a
+    // task takes `W` neighbors as one tile. `inner ≤ stride` makes the
+    // tile's index map `(t, u) → off + t·stride + u` injective and keeps
+    // tiles of distinct rows disjoint; both guard the raw accesses below.
+    let PencilSet {
+        outer_step, inner, ..
+    } = *set;
+    assert!(
+        set.inner_step == 1 && inner <= stride,
+        "strided pencils must be runs of adjacent pencils"
+    );
+    let tile = TileFft::new(planner, len, direction);
+    let load_rows = tile.load_rows();
+    let tiles_per_row = inner.div_ceil(W);
+    (0..set.outer * tiles_per_row)
         .into_par_iter()
-        .for_each_init(workspace, |ws, i| {
+        .for_each_init(workspace, |ws, ti| {
             let p = ptr;
-            let off = set.offset(i);
+            let i0 = (ti % tiles_per_row) * W;
+            let live = W.min(inner - i0);
+            let off = (ti / tiles_per_row) * outer_step + i0;
             let _claim =
-                crate::detector::register(p.0 as usize, off, stride, len, "strided pencil");
-            let [scratch] = ws.complex_bufs([len]);
-            for (t, s) in scratch.iter_mut().enumerate() {
-                // SAFETY: disjoint strided index sets per task, in bounds
-                // by the assert above. The scratch is fully overwritten
-                // here before the transform reads it.
-                *s = unsafe { *p.0.add(off + t * stride) };
+                crate::detector::register_wide(p.0 as usize, off, stride, len, live, "pencil tile");
+            // Every row of the tile is written by a load before the
+            // transform reads it.
+            let ([scratch], mut real) = ws.split([tile.scratch_len()], 2 * len * W);
+            let (re, im) = (carve(&mut real, len), carve(&mut real, len));
+            for (t, &row) in load_rows.iter().enumerate() {
+                // SAFETY: tiles of the same row cover disjoint base
+                // intervals, tiles of different rows are `outer_step` apart,
+                // and every index is at most `max_needed`, checked above; so
+                // each `live`-element run belongs to this task alone and is
+                // in bounds.
+                let src = unsafe { std::slice::from_raw_parts(p.0.add(off + t * stride), live) };
+                load_row(src, &mut re[row as usize], &mut im[row as usize]);
             }
-            plan.process(scratch);
-            for (t, s) in scratch.iter().enumerate() {
+            tile.process(re, im, scratch);
+            for (t, (r, i)) in re.iter().zip(im.iter()).enumerate() {
                 // SAFETY: as above.
-                unsafe { *p.0.add(off + t * stride) = *s };
+                let dst =
+                    unsafe { std::slice::from_raw_parts_mut(p.0.add(off + t * stride), live) };
+                store_row(r, i, dst);
             }
         });
-}
-
-/// Transforms a subset of axis-2 pencils given by `(i0, i1)` pairs.
-///
-/// Used by the streaming pipeline to process a *batch* of `B` pencils at a
-/// time (the paper's batch parameter).
-pub fn fft_axis2_batch(
-    planner: &FftPlanner,
-    data: &mut [Complex64],
-    dims: Dims3,
-    pencils: &[(usize, usize)],
-    direction: FftDirection,
-) {
-    check_dims(data, dims);
-    let (_, n1, n2) = dims;
-    let offsets: Vec<usize> = pencils
-        .iter()
-        .map(|&(i0, i1)| {
-            assert!(i0 < dims.0 && i1 < n1, "pencil index out of range");
-            i0 * n1 * n2 + i1 * n2
-        })
-        .collect();
-    // Reject duplicate pencils: they would alias mutable access.
-    {
-        let mut sorted = offsets.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), offsets.len(), "duplicate pencils in batch");
-    }
-    if offsets.is_empty() {
-        return;
-    }
-    let plan = planner.plan(n2, direction);
-    process_pencils(data, &PencilSet::Explicit(&offsets), 1, &plan);
 }
 
 /// Applies a scalar multiply to the whole buffer (e.g. inverse normalization).
@@ -434,36 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_subset_matches_full_axis2() {
-        let planner = FftPlanner::new();
-        let dims = (3, 5, 8);
-        let mut full = fill(dims);
-        let mut batched = full.clone();
-        fft_axis(&planner, &mut full, dims, 2, FftDirection::Forward);
-        // Two batches covering all pencils.
-        let all: Vec<(usize, usize)> = (0..3)
-            .flat_map(|i0| (0..5).map(move |i1| (i0, i1)))
-            .collect();
-        fft_axis2_batch(
-            &planner,
-            &mut batched,
-            dims,
-            &all[..7],
-            FftDirection::Forward,
-        );
-        fft_axis2_batch(
-            &planner,
-            &mut batched,
-            dims,
-            &all[7..],
-            FftDirection::Forward,
-        );
-        for (a, b) in full.iter().zip(&batched) {
-            assert!((*a - *b).norm() < 1e-9);
-        }
-    }
-
-    #[test]
     fn roundtrip_all_axes() {
         let planner = FftPlanner::new();
         let dims = (4, 8, 2);
@@ -479,21 +361,6 @@ mod tests {
         for (a, b) in base.iter().zip(&data) {
             assert!((*a * n - *b).norm() < 1e-7);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate pencils")]
-    fn duplicate_batch_pencils_rejected() {
-        let planner = FftPlanner::new();
-        let dims = (2, 2, 4);
-        let mut data = fill(dims);
-        fft_axis2_batch(
-            &planner,
-            &mut data,
-            dims,
-            &[(0, 0), (0, 0)],
-            FftDirection::Forward,
-        );
     }
 
     #[test]
@@ -537,9 +404,14 @@ mod tests {
     fn overlapping_pencils_caught_in_debug() {
         let planner = FftPlanner::new();
         let mut data = fill((1, 1, 8));
-        let plan = planner.plan_forward(4);
         // Bases 0 and 2 with len 4, stride 1: ranges [0,4) and [2,6) alias.
-        process_pencils(&mut data, &PencilSet::Explicit(&[0, 2]), 1, &plan);
+        let set = PencilSet {
+            outer: 2,
+            outer_step: 2,
+            inner: 1,
+            inner_step: 1,
+        };
+        process_pencils(&planner, &mut data, &set, 1, 4, FftDirection::Forward);
     }
 
     /// The runtime detector's view of the same bug class: materialize the
@@ -551,9 +423,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "overlapping pencils")]
     fn detector_catches_overlapping_pencil_set() {
-        // Stride 4, len 2: bases {0, 6, 4} give index sets {0,4}, {6,10},
-        // {4,8} — the third shares index 4 with the first.
-        let set = PencilSet::Explicit(&[0, 6, 4]);
+        // Stride 4, len 2: bases {0, 4} give index sets {0,4} and {4,8},
+        // which share index 4.
+        let set = PencilSet {
+            outer: 2,
+            outer_step: 4,
+            inner: 1,
+            inner_step: 1,
+        };
         crate::detector::begin_epoch();
         let buf = 0xF00D0000usize;
         let _claims: Vec<_> = (0..set.count())
@@ -562,21 +439,9 @@ mod tests {
     }
 
     #[test]
-    fn tile_width_respects_budget_and_bounds() {
-        // 128 KiB / (16 B · 512) = 16 pencils per tile.
-        assert_eq!(tile_width(512, 27), 16);
-        // Never wider than the row…
-        assert_eq!(tile_width(16, 3), 3);
-        // …and never zero, even for absurd lengths.
-        assert_eq!(tile_width(1 << 24, 8), 1);
-        assert_eq!(tile_width(0, 0), 1);
-    }
-
-    #[test]
     fn tiled_path_with_partial_tail_tile_matches_reference() {
-        // Axis 0 of (512, 3, 9): len 512, inner = stride = 27, so the
-        // cache-blocked path runs with tile width 16 → tiles of 16 and 11
-        // pencils (a partial tail tile) in each row.
+        // Axis 0 of (512, 3, 9): len 512, inner = stride = 27, so each row
+        // is three full tiles and a tail tile of 3 live lanes.
         let planner = FftPlanner::new();
         let dims = (512, 3, 9);
         let mut data = fill(dims);

@@ -21,6 +21,8 @@
 //!   head-supported signal zero-padded to N (the paper's implicit padding).
 //! * [`pruned::DecimatedOutputFft`] — strided-output transform computing only
 //!   every r-th bin (the paper's sampled inverse stage).
+//! * [`tile`] — the same butterflies across 8 adjacent strided pencils at
+//!   once (no gather, no transpose), and the pipeline's z-stage driver.
 //! * [`batch`] / [`nd`] — rayon-parallel batched pencil transforms over 3D
 //!   buffers and full 2D/3D transforms composed from them.
 //! * [`dft`] — the O(n²) oracle used by the test suites.
@@ -42,9 +44,10 @@ pub mod radix4;
 pub mod radix8;
 pub mod real;
 pub mod simd;
+pub mod tile;
 pub mod workspace;
 
-pub use batch::{fft_axis, fft_axis2_batch, scale_in_place, Dims3};
+pub use batch::{fft_axis, scale_in_place, Dims3};
 pub use complex::{c64, Complex64};
 pub use nd::{cyclic_convolve_3d, fft_2d, fft_3d, fft_3d_axes01, ifft_3d_normalized};
 pub use nd_real::{fft_3d_r2c, ifft_3d_c2r, r2c_memory_factor};
@@ -52,6 +55,7 @@ pub use planner::{fft_in_place, ifft_normalized, FftPlan, FftPlanner};
 pub use pruned::{DecimatedOutputFft, PrunedInputFft, PrunedPlanner};
 pub use real::{RealFft, RealIfft};
 pub use simd::{ulp_at, ulp_diff_floored, variant_name, Variant};
+pub use tile::{TileFft, ZStage, ZTile};
 pub use workspace::{workspace, Workspace, WorkspaceGuard};
 
 /// Transform direction. Forward uses the `e^{-2πi jn/N}` kernel; Inverse uses

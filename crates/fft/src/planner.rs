@@ -31,7 +31,6 @@ use crate::dft::dft_into;
 use crate::radix4::Radix4Fft;
 use crate::radix8::Radix8Fft;
 use crate::simd::Variant;
-use crate::workspace::workspace;
 use crate::{Fft, FftDirection};
 
 /// Threshold below which non-power-of-two sizes use the naive DFT.
@@ -65,11 +64,23 @@ impl Fft for SmallDft {
     }
     fn process(&self, buf: &mut [Complex64]) {
         assert_eq!(buf.len(), self.len);
-        let mut ws = workspace();
-        let [out] = ws.complex_bufs([self.len]);
-        dft_into(buf, out, self.direction);
-        buf.copy_from_slice(out);
+        // Thread-local like `SimdPlan::process`'s split scratch: per-row
+        // transforms take no arena lease. `dft_into` writes every element.
+        SMALL_DFT_OUT.with_borrow_mut(|out| {
+            if out.len() < self.len {
+                out.resize(self.len, Complex64::ZERO);
+            }
+            let out = &mut out[..self.len];
+            dft_into(buf, out, self.direction);
+            buf.copy_from_slice(out);
+        });
     }
+}
+
+thread_local! {
+    /// Grow-only output buffer of [`SmallDft::process`], one per thread.
+    static SMALL_DFT_OUT: std::cell::RefCell<Vec<Complex64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Shared handle to a planned transform.

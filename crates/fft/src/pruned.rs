@@ -9,7 +9,13 @@
 //!   entries are the first `k` (k | N). Decomposes into `m = N/k` pre-twiddled
 //!   size-`k` FFTs: with `j = r + m·s`,
 //!   `X[r + m·s] = Σ_{n<k} (x[n]·w_N^{rn}) · w_k^{sn}`,
-//!   for a total cost of O(N log k) instead of O(N log N).
+//!   for a total cost of O(N log k) instead of O(N log N). The pre-twiddles
+//!   are a planned `(N/k) × k` table, and the same decomposition runs as a
+//!   tile operation ([`PrunedInputFft::process_tile`]): per `r` a
+//!   pre-twiddled `k`-row sub-tile through the `k`-point
+//!   [`crate::tile::TileFft`], its output rows written wherever the caller's
+//!   next step wants bin `r + m·s` — straight into the inverse transform's
+//!   digit-reversed row in the pipeline's z stage.
 //!
 //! * [`DecimatedOutputFft`] — computes only the strided output subset
 //!   `X[o + t·r]` for `t in 0..N/r` (r | N). Subsampling in the output domain
@@ -22,17 +28,21 @@ use std::sync::Arc;
 
 use crate::complex::Complex64;
 use crate::planner::{FftPlan, FftPlanner};
+use crate::tile::{Row, TileFft, W};
 use crate::FftDirection;
 
 /// Forward/inverse N-point FFT of a head-supported signal (nonzeros confined
-/// to indices `0..k`).
+/// to indices `0..k`), one pencil at a time ([`Self::process`]) or across a
+/// tile of `W` adjacent pencils ([`Self::process_tile`]).
 pub struct PrunedInputFft {
     n: usize,
     k: usize,
     direction: FftDirection,
-    /// `w_N^j` for `j in 0..N`.
-    root_table: Vec<Complex64>,
+    /// Pre-twiddles `w_N^{r·j}` at `[r·k + j]`, `r in 0..N/k`, `j in 0..k`:
+    /// row `r` turns the head into the input of sub-transform `r`.
+    pre_twiddle: Vec<Complex64>,
     inner: FftPlan,
+    inner_tile: TileFft,
 }
 
 impl PrunedInputFft {
@@ -43,14 +53,16 @@ impl PrunedInputFft {
         assert_eq!(n % k, 0, "support k={k} must divide n={n}");
         let sign = direction.angle_sign();
         let step = sign * 2.0 * std::f64::consts::PI / n as f64;
-        let root_table = (0..n).map(|j| Complex64::cis(step * j as f64)).collect();
-        let inner = planner.plan(k, direction);
+        let pre_twiddle = (0..n / k)
+            .flat_map(|r| (0..k).map(move |j| Complex64::cis(step * ((r * j) % n) as f64)))
+            .collect();
         PrunedInputFft {
             n,
             k,
             direction,
-            root_table,
-            inner,
+            pre_twiddle,
+            inner: planner.plan(k, direction),
+            inner_tile: TileFft::new(planner, k, direction),
         }
     }
 
@@ -89,19 +101,67 @@ impl PrunedInputFft {
         assert_eq!(output.len(), n, "output must be the full N bins");
         assert_eq!(scratch.len(), k, "scratch must have length k");
         let m = n / k;
-        for r in 0..m {
+        for (r, twiddles) in self.pre_twiddle.chunks_exact(k).enumerate() {
             // Pre-twiddle: t[n'] = x[n'] * w_N^{r n'}.
             if r == 0 {
                 scratch.copy_from_slice(input);
             } else {
-                for (nn, (s, &x)) in scratch.iter_mut().zip(input).enumerate() {
-                    *s = x * self.root_table[(r * nn) % n];
+                for ((s, &x), &w) in scratch.iter_mut().zip(input).zip(twiddles) {
+                    *s = x * w;
                 }
             }
             self.inner.process(scratch);
             // Scatter: X[r + m·s] = T_r[s].
             for (s, &v) in scratch.iter().enumerate() {
                 output[r + m * s] = v;
+            }
+        }
+    }
+
+    /// Length of the `scratch` [`Self::process_tile`] needs (none unless `k`
+    /// takes [`TileFft`]'s per-lane fallback).
+    pub fn tile_scratch_len(&self) -> usize {
+        self.inner_tile.scratch_len()
+    }
+
+    /// [`Self::process`] across a tile of `W` pencils. `xin` holds the `k`
+    /// head rows in natural order; bin `f` of every pencil is written to row
+    /// `place(f)` of `out` (`n` rows) — the identity for natural order, or
+    /// the next transform's [`TileFft::load_rows`] so that no permutation
+    /// pass sits between the two. `sub` (`k` rows) and `scratch`
+    /// ([`Self::tile_scratch_len`]) are clobbered.
+    pub fn process_tile(
+        &self,
+        xin: (&[Row], &[Row]),
+        out: (&mut [Row], &mut [Row]),
+        sub: (&mut [Row], &mut [Row]),
+        scratch: &mut [Complex64],
+        place: impl Fn(usize) -> usize,
+    ) {
+        let (n, k) = (self.n, self.k);
+        assert!(xin.0.len() == k && xin.1.len() == k, "xin must be k rows");
+        assert!(out.0.len() == n && out.1.len() == n, "out must be n rows");
+        let m = n / k;
+        let load_rows = self.inner_tile.load_rows();
+        for (r, twiddles) in self.pre_twiddle.chunks_exact(k).enumerate() {
+            for (j, &w) in twiddles.iter().enumerate() {
+                let row = load_rows[j] as usize;
+                if r == 0 {
+                    sub.0[row] = xin.0[j];
+                    sub.1[row] = xin.1[j];
+                } else {
+                    for l in 0..W {
+                        let (xr, xi) = (xin.0[j][l], xin.1[j][l]);
+                        sub.0[row][l] = xr * w.re - xi * w.im;
+                        sub.1[row][l] = xr * w.im + xi * w.re;
+                    }
+                }
+            }
+            self.inner_tile.process(sub.0, sub.1, scratch);
+            for s in 0..k {
+                let row = place(r + m * s);
+                out.0[row] = sub.0[s];
+                out.1[row] = sub.1[s];
             }
         }
     }

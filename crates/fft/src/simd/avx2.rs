@@ -8,7 +8,7 @@
 //! lane shuffles anywhere (the split layout's whole point).
 //!
 //! Every kernel is an `unsafe fn` gated on `#[target_feature]`: callers
-//! (the single dispatch site in [`super::SimdPlan::run_stage`]) must have
+//! (the single dispatch site in [`super::run_stage`]) must have
 //! confirmed AVX2+FMA via `is_x86_feature_detected!` and must pass slices
 //! whose length `n` is a multiple of `radix·m` with `4 | m`.
 

@@ -43,6 +43,10 @@
 //!   kernels in [`scalar`].
 //! * Transforms shorter than [`MIN_SIMD_LEN`] skip the executor entirely:
 //!   the two layout-conversion passes would cost more than the stages.
+//! * Pencil tiles ([`crate::tile`]) run every stage — the first included —
+//!   through the same dispatch ([`run_stage`]) on tables whose twiddles are
+//!   repeated once per lane ([`stage_tables`]); with the lanes folded into
+//!   `m` no stage is ever narrow.
 //!
 //! # Numerics
 //!
@@ -58,7 +62,6 @@
 use std::sync::OnceLock;
 
 use crate::complex::Complex64;
-use crate::workspace::workspace;
 use crate::FftDirection;
 
 pub(crate) mod scalar;
@@ -197,12 +200,56 @@ pub(crate) fn plan_radices(n: usize) -> Vec<usize> {
 
 /// One butterfly stage: `radix`-point butterflies over blocks of
 /// `radix · m`, twiddles packed stage-local.
-struct Stage {
+pub(crate) struct Stage {
     radix: usize,
     m: usize,
     /// `twre[(p-1)·m + j] = Re(w^{p·j·stride})`, `p in 1..radix`.
     twre: Vec<f64>,
     twim: Vec<f64>,
+}
+
+/// Packed tables for the stages `radices[from..]` of an `n`-point schedule,
+/// each twiddle repeated `lanes` times.
+///
+/// `lanes = 1` is the single-pencil layout. With `lanes = W` the table is
+/// that of a [`crate::tile`] of `W` pencils: stage `(r, m)` of one pencil is
+/// stage `(r, m·W)` of the `n·W` array `re[t·W + lane]`, because element `j`
+/// of a butterfly block becomes the `W` contiguous elements `j·W..(j+1)·W`,
+/// all of which take pencil element `j`'s twiddle.
+pub(crate) fn stage_tables(
+    n: usize,
+    direction: FftDirection,
+    radices: &[usize],
+    from: usize,
+    lanes: usize,
+) -> Vec<Stage> {
+    let step = direction.angle_sign() * 2.0 * std::f64::consts::PI / n as f64;
+    // lcc-lint: allow(alloc) — plan-time stage tables, built once.
+    let mut stages = Vec::with_capacity(radices.len() - from);
+    let mut m: usize = radices[..from].iter().product();
+    for &r in &radices[from..] {
+        let stride = n / (r * m);
+        // lcc-lint: allow(alloc) — plan-time packed twiddles.
+        let mut twre = Vec::with_capacity((r - 1) * m * lanes);
+        // lcc-lint: allow(alloc) — plan-time packed twiddles.
+        let mut twim = Vec::with_capacity((r - 1) * m * lanes);
+        for p in 1..r {
+            for j in 0..m {
+                let (sin, cos) = (step * (p * j * stride) as f64).sin_cos();
+                twre.extend(std::iter::repeat_n(cos, lanes));
+                twim.extend(std::iter::repeat_n(sin, lanes));
+            }
+        }
+        stages.push(Stage {
+            radix: r,
+            m: m * lanes,
+            twre,
+            twim,
+        });
+        m *= r;
+    }
+    debug_assert_eq!(m, n);
+    stages
 }
 
 /// A planned split-layout stage schedule for one `(n, direction)`.
@@ -212,12 +259,6 @@ struct Stage {
 pub(crate) struct SimdPlan {
     n: usize,
     direction: FftDirection,
-    /// Read by `run_stage` only when a vector kernel is compiled in; on
-    /// builds without one, plans are never constructed anyway.
-    #[cfg_attr(
-        not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
-        allow(dead_code)
-    )]
     variant: Variant,
     /// `out[i] = in[perm[i]]` digit-reversal permutation.
     perm: Vec<u32>,
@@ -251,40 +292,13 @@ impl SimdPlan {
         }
         debug_assert!(n.is_power_of_two());
         let radices = plan_radices(n);
-        let sign = direction.angle_sign();
-        let step = sign * 2.0 * std::f64::consts::PI / n as f64;
-        // lcc-lint: allow(alloc) — plan-time stage tables, built once.
-        let mut stages = Vec::with_capacity(radices.len().saturating_sub(1));
-        let mut m = radices[0];
-        for &r in &radices[1..] {
-            let stride = n / (r * m);
-            // lcc-lint: allow(alloc) — plan-time packed twiddles.
-            let mut twre = Vec::with_capacity((r - 1) * m);
-            // lcc-lint: allow(alloc) — plan-time packed twiddles.
-            let mut twim = Vec::with_capacity((r - 1) * m);
-            for p in 1..r {
-                for j in 0..m {
-                    let ang = step * (p * j * stride) as f64;
-                    twre.push(ang.cos());
-                    twim.push(ang.sin());
-                }
-            }
-            stages.push(Stage {
-                radix: r,
-                m,
-                twre,
-                twim,
-            });
-            m *= r;
-        }
-        debug_assert_eq!(m, n);
         Some(SimdPlan {
             n,
             direction,
             variant,
             perm: digit_reversal(n, &radices),
             first_radix: radices[0],
-            stages,
+            stages: stage_tables(n, direction, &radices, 1, 1),
         })
     }
 
@@ -295,85 +309,109 @@ impl SimdPlan {
     }
 
     /// Transforms `buf` in place: fused permute + deinterleave + first
-    /// butterfly stage into pooled split scratch, run the remaining stage
-    /// schedule, interleave back. Zero allocations once the workspace
-    /// arena is warm.
+    /// butterfly stage into this thread's split scratch, run the remaining
+    /// stage schedule, interleave back. Zero allocations once the scratch
+    /// has grown to `2n`, and no lock: the buffer is thread-local, so the
+    /// per-row transforms of a pipeline never meet on the arena free list.
     pub(crate) fn process(&self, buf: &mut [Complex64]) {
         let n = self.n;
         debug_assert_eq!(buf.len(), n);
-        let mut ws = workspace();
-        let scratch = ws.real_buf(2 * n);
-        let (re, im) = scratch.split_at_mut(n);
-        // Fused permute + deinterleave + first stage: reads of `buf` are
-        // gather-ordered (buf is L2-resident at SIMD sizes), writes are
-        // sequential, and the unit-twiddle butterfly runs in registers.
-        let fwd = matches!(self.direction, FftDirection::Forward);
-        match (self.first_radix, fwd) {
-            (2, _) => scalar::fused_first_r2(buf, &self.perm, re, im),
-            (4, true) => scalar::fused_first_r4::<true>(buf, &self.perm, re, im),
-            (4, false) => scalar::fused_first_r4::<false>(buf, &self.perm, re, im),
-            (8, true) => scalar::fused_first_r8::<true>(buf, &self.perm, re, im),
-            (8, false) => scalar::fused_first_r8::<false>(buf, &self.perm, re, im),
-            _ => unreachable!("unsupported first radix {}", self.first_radix),
-        }
-        for st in &self.stages {
-            self.run_stage(st, re, im);
-        }
-        for (i, v) in buf.iter_mut().enumerate() {
-            *v = Complex64 {
-                re: re[i],
-                im: im[i],
-            };
-        }
+        SPLIT_SCRATCH.with_borrow_mut(|scratch| {
+            if scratch.len() < 2 * n {
+                scratch.resize(2 * n, 0.0);
+            }
+            let (re, im) = scratch[..2 * n].split_at_mut(n);
+            // Fused permute + deinterleave + first stage: reads of `buf` are
+            // gather-ordered (buf is L2-resident at SIMD sizes), writes are
+            // sequential, and the unit-twiddle butterfly runs in registers.
+            let fwd = matches!(self.direction, FftDirection::Forward);
+            match (self.first_radix, fwd) {
+                (2, _) => scalar::fused_first_r2(buf, &self.perm, re, im),
+                (4, true) => scalar::fused_first_r4::<true>(buf, &self.perm, re, im),
+                (4, false) => scalar::fused_first_r4::<false>(buf, &self.perm, re, im),
+                (8, true) => scalar::fused_first_r8::<true>(buf, &self.perm, re, im),
+                (8, false) => scalar::fused_first_r8::<false>(buf, &self.perm, re, im),
+                _ => unreachable!("unsupported first radix {}", self.first_radix),
+            }
+            for st in &self.stages {
+                run_stage(self.variant, self.direction, st, re, im);
+            }
+            for (i, v) in buf.iter_mut().enumerate() {
+                *v = Complex64 {
+                    re: re[i],
+                    im: im[i],
+                };
+            }
+        });
     }
+}
 
-    fn run_stage(&self, st: &Stage, re: &mut [f64], im: &mut [f64]) {
-        let fwd = matches!(self.direction, FftDirection::Forward);
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if self.variant == Variant::Avx2Fma && st.m >= 4 {
-            // SAFETY: `Variant::Avx2Fma` is only selected (or accepted by
-            // `forced`) after `is_x86_feature_detected!` confirmed avx2+fma
-            // on this CPU; `re`/`im` have length `n` with `radix·m | n` and
-            // `4 | m`, which is exactly what the kernels index.
-            unsafe {
-                match (st.radix, fwd) {
-                    (2, _) => avx2::stage_r2(re, im, st.m, &st.twre, &st.twim),
-                    (4, true) => avx2::stage_r4::<true>(re, im, st.m, &st.twre, &st.twim),
-                    (4, false) => avx2::stage_r4::<false>(re, im, st.m, &st.twre, &st.twim),
-                    (8, true) => avx2::stage_r8::<true>(re, im, st.m, &st.twre, &st.twim),
-                    (8, false) => avx2::stage_r8::<false>(re, im, st.m, &st.twre, &st.twim),
-                    _ => unreachable!("unsupported stage radix {}", st.radix),
-                }
+thread_local! {
+    /// Grow-only split scratch of [`SimdPlan::process`] (`2n` f64), one per
+    /// thread. Every element read is written first by the fused first stage.
+    // lcc-lint: allow(alloc) — empty until the thread's first transform.
+    static SPLIT_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Runs one stage over the split arrays with the widest kernel `variant`
+/// has for it. `re`/`im` have a length that `radix · m` divides; the single
+/// dispatch site of every stage kernel, for single pencils and tiles alike.
+pub(crate) fn run_stage(
+    variant: Variant,
+    direction: FftDirection,
+    st: &Stage,
+    re: &mut [f64],
+    im: &mut [f64],
+) {
+    let fwd = matches!(direction, FftDirection::Forward);
+    debug_assert!(re.len() == im.len() && re.len().is_multiple_of(st.radix * st.m));
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if variant == Variant::Avx2Fma && st.m >= 4 {
+        // SAFETY: callers pass `Variant::Avx2Fma` only after
+        // `Variant::available` (`is_x86_feature_detected!`) confirmed
+        // avx2+fma on this CPU; `re`/`im` have equal length with
+        // `radix·m | len` and `4 | m` (stage `m`s are products of radices
+        // ≥ 4 times the lane count), which is exactly what the kernels
+        // index.
+        unsafe {
+            match (st.radix, fwd) {
+                (2, _) => avx2::stage_r2(re, im, st.m, &st.twre, &st.twim),
+                (4, true) => avx2::stage_r4::<true>(re, im, st.m, &st.twre, &st.twim),
+                (4, false) => avx2::stage_r4::<false>(re, im, st.m, &st.twre, &st.twim),
+                (8, true) => avx2::stage_r8::<true>(re, im, st.m, &st.twre, &st.twim),
+                (8, false) => avx2::stage_r8::<false>(re, im, st.m, &st.twre, &st.twim),
+                _ => unreachable!("unsupported stage radix {}", st.radix),
             }
-            return;
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        if self.variant == Variant::Neon && st.m >= 2 {
-            // SAFETY: NEON is baseline on aarch64 (the variant is only
-            // constructible there); slice geometry as for the AVX2 arm,
-            // with `2 | m`.
-            unsafe {
-                match (st.radix, fwd) {
-                    (2, _) => neon::stage_r2(re, im, st.m, &st.twre, &st.twim),
-                    (4, true) => neon::stage_r4::<true>(re, im, st.m, &st.twre, &st.twim),
-                    (4, false) => neon::stage_r4::<false>(re, im, st.m, &st.twre, &st.twim),
-                    (8, true) => neon::stage_r8::<true>(re, im, st.m, &st.twre, &st.twim),
-                    (8, false) => neon::stage_r8::<false>(re, im, st.m, &st.twre, &st.twim),
-                    _ => unreachable!("unsupported stage radix {}", st.radix),
-                }
+        return;
+    }
+    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    if variant == Variant::Neon && st.m >= 2 {
+        // SAFETY: NEON is baseline on aarch64 (the variant is only
+        // available there); slice geometry as for the AVX2 arm, with
+        // `2 | m`.
+        unsafe {
+            match (st.radix, fwd) {
+                (2, _) => neon::stage_r2(re, im, st.m, &st.twre, &st.twim),
+                (4, true) => neon::stage_r4::<true>(re, im, st.m, &st.twre, &st.twim),
+                (4, false) => neon::stage_r4::<false>(re, im, st.m, &st.twre, &st.twim),
+                (8, true) => neon::stage_r8::<true>(re, im, st.m, &st.twre, &st.twim),
+                (8, false) => neon::stage_r8::<false>(re, im, st.m, &st.twre, &st.twim),
+                _ => unreachable!("unsupported stage radix {}", st.radix),
             }
-            return;
         }
-        // Leading narrow stages (m below the vector width) and any variant
-        // without a compiled kernel: split-layout scalar.
-        match (st.radix, fwd) {
-            (2, _) => scalar::stage_r2(re, im, st.m, &st.twre, &st.twim),
-            (4, true) => scalar::stage_r4::<true>(re, im, st.m, &st.twre, &st.twim),
-            (4, false) => scalar::stage_r4::<false>(re, im, st.m, &st.twre, &st.twim),
-            (8, true) => scalar::stage_r8::<true>(re, im, st.m, &st.twre, &st.twim),
-            (8, false) => scalar::stage_r8::<false>(re, im, st.m, &st.twre, &st.twim),
-            _ => unreachable!("unsupported stage radix {}", st.radix),
-        }
+        return;
+    }
+    // Narrow stages (m below the vector width) and any variant without a
+    // compiled kernel: split-layout scalar.
+    let _ = variant;
+    match (st.radix, fwd) {
+        (2, _) => scalar::stage_r2(re, im, st.m, &st.twre, &st.twim),
+        (4, true) => scalar::stage_r4::<true>(re, im, st.m, &st.twre, &st.twim),
+        (4, false) => scalar::stage_r4::<false>(re, im, st.m, &st.twre, &st.twim),
+        (8, true) => scalar::stage_r8::<true>(re, im, st.m, &st.twre, &st.twim),
+        (8, false) => scalar::stage_r8::<false>(re, im, st.m, &st.twre, &st.twim),
+        _ => unreachable!("unsupported stage radix {}", st.radix),
     }
 }
 

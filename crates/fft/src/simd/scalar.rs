@@ -2,8 +2,10 @@
 //!
 //! One-lane versions of the butterfly stages [`super::SimdPlan`] schedules:
 //! they run the *leading* narrow stages (`m` below the vector width) inside
-//! a vector plan, and the whole schedule when a plan was forced onto a host
-//! without compiled vector kernels. Same split `re[]`/`im[]` layout, same
+//! a vector plan, and the whole schedule of a pencil tile
+//! ([`crate::tile::TileFft`]) wherever the variant is scalar — builds
+//! without the `simd` feature, `LCC_SIMD=off`, forced-scalar planners. Same
+//! split `re[]`/`im[]` layout, same
 //! packed twiddle tables, same operation order as the vector kernels —
 //! only the lane width differs.
 //!

@@ -1,22 +1,28 @@
 //! Reusable scratch arenas for the allocation-free hot path.
 //!
 //! The pruned-convolution pipeline touches millions of short-lived buffers
-//! per solve (a z-pencil, a gather/scatter scratch, a kernel pencil, …).
-//! Allocating them per pencil dominates small-FFT cost and serializes
-//! threads on the allocator; instead, every hot loop borrows a
-//! [`Workspace`] — a growable arena of `Complex64`/`f64` storage — from a
-//! global free list and carves the buffers it needs out of it with
-//! [`Workspace::complex_bufs`].
+//! per solve (a pencil tile, a kernel pencil, a slab, …). Allocating them
+//! per pencil dominates small-FFT cost and serializes threads on the
+//! allocator; instead, every hot loop borrows a [`Workspace`] — a growable
+//! arena of `Complex64`/`f64` storage — from a global free list and carves
+//! the buffers it needs out of it with [`Workspace::complex_bufs`].
+//!
+//! A lease is a lock pair on that list, so it is taken per call or per
+//! parallel dispatch and never per transform: tile transforms work in
+//! scratch their caller carved from the lease it already holds, and the
+//! single-row plans keep their split scratch in a thread-local buffer.
 //!
 //! Steady state: after warm-up the free list holds one workspace per pool
 //! thread (per nesting level), sized for the largest request seen, and the
 //! hot path performs **zero** heap allocations — the property the
-//! `exp_pipeline_perf` bench asserts with its counting allocator.
+//! `exp_pipeline_perf` bench asserts with its counting allocator. Arenas
+//! only grow and are popped LIFO, so every extra level of nested leases
+//! costs one more arena grown to the largest request that level ever makes.
 //!
 //! Buffers are handed out **uninitialized** (they hold whatever the
 //! previous user left); every caller must fully overwrite a buffer before
 //! reading it. All in-tree users do (pruned transforms, radix kernels and
-//! gather loops write every element they later read).
+//! tile loads write every element they later read).
 
 // lcc-lint: hot-path — the arena itself; only pool bootstrap may allocate.
 

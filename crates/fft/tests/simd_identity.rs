@@ -7,7 +7,14 @@
 //! that bound across every planner-dispatched kernel class: radix-4 and
 //! radix-8 power-of-two plans, Bluestein (radix-2 inner transforms), real
 //! r2c/c2r, pruned-input, decimated-output, and the batched axis paths
-//! (contiguous, tiled, and per-pencil gather).
+//! (contiguous rows and pencil tiles).
+//!
+//! The pencil-tile transforms (`lcc_fft::tile`) run the same stage kernels
+//! across 8 pencils at once; they are held to the same bound against the
+//! single-pencil plans of the *same* planner, lane by lane, and to bitwise
+//! independence of a pencil's result from the lane it sits in. Those cases
+//! are meaningful in every build: scalar-only, `--features simd`, and
+//! `LCC_SIMD=off` on the `simd` build (CI runs all three).
 //!
 //! On hosts or builds without a vector variant the "auto" planner also runs
 //! scalar kernels and the comparison is trivially exact — the suite is
@@ -19,9 +26,11 @@
 use std::sync::Arc;
 
 use lcc_fft::complex::c64;
+use lcc_fft::dft::dft;
+use lcc_fft::tile::{load_row, Row, W};
 use lcc_fft::{
     fft_axis, ulp_diff_floored, Complex64, DecimatedOutputFft, FftDirection, FftPlanner,
-    PrunedInputFft, RealFft, RealIfft, Variant,
+    PrunedInputFft, RealFft, RealIfft, TileFft, Variant,
 };
 use proptest::prelude::*;
 
@@ -74,6 +83,41 @@ fn max_ulp_diff_real(a: &[f64], b: &[f64]) -> f64 {
         .zip(b)
         .map(|(x, y)| ulp_diff_floored(*x, *y, floor))
         .fold(0.0, f64::max)
+}
+
+/// Loads `lanes[l]` into lane `l` of a fresh tile in `load_rows` order;
+/// missing lanes are the zero padding of a tail tile.
+fn load_tile(lanes: &[&[Complex64]], load_rows: &[u32]) -> (Vec<Row>, Vec<Row>) {
+    let n = load_rows.len();
+    let (mut re, mut im) = (vec![[0.0; W]; n], vec![[0.0; W]; n]);
+    for (t, &row) in load_rows.iter().enumerate() {
+        let src: Vec<Complex64> = lanes.iter().map(|p| p[t]).collect();
+        load_row(&src, &mut re[row as usize], &mut im[row as usize]);
+    }
+    (re, im)
+}
+
+/// Lane `l` of a tile, as a pencil.
+fn lane_of(re: &[Row], im: &[Row], l: usize) -> Vec<Complex64> {
+    re.iter().zip(im).map(|(r, i)| c64(r[l], i[l])).collect()
+}
+
+fn same_bits(a: &[Complex64], b: &[Complex64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
+/// Runs `plan` over the given lanes and returns each lane's pencil.
+fn tile_transform(plan: &TileFft, lanes: &[&[Complex64]]) -> Vec<Vec<Complex64>> {
+    let (mut re, mut im) = load_tile(lanes, plan.load_rows());
+    plan.process(
+        &mut re,
+        &mut im,
+        &mut vec![Complex64::ZERO; plan.scratch_len()],
+    );
+    (0..lanes.len()).map(|l| lane_of(&re, &im, l)).collect()
 }
 
 fn dir_of(fwd: bool) -> FftDirection {
@@ -219,9 +263,127 @@ proptest! {
         prop_assert!(d <= 2.0 * MAX_ULP, "decimated n={n} r={r} o={o}: {d} ulp");
     }
 
+    /// The tile transform against the single-pencil plan of the same
+    /// planner, lane by lane: every power-of-two schedule shape (including
+    /// the lengths below `MIN_SIMD_LEN`, where the single-pencil side runs
+    /// the interleaved kernels) and the per-lane fallback lengths, on the
+    /// auto and the forced-scalar planner.
+    #[test]
+    fn tile_agrees_with_plan_per_lane(
+        n in prop_oneof![
+            Just(2usize), Just(4), Just(8), Just(16), Just(32), Just(64), Just(128), Just(256),
+            Just(6usize), Just(12), Just(15),
+        ],
+        fwd in prop_oneof![Just(true), Just(false)],
+        seed in 0u64..1024,
+    ) {
+        let (auto_p, scalar_p) = planners();
+        for planner in [&auto_p, &scalar_p] {
+            let pencils: Vec<_> = (0..W as u64).map(|l| signal(n, seed + 1024 * l)).collect();
+            let lanes: Vec<&[Complex64]> = pencils.iter().map(|p| p.as_slice()).collect();
+            let tile = TileFft::new(planner, n, dir_of(fwd));
+            let plan = planner.plan(n, dir_of(fwd));
+            for (l, got) in tile_transform(&tile, &lanes).iter().enumerate() {
+                let mut want = pencils[l].clone();
+                plan.process(&mut want);
+                let d = max_ulp_diff(got, &want);
+                prop_assert!(d <= MAX_ULP, "n={n} fwd={fwd} lane {l}: {d} ulp");
+            }
+        }
+    }
+
+    /// A pencil's bits do not depend on where it sits: lane 0 of a full
+    /// tile, lane 7 of another, and the only live lane of a tail tile whose
+    /// other lanes are zero padding all give the same result.
+    #[test]
+    fn tile_result_is_lane_position_independent(
+        n in prop_oneof![Just(2usize), Just(16), Just(32), Just(128), Just(256), Just(12)],
+        fwd in prop_oneof![Just(true), Just(false)],
+        seed in 0u64..1024,
+    ) {
+        let planner = FftPlanner::new();
+        let tile = TileFft::new(&planner, n, dir_of(fwd));
+        let pencils: Vec<_> = (0..2 * W as u64).map(|l| signal(n, seed + 1024 * l)).collect();
+        let me = pencils[0].as_slice();
+        let mut first: Vec<&[Complex64]> = pencils[..W].iter().map(|p| p.as_slice()).collect();
+        let mut last: Vec<&[Complex64]> = pencils[W..].iter().map(|p| p.as_slice()).collect();
+        first[0] = me;
+        last[W - 1] = me;
+        let in_lane0 = tile_transform(&tile, &first).swap_remove(0);
+        let in_lane7 = tile_transform(&tile, &last).swap_remove(W - 1);
+        let alone = tile_transform(&tile, &[me]).swap_remove(0);
+        prop_assert!(same_bits(&in_lane0, &in_lane7), "n={n}: lane 0 vs lane 7");
+        prop_assert!(same_bits(&in_lane0, &alone), "n={n}: lane 0 vs one-lane tail tile");
+    }
+
+    /// The pruned forward as a tile operation against the single-pencil
+    /// `PrunedInputFft::process`, lane by lane — a composite, so the same
+    /// one-compounding headroom as `pruned_input_agrees`. `(60, 12)` takes
+    /// the per-lane fallback inside the tile transform.
+    #[test]
+    fn pruned_tile_agrees_with_process(
+        nk in prop_oneof![
+            Just((8usize, 2usize)), Just((16, 4)), Just((64, 8)), Just((64, 64)),
+            Just((128, 32)), Just((60, 12)),
+        ],
+        seed in 0u64..1024,
+    ) {
+        let (n, k) = nk;
+        let (auto_p, scalar_p) = planners();
+        for planner in [&auto_p, &scalar_p] {
+            let pruned = PrunedInputFft::new(planner, n, k, FftDirection::Forward);
+            let heads: Vec<_> = (0..W as u64).map(|l| signal(k, seed + 1024 * l)).collect();
+            let lanes: Vec<&[Complex64]> = heads.iter().map(|p| p.as_slice()).collect();
+            let identity: Vec<u32> = (0..k as u32).collect();
+            let (xre, xim) = load_tile(&lanes, &identity);
+            let (mut ore, mut oim) = (vec![[0.0; W]; n], vec![[0.0; W]; n]);
+            let (mut sre, mut sim) = (vec![[0.0; W]; k], vec![[0.0; W]; k]);
+            pruned.process_tile(
+                (&xre, &xim),
+                (&mut ore, &mut oim),
+                (&mut sre, &mut sim),
+                &mut vec![Complex64::ZERO; pruned.tile_scratch_len()],
+                |f| f,
+            );
+            for (l, head) in heads.iter().enumerate() {
+                let want = pruned.transform(head);
+                let d = max_ulp_diff(&lane_of(&ore, &oim, l), &want);
+                prop_assert!(d <= 2.0 * MAX_ULP, "pruned tile n={n} k={k} lane {l}: {d} ulp");
+            }
+        }
+    }
+
+    /// `fft_axis` along the strided axes against the O(n²) reference, on
+    /// shapes whose run of adjacent pencils is not a multiple of the tile
+    /// width (27 = 3·8 + 3 and 48 / 8 with len 4 and 6): full and tail
+    /// tiles, power-of-two and fallback lengths.
+    #[test]
+    fn strided_axes_match_dft(
+        dims in prop_oneof![Just((512usize, 3usize, 9usize)), Just((4, 6, 8))],
+        axis in 0usize..2,
+        seed in 0u64..1024,
+    ) {
+        let (n0, n1, n2) = dims;
+        let x = signal(n0 * n1 * n2, seed);
+        let (len, stride) = if axis == 0 { (n0, n1 * n2) } else { (n1, n2) };
+        for planner in [FftPlanner::new(), FftPlanner::with_simd_variant(Variant::Scalar)] {
+            let mut got = x.clone();
+            fft_axis(&planner, &mut got, dims, axis, FftDirection::Forward);
+            for base in (0..x.len()).filter(|i| (i / stride) % len == 0) {
+                let pencil: Vec<_> = (0..len).map(|t| x[base + t * stride]).collect();
+                let want = dft(&pencil, FftDirection::Forward);
+                let tol = 1e-9 * len as f64 * inf_norm(&want).max(1.0);
+                for (t, w) in want.iter().enumerate() {
+                    let g = got[base + t * stride];
+                    prop_assert!((g - *w).norm() <= tol, "dims={dims:?} axis={axis} base={base}");
+                }
+            }
+        }
+    }
+
     /// Batched pencils along every axis of a 3D buffer — exercises the
-    /// contiguous (axis 2), cache-blocked tiled (axes 0/1) and per-pencil
-    /// dispatch paths with both kernel variants.
+    /// contiguous (axis 2) and pencil-tile (axes 0/1) dispatch paths with
+    /// both kernel variants.
     #[test]
     fn batched_axes_agree(
         dims in prop_oneof![

@@ -35,13 +35,7 @@ impl<T: Clone> Grid3<T> {
     ///
     /// Panics if `region` is not contained in this grid.
     pub fn extract(&self, region: &BoxRegion) -> Grid3<T> {
-        assert!(
-            region.hi[0] <= self.shape.0
-                && region.hi[1] <= self.shape.1
-                && region.hi[2] <= self.shape.2,
-            "region {region:?} exceeds grid shape {:?}",
-            self.shape
-        );
+        self.assert_contains(region);
         let (sx, sy, sz) = region.size();
         let mut out = Vec::with_capacity(sx * sy * sz);
         for x in region.lo[0]..region.hi[0] {
@@ -78,6 +72,31 @@ impl<T: Clone> Grid3<T> {
 }
 
 impl<T> Grid3<T> {
+    fn assert_contains(&self, region: &BoxRegion) {
+        assert!(
+            region.hi[0] <= self.shape.0
+                && region.hi[1] <= self.shape.1
+                && region.hi[2] <= self.shape.2,
+            "region {region:?} exceeds grid shape {:?}",
+            self.shape
+        );
+    }
+
+    /// True when `pred` holds at every point of the sub-box `region`, read in
+    /// place: the test [`Self::extract`] would need a copy for.
+    ///
+    /// Panics if `region` is not contained in this grid.
+    pub fn all_in(&self, region: &BoxRegion, mut pred: impl FnMut(&T) -> bool) -> bool {
+        self.assert_contains(region);
+        let sz = region.hi[2] - region.lo[2];
+        (region.lo[0]..region.hi[0]).all(|x| {
+            (region.lo[1]..region.hi[1]).all(|y| {
+                let base = self.linear(x, y, region.lo[2]);
+                self.data[base..base + sz].iter().all(&mut pred)
+            })
+        })
+    }
+
     /// Builds a grid by evaluating `f(x, y, z)` at every point.
     pub fn from_fn(
         shape: (usize, usize, usize),
@@ -223,6 +242,29 @@ mod tests {
         h.insert([1, 0, 2], &sub);
         assert_eq!(h[(2, 1, 3)], g[(2, 1, 3)]);
         assert_eq!(h[(0, 0, 0)], 0);
+    }
+
+    #[test]
+    fn all_in_agrees_with_extract() {
+        let mut g: Grid3<f64> = Grid3::zeros((4, 4, 4));
+        g[(2, 1, 3)] = 1.0;
+        for region in [
+            BoxRegion::new([0, 0, 0], [2, 4, 4]),
+            BoxRegion::new([2, 0, 0], [4, 2, 4]),
+            BoxRegion::new([2, 1, 3], [3, 2, 4]),
+            BoxRegion::new([2, 1, 0], [3, 2, 3]),
+            BoxRegion::new([1, 1, 1], [1, 1, 1]),
+        ] {
+            let copied = g.extract(&region).as_slice().iter().all(|&v| v == 0.0);
+            assert_eq!(g.all_in(&region, |&v| v == 0.0), copied, "{region:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds grid shape")]
+    fn all_in_out_of_bounds_panics() {
+        let g: Grid3<u8> = Grid3::zeros((2, 2, 2));
+        g.all_in(&BoxRegion::new([0, 0, 0], [1, 1, 3]), |_| true);
     }
 
     #[test]

@@ -78,11 +78,26 @@ pub struct PipelineFootprint {
 }
 
 impl PipelineFootprint {
-    /// Builds the footprint model.
+    /// Builds the footprint model, with the stage-3 c2r pass over every row
+    /// of a retained plane.
     pub fn model(
         n: usize,
         k: usize,
         retained_z: usize,
+        batch: usize,
+        compressed_bytes: u64,
+    ) -> Self {
+        Self::with_stage3_rows(n, k, retained_z, n, batch, compressed_bytes)
+    }
+
+    /// [`Self::model`] for a plan whose retained planes sample at most
+    /// `plane_rows` x rows each: the pipeline's c2r pass runs on those rows
+    /// only, in place in the retained-plane buffer.
+    pub(crate) fn with_stage3_rows(
+        n: usize,
+        k: usize,
+        retained_z: usize,
+        plane_rows: usize,
         batch: usize,
         compressed_bytes: u64,
     ) -> Self {
@@ -97,9 +112,10 @@ impl PipelineFootprint {
         // plans both alive).
         plans.add(PlanShape::c2c(n, batch));
         plans.add(PlanShape::c2c(n, batch));
-        // Final 2D inverse over one retained half-plane (two passes).
+        // Final 2D inverse over one retained half-plane: the x pass over
+        // its h columns, then the c2r rows (an n/2-point inverse each).
         plans.add(PlanShape::c2c(n, h));
-        plans.add(PlanShape::c2c(n, h));
+        plans.add(PlanShape::c2c((n / 2).max(1), plane_rows));
         PipelineFootprint {
             slab_bytes: 16 * (n as u64) * (h as u64) * (k as u64),
             retained_bytes: 16 * (retained_z as u64) * (n as u64) * (h as u64),

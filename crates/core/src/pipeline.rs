@@ -13,54 +13,65 @@
 //!    set plus one Nyquist column.
 //! 2. **z stage** — batches of `B` of the `N·h` pencils (the paper's batch
 //!    parameter) are zero-padded `k → N` by a pruned transform, multiplied
-//!    by the kernel spectrum *and* the sub-domain's position phase on the
-//!    fly, inverse transformed, and immediately **compressed**: only the
-//!    z-planes the octree plan retains are kept, as `N×h` half-planes.
-//!    Adjacent pencils `q = fx·h + fy` are contiguous in the slab, so the
-//!    stage runs over [`lcc_fft::tile`]s of 8 of them ([`ZStage`], shared
-//!    with the tensor pipeline): slab rows load straight into the vector
-//!    lanes and the retained rows store straight into the half-planes.
+//!    by the kernel spectrum evaluated on the fly, inverse transformed, and
+//!    immediately **compressed**: only the z-planes the octree plan retains
+//!    are kept, as `N×h` half-planes. Adjacent pencils `q = fx·h + fy` are
+//!    contiguous in the slab, so the stage runs over [`lcc_fft::tile`]s of
+//!    8 of them ([`ZStage`], shared with the tensor pipeline): slab rows
+//!    load straight into the vector lanes and the retained rows store
+//!    straight into the half-planes.
 //! 3. **2D inverse stage** — each retained half-plane is inverse
-//!    transformed along x over its `h` columns and finished by a c2r along
-//!    y, every row in place (`h` complex hold their own `N` reals, see
-//!    [`RealIfft::process_packed`]), then sampled into the octree's
-//!    compressed storage ([`CompressedField::capture_plane`]).
+//!    transformed along x over its `h` columns, again a tile at a time, but
+//!    only the x rows the plan samples in that plane are stored back
+//!    ([`SamplingPlan::sampled_rows`]). Only those rows are finished by a
+//!    c2r along y, in place (`h` complex hold their own `N` reals, see
+//!    [`RealIfft::process_packed`]), and sampled into the octree's
+//!    compressed storage straight from the packed rows
+//!    ([`CompressedField::capture_rows`]). Rows are independent, so a row
+//!    nobody samples is never transformed and the samples are the same to
+//!    the bit as if every row had been.
 //!
 //! The strided x transforms of stages 1 and 3 run over the same tiles (lanes
 //! across `fy`); the y transforms are along the contiguous axis and stay
 //! one plan call per row.
 //!
-//! The sub-domain is presented at the origin; its true position enters as a
-//! frequency-domain phase `e^{-2πi f·c/N}`: the x and y factors are constant
-//! along a z-pencil and ride on its input rows (the forward transform is
-//! linear), the z factor is folded into the pointwise multiply, so the
-//! pruned transforms never see shifted data.
+//! **Position is an index shift.** The sub-domain is convolved as if its
+//! low corner sat at the origin. At its true corner `c` the input is the
+//! origin one circularly shifted by `c`, so (shift theorem) the result is
+//! the origin result circularly shifted by `c`: `y_c(p) = y_0(p − c mod N)`.
+//! The pipeline therefore never multiplies by the phase `e^{−2πi f·c/N}`;
+//! it reads the origin result at shifted indices. The z stage stores
+//! inverse row `(z − c_z) mod N` as plane `z`, stage 3 stores x-inverse row
+//! `(x − c_x) mod N` as row `x` and captures column `y` from packed column
+//! `(y − c_y) mod N`. Index arithmetic is exact; a phase multiply would
+//! round every bin.
 //!
 //! **Non-Hermitian kernels.** The result is defined as `Re(ifft(K̂·X̂))` for
 //! any [`KernelSpectrum`]. With `X̂` Hermitian the real part keeps exactly
 //! the Hermitian part of the product,
 //! `½(K̂(f)X̂(f) + conj(K̂(−f)X̂(−f))) = K̂ₕ(f)·X̂(f)` with
-//! `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))`, so the z stage multiplies by `K̂ₕ`: a
-//! second kernel pencil at `(−fx, −fy)` read in reversed `fz` order. For a
-//! Hermitian kernel `K̂ₕ = K̂`; `MassifGamma` components that are odd in one
-//! `ξᵢ` are not Hermitian on bins with a Nyquist coordinate (DESIGN.md §5a).
+//! `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))`, so the z stage multiplies by `K̂ₕ`
+//! ([`KernelSpectrum::eval_hermitian_pencil_axis2`]). For the shipped
+//! Hermitian kernels that is one kernel pencil; `MassifGamma` components
+//! that are odd in one `ξᵢ` are not Hermitian on bins with a Nyquist
+//! coordinate (DESIGN.md §5a) and take the trait's two-pencil default.
 
 // lcc-lint: hot-path — pipeline stages 1-3; only per-solve setup may allocate.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-use lcc_fft::tile::{carve, load_row, rows_mut, store_row, W};
+use lcc_fft::tile::{carve, load_row, prefetch, store_row, Row, W};
 use lcc_fft::{
-    fft_axis, workspace, Complex64, FftDirection, FftPlanner, PrunedInputFft, RealIfft, TileFft,
+    as_reals, workspace, Complex64, FftDirection, FftPlanner, PrunedInputFft, RealIfft, TileFft,
     ZStage, ZTile,
 };
 use lcc_greens::KernelSpectrum;
 use lcc_grid::Grid3;
-use lcc_octree::{CompressedField, SamplingPlan};
+use lcc_obs::metrics;
+use lcc_octree::{CompressedField, SamplingPlan, SetBits};
 
 use crate::memory_model::PipelineFootprint;
 
@@ -69,18 +80,13 @@ pub struct LocalConvolver {
     n: usize,
     k: usize,
     batch: usize,
-    planner: Arc<FftPlanner>,
     /// Pruned k→N forward transform shared by all three axes.
-    pruned: Arc<PrunedInputFft>,
-    /// Dense inverse along z over tiles of adjacent pencils.
-    inverse_z: TileFft,
+    pruned: PrunedInputFft,
+    /// Dense inverse over tiles of adjacent pencils: along z in stage 2,
+    /// along x in stage 3.
+    inverse: TileFft,
     /// c2r along y, the last inverse transform of stage 3.
     c2r: RealIfft,
-    /// Position-phase tables `e^{-2πi f·c/N}` keyed by corner coordinate
-    /// `c`. The table depends only on `(n, c)`, so repeated convolves of
-    /// sub-domains at recurring corners (every rank in a fixed
-    /// decomposition) reuse it instead of rebuilding three `Vec`s per call.
-    phase_cache: Mutex<HashMap<usize, Arc<[Complex64]>>>,
 }
 
 impl LocalConvolver {
@@ -90,37 +96,16 @@ impl LocalConvolver {
         assert!(k >= 1 && k <= n, "k must be in 1..=n");
         assert_eq!(n % k, 0, "k must divide n");
         assert!(batch >= 1, "batch must be at least 1");
-        let planner = Arc::new(FftPlanner::new());
-        let pruned = Arc::new(PrunedInputFft::new(&planner, n, k, FftDirection::Forward));
-        // Warm the plan cache so timed runs measure execution only.
-        planner.plan(n, FftDirection::Inverse);
-        planner.plan(n, FftDirection::Forward);
-        let c2r = RealIfft::new(&planner, n);
-        let inverse_z = TileFft::new(&planner, n, FftDirection::Inverse);
+        // Every plan is built here, so timed runs measure execution only.
+        let planner = FftPlanner::new();
         LocalConvolver {
             n,
             k,
             batch,
-            planner,
-            pruned,
-            inverse_z,
-            c2r,
-            phase_cache: Mutex::new(HashMap::new()),
+            pruned: PrunedInputFft::new(&planner, n, k, FftDirection::Forward),
+            inverse: TileFft::new(&planner, n, FftDirection::Inverse),
+            c2r: RealIfft::new(&planner, n),
         }
-    }
-
-    /// The cached position-phase table for corner coordinate `c`:
-    /// `table[f] = e^{-2πi f·c/N}`.
-    pub(crate) fn phase_table(&self, c: usize) -> Arc<[Complex64]> {
-        if let Some(t) = self.phase_cache.lock().get(&c) {
-            return t.clone();
-        }
-        let n = self.n;
-        let t: Arc<[Complex64]> = (0..n)
-            .map(|f| Complex64::cis(-2.0 * std::f64::consts::PI * ((f * c) % n) as f64 / n as f64))
-            .collect();
-        // Built outside the lock; a racing builder's identical table wins.
-        self.phase_cache.lock().entry(c).or_insert(t).clone()
     }
 
     /// Grid size N.
@@ -144,14 +129,19 @@ impl LocalConvolver {
         self.n / 2 + 1
     }
 
-    /// The z stage over `retained`, shared by the scalar and the tensor
-    /// pipeline: they differ only in the pointwise step they hand to
-    /// [`ZStage::run`].
-    pub(crate) fn z_stage<'a>(&'a self, retained: &'a [usize]) -> ZStage<'a> {
+    /// The z stage over `plan`'s retained planes for a sub-domain at z
+    /// corner `shift`, shared by the scalar and the tensor pipeline: they
+    /// differ only in the pointwise step they hand to [`ZStage::run`].
+    pub(crate) fn z_stage<'a>(
+        &'a self,
+        plan: &'a SamplingPlan,
+        shift: usize,
+    ) -> ZStage<'a, SetBits<'a>> {
         ZStage {
             forward: &self.pruned,
-            inverse: &self.inverse_z,
-            retained,
+            inverse: &self.inverse,
+            retained: plan.retained_planes(),
+            shift,
             batch: self.batch,
         }
     }
@@ -164,7 +154,7 @@ impl LocalConvolver {
         let (n, k, h) = (self.n, self.k, self.half());
         assert_eq!(sub.shape(), (k, k, k), "sub-domain must be k³");
         assert_eq!(slab.len(), k * n * h, "slab must be k half-planes of n·h");
-        let pruned = &*self.pruned;
+        let pruned = &self.pruned;
         let lane_len = pruned.tile_scratch_len();
         slab.par_chunks_mut(n * h)
             .enumerate()
@@ -195,6 +185,11 @@ impl LocalConvolver {
                     for x in 0..k {
                         load_row(&rows[x * n + fy..][..live], &mut xre[x], &mut xim[x]);
                     }
+                    // The n destination runs, one per plane row, arrive
+                    // while the transform runs.
+                    for fx in 0..n {
+                        prefetch(&plane[fx * h + fy..][..live], true);
+                    }
                     pruned.process_tile(
                         (&*xre, &*xim),
                         (&mut *ore, &mut *oim),
@@ -218,44 +213,130 @@ impl LocalConvolver {
         slab
     }
 
+    /// Stages 1 and 2 of the scalar pipeline: `sub`, convolved at the
+    /// origin with `kernel`, into `kept` — plane `i` is the `i`-th retained
+    /// z-plane of `plan` for the sub-domain at z corner `corner_z`, as
+    /// `n·h` half-spectrum rows still to be inverted along x and y. `slab`
+    /// (`k·n·h`) and `kept` (one `n·h` plane per retained z) are fully
+    /// overwritten.
+    pub(crate) fn scalar_stages_1_2(
+        &self,
+        sub: &Grid3<f64>,
+        corner_z: usize,
+        kernel: &dyn KernelSpectrum,
+        plan: &SamplingPlan,
+        slab: &mut [Complex64],
+        kept: &mut [Complex64],
+    ) {
+        let (n, h) = (self.n, self.half());
+        let s1 = lcc_obs::span("stage1_2d_fft");
+        self.forward_2d_slab_into(sub, slab);
+        drop(s1);
+
+        let _s2 = lcc_obs::span("stage2_z_pencils");
+        metrics::PIPELINE_PENCILS.add((n * h) as u64);
+        self.z_stage(plan, corner_z).run(
+            [&*slab],
+            [kept],
+            ((W + 1) * n, 0),
+            // Pointwise: the kernel's Hermitian part (module doc), one
+            // pencil per live lane, multiplied in lane by lane.
+            |tile: ZTile<'_>| {
+                let (pencils, mirror) = tile.cbuf.split_at_mut(W * n);
+                for (lane, pencil) in pencils.chunks_exact_mut(n).enumerate() {
+                    if lane < tile.live {
+                        let q = tile.q0 + lane;
+                        kernel.eval_hermitian_pencil_axis2(q / h, q % h, pencil, mirror);
+                    } else {
+                        // Padding lanes: keep their (zero) spectra finite.
+                        pencil.fill(Complex64::ZERO);
+                    }
+                }
+                // The multiplier of one tile row is built in registers,
+                // lane `l` from pencil `l`, and applied as one vector op.
+                let pencils = &pencils[..W * n];
+                for (fz, &row) in tile.rows.iter().enumerate() {
+                    let mre: Row = std::array::from_fn(|l| pencils[l * n + fz].re);
+                    let mim: Row = std::array::from_fn(|l| pencils[l * n + fz].im);
+                    let (re, im) = (&mut tile.re[row as usize], &mut tile.im[row as usize]);
+                    let (xr, xi) = (*re, *im);
+                    *re = std::array::from_fn(|l| xr[l] * mre[l] - xi[l] * mim[l]);
+                    *im = std::array::from_fn(|l| xr[l] * mim[l] + xi[l] * mre[l]);
+                }
+            },
+        );
+    }
+
     /// Stage 3 of the pipeline: turns the retained half-planes `kept`
-    /// (`(zi, fx, fy)` order, `n·h` each) into real planes — inverse along x
-    /// over the `h` columns, then c2r along y, each row in place — and
-    /// samples plane `zi` into a fresh compressed field at `z = retained[zi]`.
-    /// The `1/n³` of the three unnormalized inverses rides on the c2r.
+    /// (`(i, fx, fy)` order, `n·h` each, plane `i` the `i`-th retained z of
+    /// `plan`) into the samples of a fresh compressed field. Per plane:
+    /// inverse along x over the `h` columns; then, for each x row the plan
+    /// samples, store x-inverse row `(x − c_x) mod n` as row `x`, c2r it in
+    /// place and capture column `y` from packed column `(y − c_y) mod n`
+    /// (module doc).
+    ///
+    /// `scale` is applied by the c2r: `1/n³` for the three unnormalized
+    /// inverses, times whatever the caller left out of its multiplier.
     pub(crate) fn inverse_2d_capture(
         &self,
         kept: &mut [Complex64],
-        real_plane: &mut [f64],
-        retained: &[usize],
+        corner: [usize; 3],
+        scale: f64,
         plan: Arc<SamplingPlan>,
     ) -> CompressedField {
         let (n, h) = (self.n, self.half());
-        let scale = 1.0 / (n * n * n) as f64;
-        let odd = self.c2r.scratch_len();
-        kept.par_chunks_mut(n * h).for_each(|plane| {
-            fft_axis(&self.planner, plane, (1, n, h), 1, FftDirection::Inverse);
-            // Only the odd-n fallback needs scratch (which it fully writes
-            // before reading), and it is leased after the x pass has
-            // returned its own lease: the two never nest, so no third
-            // arena grows behind them.
-            let mut ws = (odd > 0).then(workspace);
-            let scratch = ws.as_mut().map_or(&mut [][..], |ws| {
-                let [s] = ws.complex_bufs([odd]);
-                s
+        let inv = &self.inverse;
+        let load_rows = inv.load_rows();
+        let (lane_len, odd) = (inv.scratch_len(), self.c2r.scratch_len());
+        let sampled = plan.sampled_row_count();
+        metrics::PIPELINE_STAGE3_ROWS_SAMPLED.add(sampled as u64);
+        metrics::PIPELINE_STAGE3_ROWS_SKIPPED.add((kept.len() / h - sampled) as u64);
+        let cx = corner[0];
+        let table = &*plan;
+        // Each sample lies in exactly one plane, so the planes' captures
+        // commute: each task captures its own plane while it is still in
+        // cache, and the lock only orders writes to disjoint samples.
+        let field = Mutex::new(CompressedField::zeros(plan.clone()));
+        kept.par_chunks_mut(n * h)
+            .enumerate()
+            .for_each_init(workspace, |ws, (i, plane)| {
+                let z = match table.retained_planes().nth(i) {
+                    Some(z) => z,
+                    None => unreachable!("kept holds one plane per retained z"),
+                };
+                // Every buffer is fully written before it is read: the tile
+                // by the loads, the scratch inside the transforms.
+                let ([lane, scratch], mut real) = ws.split([lane_len, odd], 2 * n * W);
+                let real = &mut real;
+                let (re, im) = (carve(real, n), carve(real, n));
+                for fy in (0..h).step_by(W) {
+                    let live = W.min(h - fy);
+                    for (x, &row) in load_rows.iter().enumerate() {
+                        let row = row as usize;
+                        load_row(&plane[x * h + fy..][..live], &mut re[row], &mut im[row]);
+                    }
+                    // The next column tile's rows arrive during this one.
+                    if fy + W < h {
+                        let next = W.min(h - fy - W);
+                        for x in 0..n {
+                            prefetch(&plane[x * h + fy + W..][..next], false);
+                        }
+                    }
+                    inv.process(re, im, lane);
+                    for x in table.sampled_rows(z) {
+                        let src = if x >= cx { x - cx } else { x + n - cx };
+                        store_row(&re[src], &im[src], &mut plane[x * h + fy..][..live]);
+                    }
+                }
+                for x in table.sampled_rows(z) {
+                    self.c2r
+                        .process_packed(&mut plane[x * h..][..h], scratch, scale);
+                }
+                field
+                    .lock()
+                    .capture_rows(z, as_reals(plane), 2 * h, corner[1]);
             });
-            for row in plane.chunks_exact_mut(h) {
-                self.c2r.process_packed(row, scratch, scale);
-            }
-        });
-        let mut field = CompressedField::zeros(plan);
-        for (plane, &z) in kept.chunks_exact(n * h).zip(retained) {
-            for (row, out) in plane.chunks_exact(h).zip(real_plane.chunks_exact_mut(n)) {
-                RealIfft::unpack(row, out);
-            }
-            field.capture_plane(z, real_plane);
-        }
-        field
+        field.into_inner()
     }
 
     /// Convolves sub-domain `sub` (shape `k³`, positioned with its low
@@ -277,82 +358,18 @@ impl LocalConvolver {
             "corner must lie inside the grid"
         );
 
+        // Call-level arena: the slab and the retained-plane buffer come
+        // from one pooled workspace, so a warm convolve allocates nothing
+        // for them. Each is fully overwritten before it is read (slab by
+        // stage 1, kept by the z stage's stores over every (plane, pencil)).
         let h = self.half();
-        let retained = plan.retained_z();
-        let nzr = retained.len();
-
-        // Call-level arena: the slab, the retained-plane buffer and the
-        // stage-3 real plane all come from one pooled workspace, so a warm
-        // convolve allocates nothing for them. Each is fully overwritten
-        // before it is read (slab by stage 1, kept by the z stage's stores
-        // over every (plane, pencil), real_plane per plane).
+        let nzr = plan.retained_plane_count();
         let mut ws = workspace();
-        let ([slab, kept], real_plane) = ws.split([k * n * h, nzr * n * h], n * n);
+        let [slab, kept] = ws.complex_bufs([k * n * h, nzr * n * h]);
+        self.scalar_stages_1_2(sub, corner[2], kernel, &plan, slab, kept);
 
-        // ---- Stage 1: 2D pruned transforms into the N×h×k slab. ----
-        // Slab layout: (zloc, fx, fy), each z-slice a contiguous N·h plane.
-        let s1 = lcc_obs::span("stage1_2d_fft");
-        self.forward_2d_slab_into(sub, slab);
-        drop(s1);
-
-        // ---- Stage 2: batched z pencils with on-the-fly multiply and
-        //      compression to retained z-planes. ----
-        // Phase of the sub-domain position: e^{-2πi f·c / N} per axis,
-        // cached across calls (it depends only on the corner coordinate).
-        let phx = self.phase_table(corner[0]);
-        let phy = self.phase_table(corner[1]);
-        let phz = self.phase_table(corner[2]);
-
-        let s2 = lcc_obs::span("stage2_z_pencils");
-        lcc_obs::metrics::PIPELINE_PENCILS.add((n * h) as u64);
-        self.z_stage(&retained).run(
-            [&*slab],
-            [&mut *kept],
-            (2 * n, 2 * n * W),
-            // The lane-constant half of the multiplier: the ½ of the
-            // Hermitian projection (exact) times the x and y phases.
-            |q| (phx[q / h] * phy[q % h]).scale(0.5),
-            // Pointwise: Hermitian part of the kernel (module doc) × the z
-            // phase, evaluated on the fly and built lane-contiguous so the
-            // multiply itself is a vector operation per row.
-            |tile: ZTile<'_>| {
-                let (kbuf, kmir) = tile.cbuf.split_at_mut(n);
-                let (mre, mim) = rows_mut(tile.rbuf).split_at_mut(n);
-                for lane in 0..W {
-                    if lane >= tile.live {
-                        // Padding lanes carry zeros; keep them finite.
-                        for (r, i) in mre.iter_mut().zip(mim.iter_mut()) {
-                            (r[lane], i[lane]) = (0.0, 0.0);
-                        }
-                        continue;
-                    }
-                    let q = tile.q0 + lane;
-                    let (fx, fy) = (q / h, q % h);
-                    kernel.eval_pencil_axis2(fx, fy, kbuf);
-                    kernel.eval_pencil_axis2((n - fx) % n, (n - fy) % n, kmir);
-                    // −fz is n − fz except at fz = 0, peeled.
-                    let m = (kbuf[0] + kmir[0].conj()) * phz[0];
-                    (mre[0][lane], mim[0][lane]) = (m.re, m.im);
-                    for fz in 1..n {
-                        let m = (kbuf[fz] + kmir[n - fz].conj()) * phz[fz];
-                        (mre[fz][lane], mim[fz][lane]) = (m.re, m.im);
-                    }
-                }
-                for (fz, &row) in tile.rows.iter().enumerate() {
-                    let (re, im) = (&mut tile.re[row as usize], &mut tile.im[row as usize]);
-                    for l in 0..W {
-                        let (xr, xi) = (re[l], im[l]);
-                        re[l] = xr * mre[fz][l] - xi * mim[fz][l];
-                        im[l] = xr * mim[fz][l] + xi * mre[fz][l];
-                    }
-                }
-            },
-        );
-        drop(s2);
-
-        // ---- Stage 3: inverse 2D per retained plane + octree sampling. ----
         let _s3 = lcc_obs::span("stage3_inverse_sample");
-        self.inverse_2d_capture(kept, real_plane, &retained, plan)
+        self.inverse_2d_capture(kept, corner, 1.0 / (n * n * n) as f64, plan)
     }
 
     /// Modeled flop count of one [`LocalConvolver::convolve_compressed`]
@@ -363,18 +380,20 @@ impl LocalConvolver {
     ///   each length `n`, over `k` slices;
     /// * stage 2 — `n·h` pencils, each a pruned forward + a dense inverse
     ///   length-`n` FFT plus the 6-flop complex pointwise multiply per bin;
-    /// * stage 3 — per retained z-plane, `h` length-`n` column inverses
-    ///   and `n` c2r rows, each one length-`n/2` FFT.
+    /// * stage 3 — per retained z-plane, `h` length-`n` column inverses,
+    ///   and one length-`n/2` c2r FFT per *sampled* row
+    ///   ([`SamplingPlan::sampled_row_count`]); rows no sample lies on are
+    ///   never transformed.
     ///
     /// This is the unit the recovery accounting uses to price an exact
     /// recompute of a dead rank's domain.
     pub fn flops_estimate(&self, plan: &SamplingPlan) -> f64 {
         let (n, k, h) = (self.n, self.k, self.half());
-        let retained = plan.retained_z().len();
+        let retained = plan.retained_plane_count();
         let stage1 = lcc_device::fft_flops(n, k * (k + h));
         let stage2 = lcc_device::fft_flops(n, 2 * n * h) + 6.0 * (n * n * h) as f64;
-        let stage3 =
-            lcc_device::fft_flops(n, retained * h) + lcc_device::fft_flops(n / 2, retained * n);
+        let stage3 = lcc_device::fft_flops(n, retained * h)
+            + lcc_device::fft_flops(n / 2, plan.sampled_row_count());
         stage1 + stage2 + stage3
     }
 
@@ -396,21 +415,28 @@ impl LocalConvolver {
         /// Complex64 read + write per element per streaming pass.
         const PASS_BYTES: f64 = 32.0;
         let (n, k, h) = (self.n, self.k, self.half());
-        let retained = plan.retained_z().len();
+        let retained = plan.retained_plane_count();
         let fft_bytes = |len: usize, batch: usize| PASS_BYTES * (len * batch) as f64;
         let stage1 = fft_bytes(n, k * (k + h));
         let stage2 = fft_bytes(n, 2 * n * h) + PASS_BYTES * (n * n * h) as f64;
-        let stage3 = fft_bytes(n, retained * h) + fft_bytes(n / 2, retained * n);
+        let stage3 = fft_bytes(n, retained * h) + fft_bytes(n / 2, plan.sampled_row_count());
         stage1 + stage2 + stage3
     }
 
     /// The device-footprint model for this pipeline under `plan`
-    /// (Table 4's "estimated" vs "actual" columns).
+    /// (Table 4's "estimated" vs "actual" columns), its c2r pass sized for
+    /// the most rows any one retained plane samples.
     pub fn footprint(&self, plan: &SamplingPlan) -> PipelineFootprint {
-        PipelineFootprint::model(
+        let plane_rows = plan
+            .retained_planes()
+            .map(|z| plan.sampled_rows(z).count())
+            .max()
+            .unwrap_or(0);
+        PipelineFootprint::with_stage3_rows(
             self.n,
             self.k,
-            plan.retained_z().len(),
+            plan.retained_plane_count(),
+            plane_rows,
             self.batch,
             plan.compressed_bytes() as u64,
         )
@@ -421,7 +447,8 @@ impl LocalConvolver {
 mod tests {
     use super::*;
     use crate::traditional::TraditionalConvolver;
-    use lcc_greens::GaussianKernel;
+    use lcc_fft::fft_axis;
+    use lcc_greens::{GaussianKernel, MassifGamma, PoissonSpectrum};
     use lcc_grid::{relative_l2, BoxRegion};
     use lcc_octree::RateSchedule;
 
@@ -435,6 +462,160 @@ mod tests {
         // Rate-1 everywhere: compression is lossless, so the pipeline must
         // match the dense oracle to round-off.
         Arc::new(SamplingPlan::build(n, domain, &RateSchedule::uniform(1)))
+    }
+
+    /// A plan from `(corner, size, rate)` cells through the wire decoder —
+    /// the only way to get a plan for an `n` that is not a power of two, or
+    /// a shape `SamplingPlan::build` never produces.
+    fn decoded(n: usize, cells: &[([usize; 3], usize, u64)]) -> Arc<SamplingPlan> {
+        let mut encoded = Vec::new();
+        let mut before = 0u64;
+        for &(c, size, rate) in cells {
+            encoded.extend([c[0] as u64, c[1] as u64, c[2] as u64, rate, before]);
+            before += (size as u64 / rate).pow(3);
+        }
+        Arc::new(SamplingPlan::decode(n, BoxRegion::cube(n), &encoded, before).unwrap())
+    }
+
+    /// Size-2 cells wherever all three axis segments are 2 long, every
+    /// other one a single sample (`spa == 1`, rate 2); unit cells along an
+    /// odd grid's last layer. Valid for every `n ≥ 2`.
+    fn single_sample_cell_plan(n: usize) -> Arc<SamplingPlan> {
+        let mut cells = Vec::new();
+        let segs: Vec<(usize, usize)> = (0..n).step_by(2).map(|s| (s, 2.min(n - s))).collect();
+        for &(x, sx) in &segs {
+            for &(y, sy) in &segs {
+                for &(z, sz) in &segs {
+                    if sx == 2 && sy == 2 && sz == 2 {
+                        let rate = if (x + y + z) % 4 == 0 { 2 } else { 1 };
+                        cells.push(([x, y, z], 2, rate));
+                        continue;
+                    }
+                    for dx in 0..sx {
+                        for dy in 0..sy {
+                            for dz in 0..sz {
+                                cells.push(([x + dx, y + dy, z + dz], 1, 1));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        decoded(n, &cells)
+    }
+
+    impl LocalConvolver {
+        /// The stage 3 the sampled one replaced, kept as its oracle: every
+        /// row x-inverted in natural order, every row c2r'd and unpacked
+        /// into an `n×n` real plane at its shifted position, then
+        /// `capture_plane`.
+        fn inverse_2d_capture_full_plane(
+            &self,
+            kept: &mut [Complex64],
+            corner: [usize; 3],
+            scale: f64,
+            plan: Arc<SamplingPlan>,
+        ) -> CompressedField {
+            let (n, h) = (self.n, self.half());
+            let planner = FftPlanner::new();
+            let mut scratch = vec![Complex64::ZERO; self.c2r.scratch_len()];
+            let (mut real, mut row_out) = (vec![0.0; n * n], vec![0.0; n]);
+            let mut field = CompressedField::zeros(plan.clone());
+            for (plane, z) in kept.chunks_exact_mut(n * h).zip(plan.retained_planes()) {
+                fft_axis(&planner, plane, (1, n, h), 1, FftDirection::Inverse);
+                for (x0, row) in plane.chunks_exact_mut(h).enumerate() {
+                    self.c2r.process_packed(row, &mut scratch, scale);
+                    RealIfft::unpack(row, &mut row_out);
+                    let x = (x0 + corner[0]) % n;
+                    for (y0, &v) in row_out.iter().enumerate() {
+                        real[x * n + (y0 + corner[1]) % n] = v;
+                    }
+                }
+                field.capture_plane(z, &real);
+            }
+            field
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Stage 3 transforms, stores and captures only the sampled rows;
+        /// the samples equal those of the full-plane oracle to the bit, for
+        /// every plan shape and corner, on the scalar and the tensor
+        /// pipeline's planes.
+        #[test]
+        fn sampled_stage3_matches_full_plane_oracle(
+            n in proptest::prop_oneof![
+                proptest::strategy::Just(2usize), proptest::strategy::Just(4),
+                proptest::strategy::Just(6), proptest::strategy::Just(8),
+                proptest::strategy::Just(9), proptest::strategy::Just(15),
+                proptest::strategy::Just(16), proptest::strategy::Just(32),
+                proptest::strategy::Just(64),
+            ],
+            plan_kind in 0usize..5,
+            rate_log in 1u32..=3,
+            k_pick in 0usize..8,
+            corner in (0usize..64, 0usize..64, 0usize..64),
+            tensor in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let divisors: Vec<usize> = (1..=n.min(8)).filter(|d| n % d == 0).collect();
+            let k = divisors[k_pick % divisors.len()];
+            // Any corner in the grid: the sub-domain wraps on every axis
+            // whose corner is past n − k.
+            let corner = [corner.0 % n, corner.1 % n, corner.2 % n];
+            let lo = corner.map(|c| c % (n - k + 1));
+            let domain = BoxRegion::new(lo, lo.map(|l| l + k));
+            let plan = match plan_kind {
+                _ if !n.is_power_of_two() && plan_kind < 4 => {
+                    if plan_kind % 2 == 0 {
+                        decoded(n, &[([0; 3], n, 1)])
+                    } else {
+                        single_sample_cell_plan(n)
+                    }
+                }
+                0 => dense_plan(n, domain),
+                1 => Arc::new(SamplingPlan::build(n, domain, &RateSchedule::uniform(1 << rate_log))),
+                2 => Arc::new(SamplingPlan::build(n, domain, &RateSchedule::paper_default(k, 8))),
+                3 => Arc::new(SamplingPlan::build(
+                    n,
+                    domain,
+                    &RateSchedule::for_kernel_spread(k, 1.2, 16),
+                )),
+                _ => single_sample_cell_plan(n),
+            };
+            let conv = LocalConvolver::new(n, k, 64);
+            let component = |c: usize| {
+                Grid3::from_fn((k, k, k), |x, y, z| {
+                    ((x * 3 + y * 5 + z * 7 + c) as f64 * 0.31 + seed as f64 * 0.013).sin()
+                })
+            };
+            let cube = (n * n * n) as f64;
+            let (planes, scale): (Vec<Vec<Complex64>>, f64) = if tensor == 1 {
+                let gamma = MassifGamma::new(n, 1.3, 0.8);
+                let subs = std::array::from_fn(component);
+                let kept = conv.tensor_stages_1_2(&subs, corner[2], &gamma, &plan);
+                (kept.into(), 0.5 / cube)
+            } else {
+                let h = conv.half();
+                let mut slab = vec![Complex64::ZERO; k * n * h];
+                let mut kept = vec![Complex64::ZERO; plan.retained_plane_count() * n * h];
+                let kernel = PoissonSpectrum::new(n);
+                conv.scalar_stages_1_2(&component(0), corner[2], &kernel, &plan, &mut slab, &mut kept);
+                (vec![kept], 1.0 / cube)
+            };
+            for kept in planes {
+                let got = conv.inverse_2d_capture(&mut kept.clone(), corner, scale, plan.clone());
+                let want = conv.inverse_2d_capture_full_plane(&mut kept.clone(), corner, scale, plan.clone());
+                for (i, (a, b)) in got.samples().iter().zip(want.samples()).enumerate() {
+                    proptest::prop_assert!(
+                        a.to_bits() == b.to_bits(),
+                        "n={n} k={k} corner={corner:?} plan #{plan_kind} sample {i}: {a:e} vs {b:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -471,6 +652,27 @@ mod tests {
             let want = TraditionalConvolver::new(n).convolve_subdomain(&sub, corner, &kernel);
             let err = relative_l2(want.as_slice(), got.as_slice());
             assert!(err < 1e-10, "corner {corner:?} error {err}");
+        }
+    }
+
+    #[test]
+    fn position_is_an_exact_shift() {
+        // The same sub-domain at two corners gives the same dense result,
+        // circularly shifted, to the bit: the position is index arithmetic.
+        let n = 16;
+        let k = 4;
+        let kernel = GaussianKernel::new(n, 1.0);
+        let sub = sub_field(k);
+        let conv = LocalConvolver::new(n, k, 16);
+        let plan = dense_plan(n, BoxRegion::new([0; 3], [k; 3]));
+        let at = |corner| {
+            conv.convolve_compressed(&sub, corner, &kernel, plan.clone())
+                .reconstruct()
+        };
+        let (origin, shifted, c) = (at([0; 3]), at([13, 2, 7]), [13, 2, 7]);
+        for ((x, y, z), &v) in origin.indexed_iter() {
+            let w = shifted[((x + c[0]) % n, (y + c[1]) % n, (z + c[2]) % n)];
+            assert_eq!(v.to_bits(), w.to_bits(), "({x},{y},{z})");
         }
     }
 
@@ -528,6 +730,24 @@ mod tests {
         ));
         assert!(conv.flops_estimate(&sparse) < flops);
         assert!(conv.bytes_estimate(&sparse) < bytes);
+        // The same planes with fewer sampled rows → strictly less too: the
+        // c2r runs on sampled rows only. Half the grid at rate n/4.
+        let h = n / 2;
+        let mut cells = Vec::new();
+        for x in [0, h] {
+            for y in [0, h] {
+                for z in [0, h] {
+                    cells.push(([x, y, z], h, if x == 0 { 1 } else { n as u64 / 4 }));
+                }
+            }
+        }
+        let fewer_rows = decoded(n, &cells);
+        assert_eq!(fewer_rows.retained_z(), plan.retained_z());
+        assert!(fewer_rows.sampled_row_count() < plan.sampled_row_count());
+        assert!(conv.flops_estimate(&fewer_rows) < flops);
+        assert!(conv.bytes_estimate(&fewer_rows) < bytes);
+        let (full_fp, sparse_fp) = (conv.footprint(&plan), conv.footprint(&fewer_rows));
+        assert!(sparse_fp.plan_workspace_bytes < full_fp.plan_workspace_bytes);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use lcc_fft::{c64, workspace, Complex64, ZTile};
+use lcc_fft::{c64, Complex64, ZTile};
 use lcc_greens::Sym3C;
 use lcc_grid::Grid3;
 use lcc_octree::{CompressedField, SamplingPlan};
@@ -54,13 +54,35 @@ impl LocalConvolver {
         let k = self.k();
         assert_eq!(kernel.n(), n, "kernel grid mismatch");
         assert_eq!(plan.n(), n, "plan grid mismatch");
+        assert!(
+            corner.iter().all(|&c| c < n),
+            "corner must lie inside the grid"
+        );
         for s in sub {
             assert_eq!(s.shape(), (k, k, k), "sub-domain components must be k³");
         }
+        let kept = self.tensor_stages_1_2(sub, corner[2], kernel, &plan);
+        // Stage 3 per component. The contraction left out the ½ of the
+        // Hermitian projection; the c2r applies it with the 1/n³.
+        let scale = 0.5 / (n * n * n) as f64;
+        kept.map(|mut planes| self.inverse_2d_capture(&mut planes, corner, scale, plan.clone()))
+    }
 
+    /// Stages 1 and 2 of the tensor pipeline: the six retained-plane
+    /// buffers (as [`LocalConvolver::scalar_stages_1_2`]'s `kept`, one per
+    /// Voigt component) of `sub` at the origin, convolved with `kernel`,
+    /// for a sub-domain at z corner `corner_z`, under `plan`. The Hermitian
+    /// projection's ½ is left to stage 3.
+    pub(crate) fn tensor_stages_1_2(
+        &self,
+        sub: &[Grid3<f64>; 6],
+        corner_z: usize,
+        kernel: &dyn TensorKernelSpectrum,
+        plan: &SamplingPlan,
+    ) -> [Vec<Complex64>; 6] {
+        let (n, h) = (self.n(), self.half());
         // Stage 1 per component: pruned 2D transforms into six half-spectrum
         // slabs (`h = n/2 + 1` bins along y, as in the scalar pipeline).
-        let h = self.half();
         let slabs: Vec<Vec<Complex64>> = sub
             .iter()
             .map(|component| self.forward_2d_slab(component))
@@ -70,25 +92,17 @@ impl LocalConvolver {
         // pencils, with all six components in one tile set; they share a
         // pencil's frequency bin, so the tensor contraction is the stage's
         // pointwise step.
-        let retained = plan.retained_z();
-        let nzr = retained.len();
+        lcc_obs::metrics::PIPELINE_PENCILS.add((6 * n * h) as u64);
+        let planes = plan.retained_plane_count() * n * h;
         // lcc-lint: allow(alloc) — six per-solve output buffers, kept until
         // compression; not per-pencil traffic.
-        let mut kept: [_; 6] = std::array::from_fn(|_| vec![Complex64::ZERO; nzr * n * h]);
-        // Position-phase tables, cached per corner coordinate in the
-        // convolver (shared with the scalar pipeline).
-        let phx = self.phase_table(corner[0]);
-        let phy = self.phase_table(corner[1]);
-        let phz = self.phase_table(corner[2]);
-        self.z_stage(&retained).run(
+        let mut kept: [_; 6] = std::array::from_fn(|_| vec![Complex64::ZERO; planes]);
+        self.z_stage(plan, corner_z).run(
             std::array::from_fn(|c| slabs[c].as_slice()),
             kept.each_mut().map(|planes| planes.as_mut_slice()),
             (0, 0),
-            // As in the scalar pipeline: ½ and the x, y phases ride on the
-            // input rows (the contraction below is complex-linear in σ̂).
-            |q| (phx[q / h] * phy[q % h]).scale(0.5),
             // The operator's Hermitian part is what the real result keeps:
-            // Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂), times the z phase.
+            // Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂), twice `K̂ₕ`.
             |tile: ZTile<'_>| {
                 for (fz, &row) in tile.rows.iter().enumerate() {
                     let row = row as usize;
@@ -103,22 +117,14 @@ impl LocalConvolver {
                         let mirror = kernel.apply([(n - fx) % n, (n - fy) % n, mz], &sig.conj());
                         let d = kernel.apply([fx, fy, fz], &sig).add(&mirror.conj());
                         for c in 0..6 {
-                            let v = d.c[c] * phz[fz];
-                            tile.re[c * n + row][lane] = v.re;
-                            tile.im[c * n + row][lane] = v.im;
+                            tile.re[c * n + row][lane] = d.c[c].re;
+                            tile.im[c * n + row][lane] = d.c[c].im;
                         }
                     }
                 }
             },
         );
-        drop(slabs);
-
-        // Stage 3 per component: inverse 2D per retained plane + sampling.
-        let mut ws = workspace();
-        let real_plane = ws.real_buf(n * n);
-        kept.map(|mut planes| {
-            self.inverse_2d_capture(&mut planes, real_plane, &retained, plan.clone())
-        })
+        kept
     }
 }
 

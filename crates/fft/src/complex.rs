@@ -9,6 +9,16 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+/// Views complex values as their interleaved `re, im` reals — for a row
+/// that packs `2·len` real outputs in place, as `RealIfft::process_packed`
+/// leaves it.
+pub fn as_reals(v: &[Complex64]) -> &[f64] {
+    // SAFETY: `Complex64` is `#[repr(C)]` with exactly two `f64` fields, so
+    // it has the size and alignment of `[f64; 2]` and no padding; the
+    // returned slice covers the same bytes for the same lifetime, read-only.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<f64>(), 2 * v.len()) }
+}
+
 /// A double-precision complex number.
 #[derive(Clone, Copy, PartialEq, Default)]
 #[repr(C)]
@@ -312,6 +322,13 @@ mod tests {
     fn arg_quadrants() {
         assert!((c64(1.0, 1.0).arg() - std::f64::consts::FRAC_PI_4).abs() < EPS);
         assert!((c64(-1.0, 0.0).arg() - std::f64::consts::PI).abs() < EPS);
+    }
+
+    #[test]
+    fn as_reals_interleaves() {
+        let v = [c64(1.0, 2.0), c64(3.0, 4.0)];
+        assert_eq!(as_reals(&v), &[1.0, 2.0, 3.0, 4.0]);
+        assert!(as_reals(&[]).is_empty());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod tile;
 pub mod workspace;
 
 pub use batch::{fft_axis, scale_in_place, Dims3};
-pub use complex::{c64, Complex64};
+pub use complex::{as_reals, c64, Complex64};
 pub use nd::{cyclic_convolve_3d, fft_2d, fft_3d, fft_3d_axes01, ifft_3d_normalized};
 pub use nd_real::{fft_3d_r2c, ifft_3d_c2r, r2c_memory_factor};
 pub use planner::{fft_in_place, ifft_normalized, FftPlan, FftPlanner};

@@ -20,9 +20,13 @@
 //! * [`DecimatedOutputFft`] — computes only the strided output subset
 //!   `X[o + t·r]` for `t in 0..N/r` (r | N). Subsampling in the output domain
 //!   aliases the input: pre-twiddle by `w_N^{o·n}`, fold the input modulo
-//!   `M = N/r`, then take a single size-`M` FFT — O(N + M log M). This is the
-//!   "sampled inverse FFT" used when a coarsely downsampled region of the
-//!   convolution result is all that the octree plan retains.
+//!   `M = N/r`, then take a single size-`M` FFT — O(N + M log M). A
+//!   standalone tool with its own tests and benchmarks; the convolution
+//!   pipeline does not call it. Its sampled inverse skips whole rows
+//!   instead: the octree's retained rows are a union of progressions of
+//!   different strides and offsets per plane, not one `o + t·r`, so
+//!   `LocalConvolver` runs the full x inverse and c2r's only the rows the
+//!   plan samples.
 
 use std::sync::Arc;
 

@@ -31,6 +31,12 @@
 //! copied out, transformed by the planner's plan and copied back, the way
 //! Bluestein hides inside [`FftPlanner`].
 //!
+//! **Prefetch.** A z-stage tile reads `k` slab rows and writes one row per
+//! retained plane, each in a different page and together more streams than
+//! the hardware prefetchers follow. Each tile therefore asks for the next
+//! tile's slab rows and its own destination lines ([`prefetch`]) before it
+//! computes, and the transforms hide their latency.
+//!
 //! **Memory.** Nothing here leases a workspace except the per-participant
 //! lease of [`ZStage::run`]'s dispatch: tile scratch is carved out of a
 //! lease the caller already holds, and the `W`-times-replicated twiddle
@@ -42,6 +48,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use lcc_obs::metrics::{self, Stopwatch};
 use parking_lot::RwLock;
 use rayon::prelude::*;
 
@@ -87,23 +94,46 @@ pub fn load_row(src: &[Complex64], re: &mut Row, im: &mut Row) {
     }
 }
 
-/// [`load_row`] with lane `l` multiplied by `(fre[l], fim[l])` on the way in.
-#[inline]
-fn load_row_scaled(src: &[Complex64], fre: &Row, fim: &Row, re: &mut Row, im: &mut Row) {
-    *re = [0.0; W];
-    *im = [0.0; W];
-    for (l, v) in src.iter().enumerate().take(W) {
-        re[l] = v.re * fre[l] - v.im * fim[l];
-        im[l] = v.re * fim[l] + v.im * fre[l];
-    }
-}
-
 /// Stores the first `dst.len()` lanes of one tile row.
 #[inline]
 pub fn store_row(re: &Row, im: &Row, dst: &mut [Complex64]) {
     for ((v, &r), &i) in dst.iter_mut().zip(re).zip(im) {
         *v = c64(r, i);
     }
+}
+
+/// Hints the cache to start fetching the lines under `run` — to be written
+/// when `write` — so that a tile's strided row loads and scattered row
+/// stores find their lines in cache instead of each waiting for memory. A
+/// hint only: it changes no value.
+#[inline]
+pub fn prefetch(run: &[Complex64], write: bool) {
+    prefetch_raw(run.as_ptr(), run.len(), write);
+}
+
+/// [`prefetch`] by address, for runs reached through a raw pointer.
+#[inline]
+fn prefetch_raw(start: *const Complex64, len: usize, write: bool) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0, _MM_HINT_T0};
+        let base = start.cast::<i8>();
+        let (head, bytes) = (base as usize % 64, len * std::mem::size_of::<Complex64>());
+        for off in (0..head + bytes).step_by(64) {
+            let line = base.wrapping_add(off).wrapping_sub(head);
+            // SAFETY: a prefetch is a hint the CPU may drop; it cannot fault
+            // and reads or writes no memory, whatever the address.
+            unsafe {
+                if write {
+                    _mm_prefetch::<_MM_HINT_ET0>(line);
+                } else {
+                    _mm_prefetch::<_MM_HINT_T0>(line);
+                }
+            }
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = (start, len, write);
 }
 
 /// Row order and lane-replicated stage tables of one `(n, direction)`.
@@ -265,42 +295,49 @@ pub struct ZTile<'a> {
 /// The pipeline's z stage over tiles of adjacent pencils: load `k` slab rows
 /// → pruned forward `k → n` → pointwise step → inverse → store the retained
 /// rows. Scalar and tensor pipelines differ only in the pointwise step.
-pub struct ZStage<'a> {
+///
+/// The sub-domain sits at the origin of its slab; its true z position
+/// `shift` is a circular shift of the inverse's output, so plane `z` is
+/// stored from inverse row `(z − shift) mod n` and no phase is applied.
+pub struct ZStage<'a, P> {
     /// Pruned forward transform along z, `k → n`.
     pub forward: &'a PrunedInputFft,
     /// Dense inverse along z, length `n`.
     pub inverse: &'a TileFft,
-    /// The z planes to keep, each `< n`.
-    pub retained: &'a [usize],
+    /// The z planes to keep, each `< n`, in the order they are stored
+    /// (cloned and walked once per tile).
+    pub retained: P,
+    /// The sub-domain's z corner, `< n`.
+    pub shift: usize,
     /// Pencils per parallel dispatch (the paper's `B`), rounded up to whole
     /// tiles.
     pub batch: usize,
 }
 
-impl ZStage<'_> {
+impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
     /// Runs the stage over `C` components. `slabs[c]` is `k` planes of
-    /// `pencils` adjacent pencils each, `kept[c]` receives
-    /// `retained.len()` such planes, every element overwritten.
+    /// `pencils` adjacent pencils each, `kept[c]` receives one such plane
+    /// per retained z, every element overwritten.
     ///
-    /// `lane_factor(q)` is folded into pencil `q`'s input rows (the forward
-    /// transform is linear). `pointwise` gets each tile with the
-    /// `scratch = (complex, real)` lengths of scratch it asked for, carved
-    /// from the dispatch's own workspace lease.
+    /// `pointwise` gets each tile with the `scratch = (complex, real)`
+    /// lengths of scratch it asked for, carved from the dispatch's own
+    /// workspace lease. With an `lcc_obs` session collecting, the four
+    /// phases of every tile are timed into the `pipeline.stage2_*_ns`
+    /// counters.
     pub fn run<const C: usize>(
         &self,
         slabs: [&[Complex64]; C],
         kept: [&mut [Complex64]; C],
         scratch: (usize, usize),
-        lane_factor: impl Fn(usize) -> Complex64 + Sync,
         pointwise: impl Fn(ZTile<'_>) + Sync,
     ) {
         let (fwd, inv) = (self.forward, self.inverse);
-        let (n, k, nzr) = (fwd.len(), fwd.support(), self.retained.len());
+        let (n, k, nzr) = (fwd.len(), fwd.support(), self.retained.clone().count());
         assert_eq!(inv.len(), n, "forward and inverse lengths differ");
         assert!(self.batch >= 1, "batch must be at least 1");
         assert!(
-            self.retained.iter().all(|&z| z < n),
-            "retained plane out of range"
+            self.retained.clone().all(|z| z < n) && self.shift < n,
+            "retained plane or shift out of range"
         );
         let Some(first) = slabs.first() else { return };
         let pencils = first.len() / k;
@@ -315,7 +352,7 @@ impl ZStage<'_> {
         }
         let rows = inv.load_rows();
         let lane_len = fwd.tile_scratch_len().max(inv.scratch_len());
-        let real_len = (2 * C * n + 4 * k + 2) * W + scratch.1;
+        let real_len = (2 * C * n + 4 * k) * W + scratch.1;
         let ptrs = kept.map(|out| SendPtr(out.as_mut_ptr()));
         crate::detector::begin_epoch();
 
@@ -325,25 +362,33 @@ impl ZStage<'_> {
             let _claims = ptrs.map(|p| {
                 crate::detector::register_wide(p.0 as usize, q0, pencils, nzr, live, "z-stage tile")
             });
+            let mut clock = Stopwatch::start();
+            // The next tile's slab rows, and the lines this tile stores
+            // into, arrive while it computes.
+            if q0 + W < pencils {
+                let next = W.min(pencils - q0 - W);
+                for slab in &slabs {
+                    for zloc in 0..k {
+                        prefetch(&slab[zloc * pencils + q0 + W..][..next], false);
+                    }
+                }
+            }
+            for p in &ptrs {
+                for zi in 0..nzr {
+                    prefetch_raw(p.0.wrapping_add(zi * pencils + q0), live, true);
+                }
+            }
             // Every buffer is fully written before it is read: the input
-            // rows and factors by the loads below, `sub` and the tiles by
-            // the pruned transform.
+            // rows by the loads below, `sub` and the tiles by the pruned
+            // transform.
             let ([lane, cbuf], mut real) = ws.split([lane_len, scratch.0], real_len);
             let real = &mut real;
             let (re, im) = (carve(real, C * n), carve(real, C * n));
             let (xre, xim) = (carve(real, k), carve(real, k));
             let (sre, sim) = (carve(real, k), carve(real, k));
-            let factors = carve(real, 2);
-            let (fre, fim) = factors.split_at_mut(1);
-            (fre[0], fim[0]) = ([0.0; W], [0.0; W]);
-            for l in 0..live {
-                let f = lane_factor(q0 + l);
-                (fre[0][l], fim[0][l]) = (f.re, f.im);
-            }
             for (c, slab) in slabs.iter().enumerate() {
                 for (zloc, (xr, xi)) in xre.iter_mut().zip(xim.iter_mut()).enumerate() {
-                    let src = &slab[zloc * pencils + q0..][..live];
-                    load_row_scaled(src, &fre[0], &fim[0], xr, xi);
+                    load_row(&slab[zloc * pencils + q0..][..live], xr, xi);
                 }
                 fwd.process_tile(
                     (&*xre, &*xim),
@@ -353,6 +398,7 @@ impl ZStage<'_> {
                     |fz| rows[fz] as usize,
                 );
             }
+            clock.lap(&metrics::PIPELINE_STAGE2_LOAD_NS);
             pointwise(ZTile {
                 q0,
                 live,
@@ -362,10 +408,17 @@ impl ZStage<'_> {
                 cbuf,
                 rbuf: std::mem::take(real),
             });
+            clock.lap(&metrics::PIPELINE_STAGE2_POINTWISE_NS);
             for (c, p) in ptrs.iter().enumerate() {
                 let (re, im) = (&mut re[c * n..(c + 1) * n], &mut im[c * n..(c + 1) * n]);
                 inv.process(re, im, &mut lane[..inv.scratch_len()]);
-                for (zi, &z) in self.retained.iter().enumerate() {
+                clock.lap(&metrics::PIPELINE_STAGE2_INVERSE_NS);
+                for (zi, z) in self.retained.clone().enumerate() {
+                    let src = if z >= self.shift {
+                        z - self.shift
+                    } else {
+                        z + n - self.shift
+                    };
                     // SAFETY: `kept[c]` has `nzr · pencils` elements (asserted
                     // above) and `q0 + live ≤ pencils`, so the run is in
                     // bounds; tile `ti` is the only task touching columns
@@ -373,8 +426,9 @@ impl ZStage<'_> {
                     // dispatch are distinct.
                     let dst =
                         unsafe { std::slice::from_raw_parts_mut(p.0.add(zi * pencils + q0), live) };
-                    store_row(&re[z], &im[z], dst);
+                    store_row(&re[src], &im[src], dst);
                 }
+                clock.lap(&metrics::PIPELINE_STAGE2_STORE_NS);
             }
         };
 

@@ -45,7 +45,10 @@ impl GaussianKernel {
             })
             .collect();
         planner.plan(n, FftDirection::Forward).process(&mut buf);
-        let spec1d = buf.iter().map(|v| v.re).collect();
+        // Even by symmetry, and made even to the bit (`spec1d[f] ==
+        // spec1d[n − f]`), so the spectrum is exactly Hermitian and its
+        // Hermitian part is one pencil evaluation.
+        let spec1d = (0..n).map(|f| buf[f.min(n - f)].re).collect();
         GaussianKernel { n, sigma, spec1d }
     }
 
@@ -101,6 +104,17 @@ impl KernelSpectrum for GaussianKernel {
         for (o, &s) in out.iter_mut().zip(&self.spec1d) {
             *o = Complex64::from_real(xy * s);
         }
+    }
+
+    /// The spectrum is real and its table exactly even, so `K̂ₕ = K̂`.
+    fn eval_hermitian_pencil_axis2(
+        &self,
+        f0: usize,
+        f1: usize,
+        out: &mut [Complex64],
+        _mirror: &mut [Complex64],
+    ) {
+        self.eval_pencil_axis2(f0, f1, out);
     }
 }
 

@@ -74,6 +74,17 @@ impl KernelSpectrum for ScreenedPoissonSpectrum {
             *o = Complex64::from_real(1.0 / (k2 + (xy + cz)));
         }
     }
+
+    /// Real, with an exactly even table: `K̂ₕ = K̂`.
+    fn eval_hermitian_pencil_axis2(
+        &self,
+        f0: usize,
+        f1: usize,
+        out: &mut [Complex64],
+        _mirror: &mut [Complex64],
+    ) {
+        self.eval_pencil_axis2(f0, f1, out);
+    }
 }
 
 /// The continuous Yukawa kernel `e^{−κr}/(4πr)` sampled on an `n³` grid

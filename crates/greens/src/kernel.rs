@@ -27,8 +27,9 @@ pub fn wrap_freq(f: usize, n: usize) -> i64 {
 /// `Re(ifft(K̂·X̂))` for real input `x`, which is the convolution with the
 /// *real part* of the spatial kernel: only the Hermitian part
 /// `½(K̂(f) + conj K̂(−f))` of the spectrum contributes, and the half-spectrum
-/// pipeline multiplies by exactly that. [`hermitian_defect`] measures how
-/// far a spectrum is from its Hermitian part.
+/// pipeline multiplies by exactly that
+/// ([`KernelSpectrum::eval_hermitian_pencil_axis2`]). [`hermitian_defect`]
+/// measures how far a spectrum is from its Hermitian part.
 pub trait KernelSpectrum: Send + Sync {
     /// Grid size n.
     fn n(&self) -> usize;
@@ -55,6 +56,34 @@ pub trait KernelSpectrum: Send + Sync {
         assert_eq!(out.len(), self.n());
         for (f2, o) in out.iter_mut().enumerate() {
             *o = self.eval([f0, f1, f2]);
+        }
+    }
+
+    /// Writes the Hermitian part `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))` of the
+    /// pencil along axis 2 at `(f0, f1)` into `out` (length n) — the
+    /// multiplier the half-spectrum pipeline applies. `mirror` (length n)
+    /// is scratch.
+    ///
+    /// The default evaluates the mirrored pencil at `(−f0, −f1)` into
+    /// `mirror` and combines the two, reading it in reversed `f2` order. A
+    /// spectrum that is Hermitian *exactly* in floating point
+    /// (`K̂(−f) == conj K̂(f)` bit for bit) may override this with one
+    /// [`Self::eval_pencil_axis2`]: the default then computes
+    /// `½(2·K̂(f))`, which is `K̂(f)` to the bit.
+    fn eval_hermitian_pencil_axis2(
+        &self,
+        f0: usize,
+        f1: usize,
+        out: &mut [Complex64],
+        mirror: &mut [Complex64],
+    ) {
+        let n = self.n();
+        self.eval_pencil_axis2(f0, f1, out);
+        self.eval_pencil_axis2((n - f0) % n, (n - f1) % n, mirror);
+        // −f2 is n − f2 except at f2 = 0, peeled.
+        out[0] = (out[0] + mirror[0].conj()).scale(0.5);
+        for (o, m) in out[1..].iter_mut().zip(mirror[1..].iter().rev()) {
+            *o = (*o + m.conj()).scale(0.5);
         }
     }
 }
@@ -131,6 +160,71 @@ mod tests {
         }
         assert_eq!(hermitian_defect(&ConstI), 2.0);
         assert_eq!(hermitian_defect(&Flat(4)), 0.0);
+    }
+
+    /// Forwards everything but the Hermitian pencil, so it runs the
+    /// trait's default on the wrapped kernel's own pencils.
+    struct DefaultHermitian<'a>(&'a dyn KernelSpectrum);
+    impl KernelSpectrum for DefaultHermitian<'_> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn eval(&self, f: [usize; 3]) -> Complex64 {
+            self.0.eval(f)
+        }
+        fn eval_pencil_axis2(&self, f0: usize, f1: usize, out: &mut [Complex64]) {
+            self.0.eval_pencil_axis2(f0, f1, out)
+        }
+    }
+
+    #[test]
+    fn hermitian_overrides_equal_the_default_bitwise() {
+        use crate::{GaussianKernel, PoissonSpectrum, ScreenedPoissonSpectrum};
+        let mut kernels: Vec<Box<dyn KernelSpectrum>> = Vec::new();
+        for n in [2usize, 4, 6, 8, 16] {
+            kernels.push(Box::new(GaussianKernel::new(n, 1.3)));
+        }
+        for n in [2usize, 3, 8, 9, 15, 16] {
+            kernels.push(Box::new(PoissonSpectrum::new(n)));
+            kernels.push(Box::new(ScreenedPoissonSpectrum::new(n, 0.6)));
+        }
+        for kernel in &kernels {
+            let n = kernel.n();
+            let reference = DefaultHermitian(kernel.as_ref());
+            let (mut got, mut want) = (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
+            let mut mirror = vec![Complex64::ZERO; n];
+            for f0 in 0..n {
+                for f1 in 0..n {
+                    kernel.eval_hermitian_pencil_axis2(f0, f1, &mut got, &mut mirror);
+                    reference.eval_hermitian_pencil_axis2(f0, f1, &mut want, &mut mirror);
+                    for (f2, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "n={n} bin ({f0},{f1},{f2})"
+                        );
+                    }
+                }
+            }
+            assert_eq!(hermitian_defect(kernel.as_ref()), 0.0, "n={n}");
+        }
+    }
+
+    #[test]
+    fn default_hermitian_part_projects() {
+        /// `K̂ = i` everywhere: its Hermitian part is 0.
+        struct ConstI;
+        impl KernelSpectrum for ConstI {
+            fn n(&self) -> usize {
+                5
+            }
+            fn eval(&self, _f: [usize; 3]) -> Complex64 {
+                Complex64::I
+            }
+        }
+        let (mut out, mut mirror) = (vec![Complex64::ONE; 5], vec![Complex64::ZERO; 5]);
+        ConstI.eval_hermitian_pencil_axis2(1, 2, &mut out, &mut mirror);
+        assert!(out.iter().all(|v| *v == Complex64::ZERO));
     }
 
     #[test]

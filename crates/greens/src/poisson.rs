@@ -14,10 +14,17 @@ use crate::kernel::KernelSpectrum;
 /// The separable 1D factor of the 7-point Laplacian symbol,
 /// `c[f] = 2 − 2cos(2πf/n)` for `f in 0..n` — the symbol at bin `f` is
 /// `c[f₀] + c[f₁] + c[f₂]`. Shared with the screened variant.
+///
+/// Evaluated at `min(f, n − f)`, so the table is even to the bit
+/// (`c[f] == c[n − f]`): both spectra are then exactly Hermitian and their
+/// Hermitian part is one pencil evaluation.
 pub(crate) fn laplacian_table(n: usize) -> Vec<f64> {
     assert!(n >= 2, "grid too small");
     (0..n)
-        .map(|f| 2.0 - 2.0 * (2.0 * std::f64::consts::PI * f as f64 / n as f64).cos())
+        .map(|f| {
+            let f = f.min(n - f);
+            2.0 - 2.0 * (2.0 * std::f64::consts::PI * f as f64 / n as f64).cos()
+        })
         .collect()
 }
 
@@ -68,6 +75,17 @@ impl KernelSpectrum for PoissonSpectrum {
         for (o, &cz) in out.iter_mut().zip(&self.c) {
             *o = gauged_inverse(xy + cz);
         }
+    }
+
+    /// Real, with an exactly even table ([`laplacian_table`]): `K̂ₕ = K̂`.
+    fn eval_hermitian_pencil_axis2(
+        &self,
+        f0: usize,
+        f1: usize,
+        out: &mut [Complex64],
+        _mirror: &mut [Complex64],
+    ) {
+        self.eval_pencil_axis2(f0, f1, out);
     }
 }
 

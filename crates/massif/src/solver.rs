@@ -141,10 +141,11 @@ impl GammaConvolution for LowCommGamma {
         // Γ̂ is origin-centered, so each sub-domain's response region is the
         // sub-domain itself.
         for d in decompose_uniform(n, k) {
-            let sub: [Grid3<f64>; 6] = std::array::from_fn(|c| sigma.component(c).extract(&d));
-            if sub.iter().all(|g| g.as_slice().iter().all(|&v| v == 0.0)) {
+            // Tested in place: a skipped sub-domain costs no copy.
+            if (0..6).all(|c| sigma.component(c).all_in(&d, |&v| v == 0.0)) {
                 continue;
             }
+            let sub: [Grid3<f64>; 6] = std::array::from_fn(|c| sigma.component(c).extract(&d));
             let plan = self.conv.plan_for(d);
             let fields =
                 self.conv

@@ -13,6 +13,7 @@
 //! construction rather than by reconciliation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use crate::span::enabled;
 
@@ -54,6 +55,31 @@ impl Counter {
 
     pub(crate) fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Splits a stretch of code into timed phases, each added to its own
+/// [`Counter`] in nanoseconds. The clock is read only when a session is
+/// collecting: disabled, [`Stopwatch::start`] is one relaxed load and
+/// [`Stopwatch::lap`] a branch on `None`.
+pub struct Stopwatch(Option<Instant>);
+
+impl Stopwatch {
+    /// Starts the first phase.
+    #[inline]
+    pub fn start() -> Self {
+        Stopwatch(enabled().then(Instant::now))
+    }
+
+    /// Ends the current phase, charging it to `counter`, and starts the
+    /// next.
+    #[inline]
+    pub fn lap(&mut self, counter: &Counter) {
+        if let Some(t) = &mut self.0 {
+            let now = Instant::now();
+            counter.add((now - *t).as_nanos() as u64);
+            *t = now;
+        }
     }
 }
 
@@ -126,6 +152,19 @@ pub static FFT_WORKSPACE_LEASES: Counter = Counter::new("fft.workspace_leases");
 
 /// z-pencils pushed through the stage-2 batched transform.
 pub static PIPELINE_PENCILS: Counter = Counter::new("pipeline.pencils_transformed");
+/// Stage-2 time loading slab rows and running the pruned forward transform
+/// (ns summed over the threads that ran tiles).
+pub static PIPELINE_STAGE2_LOAD_NS: Counter = Counter::new("pipeline.stage2_load_ns");
+/// Stage-2 time in the pointwise (kernel multiply) step.
+pub static PIPELINE_STAGE2_POINTWISE_NS: Counter = Counter::new("pipeline.stage2_pointwise_ns");
+/// Stage-2 time in the inverse tile transform.
+pub static PIPELINE_STAGE2_INVERSE_NS: Counter = Counter::new("pipeline.stage2_inverse_ns");
+/// Stage-2 time storing retained rows into the half-planes.
+pub static PIPELINE_STAGE2_STORE_NS: Counter = Counter::new("pipeline.stage2_store_ns");
+/// Stage-3 rows of retained planes that carry a sample (c2r'd and captured).
+pub static PIPELINE_STAGE3_ROWS_SAMPLED: Counter = Counter::new("pipeline.stage3_rows_sampled");
+/// Stage-3 rows of retained planes that carry none (never transformed).
+pub static PIPELINE_STAGE3_ROWS_SKIPPED: Counter = Counter::new("pipeline.stage3_rows_skipped");
 
 /// Octree sampling plans built (cache misses; hits reuse a memoized plan).
 pub static OCTREE_PLANS_BUILT: Counter = Counter::new("octree.plans_built");
@@ -196,7 +235,7 @@ pub static MASSIF_RESIDUAL: Gauge = Gauge::new("massif.residual");
 /// Current total queued depth across all tenants of the service.
 pub static SERVICE_QUEUE_DEPTH: Gauge = Gauge::new("service.queue_depth");
 
-static COUNTERS: [&Counter; 39] = [
+static COUNTERS: [&Counter; 45] = [
     &COMM_BYTES_LOGICAL,
     &COMM_MESSAGES_LOGICAL,
     &COMM_BYTES_PHYSICAL,
@@ -208,6 +247,12 @@ static COUNTERS: [&Counter; 39] = [
     &COMM_COLLECTIVE_ROUNDS,
     &FFT_WORKSPACE_LEASES,
     &PIPELINE_PENCILS,
+    &PIPELINE_STAGE2_LOAD_NS,
+    &PIPELINE_STAGE2_POINTWISE_NS,
+    &PIPELINE_STAGE2_INVERSE_NS,
+    &PIPELINE_STAGE2_STORE_NS,
+    &PIPELINE_STAGE3_ROWS_SAMPLED,
+    &PIPELINE_STAGE3_ROWS_SKIPPED,
     &OCTREE_PLANS_BUILT,
     &OCTREE_SAMPLES_CAPTURED,
     &CONVOLVE_DOMAINS_PROCESSED,

@@ -63,24 +63,55 @@ impl CompressedField {
     /// as it streams out of the inverse transform; the dense N³ volume never
     /// materializes.
     pub fn capture_plane(&mut self, z: usize, plane: &[f64]) {
+        let n = self.plan.n();
+        assert_eq!(plane.len(), n * n, "plane must be N×N row-major");
+        self.capture_rows(z, plane, n, 0);
+    }
+
+    /// [`Self::capture_plane`] for a plane stored as rows of `stride ≥ n`
+    /// values whose columns are rotated by `shift < n`: the field at
+    /// `(x, y, z)` is `plane[x·stride + (y − shift) mod n]`. Only rows and
+    /// columns that hold a sample are read.
+    ///
+    /// This is the form the pipeline's last inverse transform leaves: a
+    /// c2r row of `n/2 + 1` complex packs its `n` reals in order, so a
+    /// plane of such rows is a real plane of stride `n + 2` (`n + 1` for
+    /// odd `n`), and a sub-domain convolved at the origin reaches its true
+    /// position `c` as a circular shift (the x shift is applied to the
+    /// rows before they get here, the y shift is `c_y`).
+    pub fn capture_rows(&mut self, z: usize, plane: &[f64], stride: usize, shift: usize) {
         let (plan, samples) = (&*self.plan, &mut self.samples);
         let n = plan.n();
-        assert_eq!(plane.len(), n * n, "plane must be N×N row-major");
+        assert!(stride >= n && shift < n, "rows must hold n values");
+        assert!(
+            plane.len() >= (n - 1) * stride + n,
+            "plane must hold n rows"
+        );
         let mut captured = 0u64;
         for (i, cell) in plan.cells().iter().enumerate() {
+            // Most cells miss the plane: one subtraction and a mask (rates
+            // are powers of two) reject them without a division.
             let r = cell.rate as usize;
-            let cz = cell.corner[2];
-            if z < cz || z >= cz + cell.size || !(z - cz).is_multiple_of(r) {
+            let dz = z.wrapping_sub(cell.corner[2]);
+            if dz >= cell.size || dz & (r - 1) != 0 {
                 continue;
             }
-            let tz = (z - cz) / r;
+            let tz = dz >> r.trailing_zeros();
             let spa = cell.samples_per_axis();
             let base = plan.cell_offset(i) as usize;
+            // Column of the cell's first sample; samples from `wrap` on sit
+            // past the rotated row's end and read `n` columns back.
+            let j0 = (cell.corner[1] + n - shift) % n;
+            let wrap = (n - j0).div_ceil(r).min(spa);
             for tx in 0..spa {
-                let x = cell.corner[0] + tx * r;
-                for ty in 0..spa {
-                    let y = cell.corner[1] + ty * r;
-                    samples[base + cell.local_sample_index(tx, ty, tz)] = plane[x * n + y];
+                let row = &plane[(cell.corner[0] + tx * r) * stride..][..n];
+                // Sample (tx, ty, tz) is at `base + (tx·spa + ty)·spa + tz`.
+                let out = &mut samples[base + tx * spa * spa + tz..];
+                for ty in 0..wrap {
+                    out[ty * spa] = row[j0 + ty * r];
+                }
+                for ty in wrap..spa {
+                    out[ty * spa] = row[j0 + ty * r - n];
                 }
             }
             captured += (spa * spa) as u64;

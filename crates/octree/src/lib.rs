@@ -9,7 +9,8 @@
 //!   (full resolution in the domain, r = 2 within k/2, r = 8 out to 4k,
 //!   r = 16/32 beyond, dense at the grid boundary);
 //! * a [`plan::SamplingPlan`] — the octree of uniform-rate leaf cells,
-//!   serializable to the paper's 5-ints-per-cell metadata array;
+//!   serializable to the paper's 5-ints-per-cell metadata array, with the
+//!   table of planes and rows that carry a sample;
 //! * a [`field::CompressedField`] — sample values, streaming per-z-plane
 //!   capture for the pipeline, and trilinear reconstruction for the final
 //!   accumulation-and-interpolation step.
@@ -27,5 +28,5 @@ pub use bounds::{
 };
 pub use cache::PlanCache;
 pub use field::{CompressedField, PayloadError, RegionPayload};
-pub use plan::{OctCell, RateStats, SamplingPlan};
+pub use plan::{OctCell, RateStats, SamplingPlan, SetBits};
 pub use schedule::{RateBand, RateSchedule};

@@ -203,6 +203,11 @@ fn classify(
 
 /// A complete adaptive sampling plan: the octree leaves covering `[0, n)³`
 /// with uniform per-cell rates, plus prefix sample counts.
+///
+/// Every constructor also tabulates which part of the grid carries a
+/// sample at all — the z-planes and, per plane, the x rows — so the
+/// streaming pipeline inverse-transforms exactly those rows and nothing
+/// else, without a per-call walk over the cells.
 #[derive(Clone, Debug)]
 pub struct SamplingPlan {
     n: usize,
@@ -210,9 +215,44 @@ pub struct SamplingPlan {
     cells: Vec<OctCell>,
     /// `cum[i]` = number of samples in cells `0..i`; `cum[cells.len()]` = total.
     cum: Vec<u64>,
+    /// Which planes and rows carry a sample, as one bitset: bit `z` of
+    /// `0..n` marks plane `z` as retained, bit `n + z·n + x` marks row `x`
+    /// of plane `z` (some sample lies at `(x, ·, z)`).
+    table: Box<[u64]>,
+    /// Retained planes (set plane bits).
+    planes: usize,
+    /// Sampled rows over all planes (set row bits).
+    sampled_rows: usize,
 }
 
 impl SamplingPlan {
+    /// Assembles a plan from checked cells and builds its plane and row
+    /// table. Cells must lie inside `[0, n)³`.
+    fn from_cells(n: usize, domain: BoxRegion, cells: Vec<OctCell>, cum: Vec<u64>) -> Self {
+        let mut table = vec![0u64; (n + n * n).div_ceil(64)].into_boxed_slice();
+        let mut set = |bit: usize| table[bit / 64] |= 1 << (bit % 64);
+        for c in &cells {
+            let r = c.rate as usize;
+            for z in (c.corner[2]..c.corner[2] + c.size).step_by(r) {
+                set(z);
+                for x in (c.corner[0]..c.corner[0] + c.size).step_by(r) {
+                    set(n + z * n + x);
+                }
+            }
+        }
+        let planes = SetBits::new(&table, 0, n).count();
+        let sampled_rows = SetBits::new(&table, n, n * n).count();
+        SamplingPlan {
+            n,
+            domain,
+            cells,
+            cum,
+            table,
+            planes,
+            sampled_rows,
+        }
+    }
+
     /// Builds the octree plan for an `n³` grid (n a power of two) around the
     /// sub-domain `domain` under `schedule`.
     pub fn build(n: usize, domain: BoxRegion, schedule: &RateSchedule) -> Self {
@@ -279,12 +319,7 @@ impl SamplingPlan {
             acc += c.sample_count() as u64;
         }
         cum.push(acc);
-        SamplingPlan {
-            n,
-            domain,
-            cells,
-            cum,
-        }
+        Self::from_cells(n, domain, cells, cum)
     }
 
     /// Grid size n.
@@ -381,21 +416,17 @@ impl SamplingPlan {
             if !rate.is_power_of_two() {
                 return Err(format!("cell {i}: rate {rate} not a power of two"));
             }
-            let size = spa as usize * rate as usize;
-            cells.push(OctCell {
+            let cell = OctCell {
                 corner: [e[0] as usize, e[1] as usize, e[2] as usize],
-                size,
+                size: spa as usize * rate as usize,
                 rate,
-            });
+            };
+            check_inside(n, i, &cell)?;
+            cells.push(cell);
             cum.push(e[4]);
         }
         cum.push(total_samples);
-        Ok(SamplingPlan {
-            n,
-            domain,
-            cells,
-            cum,
-        })
+        Ok(Self::from_cells(n, domain, cells, cum))
     }
 
     /// Packed low-precision metadata — the paper's note that the 5-integer
@@ -428,51 +459,59 @@ impl SamplingPlan {
         let mut cells = Vec::with_capacity(bytes.len() / 11);
         let mut cum = Vec::with_capacity(cells.capacity() + 1);
         let mut acc = 0u64;
-        for rec in bytes.chunks_exact(11) {
+        for (i, rec) in bytes.chunks_exact(11).enumerate() {
             let corner = [
                 u16::from_le_bytes([rec[0], rec[1]]) as usize,
                 u16::from_le_bytes([rec[2], rec[3]]) as usize,
                 u16::from_le_bytes([rec[4], rec[5]]) as usize,
             ];
-            let rate = 1u32 << rec[6];
+            let rate = 1u32
+                .checked_shl(rec[6] as u32)
+                .ok_or_else(|| format!("cell {i}: rate 2^{} out of range", rec[6]))?;
             let count = u32::from_le_bytes([rec[7], rec[8], rec[9], rec[10]]) as u64;
             let spa =
                 integer_cbrt(count).ok_or_else(|| format!("sample count {count} is not a cube"))?;
-            cells.push(OctCell {
+            let cell = OctCell {
                 corner,
                 size: spa as usize * rate as usize,
                 rate,
-            });
+            };
+            check_inside(n, i, &cell)?;
+            cells.push(cell);
             cum.push(acc);
             acc += count;
         }
         cum.push(acc);
-        Ok(SamplingPlan {
-            n,
-            domain,
-            cells,
-            cum,
-        })
+        Ok(Self::from_cells(n, domain, cells, cum))
     }
 
     /// Sorted unique z-coordinates that carry at least one sample — the
     /// z-planes the streaming pipeline must materialize.
     pub fn retained_z(&self) -> Vec<usize> {
-        let mut flags = vec![false; self.n];
-        for c in &self.cells {
-            let r = c.rate as usize;
-            let mut z = c.corner[2];
-            let end = c.corner[2] + c.size;
-            while z < end {
-                flags[z] = true;
-                z += r;
-            }
-        }
-        flags
-            .iter()
-            .enumerate()
-            .filter_map(|(z, &f)| if f { Some(z) } else { None })
-            .collect()
+        self.retained_planes().collect()
+    }
+
+    /// [`Self::retained_z`] without the allocation, from the plan's table.
+    pub fn retained_planes(&self) -> SetBits<'_> {
+        SetBits::new(&self.table, 0, self.n)
+    }
+
+    /// Number of retained planes.
+    pub fn retained_plane_count(&self) -> usize {
+        self.planes
+    }
+
+    /// The x rows of plane `z` that carry at least one sample, ascending
+    /// (none if the plane is not retained).
+    pub fn sampled_rows(&self, z: usize) -> SetBits<'_> {
+        assert!(z < self.n, "plane {z} outside the n={} grid", self.n);
+        SetBits::new(&self.table, self.n + z * self.n, self.n)
+    }
+
+    /// Sampled rows summed over all planes — the rows the pipeline's last
+    /// inverse transform runs on (at most `retained_plane_count() · n`).
+    pub fn sampled_row_count(&self) -> usize {
+        self.sampled_rows
     }
 
     /// Indices of the cells whose region intersects `region` — the cells a
@@ -538,6 +577,60 @@ pub struct RateStats {
     pub points: usize,
     /// Samples retained in those cells.
     pub samples: usize,
+}
+
+/// The set bits of a bit range of a plan's table, as offsets into the
+/// range, ascending ([`SamplingPlan::retained_planes`],
+/// [`SamplingPlan::sampled_rows`]).
+#[derive(Clone, Debug)]
+pub struct SetBits<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Unvisited set bits of the current word.
+    bits: u64,
+    /// Range offset of bit 0 of the current word (wrapping: the first word
+    /// may start before the range).
+    base: usize,
+    /// Range length; set bits past it end the iteration.
+    len: usize,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(table: &'a [u64], start: usize, len: usize) -> Self {
+        let (first, shift) = (start / 64, start % 64);
+        let mut words = table[first..(start + len).div_ceil(64).max(first)].iter();
+        let bits = words.next().map_or(0, |&w| w & (!0u64 << shift));
+        SetBits {
+            words,
+            bits,
+            base: 0usize.wrapping_sub(shift),
+            len,
+        }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.base = self.base.wrapping_add(64);
+        }
+        let bit = self.base.wrapping_add(self.bits.trailing_zeros() as usize);
+        self.bits &= self.bits - 1;
+        (bit < self.len).then_some(bit)
+    }
+}
+
+/// A decoded cell must lie inside the `n³` grid: everything downstream
+/// indexes planes and rows by its coordinates.
+fn check_inside(n: usize, i: usize, cell: &OctCell) -> Result<(), String> {
+    if cell.corner.iter().all(|&c| c < n && cell.size <= n - c) {
+        Ok(())
+    } else {
+        Err(format!("cell {i}: {cell:?} does not fit the n={n} grid"))
+    }
 }
 
 /// Exact integer cube root, if `v` is a perfect cube.
@@ -726,6 +819,95 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted, zs, "retained_z must be sorted unique");
+    }
+
+    /// The plane and row tables by brute force: every sample position of
+    /// every cell.
+    fn brute_force_tables(plan: &SamplingPlan) -> (Vec<usize>, Vec<Vec<usize>>) {
+        let n = plan.n();
+        let mut hit = vec![vec![false; n]; n]; // [z][x]
+        for c in plan.cells() {
+            for p in c.sample_positions() {
+                hit[p[2]][p[0]] = true;
+            }
+        }
+        let planes: Vec<usize> = (0..n).filter(|&z| hit[z].contains(&true)).collect();
+        let rows = planes
+            .iter()
+            .map(|&z| (0..n).filter(|&x| hit[z][x]).collect())
+            .collect();
+        (planes, rows)
+    }
+
+    fn assert_tables(plan: &SamplingPlan) {
+        let (planes, rows) = brute_force_tables(plan);
+        assert_eq!(plan.retained_z(), planes);
+        assert_eq!(plan.retained_plane_count(), planes.len());
+        for z in 0..plan.n() {
+            let want = planes
+                .iter()
+                .position(|&p| p == z)
+                .map_or(&[][..], |i| &rows[i]);
+            assert_eq!(&plan.sampled_rows(z).collect::<Vec<_>>(), want, "plane {z}");
+        }
+        assert_eq!(
+            plan.sampled_row_count(),
+            rows.iter().map(Vec::len).sum::<usize>()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The tables `build`, `decode` and `decode_packed` compute equal a
+        /// brute-force walk over every sample, for every schedule shape,
+        /// including grids wider than one 64-bit row word.
+        #[test]
+        fn plane_and_row_tables_match_brute_force(
+            n_log in 1usize..=7,
+            k_pick in 0usize..8,
+            kind in 0usize..4,
+            rate_log in 0u32..=4,
+            lo_pick in (0usize..256, 0usize..256, 0usize..256),
+        ) {
+            let n = 1usize << n_log;
+            let k = 1usize << (k_pick % n_log.max(1)).min(n_log);
+            let lo = [lo_pick.0, lo_pick.1, lo_pick.2].map(|l| l % (n - k + 1));
+            let domain = BoxRegion::new(lo, lo.map(|l| l + k));
+            let schedule = match kind {
+                0 => RateSchedule::uniform(1 << rate_log),
+                1 => RateSchedule::paper_default(k, 16),
+                2 => RateSchedule::for_kernel_spread(k, 1.5, 8),
+                _ => RateSchedule::paper_default(k, 8).with_boundary_shell(1, 2),
+            };
+            let plan = SamplingPlan::build(n, domain, &schedule);
+            assert_tables(&plan);
+            let decoded =
+                SamplingPlan::decode(n, domain, &plan.encode(), plan.total_samples() as u64)
+                    .unwrap();
+            assert_tables(&decoded);
+            proptest::prop_assert_eq!(&decoded.table, &plan.table);
+            let packed = SamplingPlan::decode_packed(n, domain, &plan.encode_packed()).unwrap();
+            assert_tables(&packed);
+            proptest::prop_assert_eq!(&packed.table, &plan.table);
+        }
+    }
+
+    #[test]
+    fn decoders_reject_cells_outside_the_grid() {
+        let domain = BoxRegion::new([0; 3], [4; 3]);
+        // One rate-1 cell of size 8 at x = 4 pokes out of an 8³ grid.
+        assert!(SamplingPlan::decode(8, domain, &[4, 0, 0, 1, 0], 512).is_err());
+        assert!(SamplingPlan::decode(8, domain, &[0, 0, 0, 1, 0], 512).is_ok());
+        let mut rec = vec![0u8; 11];
+        rec[0] = 4;
+        rec[7..11].copy_from_slice(&512u32.to_le_bytes());
+        assert!(SamplingPlan::decode_packed(8, domain, &rec).is_err());
+        rec[0] = 0;
+        assert!(SamplingPlan::decode_packed(8, domain, &rec).is_ok());
+        // A rate exponent past u32 is an error, not an overflow.
+        rec[6] = 40;
+        assert!(SamplingPlan::decode_packed(8, domain, &rec).is_err());
     }
 
     #[test]

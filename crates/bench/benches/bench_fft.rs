@@ -3,9 +3,7 @@
 //! the full transform (DESIGN.md §5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lcc_fft::{
-    c64, fft_3d, Complex64, DecimatedOutputFft, FftDirection, FftPlanner, PrunedInputFft,
-};
+use lcc_fft::{c64, fft_3d, Complex64, FftDirection, FftPlanner, PrunedInputFft};
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -70,22 +68,6 @@ fn bench_pruned_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_decimated(c: &mut Criterion) {
-    let planner = FftPlanner::new();
-    let mut g = c.benchmark_group("decimated_output");
-    g.sample_size(30);
-    let n = 4096usize;
-    let base = signal(n);
-    for r in [4usize, 32] {
-        let dec = DecimatedOutputFft::new(&planner, n, r, 0, FftDirection::Inverse);
-        let mut out = vec![Complex64::ZERO; n / r];
-        g.bench_with_input(BenchmarkId::new("stride", r), &r, |b, _| {
-            b.iter(|| dec.process(&base, &mut out))
-        });
-    }
-    g.finish();
-}
-
 fn bench_3d(c: &mut Criterion) {
     let planner = FftPlanner::new();
     let mut g = c.benchmark_group("fft_3d");
@@ -103,11 +85,5 @@ fn bench_3d(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_1d,
-    bench_pruned_ablation,
-    bench_decimated,
-    bench_3d
-);
+criterion_group!(benches, bench_1d, bench_pruned_ablation, bench_3d);
 criterion_main!(benches);

@@ -14,7 +14,7 @@
 //! with `LCC_THREADS`/`LCC_SIMD` set; the parent collects one `RESULT`
 //! line per child. Cells are measured once with `LCC_SIMD=off` (forced
 //! scalar) and once with auto detection; when auto also resolves to
-//! scalar (non-SIMD host or build), the duplicate rows are dropped.
+//! scalar (non-SIMD host), the duplicate rows are dropped.
 //!
 //! Every row carries `gflops_1core` (model FLOPs over 1-thread wall time;
 //! `lcc_device::fft_flops` for fftrate, `LocalConvolver::flops_estimate`
@@ -410,7 +410,7 @@ fn main() {
                 scalar_variant = variant.clone();
             } else if variant == scalar_variant {
                 // Auto detection resolved to the scalar kernels (no SIMD
-                // in this build or host): the sweep would duplicate the
+                // on this host): the sweep would duplicate the
                 // forced-scalar rows verbatim, so emit only one set.
                 continue;
             }

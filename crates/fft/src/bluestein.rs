@@ -2,7 +2,7 @@
 //!
 //! Re-expresses a length-`n` DFT as a circular convolution of length
 //! `m ≥ 2n−1` (rounded up to a power of two so the inner transforms use the
-//! radix-2 kernel):
+//! split-layout executor):
 //!
 //! `X[j] = b*[j] · Σ_k (x[k]·b*[k]) · b[j−k]`,  with chirp `b[k] = e^{iπk²/n}`.
 //!
@@ -11,11 +11,8 @@
 
 // lcc-lint: hot-path — per-call chirp convolution; only plan-time may allocate.
 
-use std::sync::Arc;
-
 use crate::complex::Complex64;
-use crate::radix2::Radix2Fft;
-use crate::simd::Variant;
+use crate::simd::{self, SplitFft, Variant};
 use crate::workspace::workspace;
 use crate::{Fft, FftDirection};
 
@@ -27,30 +24,20 @@ pub struct BluesteinFft {
     chirp: Vec<Complex64>,
     /// Forward transform of the padded chirp kernel, length `m`.
     kernel_hat: Vec<Complex64>,
-    inner_fwd: Arc<Radix2Fft>,
-    inner_inv: Arc<Radix2Fft>,
+    inner_fwd: SplitFft,
+    inner_inv: SplitFft,
 }
 
 impl BluesteinFft {
     /// Plans a transform of any length `n ≥ 1`; the inner power-of-two
     /// convolution follows the process-wide SIMD variant detection.
     pub fn new(n: usize, direction: FftDirection) -> Self {
-        Self::build(n, direction, Radix2Fft::new)
+        Self::with_variant(n, direction, simd::variant())
     }
 
     /// Plans with an explicitly forced kernel [`Variant`] for the inner
     /// power-of-two transforms (test/benchmark hook).
     pub fn with_variant(n: usize, direction: FftDirection, variant: Variant) -> Self {
-        Self::build(n, direction, move |m, d| {
-            Radix2Fft::with_variant(m, d, variant)
-        })
-    }
-
-    fn build(
-        n: usize,
-        direction: FftDirection,
-        inner: impl Fn(usize, FftDirection) -> Radix2Fft,
-    ) -> Self {
         assert!(n >= 1, "BluesteinFft requires n >= 1");
         let m = (2 * n - 1).next_power_of_two();
         let sign = direction.angle_sign();
@@ -79,8 +66,8 @@ impl BluesteinFft {
             }
         }
 
-        let inner_fwd = Arc::new(inner(m, FftDirection::Forward));
-        let inner_inv = Arc::new(inner(m, FftDirection::Inverse));
+        let inner_fwd = SplitFft::new(m, FftDirection::Forward, variant);
+        let inner_inv = SplitFft::new(m, FftDirection::Inverse, variant);
         inner_fwd.process(&mut kernel);
 
         BluesteinFft {

@@ -40,26 +40,6 @@ pub fn dft_into(input: &[Complex64], output: &mut [Complex64], direction: FftDir
     }
 }
 
-/// Evaluates a *subset* of DFT bins directly: `X[j]` for each `j` in `bins`.
-///
-/// Cost is O(|bins| · n). Used by the pruned-output transforms when only a
-/// handful of coarse samples of a long inverse transform are needed.
-pub fn dft_bins(input: &[Complex64], bins: &[usize], direction: FftDirection) -> Vec<Complex64> {
-    let n = input.len();
-    let sign = direction.angle_sign();
-    let step = sign * 2.0 * std::f64::consts::PI / n as f64;
-    bins.iter()
-        .map(|&j| {
-            let mut acc = Complex64::ZERO;
-            for (k, &x) in input.iter().enumerate() {
-                let idx = (j * k) % n;
-                acc += x * Complex64::cis(step * idx as f64);
-            }
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,17 +83,6 @@ mod tests {
         for (j, v) in y.iter().enumerate() {
             let expect = Complex64::cis(-2.0 * std::f64::consts::PI * j as f64 / 16.0);
             assert!((*v - expect).norm() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn dft_bins_matches_full() {
-        let x: Vec<Complex64> = (0..10).map(|i| c64((i * i) as f64, i as f64)).collect();
-        let full = dft(&x, FftDirection::Inverse);
-        let bins = [0usize, 3, 7, 9];
-        let subset = dft_bins(&x, &bins, FftDirection::Inverse);
-        for (b, v) in bins.iter().zip(subset.iter()) {
-            assert!((full[*b] - *v).norm() < 1e-10);
         }
     }
 

@@ -8,19 +8,15 @@
 //!
 //! Provided transforms:
 //!
-//! * [`radix2::Radix2Fft`] — iterative power-of-two Cooley-Tukey kernel.
-//! * [`radix4::Radix4Fft`] / [`radix8::Radix8Fft`] — higher-radix variants
-//!   with fewer memory passes; the planner's power-of-two workhorses.
-//! * [`simd`] — runtime-dispatched split-layout vector butterfly kernels
-//!   (AVX2+FMA / NEON) shared by all power-of-two plans.
+//! * [`simd`] — the one power-of-two executor: radix-8/4 Cooley-Tukey
+//!   stages in split layout, run by runtime-dispatched butterfly kernels
+//!   (AVX2+FMA / NEON, scalar elsewhere).
 //! * [`bluestein::BluesteinFft`] — arbitrary lengths via the chirp-z
 //!   reformulation.
 //! * [`planner::FftPlanner`] — thread-safe plan cache, FFTW-style.
 //! * [`real::RealFft`] / [`real::RealIfft`] — r2c / c2r transforms.
 //! * [`pruned::PrunedInputFft`] — O(N log k) forward transform of a k-point
 //!   head-supported signal zero-padded to N (the paper's implicit padding).
-//! * [`pruned::DecimatedOutputFft`] — strided-output transform computing only
-//!   every r-th bin (the paper's sampled inverse stage).
 //! * [`tile`] — the same butterflies across 8 adjacent strided pencils at
 //!   once (no gather, no transpose), and the pipeline's z-stage driver.
 //! * [`batch`] / [`nd`] — rayon-parallel batched pencil transforms over 3D
@@ -36,12 +32,8 @@ pub mod complex;
 pub mod detector;
 pub mod dft;
 pub mod nd;
-pub mod nd_real;
 pub mod planner;
 pub mod pruned;
-pub mod radix2;
-pub mod radix4;
-pub mod radix8;
 pub mod real;
 pub mod simd;
 pub mod tile;
@@ -50,9 +42,8 @@ pub mod workspace;
 pub use batch::{fft_axis, scale_in_place, Dims3};
 pub use complex::{as_reals, c64, Complex64};
 pub use nd::{cyclic_convolve_3d, fft_2d, fft_3d, fft_3d_axes01, ifft_3d_normalized};
-pub use nd_real::{fft_3d_r2c, ifft_3d_c2r, r2c_memory_factor};
 pub use planner::{fft_in_place, ifft_normalized, FftPlan, FftPlanner};
-pub use pruned::{DecimatedOutputFft, PrunedInputFft, PrunedPlanner};
+pub use pruned::{PrunedInputFft, PrunedPlanner};
 pub use real::{RealFft, RealIfft};
 pub use simd::{ulp_at, ulp_diff_floored, variant_name, Variant};
 pub use tile::{TileFft, ZStage, ZTile};
@@ -101,7 +92,7 @@ pub trait Fft {
     /// Transforms `buf` in place. Panics if `buf.len() != self.len()`.
     fn process(&self, buf: &mut [Complex64]);
     /// Short static tag naming the kernel family executing this plan
-    /// (e.g. `"radix8"`, `"bluestein"`). Introspection/benchmark hook;
+    /// (e.g. `"split"`, `"bluestein"`). Introspection/benchmark hook;
     /// never used for dispatch.
     fn kernel_kind(&self) -> &'static str {
         "unknown"

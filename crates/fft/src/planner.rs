@@ -1,9 +1,10 @@
 //! Plan construction and caching.
 //!
 //! [`FftPlanner`] hands out `Arc`-shared, immutable plans keyed by
-//! `(length, direction)`. Planning a power-of-two size yields the radix-4/2
-//! kernel; tiny non-power-of-two sizes fall back to the O(n²) oracle (cheaper
-//! than Bluestein bookkeeping); everything else uses Bluestein.
+//! `(length, direction)`. Planning a power-of-two size yields the
+//! split-layout executor ([`crate::simd`]); tiny non-power-of-two sizes fall
+//! back to the O(n²) oracle (cheaper than Bluestein bookkeeping); everything
+//! else uses Bluestein.
 //!
 //! # Concurrency
 //!
@@ -28,18 +29,11 @@ use parking_lot::RwLock;
 use crate::bluestein::BluesteinFft;
 use crate::complex::Complex64;
 use crate::dft::dft_into;
-use crate::radix4::Radix4Fft;
-use crate::radix8::Radix8Fft;
-use crate::simd::Variant;
+use crate::simd::{self, SplitFft, Variant};
 use crate::{Fft, FftDirection};
 
 /// Threshold below which non-power-of-two sizes use the naive DFT.
 const SMALL_DFT_LIMIT: usize = 16;
-
-/// Power-of-two sizes at or above this use the radix-8 kernel (fewer memory
-/// passes); below it the leading-stage bookkeeping isn't worth it and the
-/// radix-4/2 kernel wins.
-const RADIX8_MIN: usize = 64;
 
 /// Number of independent cache shards. Sixteen is plenty: the pipeline
 /// plans a handful of distinct sizes, and the point is only that a warm
@@ -64,7 +58,7 @@ impl Fft for SmallDft {
     }
     fn process(&self, buf: &mut [Complex64]) {
         assert_eq!(buf.len(), self.len);
-        // Thread-local like `SimdPlan::process`'s split scratch: per-row
+        // Thread-local like `SplitFft::process`'s split scratch: per-row
         // transforms take no arena lease. `dft_into` writes every element.
         SMALL_DFT_OUT.with_borrow_mut(|out| {
             if out.len() < self.len {
@@ -147,16 +141,13 @@ impl FftPlanner {
             // its inner power-of-two transform.
             self.builds
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            match (n.is_power_of_two(), self.simd_variant) {
-                (true, v) if n >= RADIX8_MIN => match v {
-                    Some(v) => Arc::new(Radix8Fft::with_variant(n, direction, v)) as FftPlan,
-                    None => Arc::new(Radix8Fft::new(n, direction)),
-                },
-                (true, Some(v)) => Arc::new(Radix4Fft::with_variant(n, direction, v)),
-                (true, None) => Arc::new(Radix4Fft::new(n, direction)),
-                (false, _) if n < SMALL_DFT_LIMIT => Arc::new(SmallDft { len: n, direction }),
-                (false, Some(v)) => Arc::new(BluesteinFft::with_variant(n, direction, v)),
-                (false, None) => Arc::new(BluesteinFft::new(n, direction)),
+            let variant = self.simd_variant.unwrap_or_else(simd::variant);
+            if n.is_power_of_two() {
+                Arc::new(SplitFft::new(n, direction, variant)) as FftPlan
+            } else if n < SMALL_DFT_LIMIT {
+                Arc::new(SmallDft { len: n, direction })
+            } else {
+                Arc::new(BluesteinFft::with_variant(n, direction, variant))
             }
         })
         .clone()
@@ -323,9 +314,9 @@ mod tests {
     #[test]
     fn kernel_kind_dispatch() {
         let planner = FftPlanner::new();
-        assert_eq!(planner.plan_forward(32).kernel_kind(), "radix4");
-        assert_eq!(planner.plan_forward(64).kernel_kind(), "radix8");
-        assert_eq!(planner.plan_forward(1024).kernel_kind(), "radix8");
+        for n in [1usize, 2, 8, 32, 64, 1024] {
+            assert_eq!(planner.plan_forward(n).kernel_kind(), "split", "n={n}");
+        }
         assert_eq!(planner.plan_forward(7).kernel_kind(), "small-dft");
         assert_eq!(planner.plan_forward(100).kernel_kind(), "bluestein");
     }
@@ -333,8 +324,8 @@ mod tests {
     #[test]
     fn forced_scalar_planner_matches_default() {
         let auto = FftPlanner::new();
-        let scalar = FftPlanner::with_simd_variant(crate::simd::Variant::Scalar);
-        assert_eq!(scalar.simd_variant(), Some(crate::simd::Variant::Scalar));
+        let scalar = FftPlanner::with_simd_variant(Variant::Scalar);
+        assert_eq!(scalar.simd_variant(), Some(Variant::Scalar));
         for n in [32usize, 64, 100, 256] {
             let x = signal(n);
             let mut a = x.clone();
@@ -343,6 +334,33 @@ mod tests {
             scalar.plan_forward(n).process(&mut b);
             for (p, q) in a.iter().zip(&b) {
                 assert!((*p - *q).norm() < 1e-6 * n as f64, "n={n}");
+            }
+        }
+    }
+
+    /// Forcing a variant the host cannot run degrades to the scalar
+    /// kernels: same bits as the forced-scalar planner, never an illegal
+    /// instruction.
+    #[test]
+    fn unavailable_variant_matches_scalar_bitwise() {
+        let scalar = FftPlanner::with_simd_variant(Variant::Scalar);
+        for v in [Variant::Avx2Fma, Variant::Neon] {
+            if v.available() {
+                continue;
+            }
+            let forced = FftPlanner::with_simd_variant(v);
+            for n in [1usize, 2, 8, 16, 64, 100, 128] {
+                for dir in [FftDirection::Forward, FftDirection::Inverse] {
+                    let x = signal(n);
+                    let mut a = x.clone();
+                    let mut b = x;
+                    forced.plan(n, dir).process(&mut a);
+                    scalar.plan(n, dir).process(&mut b);
+                    for (p, q) in a.iter().zip(&b) {
+                        assert_eq!(p.re.to_bits(), q.re.to_bits(), "{v:?} n={n} {dir:?}");
+                        assert_eq!(p.im.to_bits(), q.im.to_bits(), "{v:?} n={n} {dir:?}");
+                    }
+                }
             }
         }
     }

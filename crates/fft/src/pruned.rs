@@ -16,17 +16,6 @@
 //!   [`crate::tile::TileFft`], its output rows written wherever the caller's
 //!   next step wants bin `r + m·s` — straight into the inverse transform's
 //!   digit-reversed row in the pipeline's z stage.
-//!
-//! * [`DecimatedOutputFft`] — computes only the strided output subset
-//!   `X[o + t·r]` for `t in 0..N/r` (r | N). Subsampling in the output domain
-//!   aliases the input: pre-twiddle by `w_N^{o·n}`, fold the input modulo
-//!   `M = N/r`, then take a single size-`M` FFT — O(N + M log M). A
-//!   standalone tool with its own tests and benchmarks; the convolution
-//!   pipeline does not call it. Its sampled inverse skips whole rows
-//!   instead: the octree's retained rows are a union of progressions of
-//!   different strides and offsets per plane, not one `o + t·r`, so
-//!   `LocalConvolver` runs the full x inverse and c2r's only the rows the
-//!   plan samples.
 
 use std::sync::Arc;
 
@@ -187,119 +176,7 @@ impl PrunedInputFft {
     }
 }
 
-/// Computes the strided output subset `X[offset + t·stride]` of an N-point
-/// transform, `t in 0..N/stride`.
-pub struct DecimatedOutputFft {
-    n: usize,
-    stride: usize,
-    offset: usize,
-    direction: FftDirection,
-    /// `w_N^{offset·n}` for `n in 0..N` (identity when offset == 0).
-    offset_twiddle: Option<Vec<Complex64>>,
-    inner: FftPlan,
-}
-
-impl DecimatedOutputFft {
-    /// Plans the decimated transform. `stride` must divide `n`;
-    /// `offset < stride`.
-    pub fn new(
-        planner: &FftPlanner,
-        n: usize,
-        stride: usize,
-        offset: usize,
-        direction: FftDirection,
-    ) -> Self {
-        assert!(stride >= 1 && stride <= n, "stride must be in 1..=n");
-        assert_eq!(n % stride, 0, "stride {stride} must divide n={n}");
-        assert!(offset < stride, "offset {offset} must be < stride {stride}");
-        let offset_twiddle = if offset == 0 {
-            None
-        } else {
-            let sign = direction.angle_sign();
-            let step = sign * 2.0 * std::f64::consts::PI / n as f64;
-            Some(
-                (0..n)
-                    .map(|j| Complex64::cis(step * ((offset * j) % n) as f64))
-                    .collect(),
-            )
-        };
-        let inner = planner.plan(n / stride, direction);
-        DecimatedOutputFft {
-            n,
-            stride,
-            offset,
-            direction,
-            offset_twiddle,
-            inner,
-        }
-    }
-
-    /// Full transform length N.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True only for the degenerate zero-length transform.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of retained outputs, `N/stride`.
-    pub fn output_len(&self) -> usize {
-        self.n / self.stride
-    }
-
-    /// Output stride r.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Output offset o.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Transform direction.
-    pub fn direction(&self) -> FftDirection {
-        self.direction
-    }
-
-    /// Computes `output[t] = X[offset + t·stride]` from the full-length
-    /// `input` (length N). `output` must have length `N/stride`.
-    pub fn process(&self, input: &[Complex64], output: &mut [Complex64]) {
-        let n = self.n;
-        let m = self.output_len();
-        assert_eq!(input.len(), n, "input must be the full N-point signal");
-        assert_eq!(output.len(), m, "output must hold N/stride bins");
-        // Fold (alias) the pre-twiddled input modulo M.
-        for o in output.iter_mut() {
-            *o = Complex64::ZERO;
-        }
-        match &self.offset_twiddle {
-            None => {
-                for (j, &x) in input.iter().enumerate() {
-                    output[j % m] += x;
-                }
-            }
-            Some(tw) => {
-                for (j, (&x, &w)) in input.iter().zip(tw).enumerate() {
-                    output[j % m] += x * w;
-                }
-            }
-        }
-        self.inner.process(output);
-    }
-
-    /// Allocating convenience wrapper around [`Self::process`].
-    pub fn transform(&self, input: &[Complex64]) -> Vec<Complex64> {
-        let mut out = vec![Complex64::ZERO; self.output_len()];
-        self.process(input, &mut out);
-        out
-    }
-}
-
 type PrunedKey = (usize, usize, FftDirection);
-type DecimatedKey = (usize, usize, usize, FftDirection);
 
 /// Cache of pruned plans keyed by (n, k, direction), mirroring `FftPlanner`.
 #[derive(Default)]
@@ -310,9 +187,6 @@ pub struct PrunedPlanner {
     // one thread per key constructs the plan.
     pruned: parking_lot::Mutex<
         std::collections::HashMap<PrunedKey, Arc<std::sync::OnceLock<Arc<PrunedInputFft>>>>,
-    >,
-    decimated: parking_lot::Mutex<
-        std::collections::HashMap<DecimatedKey, Arc<std::sync::OnceLock<Arc<DecimatedOutputFft>>>>,
     >,
 }
 
@@ -346,35 +220,13 @@ impl PrunedPlanner {
         slot.get_or_init(|| Arc::new(PrunedInputFft::new(&self.planner, n, k, direction)))
             .clone()
     }
-
-    /// Plan (or fetch) a decimated-output transform.
-    pub fn plan_decimated(
-        &self,
-        n: usize,
-        stride: usize,
-        offset: usize,
-        direction: FftDirection,
-    ) -> Arc<DecimatedOutputFft> {
-        let key = (n, stride, offset, direction);
-        let slot = self.decimated.lock().entry(key).or_default().clone();
-        slot.get_or_init(|| {
-            Arc::new(DecimatedOutputFft::new(
-                &self.planner,
-                n,
-                stride,
-                offset,
-                direction,
-            ))
-        })
-        .clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::c64;
-    use crate::dft::{dft, dft_bins};
+    use crate::dft::dft;
 
     fn head_signal(k: usize) -> Vec<Complex64> {
         (0..k)
@@ -440,74 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn decimated_matches_subset_no_offset() {
-        let planner = FftPlanner::new();
-        for (n, r) in [(16, 4), (64, 8), (60, 5), (128, 1)] {
-            let x: Vec<Complex64> = (0..n)
-                .map(|i| c64((i as f64).sin(), (i as f64 * 0.5).cos()))
-                .collect();
-            let bins: Vec<usize> = (0..n / r).map(|t| t * r).collect();
-            let expect = dft_bins(&x, &bins, FftDirection::Inverse);
-            let plan = DecimatedOutputFft::new(&planner, n, r, 0, FftDirection::Inverse);
-            let got = plan.transform(&x);
-            for (a, b) in got.iter().zip(&expect) {
-                assert!((*a - *b).norm() < 1e-7, "n={n} r={r}");
-            }
-        }
-    }
-
-    #[test]
-    fn decimated_matches_subset_with_offset() {
-        let planner = FftPlanner::new();
-        let (n, r, o) = (64, 8, 3);
-        let x: Vec<Complex64> = (0..n).map(|i| c64(i as f64, -(i as f64) * 0.2)).collect();
-        let bins: Vec<usize> = (0..n / r).map(|t| o + t * r).collect();
-        let expect = dft_bins(&x, &bins, FftDirection::Forward);
-        let plan = DecimatedOutputFft::new(&planner, n, r, o, FftDirection::Forward);
-        let got = plan.transform(&x);
-        for (a, b) in got.iter().zip(&expect) {
-            assert!((*a - *b).norm() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn decimated_stride_n_is_single_sum() {
-        let planner = FftPlanner::new();
-        let n = 32;
-        let x: Vec<Complex64> = (0..n).map(|i| c64(1.0, i as f64)).collect();
-        let plan = DecimatedOutputFft::new(&planner, n, n, 0, FftDirection::Forward);
-        let got = plan.transform(&x);
-        assert_eq!(got.len(), 1);
-        let sum: Complex64 = x.iter().sum();
-        assert!((got[0] - sum).norm() < 1e-10);
-    }
-
-    #[test]
     fn pruned_planner_caches() {
         let pp = PrunedPlanner::new();
         let a = pp.plan_pruned(64, 8, FftDirection::Forward);
         let b = pp.plan_pruned(64, 8, FftDirection::Forward);
         assert!(Arc::ptr_eq(&a, &b));
-        let c = pp.plan_decimated(64, 4, 1, FftDirection::Inverse);
-        let d = pp.plan_decimated(64, 4, 1, FftDirection::Inverse);
-        assert!(Arc::ptr_eq(&c, &d));
-    }
-
-    #[test]
-    fn pruned_then_decimated_composes_to_identity_samples() {
-        // Forward pruned FFT of a head signal, then decimated inverse picks
-        // every r-th sample of the zero-padded original (times N).
-        let planner = FftPlanner::new();
-        let (n, k, r) = (64, 16, 4);
-        let head = head_signal(k);
-        let fwd = PrunedInputFft::new(&planner, n, k, FftDirection::Forward);
-        let spec = fwd.transform(&head);
-        let dec = DecimatedOutputFft::new(&planner, n, r, 0, FftDirection::Inverse);
-        let got = dec.transform(&spec);
-        for (t, v) in got.iter().enumerate() {
-            let idx = t * r;
-            let expect = if idx < k { head[idx] } else { Complex64::ZERO };
-            assert!((*v - expect * n as f64).norm() < 1e-7, "t={t}");
-        }
     }
 }

@@ -1,22 +1,19 @@
-//! Runtime-dispatched SIMD butterfly executor.
+//! The power-of-two FFT executor and its runtime-dispatched butterfly
+//! kernels.
 //!
-//! The scalar kernels in [`crate::radix2`] / [`crate::radix4`] /
-//! [`crate::radix8`] operate on interleaved `Complex64` pairs — the layout
-//! the rest of the pipeline stores. Vector units prefer the opposite:
-//! **split** layout (separate `re[]` / `im[]` arrays), where a 256-bit lane
-//! holds four butterflies' worth of one component, twiddle tables load as
-//! plain contiguous vectors, and the ±i rotations inside radix-4/8
-//! butterflies are free (an array-role swap plus a sign flip — no shuffles).
-//!
-//! [`SimdPlan`] is the shared executor those kernels dispatch to when a
-//! vector variant is selected. It chooses its **own** stage decomposition
-//! ([`plan_radices`]), independent of the host kernel's scalar schedule,
+//! Every stage runs in **split** layout (separate `re[]` / `im[]` arrays),
+//! the layout vector units prefer: a 256-bit lane holds four butterflies'
+//! worth of one component, twiddle tables load as plain contiguous vectors,
+//! and the ±i rotations inside radix-4/8 butterflies are free (an
+//! array-role swap plus a sign flip — no shuffles). [`SplitFft`] is the
+//! planner's plan for every power-of-two length, and the inner transform
+//! of Bluestein's. It chooses a stage decomposition ([`plan_radices`])
 //! shaped so vectors stay full:
 //!
 //! * the **first** stage (`m = 1`, whose twiddles are all unity) is fused
 //!   into the digit-reversal gather — the butterfly runs while the permuted
 //!   values are in registers, so it costs no extra memory pass and no
-//!   twiddle loads;
+//!   twiddle loads; for `n ≤ 8` it is the whole transform;
 //! * the leftover non-8 radix goes **last**, not first, so every stage
 //!   after the fused one has `m ≥ first_radix ≥ 4` — wide enough for the
 //!   4-lane AVX2 kernels (narrow-`m` stages were the executor's whole
@@ -30,19 +27,17 @@
 //!
 //! # Dispatch rules
 //!
-//! * The [`Variant`] is a process-wide constant, chosen once: the `simd`
-//!   cargo feature must be on, `LCC_SIMD=off|0|scalar` overrides to scalar,
-//!   and on x86_64 the AVX2+FMA path additionally requires
-//!   `is_x86_feature_detected!` to confirm both features at runtime. On any
-//!   miss the interleaved scalar kernels run unchanged — dispatch is
-//!   data-invisible on non-SIMD hosts.
+//! * The [`Variant`] is a process-wide constant, chosen once:
+//!   `LCC_SIMD=off|0|scalar` overrides to scalar, and on x86_64 the
+//!   AVX2+FMA path requires `is_x86_feature_detected!` to confirm both
+//!   features at runtime. The vector kernels are compiled on their
+//!   architecture in every build; on any miss — and under Miri, which
+//!   cannot execute them — the [`scalar`] split kernels run the same
+//!   schedule.
 //! * Per stage, the vector kernel needs `m` (the butterfly block half/quarter
 //!   span) to cover a whole vector: `m ≥ 4` for AVX2, `m ≥ 2` for NEON —
 //!   always satisfied by the [`plan_radices`] schedule for `n ≥ 16`. Any
-//!   narrower stage (forced plans on tiny `n`) runs the split-layout scalar
-//!   kernels in [`scalar`].
-//! * Transforms shorter than [`MIN_SIMD_LEN`] skip the executor entirely:
-//!   the two layout-conversion passes would cost more than the stages.
+//!   narrower stage runs the split-layout scalar kernels in [`scalar`].
 //! * Pencil tiles ([`crate::tile`]) run every stage — the first included —
 //!   through the same dispatch ([`run_stage`]) on tables whose twiddles are
 //!   repeated once per lane ([`stage_tables`]); with the lanes folded into
@@ -62,24 +57,20 @@
 use std::sync::OnceLock;
 
 use crate::complex::Complex64;
-use crate::FftDirection;
+use crate::{Fft, FftDirection};
 
 pub(crate) mod scalar;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
 
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 pub(crate) mod neon;
-
-/// Transforms shorter than this never build a [`SimdPlan`] on the auto
-/// path: the deinterleave/interleave passes dominate at tiny sizes.
-pub(crate) const MIN_SIMD_LEN: usize = 16;
 
 /// Which butterfly kernel family executes the stages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Variant {
-    /// Interleaved scalar kernels (the always-available fallback).
+    /// Split-layout scalar kernels (the always-available fallback).
     Scalar,
     /// 4-wide f64 split-layout kernels via AVX2 + FMA (x86_64).
     Avx2Fma,
@@ -98,32 +89,45 @@ impl Variant {
     }
 
     /// Whether this variant's kernels can run on the current build/CPU.
-    /// `Scalar` always can; the vector variants need the `simd` feature,
-    /// the right architecture, and (on x86_64) runtime CPUID confirmation.
+    /// `Scalar` always can; the vector variants need the right
+    /// architecture, (on x86_64) runtime CPUID confirmation, and a real
+    /// CPU: Miri cannot execute vector intrinsics, so there they are
+    /// unavailable whatever the probe would report.
     pub fn available(self) -> bool {
         match self {
             Variant::Scalar => true,
+            _ if cfg!(miri) => false,
             Variant::Avx2Fma => avx2_detected(),
-            Variant::Neon => cfg!(all(feature = "simd", target_arch = "aarch64")),
+            Variant::Neon => cfg!(target_arch = "aarch64"),
+        }
+    }
+
+    /// This variant if its kernels can run here, else `Scalar`: forcing a
+    /// variant the host lacks degrades instead of hitting illegal
+    /// instructions.
+    pub(crate) fn or_scalar(self) -> Variant {
+        if self.available() {
+            self
+        } else {
+            Variant::Scalar
         }
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx2_detected() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn avx2_detected() -> bool {
     false
 }
 
 /// The process-wide kernel variant, decided once on first use.
 ///
-/// `LCC_SIMD=off` (or `0` / `scalar`) forces the scalar fallback even in
-/// `--features simd` builds — the benchmark harness uses this to measure
-/// both variants from one binary.
+/// `LCC_SIMD=off` (or `0` / `scalar`) forces the scalar fallback — the
+/// benchmark harness uses this to measure both variants from one binary.
 pub fn variant() -> Variant {
     static CHOSEN: OnceLock<Variant> = OnceLock::new();
     *CHOSEN.get_or_init(detect)
@@ -169,16 +173,17 @@ pub(crate) fn digit_reversal(n: usize, radices: &[usize]) -> Vec<u32> {
         .collect()
 }
 
-/// The executor's own stage decomposition for power-of-two `n ≥ 2`: mostly
+/// The executor's stage decomposition for power-of-two `n`: mostly
 /// radix-8 for the fewest memory passes, with the leftover factor placed
 /// **last** (largest `m`) and never smaller than 4, so that after the fused
 /// first stage every stage spans at least 4 lanes:
 ///
-/// * `log₂n ≡ 0 (mod 3)` → `[8, 8, …, 8]`
-/// * `log₂n ≡ 1`         → `[4, 8, …, 8, 4]` (no radix-2 stage at all)
+/// * `log₂n ≡ 0 (mod 3)` → `[8, 8, …, 8]` (empty for `n = 1`)
+/// * `log₂n ≡ 1`         → `[4, 8, …, 8, 4]` (`[2]` for `n = 2`, the only
+///   radix-2 stage)
 /// * `log₂n ≡ 2`         → `[8, 8, …, 8, 4]`
 pub(crate) fn plan_radices(n: usize) -> Vec<usize> {
-    debug_assert!(n.is_power_of_two() && n >= 2);
+    debug_assert!(n.is_power_of_two());
     let log = n.trailing_zeros() as usize;
     // lcc-lint: allow(alloc) — plan-time schedule, built once.
     let mut radices = Vec::with_capacity(log / 3 + 2);
@@ -252,54 +257,43 @@ pub(crate) fn stage_tables(
     stages
 }
 
-/// A planned split-layout stage schedule for one `(n, direction)`.
-///
-/// Owned by the interleaved kernels ([`crate::radix2::Radix2Fft`] etc.),
-/// which delegate `process` here when a vector variant is active.
-pub(crate) struct SimdPlan {
+/// The power-of-two [`Fft`] plan: a split-layout stage schedule for one
+/// `(n, direction)`, run with the kernels of one [`Variant`].
+pub(crate) struct SplitFft {
     n: usize,
     direction: FftDirection,
     variant: Variant,
     /// `out[i] = in[perm[i]]` digit-reversal permutation.
     perm: Vec<u32>,
     /// Radix of the first (`m = 1`, unit-twiddle) stage, fused into the
-    /// permute gather by `process`.
+    /// permute gather by `process`; `1` for the identity plan `n = 1`.
     first_radix: usize,
     /// The remaining stages, starting at `m = first_radix`.
     stages: Vec<Stage>,
 }
 
-impl SimdPlan {
-    /// Auto-dispatch constructor used by kernel `new()`: builds a plan only
-    /// when the process-wide [`variant`] is a vector one and `n` is worth
-    /// the layout conversion.
-    pub(crate) fn auto(n: usize, direction: FftDirection) -> Option<Self> {
-        if n < MIN_SIMD_LEN {
-            return None;
-        }
-        Self::forced(n, direction, variant())
-    }
-
-    /// Builds a plan for an explicitly chosen variant (test/bench hook; no
-    /// minimum-size gate). Returns `None` — meaning "use the interleaved
-    /// scalar kernel" — for `Variant::Scalar`, for degenerate lengths, and
-    /// for variants whose kernels cannot run on this build/CPU (so forcing
-    /// a wrong variant degrades to scalar instead of hitting illegal
-    /// instructions).
-    pub(crate) fn forced(n: usize, direction: FftDirection, variant: Variant) -> Option<Self> {
-        if variant == Variant::Scalar || !variant.available() || n < 2 {
-            return None;
-        }
-        debug_assert!(n.is_power_of_two());
+impl SplitFft {
+    /// Plans a transform of power-of-two length `n ≥ 1` whose stages run
+    /// the kernels of `variant`, or the scalar ones if this build/CPU
+    /// cannot run it.
+    pub(crate) fn new(n: usize, direction: FftDirection, variant: Variant) -> Self {
+        assert!(
+            n.is_power_of_two(),
+            "SplitFft requires power-of-two length, got {n}"
+        );
         let radices = plan_radices(n);
-        Some(SimdPlan {
+        let (first_radix, stages) = match radices.first() {
+            Some(&r) => (r, stage_tables(n, direction, &radices, 1, 1)),
+            None => (1, Vec::new()), // lcc-lint: allow(alloc) — n = 1, no stages
+        };
+        SplitFft {
             n,
             direction,
-            variant,
+            variant: variant.or_scalar(),
             perm: digit_reversal(n, &radices),
-            first_radix: radices[0],
-            stages: stage_tables(n, direction, &radices, 1, 1),
-        })
+            first_radix,
+            stages,
+        }
     }
 
     /// The variant this plan's stages dispatch to.
@@ -307,22 +301,39 @@ impl SimdPlan {
     pub(crate) fn plan_variant(&self) -> Variant {
         self.variant
     }
+}
+
+impl Fft for SplitFft {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn direction(&self) -> FftDirection {
+        self.direction
+    }
+
+    fn kernel_kind(&self) -> &'static str {
+        "split"
+    }
 
     /// Transforms `buf` in place: fused permute + deinterleave + first
     /// butterfly stage into this thread's split scratch, run the remaining
     /// stage schedule, interleave back. Zero allocations once the scratch
     /// has grown to `2n`, and no lock: the buffer is thread-local, so the
     /// per-row transforms of a pipeline never meet on the arena free list.
-    pub(crate) fn process(&self, buf: &mut [Complex64]) {
+    fn process(&self, buf: &mut [Complex64]) {
         let n = self.n;
-        debug_assert_eq!(buf.len(), n);
+        assert_eq!(buf.len(), n, "buffer length must equal plan length");
+        if n == 1 {
+            return;
+        }
         SPLIT_SCRATCH.with_borrow_mut(|scratch| {
             if scratch.len() < 2 * n {
                 scratch.resize(2 * n, 0.0);
             }
             let (re, im) = scratch[..2 * n].split_at_mut(n);
             // Fused permute + deinterleave + first stage: reads of `buf` are
-            // gather-ordered (buf is L2-resident at SIMD sizes), writes are
+            // gather-ordered (buf is L2-resident at these sizes), writes are
             // sequential, and the unit-twiddle butterfly runs in registers.
             let fwd = matches!(self.direction, FftDirection::Forward);
             match (self.first_radix, fwd) {
@@ -347,7 +358,7 @@ impl SimdPlan {
 }
 
 thread_local! {
-    /// Grow-only split scratch of [`SimdPlan::process`] (`2n` f64), one per
+    /// Grow-only split scratch of [`SplitFft::process`] (`2n` f64), one per
     /// thread. Every element read is written first by the fused first stage.
     // lcc-lint: allow(alloc) — empty until the thread's first transform.
     static SPLIT_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
@@ -365,7 +376,7 @@ pub(crate) fn run_stage(
 ) {
     let fwd = matches!(direction, FftDirection::Forward);
     debug_assert!(re.len() == im.len() && re.len().is_multiple_of(st.radix * st.m));
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if variant == Variant::Avx2Fma && st.m >= 4 {
         // SAFETY: callers pass `Variant::Avx2Fma` only after
         // `Variant::available` (`is_x86_feature_detected!`) confirmed
@@ -385,7 +396,7 @@ pub(crate) fn run_stage(
         }
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     if variant == Variant::Neon && st.m >= 2 {
         // SAFETY: NEON is baseline on aarch64 (the variant is only
         // available there); slice geometry as for the AVX2 arm, with
@@ -402,8 +413,8 @@ pub(crate) fn run_stage(
         }
         return;
     }
-    // Narrow stages (m below the vector width) and any variant without a
-    // compiled kernel: split-layout scalar.
+    // Narrow stages (m below the vector width) and the scalar variant:
+    // split-layout scalar.
     let _ = variant;
     match (st.radix, fwd) {
         (2, _) => scalar::stage_r2(re, im, st.m, &st.twre, &st.twim),
@@ -445,6 +456,7 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::dft::dft;
+    use crate::planner::FftPlanner;
 
     #[test]
     fn digit_reversal_all_twos_is_bit_reversal() {
@@ -469,15 +481,12 @@ mod tests {
         assert!(Variant::Scalar.available());
     }
 
-    #[test]
-    fn forced_scalar_builds_no_plan() {
-        assert!(SimdPlan::forced(64, FftDirection::Forward, Variant::Scalar).is_none());
-    }
-
-    /// The executor's schedule keeps vectors full: leftover radix last,
-    /// every post-first stage at least 4 wide, product exact.
+    /// The schedule keeps vectors full: leftover radix last, every
+    /// post-first stage at least 4 wide, product exact; for `n ≤ 8` the
+    /// fused first stage is the whole transform.
     #[test]
     fn plan_radices_shape() {
+        assert!(plan_radices(1).is_empty());
         for log in 1..=20usize {
             let n = 1usize << log;
             let radices = plan_radices(n);
@@ -486,7 +495,9 @@ mod tests {
                 radices.iter().all(|r| [2, 4, 8].contains(r)),
                 "n={n}: {radices:?}"
             );
-            if n >= MIN_SIMD_LEN {
+            if n <= 8 {
+                assert_eq!(radices, [n], "n={n}");
+            } else {
                 // First stage is fused; every later stage's m starts at
                 // first_radix and only grows, so m >= 4 throughout — the
                 // AVX2 kernels never fall back to a narrow scalar stage.
@@ -494,6 +505,79 @@ mod tests {
                 assert!(!radices.contains(&2), "n={n}: {radices:?}");
             }
         }
+    }
+
+    fn signal(n: usize) -> Vec<Complex64> {
+        (0..n)
+            .map(|i| c64((i as f64 * 0.9).sin(), (i as f64 * 0.4).cos()))
+            .collect()
+    }
+
+    /// Every power of two from 1 to 4096, both directions, through
+    /// `planner`, against the O(n²) oracle.
+    fn assert_planner_matches_dft(planner: &FftPlanner) {
+        for log in 0..=12 {
+            let n = 1usize << log;
+            let x = signal(n);
+            for dir in [FftDirection::Forward, FftDirection::Inverse] {
+                let expect = dft(&x, dir);
+                let plan = planner.plan(n, dir);
+                assert_eq!(plan.kernel_kind(), "split");
+                let mut buf = x.clone();
+                plan.process(&mut buf);
+                for (a, b) in buf.iter().zip(&expect) {
+                    assert!((*a - *b).norm() < 1e-6 * n as f64, "n={n} {dir:?}");
+                }
+            }
+        }
+    }
+
+    /// The auto planner: the host's widest kernels.
+    #[test]
+    fn matches_dft_all_pow2() {
+        assert_planner_matches_dft(&FftPlanner::new());
+    }
+
+    /// The forced-scalar planner: the split scalar kernels that run
+    /// wherever the vector variants cannot.
+    #[test]
+    fn scalar_fallback_matches_dft_all_pow2() {
+        assert_planner_matches_dft(&FftPlanner::with_simd_variant(Variant::Scalar));
+    }
+
+    /// Forward then inverse scales by `n`, on every schedule shape.
+    #[test]
+    fn roundtrip_scales_by_n() {
+        for n in [2usize, 8, 16, 128, 256, 512] {
+            let x = signal(n);
+            let mut buf = x.clone();
+            SplitFft::new(n, FftDirection::Forward, variant()).process(&mut buf);
+            SplitFft::new(n, FftDirection::Inverse, variant()).process(&mut buf);
+            for (a, b) in x.iter().zip(&buf) {
+                assert!((*a * n as f64 - *b).norm() < 1e-8 * n as f64, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn len_one_is_identity() {
+        let plan = SplitFft::new(1, FftDirection::Forward, variant());
+        let mut buf = vec![c64(3.0, 4.0)];
+        plan.process(&mut buf);
+        assert_eq!(buf[0], c64(3.0, 4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn rejects_non_pow2() {
+        SplitFft::new(12, FftDirection::Forward, variant());
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer length")]
+    fn rejects_wrong_buffer() {
+        let plan = SplitFft::new(8, FftDirection::Forward, variant());
+        plan.process(&mut [Complex64::ZERO; 4]);
     }
 
     #[test]
@@ -508,9 +592,7 @@ mod tests {
             // the tiny fused-only lengths, and both directions.
             for n in [2usize, 4, 8, 16, 32, 64, 128, 256, 512, 1024] {
                 for dir in [FftDirection::Forward, FftDirection::Inverse] {
-                    let Some(plan) = SimdPlan::forced(n, dir, v) else {
-                        continue;
-                    };
+                    let plan = SplitFft::new(n, dir, v);
                     let x: Vec<Complex64> = (0..n)
                         .map(|i| c64((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
                         .collect();

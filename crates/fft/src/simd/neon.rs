@@ -3,8 +3,8 @@
 //! Line-for-line the same stage structure as [`super::avx2`] at half the
 //! lane width: complex multiplies fuse with `vfmaq`/`vfmsq`, ±i rotations
 //! are a register-role swap plus `vnegq`. NEON is baseline on aarch64, so
-//! there is no runtime detection — the `simd` feature alone gates this
-//! module.
+//! there is no runtime detection — the target architecture alone gates
+//! this module.
 //!
 //! Kernels require `2 | m`; the `m = 1` leading stages run the scalar
 //! split kernels, exactly as the narrow stages do on x86_64.

@@ -1,13 +1,12 @@
 //! Split-layout scalar stage kernels.
 //!
-//! One-lane versions of the butterfly stages [`super::SimdPlan`] schedules:
-//! they run the *leading* narrow stages (`m` below the vector width) inside
-//! a vector plan, and the whole schedule of a pencil tile
-//! ([`crate::tile::TileFft`]) wherever the variant is scalar — builds
-//! without the `simd` feature, `LCC_SIMD=off`, forced-scalar planners. Same
-//! split `re[]`/`im[]` layout, same
-//! packed twiddle tables, same operation order as the vector kernels —
-//! only the lane width differs.
+//! One-lane versions of the butterfly stages [`super::SplitFft`] schedules:
+//! the fused first stage of every single-pencil plan, any stage narrower
+//! than the vector width, and the whole schedule of a plan or pencil tile
+//! ([`crate::tile::TileFft`]) wherever the variant is scalar — hosts
+//! without AVX2+FMA or NEON, `LCC_SIMD=off`, forced-scalar planners, Miri.
+//! Same split `re[]`/`im[]` layout, same packed twiddle tables, same
+//! operation order as the vector kernels — only the lane width differs.
 //!
 //! `FWD` selects the ±i rotation sign at monomorphization time:
 //! forward multiplies by −i (`(re, im) → (im, −re)`), inverse by +i.

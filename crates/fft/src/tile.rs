@@ -148,7 +148,7 @@ struct LaneTables {
 
 impl LaneTables {
     fn build(n: usize, direction: FftDirection) -> Self {
-        if n == 1 || !n.is_power_of_two() {
+        if !n.is_power_of_two() {
             return LaneTables {
                 // lcc-lint: allow(alloc) — plan-time table.
                 load_rows: (0..n as u32).collect(),
@@ -206,11 +206,7 @@ impl TileFft {
             direction,
             // Forcing a variant the host lacks degrades to scalar, as for
             // single-pencil plans.
-            variant: if variant.available() {
-                variant
-            } else {
-                Variant::Scalar
-            },
+            variant: variant.or_scalar(),
             tables: lane_tables(n, direction),
             per_lane: (!n.is_power_of_two()).then(|| planner.plan(n, direction)),
         }

@@ -21,7 +21,7 @@
 //!
 //! Buffers are handed out **uninitialized** (they hold whatever the
 //! previous user left); every caller must fully overwrite a buffer before
-//! reading it. All in-tree users do (pruned transforms, radix kernels and
+//! reading it. All in-tree users do (pruned transforms, Bluestein and
 //! tile loads write every element they later read).
 
 // lcc-lint: hot-path — the arena itself; only pool bootstrap may allocate.

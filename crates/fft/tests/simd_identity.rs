@@ -4,24 +4,24 @@
 //! bit-identical to the scalar kernels — the contract (DESIGN.md §5g) is
 //! elementwise agreement within [`MAX_ULP`] ulps measured at the spectrum's
 //! norm scale (`ulp_diff_floored` with `floor = ‖X‖∞`). These proptests pin
-//! that bound across every planner-dispatched kernel class: radix-4 and
-//! radix-8 power-of-two plans, Bluestein (radix-2 inner transforms), real
-//! r2c/c2r, pruned-input, decimated-output, and the batched axis paths
+//! that bound across every planner-dispatched kernel class: the split-layout
+//! power-of-two executor at every schedule shape, Bluestein (split inner
+//! transforms), real r2c/c2r, pruned-input, and the batched axis paths
 //! (contiguous rows and pencil tiles).
 //!
 //! The pencil-tile transforms (`lcc_fft::tile`) run the same stage kernels
 //! across 8 pencils at once; they are held to the same bound against the
 //! single-pencil plans of the *same* planner, lane by lane, and to bitwise
 //! independence of a pencil's result from the lane it sits in. Those cases
-//! are meaningful in every build: scalar-only, `--features simd`, and
-//! `LCC_SIMD=off` on the `simd` build (CI runs all three).
+//! are meaningful with the vector kernels and with `LCC_SIMD=off` (CI runs
+//! both).
 //!
-//! On hosts or builds without a vector variant the "auto" planner also runs
-//! scalar kernels and the comparison is trivially exact — the suite is
-//! meaningful under `--features simd` on AVX2+FMA (or NEON) hardware, and
-//! harmless elsewhere. CI runs it under both `LCC_THREADS=1` and `=4`; the
-//! thread count must not change either side (pencil dispatch is
-//! order-independent per pencil).
+//! On hosts without a vector variant (or under `LCC_SIMD=off`) the "auto"
+//! planner also runs scalar kernels and the comparison is trivially exact —
+//! the suite is meaningful on AVX2+FMA (or NEON) hardware, and harmless
+//! elsewhere. CI runs it under both `LCC_THREADS=1` and `=4`; the thread
+//! count must not change either side (pencil dispatch is order-independent
+//! per pencil).
 
 use std::sync::Arc;
 
@@ -29,8 +29,8 @@ use lcc_fft::complex::c64;
 use lcc_fft::dft::dft;
 use lcc_fft::tile::{load_row, Row, W};
 use lcc_fft::{
-    fft_axis, ulp_diff_floored, Complex64, DecimatedOutputFft, FftDirection, FftPlanner,
-    PrunedInputFft, RealFft, RealIfft, TileFft, Variant,
+    fft_axis, ulp_diff_floored, Complex64, FftDirection, FftPlanner, PrunedInputFft, RealFft,
+    RealIfft, TileFft, Variant,
 };
 use proptest::prelude::*;
 
@@ -131,14 +131,16 @@ fn dir_of(fwd: bool) -> FftDirection {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Direct planner-dispatched 1D kernels: radix-4 (pow2 < 64), radix-8
-    /// (pow2 ≥ 64, all three leading-stage residues) and small-DFT. One
-    /// transform pass → the kernel bound applies directly.
+    /// Direct planner-dispatched 1D kernels: the split executor (fused
+    /// first stage only for n ≤ 8; all three log₂n mod 3 schedule shapes
+    /// above) and small-DFT. One transform pass → the kernel bound applies
+    /// directly.
     #[test]
     fn planned_1d_kernels_agree(
         n in prop_oneof![
-            Just(16usize), Just(32),                    // radix-4
-            Just(64usize), Just(128), Just(256),        // radix-8, leftovers 0/1/2
+            Just(2usize), Just(4), Just(8),             // fused first stage only
+            Just(16usize), Just(32),
+            Just(64usize), Just(128), Just(256),        // log₂n mod 3 = 0/1/2
             Just(512), Just(1024), Just(4096),
             Just(7usize), Just(13),                     // small-DFT
         ],
@@ -241,33 +243,11 @@ proptest! {
         prop_assert!(d <= 2.0 * MAX_ULP, "pruned n={n} k={k}: {d} ulp");
     }
 
-    /// Decimated-output transform (the paper's sampled inverse stage) —
-    /// composite for the same reason as the pruned-input case.
-    #[test]
-    fn decimated_output_agrees(
-        nro in prop_oneof![
-            Just((256usize, 4usize, 0usize)),
-            Just((1024, 8, 3)),
-            Just((4096, 16, 5)),
-        ],
-        seed in 0u64..1024,
-    ) {
-        let (n, r, o) = nro;
-        let (auto_p, scalar_p) = planners();
-        let x = signal(n, seed);
-        let pa = DecimatedOutputFft::new(&auto_p, n, r, o, FftDirection::Inverse);
-        let pb = DecimatedOutputFft::new(&scalar_p, n, r, o, FftDirection::Inverse);
-        let a = pa.transform(&x);
-        let b = pb.transform(&x);
-        let d = max_ulp_diff(&a, &b);
-        prop_assert!(d <= 2.0 * MAX_ULP, "decimated n={n} r={r} o={o}: {d} ulp");
-    }
-
     /// The tile transform against the single-pencil plan of the same
     /// planner, lane by lane: every power-of-two schedule shape (including
-    /// the lengths below `MIN_SIMD_LEN`, where the single-pencil side runs
-    /// the interleaved kernels) and the per-lane fallback lengths, on the
-    /// auto and the forced-scalar planner.
+    /// the lengths below 16, where the single-pencil side runs only its
+    /// fused first stage) and the per-lane fallback lengths, on the auto and
+    /// the forced-scalar planner.
     #[test]
     fn tile_agrees_with_plan_per_lane(
         n in prop_oneof![
@@ -408,10 +388,9 @@ proptest! {
 }
 
 /// The whole suite above compares against a *forced-scalar* planner; this
-/// pins the other half of the dispatch contract — `LCC_SIMD`-less builds
-/// without the feature, and forced-scalar planners everywhere, produce
-/// bit-identical output regardless of thread count (pure scalar arithmetic
-/// in a fixed order).
+/// pins the other half of the dispatch contract — forced-scalar planners
+/// produce bit-identical output regardless of thread count (pure scalar
+/// arithmetic in a fixed order).
 #[test]
 fn forced_scalar_is_bit_stable_across_runs() {
     let p = Arc::new(FftPlanner::with_simd_variant(Variant::Scalar));

@@ -24,7 +24,7 @@ const P: usize = 4;
 const SEED: u64 = 0x51_EE_D5;
 
 /// The distributed low-comm convolution under `plan`: local compressed
-/// convolutions, one surviving allgather, reconstruction with degraded
+/// convolutions, one surviving exchange, reconstruction with degraded
 /// recomputation of any crashed rank's domains. The per-rank body lives in
 /// [`lcc_bench::chaos`], shared with the chaos and conformance suites.
 fn run(plan: FaultPlan) -> (Vec<Option<Grid3<f64>>>, Arc<CommStats>) {

@@ -1,17 +1,16 @@
 //! Fig. 1 quantified: communication of the traditional distributed FFT
 //! convolution vs the proposed single sparse exchange — analytic (Eqs. 1,
 //! 2, 6) at paper scale, and *measured* on the functional cluster simulator
-//! at laptop scale.
+//! at laptop scale, the proposed side through
+//! `ConvolveSession::exchange` over a slab deployment.
 
 use std::sync::Arc;
 
-use lcc_comm::{
-    convolve_distributed, encode_f64s, run_cluster, scatter_slabs, AlphaBeta, CommScenario,
-};
-use lcc_core::{LowCommConfig, LowCommConvolver};
+use lcc_comm::{convolve_distributed, run_cluster, scatter_slabs, AlphaBeta, CommScenario};
+use lcc_core::{ConvolveMode, Deployment, LowCommConfig, LowCommConvolver};
 use lcc_fft::{Complex64, FftPlanner};
 use lcc_greens::{GaussianKernel, KernelSpectrum};
-use lcc_grid::{decompose_uniform, BoxRegion, Grid3};
+use lcc_grid::Grid3;
 use lcc_octree::RateSchedule;
 
 fn measured(n: usize, k: usize, p: usize) {
@@ -33,55 +32,20 @@ fn measured(n: usize, k: usize, p: usize) {
         convolve_distributed(&mut w, &planner, mine, n, &kern).expect("convolution failed");
     });
 
-    // Proposed: local compressed convolutions + one routed exchange.
-    let conv = Arc::new(LowCommConvolver::new(LowCommConfig {
+    // Proposed: local compressed convolutions + one exchange routed to
+    // x-slab owners, each domain computed by the owner of its response.
+    let conv = LowCommConvolver::new(LowCommConfig {
         n,
         k,
         batch: 1024,
         schedule: RateSchedule::paper_default(k, 16),
-    }));
-    let input = Arc::new(Grid3::from_vec(
-        (n, n, n),
-        field.iter().map(|c| c.re).collect(),
-    ));
-    let domains = decompose_uniform(n, k);
-    let slab_of = move |x: usize| x / (n / p);
-    let assignment: Vec<Vec<usize>> = {
-        let mut a = vec![Vec::new(); p];
-        for (di, d) in domains.iter().enumerate() {
-            a[slab_of(conv.response_region(d, kernel.as_ref()).lo[0])].push(di);
-        }
-        a
-    };
-    let (_, ours) = run_cluster(p, {
-        let conv = conv.clone();
-        let domains = domains.clone();
-        let assignment = assignment.clone();
-        let kernel = kernel.clone();
-        let input = input.clone();
-        move |mut w| {
-            let fields: Vec<_> = assignment[w.rank()]
-                .iter()
-                .map(|&di| {
-                    let d = domains[di];
-                    let sub = input.extract(&d);
-                    let plan = conv.plan_for(conv.response_region(&d, kernel.as_ref()));
-                    conv.local()
-                        .convolve_compressed(&sub, d.lo, kernel.as_ref(), plan)
-                })
-                .collect();
-            let outgoing: Vec<Vec<u8>> = (0..w.size())
-                .map(|dest| {
-                    let region = BoxRegion::new([dest * n / p, 0, 0], [(dest + 1) * n / p, n, n]);
-                    let mut bytes = Vec::new();
-                    for f in &fields {
-                        bytes.extend(encode_f64s(&f.region_payload(&region).samples));
-                    }
-                    bytes
-                })
-                .collect();
-            let _ = w.alltoall(outgoing).expect("exchange failed");
-        }
+    });
+    let input = Grid3::from_vec((n, n, n), field.iter().map(|c| c.re).collect());
+    let deployment = Deployment::slabs(&conv, kernel.as_ref(), p);
+    let (_, ours) = run_cluster(p, |mut w| {
+        conv.session(ConvolveMode::Normal)
+            .exchange(&mut w, &input, kernel.as_ref(), &deployment)
+            .expect("exchange failed");
     });
 
     println!(

@@ -16,11 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lcc_bench::json::{write_report, Json};
-use lcc_comm::{
-    decode_f64s, encode_f64s, run_cluster_with_faults, AlphaBeta, CommScenario, CommStats,
-    FaultPlan, RetryPolicy,
-};
-use lcc_grid::{assign_round_robin, relative_l2};
+use lcc_comm::{run_cluster, AlphaBeta, CommScenario, CommStats};
 use lcc_obs::{ObsReport, ObsSession};
 
 use lcc_core::prelude::*;
@@ -46,51 +42,21 @@ fn config() -> LowCommConfig {
         .expect("valid configuration")
 }
 
-/// The Fig. 1(b) deployment: local compressed convolutions, one sparse
-/// allgather, ascending-domain-id fold — all through the session API.
-fn run() -> (Vec<Option<Grid3<f64>>>, Arc<CommStats>) {
-    let kernel = Arc::new(GaussianKernel::new(N, SIGMA));
-    let field = Arc::new(input());
-    let cfg = Arc::new(config());
-    let domains = Arc::new(decompose_uniform(N, K));
-    let assignment = assign_round_robin(domains.len(), P);
-    run_cluster_with_faults(
-        P,
-        FaultPlan::none(),
-        RetryPolicy::default(),
-        move |mut w| {
-            let _worker = lcc_obs::span("worker");
-            let conv = LowCommConvolver::new((*cfg).clone());
-            let session = conv.session(ConvolveMode::Normal);
-            let my_fields: Vec<CompressedField> = assignment[w.rank()]
-                .iter()
-                .filter_map(|&di| session.compress_domain(&field, &domains[di], kernel.as_ref()))
-                .collect();
-            let payload: Vec<f64> = my_fields
-                .iter()
-                .flat_map(|f| f.samples().iter().copied())
-                .collect();
-            let all = w
-                .allgather_surviving(encode_f64s(&payload))
-                .expect("allgather failed");
-            let mut contribs: BTreeMap<usize, CompressedField> = BTreeMap::new();
-            for (rank, bytes) in all.iter().enumerate() {
-                let bytes = bytes.as_ref().expect("fault-free run has no dead ranks");
-                let samples = decode_f64s(bytes);
-                let mut off = 0;
-                for &di in &assignment[rank] {
-                    let plan = conv.plan_for(conv.response_region(&domains[di], kernel.as_ref()));
-                    let count = plan.total_samples();
-                    let mut f = CompressedField::zeros(plan);
-                    f.samples_mut().copy_from_slice(&samples[off..off + count]);
-                    off += count;
-                    contribs.insert(di, f);
-                }
-            }
-            let (result, _) = session.accumulate(&contribs, &field, kernel.as_ref(), &[]);
-            result
-        },
-    )
+/// The Fig. 1(b) deployment through the session API: round-robin local
+/// compressed convolutions, one sparse exchange, every rank folding the
+/// whole cube in ascending domain id.
+fn run() -> (Vec<Grid3<f64>>, Arc<CommStats>) {
+    let kernel = GaussianKernel::new(N, SIGMA);
+    let field = input();
+    let conv = LowCommConvolver::new(config());
+    let deployment = Deployment::replicated(N, K, P);
+    run_cluster(P, |mut w| {
+        let _worker = lcc_obs::span("worker");
+        conv.session(ConvolveMode::Normal)
+            .exchange(&mut w, &field, &kernel, &deployment)
+            .expect("fault-free exchange")
+            .result
+    })
 }
 
 /// Aggregates spans by name into (calls, total_ns) rows, ordered by
@@ -134,10 +100,9 @@ fn main() {
     assert_eq!(counter("comm.bytes_physical"), stats.physical_bytes());
     assert_eq!(counter("comm.collective_rounds"), stats.rounds());
 
-    // All survivors hold the same field; report its accuracy for context.
-    let survivor = results[0].as_ref().expect("rank 0 survived").clone();
+    // All ranks hold the same field; report its accuracy for context.
     let oracle = TraditionalConvolver::new(N).convolve(&input(), &GaussianKernel::new(N, SIGMA));
-    let err = relative_l2(oracle.as_slice(), survivor.as_slice());
+    let err = relative_l2(oracle.as_slice(), results[0].as_slice());
 
     // Eq. 1 vs Eq. 6 modeled times under the default α-β link, using the
     // schedule's effective exterior rate as the paper's r_avg.

@@ -2,23 +2,21 @@
 //! `chaos_cluster` integration tests, and the backend-parameterized
 //! transport conformance suite.
 //!
-//! One rank's slice of the Fig. 1(b) deployment: convolve the rank's
-//! round-robin share of sub-domains locally, allgather the compressed
-//! samples across the survivors, reconstruct everyone's contributions,
-//! and recompute dead ranks' domains at the degraded (coarsest) rate.
-//! The cluster size comes from the world, so the same function runs on
-//! any backend and any rank count.
+//! One rank's slice of the Fig. 1(b) deployment: a degraded-mode
+//! [`ConvolveSession::exchange`](lcc_core::ConvolveSession::exchange) over
+//! a replicated deployment. Each rank convolves its round-robin share of
+//! sub-domains, the survivors exchange the compressed samples once, and
+//! every rank folds everyone's contributions, recomputing dead ranks'
+//! domains at the degraded (coarsest) rate. The cluster size comes from
+//! the world, so the same function runs on any backend and any rank count.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lcc_comm::{
-    decode_f64s, encode_f64s, run_cluster_with_faults, CommStats, CommWorld, FaultPlan, RetryPolicy,
-};
-use lcc_core::{ConvolveMode, LowCommConfig, LowCommConvolver};
+use lcc_comm::{run_cluster_with_faults, CommStats, CommWorld, FaultPlan, RetryPolicy};
+use lcc_core::{ConvolveMode, Deployment, LowCommConfig, LowCommConvolver};
 use lcc_greens::GaussianKernel;
-use lcc_grid::{assign_round_robin, decompose_uniform, Grid3};
-use lcc_octree::{CompressedField, RateSchedule};
+use lcc_grid::Grid3;
+use lcc_octree::RateSchedule;
 
 /// Grid size of the standard chaos deployment.
 pub const N: usize = 32;
@@ -47,67 +45,21 @@ pub fn input() -> Grid3<f64> {
 /// One rank of the chaos workload, on an already-connected world of any
 /// size. Returns the accumulated (possibly degraded) convolution result.
 pub fn chaos_rank(w: &mut CommWorld) -> Grid3<f64> {
-    let p = w.size();
-    let kernel = GaussianKernel::new(N, SIGMA);
-    let input = input();
-    let domains = decompose_uniform(N, K);
-    let assignment = assign_round_robin(domains.len(), p);
     let conv = LowCommConvolver::new(config());
-
-    // Local phase: convolve my sub-domains; NO communication.
-    let my_fields: Vec<CompressedField> = assignment[w.rank()]
-        .iter()
-        .map(|&di| {
-            let d = domains[di];
-            let sub = input.extract(&d);
-            let plan = conv.plan_for(conv.response_region(&d, &kernel));
-            conv.local().convolve_compressed(&sub, d.lo, &kernel, plan)
-        })
-        .collect();
-
-    // Single exchange across the survivors.
-    let payload: Vec<f64> = my_fields
-        .iter()
-        .flat_map(|f| f.samples().iter().copied())
-        .collect();
-    let all = w
-        .allgather_surviving(encode_f64s(&payload))
-        .expect("surviving allgather failed");
-
-    // Reconstruct every live rank's contributions; collect the domains of
-    // dead ranks for degraded recomputation.
-    let mut contribs: BTreeMap<usize, CompressedField> = BTreeMap::new();
-    let mut orphans = Vec::new();
-    for (rank, bytes) in all.iter().enumerate() {
-        match bytes {
-            Some(bytes) => {
-                let samples = decode_f64s(bytes);
-                let mut off = 0;
-                for &di in &assignment[rank] {
-                    let d = domains[di];
-                    let plan = conv.plan_for(conv.response_region(&d, &kernel));
-                    let count = plan.total_samples();
-                    let mut f = CompressedField::zeros(plan);
-                    f.samples_mut().copy_from_slice(&samples[off..off + count]);
-                    off += count;
-                    contribs.insert(di, f);
-                }
-                assert_eq!(off, samples.len(), "payload fully consumed");
-            }
-            None => {
-                orphans.extend(assignment[rank].iter().map(|&di| (di, domains[di])));
-            }
-        }
-    }
-    let session = conv.session(ConvolveMode::Degraded);
-    let (result, report) = session.accumulate(&contribs, &input, &kernel, &orphans);
-    assert_eq!(report.degraded_domains, orphans.len());
-    if orphans.is_empty() {
-        assert_eq!(report.degraded_rate, None);
-    } else {
-        assert_eq!(report.degraded_rate, Some(conv.coarsest_rate()));
-    }
-    result
+    let deployment = Deployment::replicated(N, K, w.size());
+    let out = conv
+        .session(ConvolveMode::Degraded)
+        .exchange(w, &input(), &GaussianKernel::new(N, SIGMA), &deployment)
+        .expect("surviving exchange failed");
+    // The smooth input has no zero domain: every crashed rank's share is
+    // rebuilt at the coarsest rate.
+    let orphans = (0..(N / K).pow(3))
+        .filter(|&id| w.fault_plan().is_crashed(deployment.owner(id)))
+        .count();
+    assert_eq!(out.report.degraded_domains, orphans);
+    let rate = (orphans > 0).then(|| conv.coarsest_rate());
+    assert_eq!(out.report.degraded_rate, rate);
+    out.result
 }
 
 /// Runs the chaos workload on the in-process cluster under `plan`,

@@ -1,31 +1,26 @@
 //! The self-healing distributed convolution workload shared by
 //! `exp_recovery` and the recovery integration tests.
 //!
-//! Each rank computes its round-robin share of sub-domain contributions,
-//! then joins a *converged* allgather: if a peer dies (crash at start,
-//! or deserting mid-exchange), every survivor deterministically derives
-//! the same [`RecoveryPlan`] from the same epoch-stamped membership view,
-//! claimants recompute the orphaned domains — exactly, under
-//! `RecoveryPolicy::Redistribute` — and the recomputed contributions ride
-//! the same single sparse exchange. The fold order is ascending global
-//! domain id on every rank, so a redistributed run is bit-identical to a
-//! fault-free one.
-//!
-//! Wire format of one rank's payload (little-endian):
-//!
-//! ```text
-//! u64 ndomains, then per domain: u64 id | u64 nsamples | f64 × nsamples
-//! ```
+//! Each rank runs a recover-mode
+//! [`ConvolveSession::exchange`](lcc_core::ConvolveSession::exchange) over
+//! a replicated deployment: it computes its round-robin share of
+//! sub-domain contributions, then joins a *converged* all-to-all. If a peer
+//! dies (crash at start, or deserting mid-exchange), every survivor
+//! deterministically derives the same [`lcc_core::RecoveryPlan`] from the
+//! same epoch-stamped membership view, claimants recompute the orphaned
+//! domains — exactly, under `RecoveryPolicy::Redistribute` — and the
+//! recomputed contributions ride the same single sparse exchange. The fold
+//! order is ascending global domain id on every rank, so a redistributed
+//! run is bit-identical to a fault-free one.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lcc_comm::{run_cluster_with_faults, CommStats, CommWorld, FaultPlan, RetryPolicy};
 use lcc_core::{
-    ConvolveMode, ConvolveReport, LowCommConfig, LowCommConvolver, RecoveryPlanner, RecoveryPolicy,
+    ConvolveMode, Deployment, Exchanged, LowCommConfig, LowCommConvolver, RecoveryPolicy,
 };
 use lcc_greens::GaussianKernel;
-use lcc_grid::{decompose_uniform, BoxRegion, Grid3};
+use lcc_grid::{decompose_uniform, Grid3};
 use lcc_octree::{CompressedField, RateSchedule};
 
 /// One recovery scenario: a deployment shape plus a fault plan and policy.
@@ -102,153 +97,43 @@ pub fn fast_retry(p: usize) -> RetryPolicy {
     }
 }
 
-/// What one surviving rank produced.
-#[derive(Clone, Debug)]
-pub struct RankOutcome {
-    /// The accumulated (recovered) convolution result.
-    pub result: Grid3<f64>,
-    /// Recovery-aware accounting for this rank's fold.
-    pub report: ConvolveReport,
-    /// The membership epoch the exchange converged under.
-    pub epoch: u64,
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u64(bytes: &[u8], at: &mut usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[*at..*at + 8]);
-    *at += 8;
-    u64::from_le_bytes(b)
-}
-
-fn encode_payload(entries: &BTreeMap<usize, CompressedField>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, entries.len() as u64);
-    for (&id, f) in entries {
-        put_u64(&mut buf, id as u64);
-        put_u64(&mut buf, f.samples().len() as u64);
-        for v in f.samples() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    buf
-}
-
-fn decode_payload(bytes: &[u8]) -> Vec<(usize, Vec<f64>)> {
-    let mut at = 0;
-    let count = get_u64(bytes, &mut at) as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = get_u64(bytes, &mut at) as usize;
-        let ns = get_u64(bytes, &mut at) as usize;
-        let mut samples = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[at..at + 8]);
-            at += 8;
-            samples.push(f64::from_le_bytes(b));
-        }
-        out.push((id, samples));
-    }
-    out
-}
-
 /// One rank of the self-healing workload, on an already-connected world
-/// of any backend. `None` for deserting ranks (they walk away
-/// mid-exchange); the cluster size comes from the world, the deployment
-/// shape and policy from `case` (whose `p`, `plan`, and `retry` fields
-/// are the *harness's* concern and are ignored here).
-pub fn rank_workload(w: &mut CommWorld, case: &RecoveryCase) -> Option<RankOutcome> {
-    let p = w.size();
+/// of any backend: the recovered whole-cube result, its recovery-aware
+/// report and the epoch the exchange converged under. `None` for deserting
+/// ranks (they walk away mid-exchange); the cluster size comes from the
+/// world, the deployment shape and policy from `case` (whose `p`, `plan`,
+/// and `retry` fields are the *harness's* concern and are ignored here).
+pub fn rank_workload(w: &mut CommWorld, case: &RecoveryCase) -> Option<Exchanged> {
     let rank = w.rank();
-    let policy = case.policy;
     let field = case.input();
     let kernel = case.kernel();
-    let domains = decompose_uniform(case.n, case.k);
+    let deployment = Deployment::replicated(case.n, case.k, w.size());
     let conv = LowCommConvolver::new(case.config());
-    let session = conv.session(ConvolveMode::Recover(policy));
-    let planner = RecoveryPlanner::new(policy);
-    let owner = |id: usize| id % p;
-
-    // Exact in Recover mode: the same memoized plan and pipeline the dead
-    // owner would have used.
-    let contribution = |id: usize| -> Option<CompressedField> {
-        session.compress_domain(&field, &domains[id], &kernel)
-    };
-    let own_payload = |claims: &[usize]| -> Vec<u8> {
-        let mut mine = BTreeMap::new();
-        for id in (0..domains.len())
-            .filter(|&id| owner(id) == rank)
-            .chain(claims.iter().copied())
-        {
-            if let Some(f) = contribution(id) {
-                mine.insert(id, f);
-            }
-        }
-        encode_payload(&mine)
-    };
+    let session = conv.session(ConvolveMode::Recover(case.policy));
 
     if w.fault_plan().deserts(rank) {
-        // A deserter ships its epoch-0 share to lower ranks only, then
+        // A deserter ships its epoch-0 frames to lower ranks only, then
         // walks away mid-exchange without crashing.
-        let payload = own_payload(&[]);
+        let domains = decompose_uniform(case.n, case.k);
+        let mine: Vec<(usize, CompressedField)> = deployment
+            .domains_of(rank)
+            .filter_map(|id| Some((id, session.compress_domain(&field, &domains[id], &kernel)?)))
+            .collect();
         for to in 0..rank {
-            let _ = w.send_epoch(to, &payload);
+            let frame =
+                session.encode_frame(mine.iter().map(|(id, f)| (*id, f)), &deployment.region(to));
+            let _ = w.send_epoch(to, &frame);
         }
         return None;
     }
 
-    let (slots, epoch) = w
-        .allgather_converged(|view| {
-            let dead: Vec<usize> = view.dead_ranks().collect();
-            let plan = planner.plan(&domains, owner, &view.live_ranks(), &dead);
-            let claims: Vec<usize> = plan.claims_for(rank).map(|c| c.domain_id).collect();
-            own_payload(&claims)
-        })
-        .expect("converged allgather failed despite retries");
-
-    // Reconstruct the recovery plan from the converged view — the same
-    // pure function every payload was built from.
-    let view = w.current_view().clone();
-    let dead: Vec<usize> = view.dead_ranks().collect();
-    let plan = planner.plan(&domains, owner, &view.live_ranks(), &dead);
-
-    let mut contribs: BTreeMap<usize, CompressedField> = BTreeMap::new();
-    for slot in slots.iter().flatten() {
-        for (id, samples) in decode_payload(slot) {
-            let splan = conv.plan_for(conv.response_region(&domains[id], &kernel));
-            assert_eq!(
-                samples.len(),
-                splan.total_samples(),
-                "domain {id} sample count does not match its plan"
-            );
-            let mut f = CompressedField::zeros(splan);
-            f.samples_mut().copy_from_slice(&samples);
-            contribs.insert(id, f);
-        }
-    }
-    // Claimed domains present in the fold are charged as recovered;
-    // unclaimed (or lost) orphans are rebuilt at the coarsest rate.
-    let orphans: Vec<(usize, BoxRegion)> = plan
-        .claims
-        .iter()
-        .map(|c| (c.domain_id, domains[c.domain_id]))
-        .chain(plan.degraded.iter().copied())
-        .collect();
-    let (result, report) = session.accumulate(&contribs, &field, &kernel, &orphans);
-    Some(RankOutcome {
-        result,
-        report,
-        epoch,
-    })
+    let out = session.exchange(w, &field, &kernel, &deployment);
+    Some(out.expect("converged exchange failed despite retries"))
 }
 
 /// Runs `case` on the cluster simulator. The outer `Option` is `None` for
 /// crashed *and* deserting ranks; survivors all hold bit-identical results.
-pub fn run_recovery(case: &RecoveryCase) -> (Vec<Option<RankOutcome>>, Arc<CommStats>) {
+pub fn run_recovery(case: &RecoveryCase) -> (Vec<Option<Exchanged>>, Arc<CommStats>) {
     let shared = Arc::new(case.clone());
     let (results, stats) = run_cluster_with_faults(
         case.p,
@@ -285,18 +170,23 @@ mod tests {
         let field = case.input();
         let kernel = case.kernel();
         let domains = decompose_uniform(case.n, case.k);
-        let mut entries = BTreeMap::new();
-        for id in [0usize, 5, 63] {
-            let f = session
-                .compress_domain(&field, &domains[id], &kernel)
-                .expect("smooth input has no zero domains");
-            entries.insert(id, f);
-        }
-        let decoded = decode_payload(&encode_payload(&entries));
+        let ids = [0usize, 5, 63];
+        let entries: Vec<(usize, CompressedField)> = ids
+            .iter()
+            .map(|&id| {
+                let f = session.compress_domain(&field, &domains[id], &kernel);
+                (id, f.expect("smooth input has no zero domains"))
+            })
+            .collect();
+        let cube = lcc_grid::BoxRegion::cube(case.n);
+        let frame = session.encode_frame(entries.iter().map(|(id, f)| (*id, f)), &cube);
+        let decoded = session
+            .decode_frame(&frame, &kernel, &cube, 0, 1, |id| ids.contains(&id))
+            .expect("the session decodes its own frame");
         assert_eq!(decoded.len(), 3);
-        for ((id, samples), (want_id, want)) in decoded.iter().zip(entries.iter()) {
+        for ((id, got), (want_id, want)) in decoded.iter().zip(&entries) {
             assert_eq!(id, want_id);
-            assert_eq!(samples, want.samples());
+            assert_eq!(got.samples(), want.samples());
         }
     }
 }

@@ -44,11 +44,11 @@
 //! [`CommWorld::record_failure`]; a [`CommWorld::detect_failures`] sweep
 //! confirms suspicions against the fault plan (the simulator's stand-in for
 //! an out-of-band health probe), so every survivor of a given seed converges
-//! on the same sequence of views. The epoch-tagged collectives
-//! ([`CommWorld::alltoall_epoch`] and the self-healing
-//! [`CommWorld::alltoall_converged`]) stamp every frame with the sender's
-//! epoch, discard stale frames from aborted pre-failure attempts, and re-run
-//! the exchange until all survivors complete it under a common view.
+//! on the same sequence of views. The self-healing collectives
+//! ([`CommWorld::alltoall_converged`] and its allgather form) stamp every
+//! frame with the sender's epoch, discard stale frames from aborted
+//! pre-failure attempts, and re-run the exchange until all survivors
+//! complete it under a common view.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -842,50 +842,6 @@ impl CommWorld {
                 EpochDisposition::Current => return Ok(payload.to_vec()),
             }
         }
-    }
-
-    /// One epoch-tagged all-to-all attempt under the current view: frames
-    /// carry the sender's epoch, peers believed dead are skipped (`None`
-    /// slots), sends are best-effort (a failed send marks the peer suspect
-    /// and moves on), and any receive failure aborts the attempt so the
-    /// caller can run [`CommWorld::detect_failures`] and retry. Most
-    /// callers want [`CommWorld::alltoall_converged`], which does exactly
-    /// that loop.
-    pub fn alltoall_epoch(
-        &mut self,
-        outgoing: Vec<Vec<u8>>,
-    ) -> Result<Vec<Option<Vec<u8>>>, CommError> {
-        assert_eq!(outgoing.len(), self.size, "need one payload per rank");
-        self.count_round();
-        for (to, payload) in outgoing.into_iter().enumerate() {
-            if !self.actor.view().is_alive(to) {
-                continue;
-            }
-            if let Err(e) = self.send_epoch(to, &payload) {
-                self.record_failure(&e);
-            }
-        }
-        let mut incoming = Vec::with_capacity(self.size);
-        for from in 0..self.size {
-            if !self.actor.view().is_alive(from) {
-                incoming.push(None);
-                continue;
-            }
-            match self.recv_epoch_from(from) {
-                Ok(p) => incoming.push(Some(p)),
-                Err(e) => {
-                    self.record_failure(&e);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(incoming)
-    }
-
-    /// Epoch-tagged allgather attempt; see [`CommWorld::alltoall_epoch`].
-    pub fn allgather_epoch(&mut self, payload: Vec<u8>) -> Result<Vec<Option<Vec<u8>>>, CommError> {
-        let outgoing = vec![payload; self.size];
-        self.alltoall_epoch(outgoing)
     }
 
     /// Self-healing all-to-all: attempts the exchange, runs a detection

@@ -50,6 +50,15 @@ pub enum CommError {
         /// short to carry its fixed-size header).
         elem_size: usize,
     },
+    /// A decodable exchange frame named a sub-domain its sender does not
+    /// compute under the agreed deployment, or named one twice or out of
+    /// ascending order.
+    UnexpectedDomain {
+        rank: usize,
+        peer: usize,
+        /// The offending domain id as it came off the wire.
+        domain: u64,
+    },
     /// A transport backend failed to move bytes: a socket read/write
     /// error, a failed connection or handshake, or a coordinator-protocol
     /// violation. `peer` is `usize::MAX` when the failure does not
@@ -139,6 +148,11 @@ impl fmt::Display for CommError {
                 "rank {rank}: undecodable {len}-byte frame from rank {peer} \
                  (expected whole {elem_size}-byte elements)"
             ),
+            CommError::UnexpectedDomain { rank, peer, domain } => write!(
+                f,
+                "rank {rank}: frame from rank {peer} names sub-domain {domain}, \
+                 which it may not send there"
+            ),
             CommError::Transport { rank, peer, detail } => {
                 if *peer == usize::MAX {
                     write!(f, "rank {rank}: transport failure: {detail}")
@@ -200,6 +214,7 @@ impl CommError {
             | CommError::RetriesExhausted { peer, .. }
             | CommError::Disbanded { peer, .. }
             | CommError::Decode { peer, .. }
+            | CommError::UnexpectedDomain { peer, .. }
             | CommError::EpochMismatch { peer, .. } => Some(*peer),
         }
     }

@@ -9,7 +9,7 @@
 //! probe), every survivor of a given fault seed converges on the *same*
 //! sequence of views — same members, same epochs — regardless of thread
 //! interleaving. That shared view is what lets the epoch-tagged collectives
-//! ([`crate::cluster::CommWorld::alltoall_epoch`]) discard stale traffic
+//! ([`crate::cluster::CommWorld::alltoall_converged`]) discard stale traffic
 //! from before a failure and re-run an exchange deterministically.
 //!
 //! Membership lives entirely *above* the [`crate::transport::Transport`]

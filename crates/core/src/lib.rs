@@ -14,8 +14,9 @@
 //! 3. **Octree multi-resolution sampling** (`lcc-octree`): dense where the
 //!    decaying Green's-function response lives, sparse elsewhere.
 //! 4. **Single accumulation + interpolation**
-//!    ([`lowcomm::LowCommConvolver::accumulate`]): the only step where data
-//!    crosses workers — compressed samples, once.
+//!    ([`ConvolveSession::exchange`], [`distributed`]): the only step where
+//!    data crosses workers — compressed samples, once, each receiver getting
+//!    only the cells its region reads.
 //!
 //! [`traditional::TraditionalConvolver`] is the dense baseline the paper
 //! compares against, and [`memory_model`] holds the Table 1/2/4 footprint
@@ -38,6 +39,7 @@
 
 pub mod adaptive;
 pub mod config;
+pub mod distributed;
 pub mod fold;
 pub mod lowcomm;
 pub mod memory_model;
@@ -54,6 +56,7 @@ pub(crate) mod test_common;
 
 pub use adaptive::AdaptiveConvolver;
 pub use config::{ConfigError, LowCommConfigBuilder};
+pub use distributed::{Deployment, Exchanged};
 pub use fold::fold_fields;
 pub use lowcomm::{ConvolveReport, LowCommConfig, LowCommConvolver};
 pub use memory_model::{

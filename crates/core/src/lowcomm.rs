@@ -319,7 +319,8 @@ impl LowCommConvolver {
     /// fault-free run of the same fold. `recovered` lists the domain ids
     /// in `contributions` that claimants recomputed (their modeled flop
     /// and byte cost is charged to the report); `degraded` orphans are
-    /// rebuilt locally at the coarsest rate.
+    /// rebuilt locally at the coarsest rate. Everything is folded over
+    /// `region`, whose shape the result has.
     pub(crate) fn accumulate_map_impl(
         &self,
         contributions: &BTreeMap<usize, CompressedField>,
@@ -327,6 +328,7 @@ impl LowCommConvolver {
         kernel: &dyn KernelSpectrum,
         recovered: &[usize],
         degraded: &[(usize, BoxRegion)],
+        region: &BoxRegion,
     ) -> (Grid3<f64>, ConvolveReport) {
         let n = self.cfg.n;
         let mut report = ConvolveReport {
@@ -358,12 +360,8 @@ impl LowCommConvolver {
         }
         // BTreeMap iteration is ascending by domain id; the rebuilt orphans
         // follow in the order they were listed.
-        let mut out = Grid3::zeros((n, n, n));
-        fold_fields(
-            contributions.values().chain(&rebuilt),
-            &BoxRegion::cube(n),
-            &mut out,
-        );
+        let mut out = Grid3::zeros(region.size());
+        fold_fields(contributions.values().chain(&rebuilt), region, &mut out);
         obs::CONVOLVE_DOMAINS_RECOVERED.add(report.recovered_domains as u64);
         obs::CONVOLVE_DOMAINS_DEGRADED.add(report.degraded_domains as u64);
         (out, report)

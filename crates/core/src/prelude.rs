@@ -13,6 +13,7 @@
 //! ```
 
 pub use crate::config::{ConfigError, LowCommConfigBuilder};
+pub use crate::distributed::{Deployment, Exchanged};
 pub use crate::lowcomm::{ConvolveReport, LowCommConfig, LowCommConvolver};
 pub use crate::pipeline::LocalConvolver;
 pub use crate::recovery::{RecoveryPlanner, RecoveryPolicy};

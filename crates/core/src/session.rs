@@ -152,7 +152,9 @@ impl<'a> ConvolveSession<'a> {
         self.conv.accumulate_impl(fields)
     }
 
-    /// Mode-aware accumulation + interpolation — the single exchange's fold.
+    /// Mode-aware accumulation + interpolation over `region` — the single
+    /// exchange's fold. The result has the region's shape; pass
+    /// `BoxRegion::cube(n)` for the whole grid.
     ///
     /// `contributions` maps global domain id → compressed field; the fold
     /// runs in **ascending domain-id order**, the one order every rank can
@@ -171,6 +173,7 @@ impl<'a> ConvolveSession<'a> {
         input: &Grid3<f64>,
         kernel: &dyn KernelSpectrum,
         orphans: &[(usize, BoxRegion)],
+        region: &BoxRegion,
     ) -> (Grid3<f64>, ConvolveReport) {
         let _sp = lcc_obs::span("session_accumulate");
         if matches!(self.mode, ConvolveMode::Normal) {
@@ -189,7 +192,7 @@ impl<'a> ConvolveSession<'a> {
             Vec::new()
         };
         self.conv
-            .accumulate_map_impl(contributions, input, kernel, &recovered, &degraded)
+            .accumulate_map_impl(contributions, input, kernel, &recovered, &degraded, region)
     }
 
     /// Full fault-free pipeline: compress every sub-domain, then
@@ -264,7 +267,8 @@ mod tests {
             contribs.insert(id, f);
         }
         let orphans = [(0usize, domains[0]), (1usize, domains[1])];
-        let (_, report) = session.accumulate(&contribs, &input, &kernel, &orphans);
+        let cube = BoxRegion::cube(n);
+        let (_, report) = session.accumulate(&contribs, &input, &kernel, &orphans, &cube);
         assert_eq!(report.degraded_domains, 2);
         assert_eq!(report.degraded_rate, Some(conv.coarsest_rate()));
         assert_eq!(report.recovered_domains, 0);
@@ -287,14 +291,15 @@ mod tests {
         }
         // Domain 0's owner died; a claimant recomputed it (it is present).
         let orphans = [(0usize, domains[0])];
-        let (got, report) = session.accumulate(&contribs, &input, &kernel, &orphans);
+        let cube = BoxRegion::cube(n);
+        let (got, report) = session.accumulate(&contribs, &input, &kernel, &orphans, &cube);
         assert_eq!(report.recovered_domains, 1);
         assert!(report.recovery_extra_flops > 0.0);
         assert!(report.recovery_extra_bytes > 0);
         assert_eq!(report.degraded_domains, 0);
         // Recovery accounting must not change the field itself.
         let clean_session = conv.session(ConvolveMode::Normal);
-        let (clean, _) = clean_session.accumulate(&contribs, &input, &kernel, &[]);
+        let (clean, _) = clean_session.accumulate(&contribs, &input, &kernel, &[], &cube);
         assert_eq!(clean.as_slice(), got.as_slice());
     }
 
@@ -306,8 +311,9 @@ mod tests {
         let kernel = GaussianKernel::new(n, 1.0);
         let input = smooth_input(n);
         let session = conv.session(ConvolveMode::Normal);
-        let orphans = [(0usize, lcc_grid::BoxRegion::new([0; 3], [8; 3]))];
-        let _ = session.accumulate(&BTreeMap::new(), &input, &kernel, &orphans);
+        let orphans = [(0usize, BoxRegion::new([0; 3], [8; 3]))];
+        let cube = BoxRegion::cube(n);
+        let _ = session.accumulate(&BTreeMap::new(), &input, &kernel, &orphans, &cube);
     }
 
     #[test]

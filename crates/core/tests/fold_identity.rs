@@ -88,16 +88,17 @@ fn mode_aware_accumulate_equals_serial_fold() {
         contributions.values().chain(std::iter::once(&rebuilt)),
     ));
 
+    let cube = BoxRegion::cube(n);
     for mode in [
         ConvolveMode::Degraded,
         ConvolveMode::Recover(RecoveryPolicy::Hybrid),
     ] {
         let session = conv.session(mode);
-        let (pooled, report) = session.accumulate(&contributions, &input, &kernel, &orphans);
+        let fold = || session.accumulate(&contributions, &input, &kernel, &orphans, &cube);
+        let (pooled, report) = fold();
         assert_eq!(report.degraded_domains, 1, "{}", mode.name());
         assert_eq!(bits(&pooled), want, "{}", mode.name());
-        let (sequential, _) =
-            rayon::run_sequential(|| session.accumulate(&contributions, &input, &kernel, &orphans));
+        let (sequential, _) = rayon::run_sequential(fold);
         assert_eq!(bits(&sequential), want, "{}", mode.name());
     }
 }

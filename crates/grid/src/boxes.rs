@@ -2,8 +2,8 @@
 //!
 //! A [`BoxRegion`] is a half-open box `[lo, hi)` inside an `N³` grid. The
 //! paper's Step 1 splits the input grid into `k×k×k` sub-domains; the
-//! [`decompose_uniform`] helper produces that partition and
-//! [`assign_round_robin`] maps sub-domains onto `P` workers.
+//! [`decompose_uniform`] helper produces that partition (which worker
+//! computes which is `lcc_core::Deployment`'s business).
 
 /// A half-open axis-aligned box `[lo, hi)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -163,21 +163,6 @@ pub fn decompose_uniform(n: usize, k: usize) -> Vec<BoxRegion> {
     out
 }
 
-/// Assigns sub-domains to `workers` workers round-robin; returns, for each
-/// worker, the list of sub-domain indices it owns.
-///
-/// The paper batches "one or more chunks … processed locally inside a worker
-/// node"; round-robin is the load-balanced default since uniform sub-domains
-/// cost the same.
-pub fn assign_round_robin(num_domains: usize, workers: usize) -> Vec<Vec<usize>> {
-    assert!(workers >= 1, "need at least one worker");
-    let mut plan = vec![Vec::new(); workers];
-    for d in 0..num_domains {
-        plan[d % workers].push(d);
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,16 +213,6 @@ mod tests {
         assert_eq!(i, BoxRegion::new([2, 2, 2], [4, 4, 4]));
         let c = BoxRegion::new([4, 0, 0], [5, 1, 1]);
         assert!(a.intersect(&c).is_none(), "touching boxes do not intersect");
-    }
-
-    #[test]
-    fn round_robin_assignment_balanced() {
-        let plan = assign_round_robin(10, 3);
-        assert_eq!(plan[0], vec![0, 3, 6, 9]);
-        assert_eq!(plan[1], vec![1, 4, 7]);
-        assert_eq!(plan[2], vec![2, 5, 8]);
-        let total: usize = plan.iter().map(|v| v.len()).sum();
-        assert_eq!(total, 10);
     }
 
     #[test]

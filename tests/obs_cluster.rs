@@ -6,8 +6,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lcc_comm::{encode_f64s, run_cluster_with_faults, CommStats, FaultPlan, RetryPolicy};
-use lcc_grid::Grid3;
+use lcc_comm::{run_cluster_with_faults, CommStats, FaultPlan, RetryPolicy};
 
 use lcc_core::prelude::*;
 
@@ -24,29 +23,17 @@ fn obs_test_gate() -> MutexGuard<'static, ()> {
 }
 
 fn run_two_ranks(plan: FaultPlan) -> Arc<CommStats> {
-    let kernel = Arc::new(GaussianKernel::new(N, 1.0));
-    let input = Arc::new(Grid3::from_fn((N, N, N), |x, y, z| {
+    let kernel = GaussianKernel::new(N, 1.0);
+    let input = Grid3::from_fn((N, N, N), |x, y, z| {
         ((x as f64 * 0.29).sin() + (y as f64 * 0.41).cos()) * (1.0 + 0.01 * z as f64)
-    }));
-    let cfg = Arc::new(LowCommConfig::paper_default(N, K, 8));
-    let domains = Arc::new(decompose_uniform(N, K));
-    let (_, stats) = run_cluster_with_faults(P, plan, RetryPolicy::default(), move |mut w| {
+    });
+    let conv = LowCommConvolver::new(LowCommConfig::paper_default(N, K, 8));
+    let deployment = Deployment::replicated(N, K, P);
+    let (_, stats) = run_cluster_with_faults(P, plan, RetryPolicy::default(), |mut w| {
         let _worker = lcc_obs::span("obs_cluster_worker");
-        let conv = LowCommConvolver::new((*cfg).clone());
-        let session = conv.session(ConvolveMode::Normal);
-        let payload: Vec<f64> = (0..domains.len())
-            .filter(|id| id % P == w.rank())
-            .flat_map(|id| {
-                session
-                    .compress_domain(&input, &domains[id], kernel.as_ref())
-                    .map(|f| f.samples().to_vec())
-                    .unwrap_or_default()
-            })
-            .collect();
-        let all = w
-            .allgather_surviving(encode_f64s(&payload))
-            .expect("allgather failed");
-        all.iter().flatten().map(|b| b.len()).sum::<usize>()
+        conv.session(ConvolveMode::Normal)
+            .exchange(&mut w, &input, &kernel, &deployment)
+            .expect("exchange failed")
     });
     stats
 }

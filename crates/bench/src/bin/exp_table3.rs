@@ -10,34 +10,11 @@
 
 use std::sync::Arc;
 
-use lcc_bench::time_ms;
+use lcc_bench::{schedule_for_r, time_ms};
 use lcc_core::{LocalConvolver, TraditionalConvolver};
 use lcc_greens::GaussianKernel;
 use lcc_grid::{relative_l2, BoxRegion, Grid3};
-use lcc_octree::{RateBand, RateSchedule, SamplingPlan};
-
-/// Paper-style schedule with a chosen dominant exterior rate r.
-fn schedule_for_r(k: usize, r: u32) -> RateSchedule {
-    RateSchedule {
-        bands: vec![
-            RateBand {
-                max_distance: 3,
-                rate: 1,
-            },
-            RateBand {
-                max_distance: k / 2,
-                rate: 2,
-            },
-            RateBand {
-                max_distance: 4 * k,
-                rate: r.clamp(2, 8),
-            },
-        ],
-        far_rate: r,
-        boundary_width: 0,
-        boundary_rate: 1,
-    }
-}
+use lcc_octree::SamplingPlan;
 
 fn main() {
     let large = std::env::args().any(|a| a == "--large");

@@ -45,6 +45,31 @@ pub fn gb(bytes: u64) -> f64 {
     bytes as f64 / 1e9
 }
 
+/// Paper-style schedule with a chosen dominant exterior rate `r`: the
+/// schedule behind the `(N, k, r)` rows of Tables 3 and 4.
+pub fn schedule_for_r(k: usize, r: u32) -> lcc_octree::RateSchedule {
+    use lcc_octree::RateBand;
+    lcc_octree::RateSchedule {
+        bands: vec![
+            RateBand {
+                max_distance: 3,
+                rate: 1,
+            },
+            RateBand {
+                max_distance: k / 2,
+                rate: 2,
+            },
+            RateBand {
+                max_distance: 4 * k,
+                rate: r.clamp(2, 8),
+            },
+        ],
+        far_rate: r,
+        boundary_width: 0,
+        boundary_rate: 1,
+    }
+}
+
 /// Standard smooth test input used across experiments.
 pub fn standard_input(n: usize) -> lcc_grid::Grid3<f64> {
     lcc_grid::Grid3::from_fn((n, n, n), |x, y, z| {

@@ -45,7 +45,6 @@ pub mod dist_fft;
 pub mod fault;
 pub mod membership;
 pub mod model;
-pub mod pencil_fft;
 pub mod transport;
 
 pub use actor::{
@@ -63,7 +62,6 @@ pub use dist_fft::{
 pub use fault::{CommError, FaultPlan, RetryConfig, RetryPolicy};
 pub use membership::ClusterView;
 pub use model::{lowcomm_volume, traditional_conv_volume, AlphaBeta, CommScenario};
-pub use pencil_fft::{grid_coords, pencil_forward_3d, pencil_inverse_3d, sub_alltoall};
 pub use transport::fault::{FaultEvent, FaultEventLog, FaultTransport};
 pub use transport::liveness::{
     adaptive_threshold, ewma_observe, LivenessBoard, LivenessStats, EWMA_ALPHA, FLOOR_PERIODS,

@@ -57,47 +57,43 @@ pub fn table1_rows() -> Vec<Table1Row> {
         .collect()
 }
 
-/// Detailed device-footprint model of the streaming pipeline at `(n, k)`
-/// with `retained_z` kept z-planes and a z-stage batch of `batch` pencils.
-/// All working buffers are complex double (16 B/point); the input is real,
-/// so the slab and the retained planes hold the `h = N/2 + 1` non-redundant
-/// bins of one axis only.
+/// Memory footprint of the streaming pipeline at `(n, k)`. All working
+/// buffers are complex double (16 B/point); the input is real, so they hold
+/// the `h = N/2 + 1` non-redundant bins of one axis only.
+///
+/// Two sources fill it: [`Self::model`], the paper's device model (Tables
+/// 1, 2 and 4: the whole slab and every retained plane at once, cuFFT-style
+/// plan workspaces), and [`crate::LocalConvolver::footprint`], the host
+/// working set of this repository's column-blocked pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineFootprint {
-    /// N×h×k half-spectrum slab holding the 2D-transformed sub-domain:
-    /// [`local_slab_bytes`] plus the one Nyquist column, `16·N·k`.
+    /// The 2D-transformed sub-domain. Model: the N×h×k half-spectrum slab,
+    /// [`local_slab_bytes`] plus the one Nyquist column, `16·N·k`. Blocked:
+    /// the y-pass rows (`k·k·h`) plus one column block's slab, `k` planes
+    /// of `(N + 1)·W` (a spare row per plane).
     pub slab_bytes: u64,
-    /// Retained z-planes buffer (`retained_z`·N·h complex).
+    /// The retained z-planes. Model: `retained_z·N·h`. Blocked: one column
+    /// block of them (`retained_z·(N + 1)·W`) plus the rows stage 3 samples
+    /// (`sampled_rows·h`).
     pub retained_bytes: u64,
-    /// z-stage batch working buffer (`batch`·N complex, in and out).
+    /// z-stage working buffers. Model: `batch·N` complex, in and out.
+    /// Blocked: the largest tile-scratch lease of one participant.
     pub batch_bytes: u64,
     /// Compressed output samples + octree metadata.
     pub compressed_bytes: u64,
-    /// cuFFT-style plan workspaces alive for the run.
+    /// cuFFT-style plan workspaces alive for the run; none on the host,
+    /// whose transforms work in the tile scratch.
     pub plan_workspace_bytes: u64,
 }
 
 impl PipelineFootprint {
-    /// Builds the footprint model, with the stage-3 c2r pass over every row
+    /// The paper's device model with `retained_z` kept z-planes and a
+    /// z-stage batch of `batch` pencils, the stage-3 c2r pass over every row
     /// of a retained plane.
     pub fn model(
         n: usize,
         k: usize,
         retained_z: usize,
-        batch: usize,
-        compressed_bytes: u64,
-    ) -> Self {
-        Self::with_stage3_rows(n, k, retained_z, n, batch, compressed_bytes)
-    }
-
-    /// [`Self::model`] for a plan whose retained planes sample at most
-    /// `plane_rows` x rows each: the pipeline's c2r pass runs on those rows
-    /// only, in place in the retained-plane buffer.
-    pub(crate) fn with_stage3_rows(
-        n: usize,
-        k: usize,
-        retained_z: usize,
-        plane_rows: usize,
         batch: usize,
         compressed_bytes: u64,
     ) -> Self {
@@ -115,7 +111,7 @@ impl PipelineFootprint {
         // Final 2D inverse over one retained half-plane: the x pass over
         // its h columns, then the c2r rows (an n/2-point inverse each).
         plans.add(PlanShape::c2c(n, h));
-        plans.add(PlanShape::c2c((n / 2).max(1), plane_rows));
+        plans.add(PlanShape::c2c((n / 2).max(1), n));
         PipelineFootprint {
             slab_bytes: 16 * (n as u64) * (h as u64) * (k as u64),
             retained_bytes: 16 * (retained_z as u64) * (n as u64) * (h as u64),

@@ -3,37 +3,58 @@
 //! Convolves one `k³` sub-domain against the full `N³` periodic grid
 //! *without ever materializing the N³ result*. The input is real, so its
 //! spectrum is Hermitian and only the bins `fy ∈ 0..h`, `h = N/2 + 1`, are
-//! ever formed (Fig. 5's "RDFT converts small cube into slab"):
+//! ever formed (Fig. 5's "RDFT converts small cube into slab").
 //!
-//! 1. **2D stage** — each of the `k` z-slices is zero-padded from `k×k` to
-//!    `N×N` implicitly: pruned-input FFTs transform only the `k` nonzero
-//!    rows along y and then only the `h` non-redundant columns along x
-//!    ("zero structure is implicit in the 1D calls"). Output: an `N×h×k`
-//!    slab in `(zloc, fx, fy)` order — the paper's `8·N·N·k`-byte working
-//!    set plus one Nyquist column.
-//! 2. **z stage** — batches of `B` of the `N·h` pencils (the paper's batch
-//!    parameter) are zero-padded `k → N` by a pruned transform, multiplied
-//!    by the kernel spectrum evaluated on the fly, inverse transformed, and
-//!    immediately **compressed**: only the z-planes the octree plan retains
-//!    are kept, as `N×h` half-planes. Adjacent pencils `q = fx·h + fy` are
-//!    contiguous in the slab, so the stage runs over [`lcc_fft::tile`]s of
-//!    8 of them ([`ZStage`], shared with the tensor pipeline): slab rows
-//!    load straight into the vector lanes and the retained rows store
-//!    straight into the half-planes.
-//! 3. **2D inverse stage** — each retained half-plane is inverse
-//!    transformed along x over its `h` columns, again a tile at a time, but
-//!    only the x rows the plan samples in that plane are stored back
-//!    ([`SamplingPlan::sampled_rows`]). Only those rows are finished by a
-//!    c2r along y, in place (`h` complex hold their own `N` reals, see
-//!    [`RealIfft::process_packed`]), and sampled into the octree's
-//!    compressed storage straight from the packed rows
-//!    ([`CompressedField::capture_rows`]). Rows are independent, so a row
-//!    nobody samples is never transformed and the samples are the same to
-//!    the bit as if every row had been.
+//! **Stage order.** One call runs:
 //!
-//! The strided x transforms of stages 1 and 3 run over the same tiles (lanes
-//! across `fy`); the y transforms are along the contiguous axis and stay
-//! one plan call per row.
+//! 1. **y pass** (stage 1) — each of the `k` z-slices is zero-padded from
+//!    `k×k` to `N×N` implicitly: pruned-input FFTs transform only the `k`
+//!    nonzero rows along y ("zero structure is implicit in the 1D calls"),
+//!    and each keeps its `h` non-redundant bins: `k·k·h` complex.
+//! 2. One loop over **column blocks**: `w ≤ W = 8` adjacent `fy` columns
+//!    from `fy0 = 0, 8, …`; for even `N ≥ 16` the last block is the Nyquist
+//!    column alone. Per block:
+//!    - **x pass** (stage 1) — the block's columns of every slice are
+//!      transformed along x (`k` nonzero rows, one pruned tile) into a
+//!      block slab: `k` planes of the block's `N·w` pencils
+//!      `p = fx·w + (fy − fy0)`;
+//!    - **z stage** (stage 2) — batches of `B` of those pencils (the
+//!      paper's batch parameter) are zero-padded `k → N` by a pruned
+//!      transform, multiplied by the kernel spectrum evaluated on the fly,
+//!      inverse transformed, and immediately **compressed**: only the
+//!      z-planes the octree plan retains are kept, as `n_zr` planes of the
+//!      block's pencils. Adjacent pencils are contiguous, so the stage runs
+//!      over [`lcc_fft::tile`]s of 8 of them ([`ZStage`], shared with the
+//!      tensor pipeline);
+//!    - **x inverse** (stage 3) — each retained plane of the block is
+//!      inverse transformed along x, one tile, and only the x rows the plan
+//!      samples in that plane are stored ([`SamplingPlan::sampled_rows`]),
+//!      into their `w` columns of the sampled-row buffer.
+//! 3. **c2r and capture** (stage 3) — once every block has passed, each
+//!    sampled row is finished by a c2r along y, in place (`h` complex hold
+//!    their own `N` reals, see [`RealIfft::process_packed`]), and sampled
+//!    into the octree's compressed storage straight from the packed rows
+//!    ([`CompressedField::capture_sampled_rows`]), one task per plane. Rows
+//!    are independent, so a row nobody samples is never transformed and the
+//!    samples are the same to the bit as if every row had been.
+//!
+//! The strided x transforms of stages 1 and 3 run over tiles with their
+//! lanes across the block's `fy` columns; the y transforms are along the
+//! contiguous axis and stay one plan call per row.
+//!
+//! **Memory.** A block's x-pass tile and its x-inverse tile cover exactly
+//! its columns, so its three stages need nothing from another block, and
+//! neither the paper's `N×h×k` slab nor the `n_zr` retained `N×h`
+//! half-planes ever exist whole. The call arena holds the y-pass rows
+//! (`k·k·h`), one block slab (`k` planes of `(N + 1)·W`: a spare row keeps
+//! the planes from sitting a power of two apart), one block of retained
+//! rows (`n_zr` such planes) and the sampled rows (`sampled_row_count·h`),
+//! all complex:
+//! 5.7 MB at `N = 128, k = 32` where the whole slab and planes took 12.8 MB,
+//! and 63 MB instead of 1.14 GB at `N = 1024, k = 32, r = 32`
+//! ([`LocalConvolver::footprint`], DESIGN.md §5l). Blocking changes the
+//! loop order and the buffers only: every transform and every pencil's
+//! arithmetic is what it is unblocked, and so are the samples, to the bit.
 //!
 //! **Position is an index shift.** The sub-domain is convolved as if its
 //! low corner sat at the origin. At its true corner `c` the input is the
@@ -63,10 +84,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-use lcc_fft::tile::{carve, load_row, prefetch, store_row, Row, W};
+use lcc_fft::tile::{carve, load_row, store_row, Row, W};
 use lcc_fft::{
     as_reals, workspace, Complex64, FftDirection, FftPlanner, PrunedInputFft, RealIfft, TileFft,
-    ZStage, ZTile,
+    WorkspaceGuard, ZStage, ZTile,
 };
 use lcc_greens::KernelSpectrum;
 use lcc_grid::Grid3;
@@ -74,6 +95,111 @@ use lcc_obs::metrics;
 use lcc_octree::{CompressedField, SamplingPlan, SetBits};
 
 use crate::memory_model::PipelineFootprint;
+
+/// `w ≤ W` adjacent `fy` columns of the half spectrum from `fy0`: the unit
+/// stages 1-3 run in. Its pencils are numbered `p = fx·w + (fy − fy0)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Block {
+    fy0: usize,
+    w: usize,
+}
+
+impl Block {
+    /// The `(fx, fy)` bin of pencil `p`.
+    #[inline]
+    pub(crate) fn bin(self, p: usize) -> (usize, usize) {
+        (p / self.w, self.fy0 + p % self.w)
+    }
+
+    /// Length of one of the block's planes on an `n` grid: its `n·w`
+    /// pencils and one spare row of `w`, so that planes do not sit a power
+    /// of two apart and the rows a z-stage tile loads or stores do not
+    /// compete for one cache set.
+    fn stride(self, n: usize) -> usize {
+        (n + 1) * self.w
+    }
+}
+
+/// `buf` as `C` consecutive parts of `len` each.
+fn parts<const C: usize>(buf: &mut [Complex64], len: usize) -> [&mut [Complex64]; C] {
+    let mut rest = buf;
+    std::array::from_fn(|_| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        head
+    })
+}
+
+/// Runs `f(ws, (i, z), rows)` on the pool for the `i`-th retained plane
+/// `z` of `plan`, every one, where `rows` are that plane's sampled rows in
+/// `sampled` (`h` complex each, plane after plane); each participant has
+/// its own workspace lease. This is `par_chunks_mut` for parts of varying
+/// length: the planes are split off the buffer's front one at a time under
+/// a lock, in order, so the parts are disjoint without `unsafe`.
+fn for_each_plane(
+    sampled: &mut [Complex64],
+    h: usize,
+    plan: &SamplingPlan,
+    f: impl Fn(&mut WorkspaceGuard, (usize, usize), &mut [Complex64]) + Sync,
+) {
+    let planes = plan.retained_planes().enumerate();
+    let next = Mutex::new((sampled, planes));
+    (0..plan.retained_plane_count())
+        .into_par_iter()
+        .for_each_init(workspace, |ws, _| {
+            let (plane, rows) = {
+                let mut next = next.lock();
+                let (rest, planes) = &mut *next;
+                let Some((i, z)) = planes.next() else {
+                    unreachable!("one task per retained plane")
+                };
+                let len = plan.sampled_rows(z).count() * h;
+                let (rows, tail) = std::mem::take(rest).split_at_mut(len);
+                *rest = tail;
+                ((i, z), rows)
+            };
+            f(ws, plane, rows);
+        });
+}
+
+/// The scalar pipeline's pointwise z-stage step on `block`: the kernel's
+/// Hermitian part (module doc), one pencil per live lane, multiplied in
+/// lane by lane. It needs [`scalar_scratch`].
+fn scalar_pointwise(
+    kernel: &dyn KernelSpectrum,
+    n: usize,
+    block: Block,
+) -> impl Fn(ZTile<'_>) + Sync + '_ {
+    move |tile: ZTile<'_>| {
+        let (pencils, mirror) = tile.cbuf.split_at_mut(W * n);
+        for (lane, pencil) in pencils.chunks_exact_mut(n).enumerate() {
+            if lane < tile.live {
+                let (fx, fy) = block.bin(tile.q0 + lane);
+                kernel.eval_hermitian_pencil_axis2(fx, fy, pencil, mirror);
+            } else {
+                // Padding lanes: keep their (zero) spectra finite.
+                pencil.fill(Complex64::ZERO);
+            }
+        }
+        // The multiplier of one tile row is built in registers, lane `l`
+        // from pencil `l`, and applied as one vector op.
+        let pencils = &pencils[..W * n];
+        for (fz, &row) in tile.rows.iter().enumerate() {
+            let mre: Row = std::array::from_fn(|l| pencils[l * n + fz].re);
+            let mim: Row = std::array::from_fn(|l| pencils[l * n + fz].im);
+            let (re, im) = (&mut tile.re[row as usize], &mut tile.im[row as usize]);
+            let (xr, xi) = (*re, *im);
+            *re = std::array::from_fn(|l| xr[l] * mre[l] - xi[l] * mim[l]);
+            *im = std::array::from_fn(|l| xr[l] * mim[l] + xi[l] * mre[l]);
+        }
+    }
+}
+
+/// The `(complex, real)` scratch [`scalar_pointwise`] asks for: `W` kernel
+/// pencils and a mirror pencil.
+fn scalar_scratch(n: usize) -> (usize, usize) {
+    ((W + 1) * n, 0)
+}
 
 /// Planned streaming convolver for `(n, k)` sub-domain convolutions.
 pub struct LocalConvolver {
@@ -91,7 +217,8 @@ pub struct LocalConvolver {
 
 impl LocalConvolver {
     /// Plans the pipeline. `k` must divide `n`; `batch ≥ 1` is the number of
-    /// z-pencils processed at a time (the paper's `B`).
+    /// z-pencils processed at a time within a column block (the paper's
+    /// `B`).
     pub fn new(n: usize, k: usize, batch: usize) -> Self {
         assert!(k >= 1 && k <= n, "k must be in 1..=n");
         assert_eq!(n % k, 0, "k must divide n");
@@ -124,19 +251,24 @@ impl LocalConvolver {
     }
 
     /// `h = n/2 + 1`: the non-redundant bins along y of a real field's
-    /// spectrum, and the row length of every slab and retained plane.
-    pub(crate) fn half(&self) -> usize {
+    /// spectrum, and the length of every sampled row.
+    fn half(&self) -> usize {
         self.n / 2 + 1
+    }
+
+    /// The column blocks of the half spectrum, in order.
+    fn blocks(&self) -> impl Iterator<Item = Block> {
+        let h = self.half();
+        (0..h).step_by(W).map(move |fy0| Block {
+            fy0,
+            w: W.min(h - fy0),
+        })
     }
 
     /// The z stage over `plan`'s retained planes for a sub-domain at z
     /// corner `shift`, shared by the scalar and the tensor pipeline: they
     /// differ only in the pointwise step they hand to [`ZStage::run`].
-    pub(crate) fn z_stage<'a>(
-        &'a self,
-        plan: &'a SamplingPlan,
-        shift: usize,
-    ) -> ZStage<'a, SetBits<'a>> {
+    fn z_stage<'a>(&'a self, plan: &'a SamplingPlan, shift: usize) -> ZStage<'a, SetBits<'a>> {
         ZStage {
             forward: &self.pruned,
             inverse: &self.inverse,
@@ -146,197 +278,210 @@ impl LocalConvolver {
         }
     }
 
-    /// Stage 1 of the pipeline: pruned 2D transforms of a k³ sub-domain
-    /// into the `(zloc, fx, fy)` half-spectrum slab (k contiguous `n·h`
-    /// planes). `slab` must have length `k·n·h`; every element is
-    /// overwritten.
-    pub(crate) fn forward_2d_slab_into(&self, sub: &Grid3<f64>, slab: &mut [Complex64]) {
+    /// Stages 1-3 (module doc) of `C` components convolved at once: `subs`
+    /// (each `k³`) at `corner`, compressed under `plan`. `pointwise(block)`
+    /// is the z stage's pointwise step on `block`, with `scratch` as it
+    /// asks [`ZStage::run`]; `scale` is applied by the c2r — `1/n³` for the
+    /// three unnormalized inverses, times whatever the step left out.
+    pub(crate) fn convolve_blocks<const C: usize, F: Fn(ZTile<'_>) + Sync>(
+        &self,
+        subs: [&Grid3<f64>; C],
+        corner: [usize; 3],
+        plan: Arc<SamplingPlan>,
+        (scale, scratch): (f64, (usize, usize)),
+        pointwise: impl Fn(Block) -> F,
+    ) -> [CompressedField; C] {
         let (n, k, h) = (self.n, self.k, self.half());
-        assert_eq!(sub.shape(), (k, k, k), "sub-domain must be k³");
-        assert_eq!(slab.len(), k * n * h, "slab must be k half-planes of n·h");
+        let (nzr, rows) = (plan.retained_plane_count(), plan.sampled_row_count());
+        metrics::PIPELINE_PENCILS.add((C * n * h) as u64);
+        metrics::PIPELINE_STAGE3_ROWS_SAMPLED.add((C * rows) as u64);
+        metrics::PIPELINE_STAGE3_ROWS_SKIPPED.add((C * (nzr * n - rows)) as u64);
+
+        // Call-level arena: one pooled workspace, so a warm convolve
+        // allocates nothing for it. Each buffer is fully overwritten before
+        // it is read (a plane's spare row is never read): the y rows by the
+        // y pass, a block's slab by its x pass, its retained rows by the z
+        // stage's stores over every (plane, pencil), and column `fy` of
+        // every sampled row by the x inverse of the block holding `fy`.
+        let mut ws = workspace();
+        let [yrows, slab, retained, sampled] = ws.complex_bufs(self.arena_lens::<C>(&plan));
+        let s1 = lcc_obs::span("stage1_2d_fft");
+        self.forward_y(subs, yrows);
+        drop(s1);
+        let z_stage = self.z_stage(&plan, corner[2]);
+        for block in self.blocks() {
+            let stride = block.stride(n);
+            let (slab, retained) = (
+                &mut slab[..C * k * stride],
+                &mut retained[..C * nzr * stride],
+            );
+            let s1 = lcc_obs::span("stage1_2d_fft");
+            self.forward_x(yrows, block, slab);
+            drop(s1);
+            let s2 = lcc_obs::span("stage2_z_pencils");
+            z_stage.run(
+                parts::<C>(slab, k * stride).map(|s| &*s),
+                parts::<C>(retained, nzr * stride),
+                n * block.w,
+                scratch,
+                pointwise(block),
+            );
+            drop(s2);
+            let _s3 = lcc_obs::span("stage3_inverse_sample");
+            self.inverse_x::<C>(retained, block, corner[0], &plan, sampled);
+        }
+        let _s3 = lcc_obs::span("stage3_inverse_sample");
+        self.c2r_capture(sampled, corner[1], scale, plan)
+    }
+
+    /// The call arena of [`Self::convolve_blocks`] for `C` components under
+    /// `plan`, in complex elements: the y rows, one block slab, one block
+    /// of retained planes and the sampled rows (module doc).
+    fn arena_lens<const C: usize>(&self, plan: &SamplingPlan) -> [usize; 4] {
+        let (n, k, h) = (self.n, self.k, self.half());
+        let widest = self.blocks().map(|b| b.stride(n)).max().unwrap_or(0);
+        [
+            C * k * k * h,
+            C * k * widest,
+            C * plan.retained_plane_count() * widest,
+            C * plan.sampled_row_count() * h,
+        ]
+    }
+
+    /// Stage 1's y pass: row `x` of z-slice `zloc` of component `c` (`k`
+    /// nonzero entries) transformed along y, its `h` non-redundant bins
+    /// stored at `((c·k + zloc)·k + x)·h` of `yrows`. Columns `fy ≥ h` are
+    /// the conjugate mirror of these and are never formed.
+    fn forward_y<const C: usize>(&self, subs: [&Grid3<f64>; C], yrows: &mut [Complex64]) {
+        let (n, k, h) = (self.n, self.k, self.half());
+        let pruned = &self.pruned;
+        yrows
+            .par_chunks_mut(k * h)
+            .enumerate()
+            .for_each_init(workspace, |ws, (slice, out)| {
+                let (sub, zloc) = (subs[slice / k], slice % k);
+                // Every buffer is fully written before it is read: row_in
+                // per row, row by the transform, scratch inside it.
+                let [scratch, row_in, row] = ws.complex_bufs([k, k, n]);
+                for (x, out) in out.chunks_exact_mut(h).enumerate() {
+                    for (y, v) in row_in.iter_mut().enumerate() {
+                        *v = Complex64::from_real(sub[(x, y, zloc)]);
+                    }
+                    pruned.process(row_in, row, scratch);
+                    out.copy_from_slice(&row[..h]);
+                }
+            });
+    }
+
+    /// Stage 1's x pass over `block`: each slice's `k` y-transformed rows
+    /// (x < k), the block's columns loaded straight into the lanes of one
+    /// pruned tile transform, into `slab` as `(c, zloc, p)` — `k` planes
+    /// ([`Block::stride`]) of the block's `n·w` pencils per component.
+    fn forward_x(&self, yrows: &[Complex64], block: Block, slab: &mut [Complex64]) {
+        let (n, k, h) = (self.n, self.k, self.half());
         let pruned = &self.pruned;
         let lane_len = pruned.tile_scratch_len();
-        slab.par_chunks_mut(n * h)
+        slab.par_chunks_mut(block.stride(n))
             .enumerate()
-            .for_each_init(workspace, |ws, (zloc, plane)| {
-                // Every buffer is fully written before being read: row_in
-                // per inner loop, rows and the tiles as pruned transform
-                // outputs, scratch and lane inside the transforms.
-                let ([scratch, row_in, rows, lane], mut real) =
-                    ws.split([k, k, k * n, lane_len], (4 * k + 2 * n) * W);
+            .for_each_init(workspace, |ws, (slice, plane)| {
+                let rows = &yrows[slice * k * h..][..k * h];
+                // Every buffer is fully written before it is read: the input
+                // rows by the loads, the rest inside the transform.
+                let ([lane], mut real) = ws.split([lane_len], (4 * k + 2 * n) * W);
                 let real = &mut real;
                 let (xre, xim) = (carve(real, k), carve(real, k));
                 let (sre, sim) = (carve(real, k), carve(real, k));
                 let (ore, oim) = (carve(real, n), carve(real, n));
-                // y transforms: k nonzero rows, each with k nonzero entries,
-                // along the contiguous axis — one pencil at a time.
-                for x in 0..k {
-                    for y in 0..k {
-                        row_in[y] = Complex64::from_real(sub[(x, y, zloc)]);
-                    }
-                    pruned.process(row_in, &mut rows[x * n..(x + 1) * n], scratch);
+                for (x, (re, im)) in xre.iter_mut().zip(xim.iter_mut()).enumerate() {
+                    load_row(&rows[x * h + block.fy0..][..block.w], re, im);
                 }
-                // x transforms: each of the h non-redundant fy columns has
-                // k nonzero entries (x<k); columns fy ≥ h are the conjugate
-                // mirror of these and are never formed. Adjacent columns
-                // are contiguous in `rows` and in `plane`: a tile at a time.
-                for fy in (0..h).step_by(W) {
-                    let live = W.min(h - fy);
-                    for x in 0..k {
-                        load_row(&rows[x * n + fy..][..live], &mut xre[x], &mut xim[x]);
-                    }
-                    // The n destination runs, one per plane row, arrive
-                    // while the transform runs.
-                    for fx in 0..n {
-                        prefetch(&plane[fx * h + fy..][..live], true);
-                    }
-                    pruned.process_tile(
-                        (&*xre, &*xim),
-                        (&mut *ore, &mut *oim),
-                        (&mut *sre, &mut *sim),
-                        lane,
-                        |fx| fx,
-                    );
-                    for (fx, (r, i)) in ore.iter().zip(oim.iter()).enumerate() {
-                        store_row(r, i, &mut plane[fx * h + fy..][..live]);
-                    }
+                pruned.process_tile(
+                    (&*xre, &*xim),
+                    (&mut *ore, &mut *oim),
+                    (&mut *sre, &mut *sim),
+                    lane,
+                    |fx| fx,
+                );
+                for (dst, (r, i)) in plane
+                    .chunks_exact_mut(block.w)
+                    .zip(ore.iter().zip(oim.iter()))
+                {
+                    store_row(r, i, dst);
                 }
             });
     }
 
-    /// Allocating wrapper around [`Self::forward_2d_slab_into`] (used by the
-    /// tensor-field variant, which owns its slabs).
-    pub(crate) fn forward_2d_slab(&self, sub: &Grid3<f64>) -> Vec<Complex64> {
-        // lcc-lint: allow(alloc) — one slab per solve, owned by the caller.
-        let mut slab = vec![Complex64::ZERO; self.k * self.n * self.half()];
-        self.forward_2d_slab_into(sub, &mut slab);
-        slab
-    }
-
-    /// Stages 1 and 2 of the scalar pipeline: `sub`, convolved at the
-    /// origin with `kernel`, into `kept` — plane `i` is the `i`-th retained
-    /// z-plane of `plan` for the sub-domain at z corner `corner_z`, as
-    /// `n·h` half-spectrum rows still to be inverted along x and y. `slab`
-    /// (`k·n·h`) and `kept` (one `n·h` plane per retained z) are fully
-    /// overwritten.
-    pub(crate) fn scalar_stages_1_2(
+    /// Stage 3's x inverse over `block`: each component's retained planes
+    /// of the block (`retained`, `(c, i, p)`) inverse transformed along x, one
+    /// tile each, and only the rows `plan` samples stored — x-inverse row
+    /// `(x − c_x) mod n` as row `x` — into columns `fy0..fy0 + w` of
+    /// `sampled`: per component, the sampled rows of all retained planes,
+    /// plane after plane.
+    fn inverse_x<const C: usize>(
         &self,
-        sub: &Grid3<f64>,
-        corner_z: usize,
-        kernel: &dyn KernelSpectrum,
+        retained: &[Complex64],
+        block: Block,
+        cx: usize,
         plan: &SamplingPlan,
-        slab: &mut [Complex64],
-        kept: &mut [Complex64],
+        sampled: &mut [Complex64],
     ) {
-        let (n, h) = (self.n, self.half());
-        let s1 = lcc_obs::span("stage1_2d_fft");
-        self.forward_2d_slab_into(sub, slab);
-        drop(s1);
-
-        let _s2 = lcc_obs::span("stage2_z_pencils");
-        metrics::PIPELINE_PENCILS.add((n * h) as u64);
-        self.z_stage(plan, corner_z).run(
-            [&*slab],
-            [kept],
-            ((W + 1) * n, 0),
-            // Pointwise: the kernel's Hermitian part (module doc), one
-            // pencil per live lane, multiplied in lane by lane.
-            |tile: ZTile<'_>| {
-                let (pencils, mirror) = tile.cbuf.split_at_mut(W * n);
-                for (lane, pencil) in pencils.chunks_exact_mut(n).enumerate() {
-                    if lane < tile.live {
-                        let q = tile.q0 + lane;
-                        kernel.eval_hermitian_pencil_axis2(q / h, q % h, pencil, mirror);
-                    } else {
-                        // Padding lanes: keep their (zero) spectra finite.
-                        pencil.fill(Complex64::ZERO);
-                    }
-                }
-                // The multiplier of one tile row is built in registers,
-                // lane `l` from pencil `l`, and applied as one vector op.
-                let pencils = &pencils[..W * n];
-                for (fz, &row) in tile.rows.iter().enumerate() {
-                    let mre: Row = std::array::from_fn(|l| pencils[l * n + fz].re);
-                    let mim: Row = std::array::from_fn(|l| pencils[l * n + fz].im);
-                    let (re, im) = (&mut tile.re[row as usize], &mut tile.im[row as usize]);
-                    let (xr, xi) = (*re, *im);
-                    *re = std::array::from_fn(|l| xr[l] * mre[l] - xi[l] * mim[l]);
-                    *im = std::array::from_fn(|l| xr[l] * mim[l] + xi[l] * mre[l]);
-                }
-            },
-        );
-    }
-
-    /// Stage 3 of the pipeline: turns the retained half-planes `kept`
-    /// (`(i, fx, fy)` order, `n·h` each, plane `i` the `i`-th retained z of
-    /// `plan`) into the samples of a fresh compressed field. Per plane:
-    /// inverse along x over the `h` columns; then, for each x row the plan
-    /// samples, store x-inverse row `(x − c_x) mod n` as row `x`, c2r it in
-    /// place and capture column `y` from packed column `(y − c_y) mod n`
-    /// (module doc).
-    ///
-    /// `scale` is applied by the c2r: `1/n³` for the three unnormalized
-    /// inverses, times whatever the caller left out of its multiplier.
-    pub(crate) fn inverse_2d_capture(
-        &self,
-        kept: &mut [Complex64],
-        corner: [usize; 3],
-        scale: f64,
-        plan: Arc<SamplingPlan>,
-    ) -> CompressedField {
-        let (n, h) = (self.n, self.half());
+        let (n, h, w) = (self.n, self.half(), block.w);
         let inv = &self.inverse;
-        let load_rows = inv.load_rows();
-        let (lane_len, odd) = (inv.scratch_len(), self.c2r.scratch_len());
-        let sampled = plan.sampled_row_count();
-        metrics::PIPELINE_STAGE3_ROWS_SAMPLED.add(sampled as u64);
-        metrics::PIPELINE_STAGE3_ROWS_SKIPPED.add((kept.len() / h - sampled) as u64);
-        let cx = corner[0];
-        let table = &*plan;
-        // Each sample lies in exactly one plane, so the planes' captures
-        // commute: each task captures its own plane while it is still in
-        // cache, and the lock only orders writes to disjoint samples.
-        let field = Mutex::new(CompressedField::zeros(plan.clone()));
-        kept.par_chunks_mut(n * h)
-            .enumerate()
-            .for_each_init(workspace, |ws, (i, plane)| {
-                let z = match table.retained_planes().nth(i) {
-                    Some(z) => z,
-                    None => unreachable!("kept holds one plane per retained z"),
-                };
-                // Every buffer is fully written before it is read: the tile
-                // by the loads, the scratch inside the transforms.
-                let ([lane, scratch], mut real) = ws.split([lane_len, odd], 2 * n * W);
+        let (load_rows, lane_len) = (inv.load_rows(), inv.scratch_len());
+        let stride = block.stride(n);
+        let planes = plan.retained_plane_count() * stride;
+        let rows = plan.sampled_row_count() * h;
+        for (c, sampled) in parts::<C>(sampled, rows).into_iter().enumerate() {
+            let retained = &retained[c * planes..][..planes];
+            for_each_plane(sampled, h, plan, |ws, (i, z), out| {
+                let plane = &retained[i * stride..][..n * w];
+                // The tile is fully written by the loads, the scratch
+                // inside the transform.
+                let ([lane], mut real) = ws.split([lane_len], 2 * n * W);
                 let real = &mut real;
                 let (re, im) = (carve(real, n), carve(real, n));
-                for fy in (0..h).step_by(W) {
-                    let live = W.min(h - fy);
-                    for (x, &row) in load_rows.iter().enumerate() {
-                        let row = row as usize;
-                        load_row(&plane[x * h + fy..][..live], &mut re[row], &mut im[row]);
-                    }
-                    // The next column tile's rows arrive during this one.
-                    if fy + W < h {
-                        let next = W.min(h - fy - W);
-                        for x in 0..n {
-                            prefetch(&plane[x * h + fy + W..][..next], false);
-                        }
-                    }
-                    inv.process(re, im, lane);
-                    for x in table.sampled_rows(z) {
-                        let src = if x >= cx { x - cx } else { x + n - cx };
-                        store_row(&re[src], &im[src], &mut plane[x * h + fy..][..live]);
-                    }
+                for (x, &row) in load_rows.iter().enumerate() {
+                    let row = row as usize;
+                    load_row(&plane[x * w..][..w], &mut re[row], &mut im[row]);
                 }
-                for x in table.sampled_rows(z) {
-                    self.c2r
-                        .process_packed(&mut plane[x * h..][..h], scratch, scale);
+                inv.process(re, im, lane);
+                for (dst, x) in out.chunks_exact_mut(h).zip(plan.sampled_rows(z)) {
+                    let src = if x >= cx { x - cx } else { x + n - cx };
+                    store_row(&re[src], &im[src], &mut dst[block.fy0..][..w]);
+                }
+            });
+        }
+    }
+
+    /// Stage 3's last step: every sampled row c2r'd in place and captured,
+    /// column `y` from packed column `(y − c_y) mod n` (module doc), into
+    /// one fresh compressed field per component.
+    fn c2r_capture<const C: usize>(
+        &self,
+        sampled: &mut [Complex64],
+        cy: usize,
+        scale: f64,
+        plan: Arc<SamplingPlan>,
+    ) -> [CompressedField; C] {
+        let h = self.half();
+        let rows = plan.sampled_row_count() * h;
+        let odd = self.c2r.scratch_len();
+        parts::<C>(sampled, rows).map(|sampled| {
+            // Each sample lies in exactly one plane, so the planes' captures
+            // commute: each task captures its own plane while it is still in
+            // cache, and the lock only orders writes to disjoint samples.
+            let field = Mutex::new(CompressedField::zeros(plan.clone()));
+            for_each_plane(sampled, h, &plan, |ws, (_, z), rows| {
+                let [scratch] = ws.complex_bufs([odd]);
+                for row in rows.chunks_exact_mut(h) {
+                    self.c2r.process_packed(row, scratch, scale);
                 }
                 field
                     .lock()
-                    .capture_rows(z, as_reals(plane), 2 * h, corner[1]);
+                    .capture_sampled_rows(z, as_reals(rows), 2 * h, cy);
             });
-        field.into_inner()
+            field.into_inner()
+        })
     }
 
     /// Convolves sub-domain `sub` (shape `k³`, positioned with its low
@@ -357,19 +502,12 @@ impl LocalConvolver {
             corner.iter().all(|&c| c < n),
             "corner must lie inside the grid"
         );
-
-        // Call-level arena: the slab and the retained-plane buffer come
-        // from one pooled workspace, so a warm convolve allocates nothing
-        // for them. Each is fully overwritten before it is read (slab by
-        // stage 1, kept by the z stage's stores over every (plane, pencil)).
-        let h = self.half();
-        let nzr = plan.retained_plane_count();
-        let mut ws = workspace();
-        let [slab, kept] = ws.complex_bufs([k * n * h, nzr * n * h]);
-        self.scalar_stages_1_2(sub, corner[2], kernel, &plan, slab, kept);
-
-        let _s3 = lcc_obs::span("stage3_inverse_sample");
-        self.inverse_2d_capture(kept, corner, 1.0 / (n * n * n) as f64, plan)
+        let scale = 1.0 / (n * n * n) as f64;
+        let [field] =
+            self.convolve_blocks([sub], corner, plan, (scale, scalar_scratch(n)), |block| {
+                scalar_pointwise(kernel, n, block)
+            });
+        field
     }
 
     /// Modeled flop count of one [`LocalConvolver::convolve_compressed`]
@@ -423,29 +561,33 @@ impl LocalConvolver {
         stage1 + stage2 + stage3
     }
 
-    /// The device-footprint model for this pipeline under `plan`
-    /// (Table 4's "estimated" vs "actual" columns), its c2r pass sized for
-    /// the most rows any one retained plane samples.
+    /// The host working set of one [`Self::convolve_compressed`] call under
+    /// `plan`: the call arena's four buffers (module doc), the largest
+    /// tile-scratch lease one participant takes, and the compressed output.
+    /// Table 4's host column; the paper's whole-slab device model is
+    /// [`PipelineFootprint::model`].
     pub fn footprint(&self, plan: &SamplingPlan) -> PipelineFootprint {
-        let plane_rows = plan
-            .retained_planes()
-            .map(|z| plan.sampled_rows(z).count())
-            .max()
-            .unwrap_or(0);
-        PipelineFootprint::with_stage3_rows(
-            self.n,
-            self.k,
-            plan.retained_plane_count(),
-            plane_rows,
-            self.batch,
-            plan.compressed_bytes() as u64,
-        )
+        let (n, k) = (self.n, self.k);
+        // The z stage's lease is the largest of any phase but the y pass's
+        // `2k + n` complex; the x passes and the c2r lease less.
+        let (complex, real) = self.z_stage(plan, 0).lease_len::<1>(scalar_scratch(n));
+        let complex = complex.max(2 * k + n);
+        let [yrows, slab, retained, sampled] = self.arena_lens::<1>(plan);
+        PipelineFootprint {
+            slab_bytes: 16 * (yrows + slab) as u64,
+            retained_bytes: 16 * (retained + sampled) as u64,
+            batch_bytes: (16 * complex + 8 * real) as u64,
+            compressed_bytes: plan.compressed_bytes() as u64,
+            plan_workspace_bytes: 0,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory_model::{local_slab_bytes, PipelineFootprint};
+    use crate::tensor_pipeline::tensor_pointwise;
     use crate::traditional::TraditionalConvolver;
     use lcc_fft::fft_axis;
     use lcc_greens::{GaussianKernel, MassifGamma, PoissonSpectrum};
@@ -505,10 +647,74 @@ mod tests {
     }
 
     impl LocalConvolver {
-        /// The stage 3 the sampled one replaced, kept as its oracle: every
-        /// row x-inverted in natural order, every row c2r'd and unpacked
-        /// into an `n×n` real plane at its shifted position, then
-        /// `capture_plane`.
+        /// The unblocked pipeline the column blocks replaced, kept as their
+        /// oracle: stage 1 into each component's whole `(zloc, fx, fy)`
+        /// slab, the z stage over all `n·h` pencils at once — one block as
+        /// wide as the half spectrum — into whole retained half-planes, and
+        /// stage 3 over full planes.
+        fn unblocked<const C: usize, F: Fn(ZTile<'_>) + Sync>(
+            &self,
+            subs: [&Grid3<f64>; C],
+            corner: [usize; 3],
+            plan: Arc<SamplingPlan>,
+            (scale, scratch): (f64, (usize, usize)),
+            pointwise: impl Fn(Block) -> F,
+        ) -> [CompressedField; C] {
+            let (n, k, h) = (self.n, self.k, self.half());
+            let planes = plan.retained_plane_count() * n * h;
+            let mut slabs: Vec<Complex64> = subs.iter().flat_map(|s| self.whole_slab(s)).collect();
+            let mut kept = vec![Complex64::ZERO; C * planes];
+            self.z_stage(&plan, corner[2]).run(
+                parts::<C>(&mut slabs, k * n * h).map(|s| &*s),
+                parts::<C>(&mut kept, planes),
+                n * h,
+                scratch,
+                pointwise(Block { fy0: 0, w: h }),
+            );
+            parts::<C>(&mut kept, planes)
+                .map(|kept| self.inverse_2d_capture_full_plane(kept, corner, scale, plan.clone()))
+        }
+
+        /// Stage 1 into the whole slab: `k` planes of the `n·h` pencils
+        /// `fx·h + fy`, the x pass a tile of `W` columns at a time.
+        fn whole_slab(&self, sub: &Grid3<f64>) -> Vec<Complex64> {
+            let (n, k, h) = (self.n, self.k, self.half());
+            let mut slab = vec![Complex64::ZERO; k * n * h];
+            let (mut rows, mut scratch) = (vec![Complex64::ZERO; k * n], vec![Complex64::ZERO; k]);
+            let mut lane = vec![Complex64::ZERO; self.pruned.tile_scratch_len()];
+            let tile = |len| vec![[0.0; W]; len];
+            let (mut xre, mut xim, mut sre, mut sim) = (tile(k), tile(k), tile(k), tile(k));
+            let (mut ore, mut oim) = (tile(n), tile(n));
+            for (zloc, plane) in slab.chunks_exact_mut(n * h).enumerate() {
+                for (x, row) in rows.chunks_exact_mut(n).enumerate() {
+                    let row_in: Vec<Complex64> = (0..k)
+                        .map(|y| Complex64::from_real(sub[(x, y, zloc)]))
+                        .collect();
+                    self.pruned.process(&row_in, row, &mut scratch);
+                }
+                for fy in (0..h).step_by(W) {
+                    let live = W.min(h - fy);
+                    for x in 0..k {
+                        load_row(&rows[x * n + fy..][..live], &mut xre[x], &mut xim[x]);
+                    }
+                    self.pruned.process_tile(
+                        (&xre, &xim),
+                        (&mut ore, &mut oim),
+                        (&mut sre, &mut sim),
+                        &mut lane,
+                        |fx| fx,
+                    );
+                    for fx in 0..n {
+                        store_row(&ore[fx], &oim[fx], &mut plane[fx * h + fy..][..live]);
+                    }
+                }
+            }
+            slab
+        }
+
+        /// Stage 3 over full planes: every row x-inverted in natural order,
+        /// every row c2r'd and unpacked into an `n×n` real plane at its
+        /// shifted position, then `capture_plane`.
         fn inverse_2d_capture_full_plane(
             &self,
             kept: &mut [Complex64],
@@ -540,12 +746,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// Stage 3 transforms, stores and captures only the sampled rows;
-        /// the samples equal those of the full-plane oracle to the bit, for
-        /// every plan shape and corner, on the scalar and the tensor
-        /// pipeline's planes.
+        /// The column-blocked pipeline's samples equal the unblocked
+        /// oracle's to the bit — stage 3 there transforms every row of
+        /// every retained plane — for every plan shape, corner and batch,
+        /// scalar and tensor.
         #[test]
-        fn sampled_stage3_matches_full_plane_oracle(
+        fn blocked_pipeline_matches_unblocked_oracle(
             n in proptest::prop_oneof![
                 proptest::strategy::Just(2usize), proptest::strategy::Just(4),
                 proptest::strategy::Just(6), proptest::strategy::Just(8),
@@ -558,6 +764,10 @@ mod tests {
             k_pick in 0usize..8,
             corner in (0usize..64, 0usize..64, 0usize..64),
             tensor in 0usize..2,
+            batch in proptest::prop_oneof![
+                proptest::strategy::Just(1usize), proptest::strategy::Just(7),
+                proptest::strategy::Just(1024),
+            ],
             seed in 0u64..1000,
         ) {
             let divisors: Vec<usize> = (1..=n.min(8)).filter(|d| n % d == 0).collect();
@@ -585,33 +795,35 @@ mod tests {
                 )),
                 _ => single_sample_cell_plan(n),
             };
-            let conv = LocalConvolver::new(n, k, 64);
+            let conv = LocalConvolver::new(n, k, batch);
             let component = |c: usize| {
                 Grid3::from_fn((k, k, k), |x, y, z| {
                     ((x * 3 + y * 5 + z * 7 + c) as f64 * 0.31 + seed as f64 * 0.013).sin()
                 })
             };
             let cube = (n * n * n) as f64;
-            let (planes, scale): (Vec<Vec<Complex64>>, f64) = if tensor == 1 {
+            let (got, want): (Vec<CompressedField>, Vec<CompressedField>) = if tensor == 1 {
                 let gamma = MassifGamma::new(n, 1.3, 0.8);
-                let subs = std::array::from_fn(component);
-                let kept = conv.tensor_stages_1_2(&subs, corner[2], &gamma, &plan);
-                (kept.into(), 0.5 / cube)
+                let subs: [Grid3<f64>; 6] = std::array::from_fn(component);
+                let got = conv.convolve_tensor_compressed(&subs, corner, &gamma, plan.clone());
+                let want = conv.unblocked(subs.each_ref(), corner, plan, (0.5 / cube, (0, 0)), |block| {
+                    tensor_pointwise(&gamma, n, block)
+                });
+                (got.into(), want.into())
             } else {
-                let h = conv.half();
-                let mut slab = vec![Complex64::ZERO; k * n * h];
-                let mut kept = vec![Complex64::ZERO; plan.retained_plane_count() * n * h];
-                let kernel = PoissonSpectrum::new(n);
-                conv.scalar_stages_1_2(&component(0), corner[2], &kernel, &plan, &mut slab, &mut kept);
-                (vec![kept], 1.0 / cube)
+                let (sub, kernel) = (component(0), PoissonSpectrum::new(n));
+                let got = conv.convolve_compressed(&sub, corner, &kernel, plan.clone());
+                let want = conv.unblocked([&sub], corner, plan, (1.0 / cube, scalar_scratch(n)), |block| {
+                    scalar_pointwise(&kernel, n, block)
+                });
+                (vec![got], want.into())
             };
-            for kept in planes {
-                let got = conv.inverse_2d_capture(&mut kept.clone(), corner, scale, plan.clone());
-                let want = conv.inverse_2d_capture_full_plane(&mut kept.clone(), corner, scale, plan.clone());
+            for (got, want) in got.iter().zip(&want) {
+                proptest::prop_assert_eq!(got.samples().len(), want.samples().len());
                 for (i, (a, b)) in got.samples().iter().zip(want.samples()).enumerate() {
                     proptest::prop_assert!(
                         a.to_bits() == b.to_bits(),
-                        "n={n} k={k} corner={corner:?} plan #{plan_kind} sample {i}: {a:e} vs {b:e}"
+                        "n={n} k={k} corner={corner:?} plan #{plan_kind} batch {batch} sample {i}: {a:e} vs {b:e}"
                     );
                 }
             }
@@ -746,8 +958,10 @@ mod tests {
         assert!(fewer_rows.sampled_row_count() < plan.sampled_row_count());
         assert!(conv.flops_estimate(&fewer_rows) < flops);
         assert!(conv.bytes_estimate(&fewer_rows) < bytes);
+        // And so is the buffer those rows wait in between the x inverse and
+        // the c2r.
         let (full_fp, sparse_fp) = (conv.footprint(&plan), conv.footprint(&fewer_rows));
-        assert!(sparse_fp.plan_workspace_bytes < full_fp.plan_workspace_bytes);
+        assert!(sparse_fp.retained_bytes < full_fp.retained_bytes);
     }
 
     #[test]
@@ -796,16 +1010,32 @@ mod tests {
         let domain = BoxRegion::new([0; 3], [k; 3]);
         let plan = SamplingPlan::build(n, domain, &RateSchedule::paper_default(k, 16));
         let fp = conv.footprint(&plan);
-        // Table 1's 8·N·N·k half spectrum plus the one Nyquist column.
-        assert_eq!(
-            fp.slab_bytes,
-            crate::memory_model::local_slab_bytes(n, k) + 16 * (n as u64) * (k as u64)
+        let (h, nzr, rows) = (
+            n / 2 + 1,
+            plan.retained_plane_count(),
+            plan.sampled_row_count(),
         );
+        // The call arena: the y rows and one block slab; one block of
+        // retained rows and the sampled rows.
+        assert_eq!(fp.slab_bytes, 16 * (k * k * h + k * (n + 1) * W) as u64);
+        assert_eq!(
+            fp.retained_bytes,
+            16 * (nzr * (n + 1) * W + rows * h) as u64
+        );
+        // The paper's model holds Table 1's 8·N·N·k half spectrum plus the
+        // one Nyquist column, and every retained half-plane, whole.
+        let model = PipelineFootprint::model(n, k, nzr, 128, fp.compressed_bytes);
+        assert_eq!(
+            model.slab_bytes,
+            local_slab_bytes(n, k) + 16 * (n as u64) * (k as u64)
+        );
+        assert!(fp.slab_bytes < model.slab_bytes && fp.retained_bytes < model.retained_bytes);
         assert!(
             fp.estimated_bytes() < 16 * (n as u64).pow(3),
             "must beat dense"
         );
-        assert!(fp.actual_bytes() > fp.estimated_bytes());
+        // The host transforms work in tile scratch, not library workspaces.
+        assert_eq!(fp.actual_bytes(), fp.estimated_bytes());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! MASSIF convolves a symmetric rank-2 field with the rank-4 Γ̂: per
 //! frequency bin, `Δε̂ = Γ̂(ξ) : σ̂(ξ)` mixes all six Voigt components. The
 //! scalar pipeline would need 36 separate convolutions; this variant runs
-//! the forward stages **once per component** (six slabs), applies the full
-//! tensor contraction on the fly in the z stage, and streams six compressed
+//! the scalar pipeline's column blocks over all six components at once
+//! (the forward stages **once per component**), applies the full tensor
+//! contraction on the fly in the z stage, and streams six compressed
 //! outputs — the same transform count as the paper's "9 convolutions per
 //! stress component" accounting collapsed into shared passes.
 
@@ -13,12 +14,12 @@
 
 use std::sync::Arc;
 
-use lcc_fft::{c64, Complex64, ZTile};
+use lcc_fft::{c64, ZTile};
 use lcc_greens::Sym3C;
 use lcc_grid::Grid3;
 use lcc_octree::{CompressedField, SamplingPlan};
 
-use crate::pipeline::LocalConvolver;
+use crate::pipeline::{Block, LocalConvolver};
 
 /// A transfer operator on symmetric 3×3 tensor spectra, applied per
 /// frequency bin (`lcc_greens::MassifGamma` is the canonical instance).
@@ -61,70 +62,44 @@ impl LocalConvolver {
         for s in sub {
             assert_eq!(s.shape(), (k, k, k), "sub-domain components must be k³");
         }
-        let kept = self.tensor_stages_1_2(sub, corner[2], kernel, &plan);
-        // Stage 3 per component. The contraction left out the ½ of the
-        // Hermitian projection; the c2r applies it with the 1/n³.
+        // The contraction leaves out the ½ of the Hermitian projection; the
+        // c2r applies it with the 1/n³.
         let scale = 0.5 / (n * n * n) as f64;
-        kept.map(|mut planes| self.inverse_2d_capture(&mut planes, corner, scale, plan.clone()))
+        self.convolve_blocks(sub.each_ref(), corner, plan, (scale, (0, 0)), |block| {
+            tensor_pointwise(kernel, n, block)
+        })
     }
+}
 
-    /// Stages 1 and 2 of the tensor pipeline: the six retained-plane
-    /// buffers (as [`LocalConvolver::scalar_stages_1_2`]'s `kept`, one per
-    /// Voigt component) of `sub` at the origin, convolved with `kernel`,
-    /// for a sub-domain at z corner `corner_z`, under `plan`. The Hermitian
-    /// projection's ½ is left to stage 3.
-    pub(crate) fn tensor_stages_1_2(
-        &self,
-        sub: &[Grid3<f64>; 6],
-        corner_z: usize,
-        kernel: &dyn TensorKernelSpectrum,
-        plan: &SamplingPlan,
-    ) -> [Vec<Complex64>; 6] {
-        let (n, h) = (self.n(), self.half());
-        // Stage 1 per component: pruned 2D transforms into six half-spectrum
-        // slabs (`h = n/2 + 1` bins along y, as in the scalar pipeline).
-        let slabs: Vec<Vec<Complex64>> = sub
-            .iter()
-            .map(|component| self.forward_2d_slab(component))
-            .collect();
-
-        // Stage 2: the scalar pipeline's z stage over tiles of adjacent
-        // pencils, with all six components in one tile set; they share a
-        // pencil's frequency bin, so the tensor contraction is the stage's
-        // pointwise step.
-        lcc_obs::metrics::PIPELINE_PENCILS.add((6 * n * h) as u64);
-        let planes = plan.retained_plane_count() * n * h;
-        // lcc-lint: allow(alloc) — six per-solve output buffers, kept until
-        // compression; not per-pencil traffic.
-        let mut kept: [_; 6] = std::array::from_fn(|_| vec![Complex64::ZERO; planes]);
-        self.z_stage(plan, corner_z).run(
-            std::array::from_fn(|c| slabs[c].as_slice()),
-            kept.each_mut().map(|planes| planes.as_mut_slice()),
-            (0, 0),
-            // The operator's Hermitian part is what the real result keeps:
-            // Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂), twice `K̂ₕ`.
-            |tile: ZTile<'_>| {
-                for (fz, &row) in tile.rows.iter().enumerate() {
-                    let row = row as usize;
-                    let mz = (n - fz) % n;
-                    for lane in 0..tile.live {
-                        let q = tile.q0 + lane;
-                        let (fx, fy) = (q / h, q % h);
-                        let mut sig = Sym3C::ZERO;
-                        for c in 0..6 {
-                            sig.c[c] = c64(tile.re[c * n + row][lane], tile.im[c * n + row][lane]);
-                        }
-                        let mirror = kernel.apply([(n - fx) % n, (n - fy) % n, mz], &sig.conj());
-                        let d = kernel.apply([fx, fy, fz], &sig).add(&mirror.conj());
-                        for c in 0..6 {
-                            tile.re[c * n + row][lane] = d.c[c].re;
-                            tile.im[c * n + row][lane] = d.c[c].im;
-                        }
-                    }
+/// The tensor pipeline's pointwise z-stage step on `block`: all six
+/// components share a pencil's frequency bin, so the stage's tiles hold
+/// them together and the contraction mixes them in place. The operator's
+/// Hermitian part is what the real result keeps:
+/// `Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂)`, twice `K̂ₕ` (the ½ is left to the
+/// c2r). It needs no scratch.
+pub(crate) fn tensor_pointwise(
+    kernel: &dyn TensorKernelSpectrum,
+    n: usize,
+    block: Block,
+) -> impl Fn(ZTile<'_>) + Sync + '_ {
+    move |tile: ZTile<'_>| {
+        for (fz, &row) in tile.rows.iter().enumerate() {
+            let row = row as usize;
+            let mz = (n - fz) % n;
+            for lane in 0..tile.live {
+                let (fx, fy) = block.bin(tile.q0 + lane);
+                let mut sig = Sym3C::ZERO;
+                for c in 0..6 {
+                    sig.c[c] = c64(tile.re[c * n + row][lane], tile.im[c * n + row][lane]);
                 }
-            },
-        );
-        kept
+                let mirror = kernel.apply([(n - fx) % n, (n - fy) % n, mz], &sig.conj());
+                let d = kernel.apply([fx, fy, fz], &sig).add(&mirror.conj());
+                for c in 0..6 {
+                    tile.re[c * n + row][lane] = d.c[c].re;
+                    tile.im[c * n + row][lane] = d.c[c].im;
+                }
+            }
+        }
     }
 }
 

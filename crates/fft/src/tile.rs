@@ -311,9 +311,23 @@ pub struct ZStage<'a, P> {
 }
 
 impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
+    /// The `(complex, real)` lengths one participant of [`Self::run`]
+    /// leases for `C` components and a pointwise step asking for `scratch`.
+    pub fn lease_len<const C: usize>(&self, scratch: (usize, usize)) -> (usize, usize) {
+        let (n, k) = (self.forward.len(), self.forward.support());
+        let lane_len = self
+            .forward
+            .tile_scratch_len()
+            .max(self.inverse.scratch_len());
+        (lane_len + scratch.0, (2 * C * n + 4 * k) * W + scratch.1)
+    }
+
     /// Runs the stage over `C` components. `slabs[c]` is `k` planes of
-    /// `pencils` adjacent pencils each, `kept[c]` receives one such plane
-    /// per retained z, every element overwritten.
+    /// equal length (the plane stride), each starting with `pencils`
+    /// adjacent pencils; `kept[c]` receives one such plane per retained z,
+    /// the `pencils` elements of each overwritten. A stride a little over a
+    /// power of two keeps the `k` rows a tile loads, and the rows it
+    /// stores, out of each other's cache sets.
     ///
     /// `pointwise` gets each tile with the `scratch = (complex, real)`
     /// lengths of scratch it asked for, carved from the dispatch's own
@@ -324,6 +338,7 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
         &self,
         slabs: [&[Complex64]; C],
         kept: [&mut [Complex64]; C],
+        pencils: usize,
         scratch: (usize, usize),
         pointwise: impl Fn(ZTile<'_>) + Sync,
     ) {
@@ -336,19 +351,20 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
             "retained plane or shift out of range"
         );
         let Some(first) = slabs.first() else { return };
-        let pencils = first.len() / k;
+        let stride = first.len() / k;
+        assert!(pencils <= stride, "planes must hold the pencils");
         // The stores below index `kept` by these lengths through raw pointers.
         for (slab, out) in slabs.iter().zip(&kept) {
-            assert_eq!(slab.len(), k * pencils, "slab must be k planes");
+            assert_eq!(slab.len(), k * stride, "slab must be k planes");
             assert_eq!(
                 out.len(),
-                nzr * pencils,
+                nzr * stride,
                 "kept must be one plane per retained z"
             );
         }
         let rows = inv.load_rows();
         let lane_len = fwd.tile_scratch_len().max(inv.scratch_len());
-        let real_len = (2 * C * n + 4 * k) * W + scratch.1;
+        let real_len = self.lease_len::<C>(scratch).1;
         let ptrs = kept.map(|out| SendPtr(out.as_mut_ptr()));
         crate::detector::begin_epoch();
 
@@ -356,7 +372,7 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
             let q0 = ti * W;
             let live = W.min(pencils - q0);
             let _claims = ptrs.map(|p| {
-                crate::detector::register_wide(p.0 as usize, q0, pencils, nzr, live, "z-stage tile")
+                crate::detector::register_wide(p.0 as usize, q0, stride, nzr, live, "z-stage tile")
             });
             let mut clock = Stopwatch::start();
             // The next tile's slab rows, and the lines this tile stores
@@ -365,13 +381,13 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
                 let next = W.min(pencils - q0 - W);
                 for slab in &slabs {
                     for zloc in 0..k {
-                        prefetch(&slab[zloc * pencils + q0 + W..][..next], false);
+                        prefetch(&slab[zloc * stride + q0 + W..][..next], false);
                     }
                 }
             }
             for p in &ptrs {
                 for zi in 0..nzr {
-                    prefetch_raw(p.0.wrapping_add(zi * pencils + q0), live, true);
+                    prefetch_raw(p.0.wrapping_add(zi * stride + q0), live, true);
                 }
             }
             // Every buffer is fully written before it is read: the input
@@ -384,7 +400,7 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
             let (sre, sim) = (carve(real, k), carve(real, k));
             for (c, slab) in slabs.iter().enumerate() {
                 for (zloc, (xr, xi)) in xre.iter_mut().zip(xim.iter_mut()).enumerate() {
-                    load_row(&slab[zloc * pencils + q0..][..live], xr, xi);
+                    load_row(&slab[zloc * stride + q0..][..live], xr, xi);
                 }
                 fwd.process_tile(
                     (&*xre, &*xim),
@@ -415,13 +431,13 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
                     } else {
                         z + n - self.shift
                     };
-                    // SAFETY: `kept[c]` has `nzr · pencils` elements (asserted
-                    // above) and `q0 + live ≤ pencils`, so the run is in
-                    // bounds; tile `ti` is the only task touching columns
-                    // `q0..q0 + live` of any plane, and the tiles of one
-                    // dispatch are distinct.
+                    // SAFETY: `kept[c]` has `nzr · stride` elements (asserted
+                    // above) and `q0 + live ≤ pencils ≤ stride`, so the run
+                    // is in bounds; tile `ti` is the only task touching
+                    // columns `q0..q0 + live` of any plane, and the tiles of
+                    // one dispatch are distinct.
                     let dst =
-                        unsafe { std::slice::from_raw_parts_mut(p.0.add(zi * pencils + q0), live) };
+                        unsafe { std::slice::from_raw_parts_mut(p.0.add(zi * stride + q0), live) };
                     store_row(&re[src], &im[src], dst);
                 }
                 clock.lap(&metrics::PIPELINE_STAGE2_STORE_NS);

@@ -179,6 +179,20 @@ pub fn workspace() -> WorkspaceGuard {
     }
 }
 
+/// Bytes held by the workspaces currently on the free list (their
+/// allocated capacity), for diagnostics: with no lease live, this is
+/// everything the pool keeps warm.
+pub fn pooled_bytes() -> usize {
+    FREE_LIST
+        .lock()
+        .iter()
+        .map(|ws| {
+            ws.cbuf.capacity() * std::mem::size_of::<Complex64>()
+                + ws.rbuf.capacity() * std::mem::size_of::<f64>()
+        })
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,6 +22,50 @@ pub struct CompressedField {
     samples: Vec<f64>,
 }
 
+/// The capture loop behind [`CompressedField::capture_plane`] and
+/// [`CompressedField::capture_sampled_rows`]: `row(x)` is plane `z`'s row
+/// `x`, `n` values whose columns are rotated by `shift`. Only rows and
+/// columns that hold a sample are read.
+fn capture_with<'r>(
+    plan: &SamplingPlan,
+    samples: &mut [f64],
+    z: usize,
+    shift: usize,
+    row: impl Fn(usize) -> &'r [f64],
+) {
+    let n = plan.n();
+    let mut captured = 0u64;
+    for (i, cell) in plan.cells().iter().enumerate() {
+        // Most cells miss the plane: one subtraction and a mask (rates
+        // are powers of two) reject them without a division.
+        let r = cell.rate as usize;
+        let dz = z.wrapping_sub(cell.corner[2]);
+        if dz >= cell.size || dz & (r - 1) != 0 {
+            continue;
+        }
+        let tz = dz >> r.trailing_zeros();
+        let spa = cell.samples_per_axis();
+        let base = plan.cell_offset(i) as usize;
+        // Column of the cell's first sample; samples from `wrap` on sit
+        // past the rotated row's end and read `n` columns back.
+        let j0 = (cell.corner[1] + n - shift) % n;
+        let wrap = (n - j0).div_ceil(r).min(spa);
+        for tx in 0..spa {
+            let row = row(cell.corner[0] + tx * r);
+            // Sample (tx, ty, tz) is at `base + (tx·spa + ty)·spa + tz`.
+            let out = &mut samples[base + tx * spa * spa + tz..];
+            for ty in 0..wrap {
+                out[ty * spa] = row[j0 + ty * r];
+            }
+            for ty in wrap..spa {
+                out[ty * spa] = row[j0 + ty * r - n];
+            }
+        }
+        captured += (spa * spa) as u64;
+    }
+    lcc_obs::metrics::OCTREE_SAMPLES_CAPTURED.add(captured);
+}
+
 impl CompressedField {
     /// Creates an all-zero compressed field for `plan`.
     pub fn zeros(plan: Arc<SamplingPlan>) -> Self {
@@ -65,58 +109,36 @@ impl CompressedField {
     pub fn capture_plane(&mut self, z: usize, plane: &[f64]) {
         let n = self.plan.n();
         assert_eq!(plane.len(), n * n, "plane must be N×N row-major");
-        self.capture_rows(z, plane, n, 0);
+        capture_with(&self.plan, &mut self.samples, z, 0, |x| {
+            &plane[x * n..][..n]
+        });
     }
 
-    /// [`Self::capture_plane`] for a plane stored as rows of `stride ≥ n`
-    /// values whose columns are rotated by `shift < n`: the field at
-    /// `(x, y, z)` is `plane[x·stride + (y − shift) mod n]`. Only rows and
-    /// columns that hold a sample are read.
+    /// [`Self::capture_plane`] for a plane that holds only the rows the
+    /// plan samples in it ([`SamplingPlan::sampled_rows`]), ascending, each
+    /// `stride ≥ n` values long with its columns rotated by `shift < n`:
+    /// the field at `(x, y, z)` is `rows[r·stride + (y − shift) mod n]`,
+    /// `r` the rank of `x` among the sampled rows
+    /// ([`SamplingPlan::sampled_row_rank`]).
     ///
-    /// This is the form the pipeline's last inverse transform leaves: a
-    /// c2r row of `n/2 + 1` complex packs its `n` reals in order, so a
-    /// plane of such rows is a real plane of stride `n + 2` (`n + 1` for
-    /// odd `n`), and a sub-domain convolved at the origin reaches its true
-    /// position `c` as a circular shift (the x shift is applied to the
-    /// rows before they get here, the y shift is `c_y`).
-    pub fn capture_rows(&mut self, z: usize, plane: &[f64], stride: usize, shift: usize) {
-        let (plan, samples) = (&*self.plan, &mut self.samples);
-        let n = plan.n();
+    /// This is the form the pipeline's last inverse transform leaves: it
+    /// c2r's only the sampled rows, packed one after the other; a c2r row
+    /// of `n/2 + 1` complex packs its `n` reals in order, so the rows are
+    /// real rows of stride `n + 2` (`n + 1` for odd `n`), and a sub-domain
+    /// convolved at the origin reaches its true position `c` as a circular
+    /// shift (the x shift is applied to the rows before they get here, the
+    /// y shift is `c_y`).
+    pub fn capture_sampled_rows(&mut self, z: usize, rows: &[f64], stride: usize, shift: usize) {
+        let plan = &*self.plan;
+        let (n, count) = (plan.n(), plan.sampled_rows(z).count());
         assert!(stride >= n && shift < n, "rows must hold n values");
         assert!(
-            plane.len() >= (n - 1) * stride + n,
-            "plane must hold n rows"
+            count == 0 || rows.len() >= (count - 1) * stride + n,
+            "rows must hold the plane's sampled rows"
         );
-        let mut captured = 0u64;
-        for (i, cell) in plan.cells().iter().enumerate() {
-            // Most cells miss the plane: one subtraction and a mask (rates
-            // are powers of two) reject them without a division.
-            let r = cell.rate as usize;
-            let dz = z.wrapping_sub(cell.corner[2]);
-            if dz >= cell.size || dz & (r - 1) != 0 {
-                continue;
-            }
-            let tz = dz >> r.trailing_zeros();
-            let spa = cell.samples_per_axis();
-            let base = plan.cell_offset(i) as usize;
-            // Column of the cell's first sample; samples from `wrap` on sit
-            // past the rotated row's end and read `n` columns back.
-            let j0 = (cell.corner[1] + n - shift) % n;
-            let wrap = (n - j0).div_ceil(r).min(spa);
-            for tx in 0..spa {
-                let row = &plane[(cell.corner[0] + tx * r) * stride..][..n];
-                // Sample (tx, ty, tz) is at `base + (tx·spa + ty)·spa + tz`.
-                let out = &mut samples[base + tx * spa * spa + tz..];
-                for ty in 0..wrap {
-                    out[ty * spa] = row[j0 + ty * r];
-                }
-                for ty in wrap..spa {
-                    out[ty * spa] = row[j0 + ty * r - n];
-                }
-            }
-            captured += (spa * spa) as u64;
-        }
-        lcc_obs::metrics::OCTREE_SAMPLES_CAPTURED.add(captured);
+        capture_with(plan, &mut self.samples, z, shift, |x| {
+            &rows[plan.sampled_row_rank(z, x) * stride..][..n]
+        });
     }
 
     /// The plan this field was sampled under.
@@ -518,6 +540,29 @@ mod tests {
                 }
             }
             streamed.capture_plane(z, &plane);
+        }
+        assert_eq!(direct.samples(), streamed.samples());
+    }
+
+    #[test]
+    fn sampled_rows_capture_matches_dense_compress() {
+        // Only the sampled rows, packed at stride n + 3 with their columns
+        // rotated by `shift`.
+        let (n, shift, stride) = (32, 5, 35);
+        let plan = make_plan(n, 8, 8);
+        let dense = Grid3::from_fn((n, n, n), |x, y, z| {
+            (x as f64 * 0.3).sin() + (y as f64 * 0.7).cos() + z as f64 * 0.01
+        });
+        let direct = CompressedField::compress(plan.clone(), &dense);
+        let mut streamed = CompressedField::zeros(plan.clone());
+        for z in plan.retained_z() {
+            let mut rows = vec![f64::NAN; plan.sampled_rows(z).count() * stride];
+            for (r, x) in plan.sampled_rows(z).enumerate() {
+                for y in 0..n {
+                    rows[r * stride + (y + n - shift) % n] = dense[(x, y, z)];
+                }
+            }
+            streamed.capture_sampled_rows(z, &rows, stride, shift);
         }
         assert_eq!(direct.samples(), streamed.samples());
     }

@@ -514,6 +514,21 @@ impl SamplingPlan {
         self.sampled_rows
     }
 
+    /// Position of row `x` among plane `z`'s sampled rows: how many of them
+    /// lie below `x`.
+    pub fn sampled_row_rank(&self, z: usize, x: usize) -> usize {
+        assert!(z < self.n && x <= self.n, "row ({x}, {z}) outside the grid");
+        let (mut bit, end) = (self.n + z * self.n, self.n + z * self.n + x);
+        let mut rank = 0;
+        while bit < end {
+            let take = (64 - bit % 64).min(end - bit);
+            let word = self.table[bit / 64] >> (bit % 64);
+            rank += (word & (u64::MAX >> (64 - take))).count_ones() as usize;
+            bit += take;
+        }
+        rank
+    }
+
     /// Indices of the cells whose region intersects `region` — the cells a
     /// worker owning `region` needs to reconstruct its share of this
     /// domain's contribution. ("The structure of the octree also makes it
@@ -849,6 +864,10 @@ mod tests {
                 .position(|&p| p == z)
                 .map_or(&[][..], |i| &rows[i]);
             assert_eq!(&plan.sampled_rows(z).collect::<Vec<_>>(), want, "plane {z}");
+            for x in 0..=plan.n() {
+                let below = want.iter().filter(|&&r| r < x).count();
+                assert_eq!(plan.sampled_row_rank(z, x), below, "row {x} of plane {z}");
+            }
         }
         assert_eq!(
             plan.sampled_row_count(),

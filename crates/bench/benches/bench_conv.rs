@@ -22,12 +22,13 @@ fn bench_end_to_end(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("traditional", n), &n, |b, _| {
             b.iter(|| dense.convolve(&input, &kernel))
         });
-        let lc = LowCommConvolver::new(LowCommConfig {
+        let conv = LowCommConvolver::new(LowCommConfig {
             n,
             k,
             batch: 512,
             schedule: RateSchedule::paper_default(k, 16),
         });
+        let lc = conv.session(lcc_core::ConvolveMode::Normal);
         g.bench_with_input(BenchmarkId::new("lowcomm", n), &n, |b, _| {
             b.iter(|| lc.convolve(&input, &kernel))
         });

@@ -6,7 +6,7 @@
 //! requirement further if needed, but at the cost of accuracy."
 
 use lcc_bench::standard_input;
-use lcc_core::{LowCommConfig, LowCommConvolver, TraditionalConvolver};
+use lcc_core::{ConvolveMode, LowCommConfig, LowCommConvolver, TraditionalConvolver};
 use lcc_greens::{GaussianKernel, KernelSpectrum, PoissonSpectrum};
 use lcc_grid::relative_l2;
 use lcc_octree::RateSchedule;
@@ -54,7 +54,7 @@ fn main() {
                 batch: 1024,
                 schedule,
             });
-            let (approx, report) = conv.convolve(&input, kernel);
+            let (approx, report) = conv.session(ConvolveMode::Normal).convolve(&input, kernel);
             let err = relative_l2(exact.as_slice(), approx.as_slice());
             println!(
                 "{:<22} {:<26} {:>12} {:>12.3} {:>10.4}",

@@ -6,20 +6,20 @@
 //! [`lcc_grid::decompose_adaptive`]) and lazily plans one streaming
 //! pipeline per distinct sub-domain size. Quiet regions ride in a few huge
 //! boxes (skipped outright when zero), hot regions in small well-resolved
-//! ones.
+//! ones. The tiling runs through the session's domain loop
+//! ([`crate::fold`]); only the pipeline and the schedule depend on the box.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use lcc_greens::KernelSpectrum;
 use lcc_grid::{BoxRegion, Grid3};
 use lcc_octree::{RateSchedule, SamplingPlan};
 
-use crate::fold::fold_fields;
-use crate::lowcomm::ConvolveReport;
+use crate::fold::DomainStep;
+use crate::lowcomm::{response_region, ConvolveReport};
 use crate::pipeline::LocalConvolver;
 
 /// Convolver over variable-size sub-domains.
@@ -64,24 +64,11 @@ impl AdaptiveConvolver {
         RateSchedule::for_kernel_spread(k, self.spread, self.far_rate)
     }
 
-    /// Response (hotspot) region of `domain` under `kernel` — the domain
-    /// translated by the kernel center (must not wrap; see
-    /// `LowCommConvolver::response_region`).
-    pub fn response_region(&self, domain: &BoxRegion, kernel: &dyn KernelSpectrum) -> BoxRegion {
-        let n = self.n;
-        let c = kernel.center();
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        for a in 0..3 {
-            lo[a] = (domain.lo[a] + c[a]) % n;
-            hi[a] = lo[a] + (domain.hi[a] - domain.lo[a]);
-            assert!(hi[a] <= n, "response region wraps the periodic boundary");
-        }
-        BoxRegion::new(lo, hi)
-    }
-
     /// Convolves `input` over the given tiling, accumulating all domain
     /// contributions into the dense approximate result.
+    ///
+    /// Panics unless `domains` are cubes that tile the grid exactly: none
+    /// outside it, none overlapping, no point uncovered.
     pub fn convolve(
         &self,
         input: &Grid3<f64>,
@@ -90,45 +77,32 @@ impl AdaptiveConvolver {
     ) -> (Grid3<f64>, ConvolveReport) {
         let n = self.n;
         assert_eq!(input.shape(), (n, n, n), "input shape mismatch");
-        // Validate the tiling covers the grid exactly.
-        let vol: usize = domains.iter().map(|b| b.volume()).sum();
-        assert_eq!(vol, n * n * n, "domains must tile the grid");
-
-        let fields: Vec<_> = domains
-            .par_iter()
-            .map(|d| {
-                let (sx, sy, sz) = d.size();
-                assert!(sx == sy && sy == sz, "sub-domains must be cubes");
-                // Tested in place: a skipped domain costs no copy.
-                if input.all_in(d, |&v| v == 0.0) {
-                    return None;
-                }
-                let sub = input.extract(d);
-                let k = sx;
-                let plan = Arc::new(SamplingPlan::build(
-                    n,
-                    self.response_region(d, kernel),
-                    &self.schedule_for(k),
-                ));
-                Some(
-                    self.local_for(k)
-                        .convolve_compressed(&sub, d.lo, kernel, plan),
-                )
-            })
-            .collect();
-
-        let mut report = ConvolveReport {
-            dense_stage_bytes: n * n * n * 16,
-            domains_skipped: fields.iter().filter(|f| f.is_none()).count(),
-            ..Default::default()
-        };
-        for f in fields.iter().flatten() {
-            report.domains_processed += 1;
-            report.total_samples += f.plan().total_samples();
-            report.exchange_bytes += f.message_bytes();
+        let mut covered = vec![false; n * n * n];
+        for d in domains {
+            let (sx, sy, sz) = d.size();
+            assert!(sx == sy && sy == sz, "sub-domains must be cubes");
+            assert!(d.hi.iter().all(|&h| h <= n), "domains must tile the grid");
+            for [x, y, z] in d.points() {
+                let seen = std::mem::replace(&mut covered[(x * n + y) * n + z], true);
+                assert!(!seen, "domains must tile the grid, not overlap");
+            }
         }
-        let mut out = Grid3::zeros((n, n, n));
-        fold_fields(fields.iter().flatten(), &BoxRegion::cube(n), &mut out);
+        assert!(covered.iter().all(|&c| c), "domains must tile the grid");
+
+        let step = DomainStep {
+            inputs: [input],
+            plan: |d: &BoxRegion| {
+                let (region, schedule) =
+                    (response_region(n, d, kernel), self.schedule_for(d.size().0));
+                Arc::new(SamplingPlan::build(n, region, &schedule))
+            },
+            local: |d: &BoxRegion, plan| {
+                let local = self.local_for(d.size().0);
+                [local.convolve_compressed(&input.extract(d), d.lo, kernel, plan)]
+            },
+            degraded_rate: None,
+        };
+        let ([out], report) = step.fold(domains, &BoxRegion::cube(n));
         (out, report)
     }
 }
@@ -136,6 +110,7 @@ impl AdaptiveConvolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::fold_fields;
     use crate::traditional::TraditionalConvolver;
     use lcc_greens::GaussianKernel;
     use lcc_grid::{decompose_adaptive, relative_l2, AdaptiveDecomposition};
@@ -181,7 +156,7 @@ mod tests {
         // Bitwise that one domain's own contribution.
         let plan = Arc::new(SamplingPlan::build(
             n,
-            conv.response_region(&d, &kernel),
+            response_region(n, &d, &kernel),
             &conv.schedule_for(4),
         ));
         let field = conv
@@ -250,5 +225,20 @@ mod tests {
         let kernel = GaussianKernel::new(n, 1.0);
         let input = Grid3::zeros((n, n, n));
         conv.convolve(&input, &kernel, &[BoxRegion::new([0; 3], [8; 3])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile the grid")]
+    fn overlapping_tiling_with_full_volume_rejected() {
+        // Octant 0 listed twice and octant 7 missing: Σ volume is n³, yet
+        // one region would count twice and another not at all.
+        let n = 16;
+        let conv = AdaptiveConvolver::new(n, 64, 1.0, 8);
+        let kernel = GaussianKernel::new(n, 1.0);
+        let input = Grid3::zeros((n, n, n));
+        let mut domains = lcc_grid::decompose_uniform(n, 8);
+        assert_eq!(domains.pop(), Some(BoxRegion::new([8; 3], [16; 3])));
+        domains.push(domains[0]);
+        conv.convolve(&input, &kernel, &domains);
     }
 }

@@ -16,18 +16,13 @@
 //! [`ConvolveMode::Degraded`] and let [`ConvolveSession::accumulate`]
 //! rebuild the orphans.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use lcc_greens::KernelSpectrum;
-use lcc_grid::{decompose_uniform, BoxRegion, Grid3};
-use lcc_obs::metrics as obs;
-use lcc_octree::{CompressedField, PlanCache, RateSchedule, SamplingPlan};
+use lcc_grid::BoxRegion;
+use lcc_octree::{PlanCache, RateSchedule, SamplingPlan};
 
 use crate::config::ConfigError;
-use crate::fold::fold_fields;
 use crate::pipeline::LocalConvolver;
 use crate::session::{ConvolveMode, ConvolveSession};
 
@@ -89,6 +84,22 @@ pub struct ConvolveReport {
     pub recovery_extra_bytes: usize,
 }
 
+impl ConvolveReport {
+    /// Counts computed domains, one per plan, each compressed into
+    /// `components` fields under its plan.
+    pub(crate) fn count<'p>(
+        &mut self,
+        plans: impl IntoIterator<Item = &'p SamplingPlan>,
+        components: usize,
+    ) {
+        for plan in plans {
+            self.domains_processed += 1;
+            self.total_samples += components * plan.total_samples();
+            self.exchange_bytes += components * plan.compressed_bytes();
+        }
+    }
+}
+
 /// The end-to-end approximate convolver.
 pub struct LowCommConvolver {
     cfg: LowCommConfig,
@@ -97,7 +108,7 @@ pub struct LowCommConvolver {
     /// recovery claimants all share one plan per response region.
     plans: PlanCache,
     /// Memoized coarsest-rate plans for degraded reconstruction.
-    degraded_plans: PlanCache,
+    pub(crate) degraded_plans: PlanCache,
 }
 
 impl LowCommConvolver {
@@ -119,15 +130,14 @@ impl LowCommConvolver {
         cfg.validate()?;
         let local = LocalConvolver::new(cfg.n, cfg.k, cfg.batch);
         let plans = PlanCache::new(cfg.n, cfg.schedule.clone());
-        let coarsest = {
-            let s = &cfg.schedule;
-            s.bands
-                .iter()
-                .map(|b| b.rate)
-                .chain([s.far_rate, s.boundary_rate.max(1)])
-                .max()
-                .unwrap_or(1)
-        };
+        let s = &cfg.schedule;
+        let coarsest = s
+            .bands
+            .iter()
+            .map(|b| b.rate)
+            .chain([s.far_rate, s.boundary_rate.max(1)])
+            .max()
+            .unwrap_or(1);
         let degraded_plans = PlanCache::new(cfg.n, RateSchedule::uniform(coarsest));
         Ok(LowCommConvolver {
             cfg,
@@ -137,9 +147,7 @@ impl LowCommConvolver {
         })
     }
 
-    /// Opens a [`ConvolveSession`] — the unified entry point that replaced
-    /// the legacy `compress_domain*` / `accumulate*` method families
-    /// (deleted once every caller had migrated).
+    /// Opens a [`ConvolveSession`], the one convolve entry point.
     /// The mode states once how the run treats missing domains; chain
     /// [`ConvolveSession::with_observability`] to collect spans and
     /// counters for the run.
@@ -165,20 +173,7 @@ impl LowCommConvolver {
     /// With `k | N` and a kernel centered at a multiple of `k` (origin or
     /// `N/2`), the shifted box never wraps the periodic boundary.
     pub fn response_region(&self, domain: &BoxRegion, kernel: &dyn KernelSpectrum) -> BoxRegion {
-        let n = self.cfg.n;
-        let c = kernel.center();
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        for a in 0..3 {
-            lo[a] = (domain.lo[a] + c[a]) % n;
-            hi[a] = lo[a] + (domain.hi[a] - domain.lo[a]);
-            assert!(
-                hi[a] <= n,
-                "response region wraps the periodic boundary; kernel center \
-                 must be a multiple of the sub-domain size"
-            );
-        }
-        BoxRegion::new(lo, hi)
+        response_region(self.cfg.n, domain, kernel)
     }
 
     /// The sampling plan for one sub-domain's *response region*, memoized:
@@ -193,179 +188,27 @@ impl LowCommConvolver {
         &self.plans
     }
 
-    /// Shared implementation of the local-computation phase behind
-    /// [`ConvolveSession::compress_domains`] — every (nonzero) sub-domain
-    /// compressed independently in parallel, exact in every mode
-    /// (degradation only concerns *missing* contributions).
-    pub(crate) fn compress_domains_impl(
-        &self,
-        input: &Grid3<f64>,
-        kernel: &dyn KernelSpectrum,
-    ) -> (Vec<CompressedField>, ConvolveReport) {
-        let n = self.cfg.n;
-        assert_eq!(input.shape(), (n, n, n), "input shape mismatch");
-        let domains = decompose_uniform(n, self.cfg.k);
-        let fields: Vec<Option<CompressedField>> = domains
-            .par_iter()
-            .map(|d| {
-                // Tested in place: a skipped domain costs no copy.
-                if input.all_in(d, |&v| v == 0.0) {
-                    return None;
-                }
-                let plan = self.plan_for(self.response_region(d, kernel));
-                Some(
-                    self.local
-                        .convolve_compressed(&input.extract(d), d.lo, kernel, plan),
-                )
-            })
-            .collect();
-
-        let mut report = ConvolveReport {
-            dense_stage_bytes: n * n * n * 16,
-            ..Default::default()
-        };
-        let mut out = Vec::new();
-        for f in fields.into_iter() {
-            match f {
-                Some(f) => {
-                    report.domains_processed += 1;
-                    report.total_samples += f.plan().total_samples();
-                    report.exchange_bytes += f.message_bytes();
-                    out.push(f);
-                }
-                None => report.domains_skipped += 1,
-            }
-        }
-        obs::CONVOLVE_DOMAINS_PROCESSED.add(report.domains_processed as u64);
-        obs::CONVOLVE_DOMAINS_SKIPPED.add(report.domains_skipped as u64);
-        obs::CONVOLVE_EXCHANGE_BYTES.add(report.exchange_bytes as u64);
-        obs::CONVOLVE_SAMPLES.add(report.total_samples as u64);
-        (out, report)
-    }
-
-    /// Shared plain fold in slice order behind
-    /// [`ConvolveSession::accumulate_fields`]: sums every domain's
-    /// reconstruction into the dense approximate result (the one exchange
-    /// of Fig. 1b).
-    pub(crate) fn accumulate_impl(&self, fields: &[CompressedField]) -> Grid3<f64> {
-        let n = self.cfg.n;
-        let mut out = Grid3::zeros((n, n, n));
-        fold_fields(fields, &BoxRegion::cube(n), &mut out);
-        out
-    }
-
-    /// Full pipeline: compress every sub-domain, then accumulate.
-    pub fn convolve(
-        &self,
-        input: &Grid3<f64>,
-        kernel: &dyn KernelSpectrum,
-    ) -> (Grid3<f64>, ConvolveReport) {
-        let (fields, report) = self.compress_domains_impl(input, kernel);
-        (self.accumulate_impl(&fields), report)
-    }
-
     /// The coarsest sampling rate anywhere in the configured schedule —
     /// the cheapest resolution the deployment already tolerates far from a
     /// domain, and therefore the natural fidelity for emergency
     /// reconstruction of a dead rank's domains.
     pub fn coarsest_rate(&self) -> u32 {
-        let s = &self.cfg.schedule;
-        s.bands
-            .iter()
-            .map(|b| b.rate)
-            .chain([s.far_rate, s.boundary_rate.max(1)])
-            .max()
-            .unwrap_or(1)
+        self.degraded_plans.schedule().far_rate
     }
+}
 
-    /// The uniform schedule used for degraded reconstruction.
-    pub fn degraded_schedule(&self) -> RateSchedule {
-        RateSchedule::uniform(self.coarsest_rate())
-    }
-
-    /// Shared single-domain compression behind
-    /// [`ConvolveSession::compress_domain`]: `degraded` selects the
-    /// coarsest uniform plan (a survivor's emergency rebuild), otherwise
-    /// the memoized schedule plan — the same plan and pruned-FFT pipeline
-    /// the original owner would run, so exact recomputes are bit-identical
-    /// to the fault-free run's.
-    pub(crate) fn compress_domain_impl(
-        &self,
-        input: &Grid3<f64>,
-        domain: &BoxRegion,
-        kernel: &dyn KernelSpectrum,
-        degraded: bool,
-    ) -> Option<CompressedField> {
-        if input.all_in(domain, |&v| v == 0.0) {
-            return None;
-        }
-        let region = self.response_region(domain, kernel);
-        let plan = if degraded {
-            self.degraded_plans.plan_for(region)
-        } else {
-            self.plan_for(region)
-        };
-        Some(
-            self.local
-                .convolve_compressed(&input.extract(domain), domain.lo, kernel, plan),
-        )
-    }
-
-    /// Shared ascending-domain-id fold with recovery/degradation
-    /// accounting — the implementation behind
-    /// [`ConvolveSession::accumulate`]. The ascending order is the one
-    /// fold order every rank can reproduce regardless of who computed
-    /// what, which is what makes a redistributed run bit-identical to a
-    /// fault-free run of the same fold. `recovered` lists the domain ids
-    /// in `contributions` that claimants recomputed (their modeled flop
-    /// and byte cost is charged to the report); `degraded` orphans are
-    /// rebuilt locally at the coarsest rate. Everything is folded over
-    /// `region`, whose shape the result has.
-    pub(crate) fn accumulate_map_impl(
-        &self,
-        contributions: &BTreeMap<usize, CompressedField>,
-        input: &Grid3<f64>,
-        kernel: &dyn KernelSpectrum,
-        recovered: &[usize],
-        degraded: &[(usize, BoxRegion)],
-        region: &BoxRegion,
-    ) -> (Grid3<f64>, ConvolveReport) {
-        let n = self.cfg.n;
-        let mut report = ConvolveReport {
-            dense_stage_bytes: n * n * n * 16,
-            ..Default::default()
-        };
-        for f in contributions.values() {
-            report.domains_processed += 1;
-            report.total_samples += f.plan().total_samples();
-            report.exchange_bytes += f.message_bytes();
-        }
-        for &id in recovered {
-            let f = match contributions.get(&id) {
-                Some(f) => f,
-                None => unreachable!("recovered id must have a contribution"),
-            };
-            report.recovered_domains += 1;
-            report.recovery_extra_flops += self.local.flops_estimate(f.plan());
-            report.recovery_extra_bytes += f.message_bytes();
-        }
-        let rebuilt: Vec<CompressedField> = degraded
-            .iter()
-            .filter_map(|(_, d)| self.compress_domain_impl(input, d, kernel, true))
-            .collect();
-        report.degraded_domains = rebuilt.len();
-        report.domains_skipped = degraded.len() - rebuilt.len();
-        if report.degraded_domains > 0 {
-            report.degraded_rate = Some(self.coarsest_rate());
-        }
-        // BTreeMap iteration is ascending by domain id; the rebuilt orphans
-        // follow in the order they were listed.
-        let mut out = Grid3::zeros(region.size());
-        fold_fields(contributions.values().chain(&rebuilt), region, &mut out);
-        obs::CONVOLVE_DOMAINS_RECOVERED.add(report.recovered_domains as u64);
-        obs::CONVOLVE_DOMAINS_DEGRADED.add(report.degraded_domains as u64);
-        (out, report)
-    }
+/// The hotspot (response) region of a sub-domain of an `n³` grid under
+/// `kernel`: the sub-domain translated by the kernel's spatial center.
+pub(crate) fn response_region(n: usize, d: &BoxRegion, kernel: &dyn KernelSpectrum) -> BoxRegion {
+    let c = kernel.center();
+    let lo: [usize; 3] = std::array::from_fn(|a| (d.lo[a] + c[a]) % n);
+    let hi: [usize; 3] = std::array::from_fn(|a| lo[a] + d.hi[a] - d.lo[a]);
+    assert!(
+        hi.iter().all(|&h| h <= n),
+        "response region wraps the periodic boundary; kernel center \
+         must be a multiple of the sub-domain size"
+    );
+    BoxRegion::new(lo, hi)
 }
 
 #[cfg(test)]
@@ -373,7 +216,7 @@ mod tests {
     use super::*;
     use crate::traditional::TraditionalConvolver;
     use lcc_greens::GaussianKernel;
-    use lcc_grid::relative_l2;
+    use lcc_grid::{relative_l2, Grid3};
 
     fn smooth_input(n: usize) -> Grid3<f64> {
         Grid3::from_fn((n, n, n), |x, y, z| {
@@ -394,7 +237,7 @@ mod tests {
         let conv = LowCommConvolver::new(cfg);
         let kernel = GaussianKernel::new(n, 1.2);
         let input = smooth_input(n);
-        let (got, report) = conv.convolve(&input, &kernel);
+        let (got, report) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
         let want = TraditionalConvolver::new(n).convolve(&input, &kernel);
         let err = relative_l2(want.as_slice(), got.as_slice());
         assert!(err < 1e-9, "lossless end-to-end error {err}");
@@ -414,7 +257,7 @@ mod tests {
         });
         let kernel = GaussianKernel::new(n, 1.0);
         let input = smooth_input(n);
-        let (got, report) = conv.convolve(&input, &kernel);
+        let (got, report) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
         let want = TraditionalConvolver::new(n).convolve(&input, &kernel);
         let err = relative_l2(want.as_slice(), got.as_slice());
         assert!(err < 0.03, "adaptive end-to-end error {err} above 3%");
@@ -457,7 +300,7 @@ mod tests {
         // Only one sub-domain nonzero.
         let mut input = Grid3::zeros((n, n, n));
         input[(5, 5, 5)] = 1.0;
-        let (_, report) = conv.convolve(&input, &kernel);
+        let (_, report) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
         assert_eq!(report.domains_processed, 1);
         assert_eq!(report.domains_skipped, 63);
     }
@@ -471,7 +314,7 @@ mod tests {
         let mut input = Grid3::zeros((n, n, n));
         // Delta at the center of a sub-domain.
         input[(12, 12, 12)] = 1.0;
-        let (got, _) = conv.convolve(&input, &kernel);
+        let (got, _) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
         // The kernel peaks at n/2, so a delta at (12,12,12) produces a
         // response peaking at (12 + 16) mod 32 = 28 along each axis.
         assert!((got[(28, 28, 28)] - 1.0).abs() < 0.01);

@@ -1,12 +1,15 @@
 //! The unified convolve entry point.
 //!
-//! Historically the convolver grew six near-duplicate methods
-//! (`compress_domains` / `compress_domain_degraded` / `compress_domain_exact`,
-//! `accumulate` / `accumulate_degraded` / `accumulate_with_recovery`) as the
-//! fault-tolerance work landed. A [`ConvolveSession`] collapses them behind
-//! one surface: the caller states *how the run should treat missing domains*
-//! once — via [`ConvolveMode`] — and every compress/accumulate call
-//! dispatches on it. The session also carries an optional
+//! A [`ConvolveSession`] is the one compress/accumulate surface: the caller
+//! states *how the run should treat missing domains* once — via
+//! [`ConvolveMode`] — and every call dispatches on it. One mode rule holds
+//! throughout: **a session compresses the domains it computes by its
+//! mode** — under the memoized schedule plan in `Normal` and `Recover`, at
+//! the schedule's coarsest uniform rate in `Degraded`. So
+//! [`ConvolveSession::exchange`] computes a rank's own domains in an
+//! explicit `Normal` session, and only the orphans of dead ranks are
+//! rebuilt coarse. Every compressing call runs the one domain loop of
+//! [`crate::fold`]. The session also carries an optional
 //! [`lcc_obs::ObsSession`], so wrapping a run in tracing is one extra call
 //! rather than bench-specific plumbing.
 //!
@@ -27,12 +30,14 @@
 use std::collections::BTreeMap;
 
 use lcc_greens::KernelSpectrum;
-use lcc_grid::{BoxRegion, Grid3};
+use lcc_grid::{decompose_uniform, BoxRegion, Grid3};
 use lcc_obs::metrics as obs;
-use lcc_octree::CompressedField;
+use lcc_octree::{CompressedField, PlanCache};
 
+use crate::fold::{fold_fields, DomainStep, LocalFn, PlanFn};
 use crate::lowcomm::{ConvolveReport, LowCommConvolver};
 use crate::recovery::RecoveryPolicy;
+use crate::tensor_pipeline::TensorKernelSpectrum;
 
 /// How a convolve run treats domains whose owning rank is gone.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,8 +47,8 @@ pub enum ConvolveMode {
     Normal,
     /// Graceful degradation: orphaned domains are rebuilt locally at the
     /// schedule's *coarsest* uniform rate — availability over accuracy.
-    /// [`ConvolveSession::compress_domain`] also compresses at the coarse
-    /// rate in this mode (a survivor producing an emergency contribution).
+    /// Every domain the session compresses is compressed at that rate too
+    /// (a survivor producing an emergency contribution, a shed request).
     Degraded,
     /// Self-healing: claimants recompute orphans *exactly* under the given
     /// policy; orphans nobody claimed fall back to the degraded rebuild.
@@ -104,23 +109,23 @@ impl<'a> ConvolveSession<'a> {
         self.conv
     }
 
-    /// Compresses every (nonzero) sub-domain of `input` exactly — the
-    /// local-computation phase that replaces the distributed FFT. Identical
-    /// in every mode: degradation and recovery only concern *missing*
-    /// contributions, never the ones a live rank computes for itself.
+    /// Compresses every (nonzero) sub-domain of `input` by the mode — the
+    /// local-computation phase that replaces the distributed FFT. Returns
+    /// the fields in ascending domain id.
     pub fn compress_domains(
         &self,
         input: &Grid3<f64>,
         kernel: &dyn KernelSpectrum,
     ) -> (Vec<CompressedField>, ConvolveReport) {
         let _sp = lcc_obs::span("session_compress_domains");
-        self.conv.compress_domains_impl(input, kernel)
+        let cfg = self.conv.config();
+        let domains = decompose_uniform(cfg.n, cfg.k);
+        let (fields, report) = self.scalar_step(input, kernel).compress_all(&domains);
+        (fields.into_iter().map(|[f]| f).collect(), report)
     }
 
-    /// Compresses one sub-domain's contribution, dispatching on the mode:
-    /// exact (memoized schedule plan) in `Normal` and `Recover`, the
-    /// coarsest uniform rate in `Degraded`. Returns `None` for
-    /// identically-zero domains.
+    /// Compresses one sub-domain's contribution by the mode. Returns `None`
+    /// for identically-zero domains.
     pub fn compress_domain(
         &self,
         input: &Grid3<f64>,
@@ -128,20 +133,8 @@ impl<'a> ConvolveSession<'a> {
         kernel: &dyn KernelSpectrum,
     ) -> Option<CompressedField> {
         let _sp = lcc_obs::span("session_compress_domain");
-        let degraded = matches!(self.mode, ConvolveMode::Degraded);
-        let f = self
-            .conv
-            .compress_domain_impl(input, domain, kernel, degraded);
-        match &f {
-            Some(_) => {
-                obs::CONVOLVE_DOMAINS_PROCESSED.incr();
-                if degraded {
-                    obs::CONVOLVE_DOMAINS_DEGRADED.incr();
-                }
-            }
-            None => obs::CONVOLVE_DOMAINS_SKIPPED.incr(),
-        }
-        f
+        let [f] = self.scalar_step(input, kernel).compress_one(domain)?;
+        Some(f)
     }
 
     /// Plain accumulation: sums the given contributions in slice order into
@@ -149,7 +142,10 @@ impl<'a> ConvolveSession<'a> {
     /// ranks may be missing.
     pub fn accumulate_fields(&self, fields: &[CompressedField]) -> Grid3<f64> {
         let _sp = lcc_obs::span("session_accumulate");
-        self.conv.accumulate_impl(fields)
+        let n = self.conv.config().n;
+        let mut out = Grid3::zeros((n, n, n));
+        fold_fields(fields, &BoxRegion::cube(n), &mut out);
+        out
     }
 
     /// Mode-aware accumulation + interpolation over `region` — the single
@@ -182,30 +178,103 @@ impl<'a> ConvolveSession<'a> {
                 "orphaned domains in Normal mode; use Degraded or Recover"
             );
         }
-        let count_recovered = matches!(self.mode, ConvolveMode::Recover(_));
-        let (recovered, degraded): (Vec<_>, Vec<_>) = orphans
+        // Absent orphans are rebuilt at the coarsest rate; they fold after
+        // the contributions, which fold in ascending domain id.
+        let absent: Vec<BoxRegion> = orphans
             .iter()
-            .partition(|(id, _)| contributions.contains_key(id));
-        let recovered: Vec<usize> = if count_recovered {
-            recovered.into_iter().map(|(id, _)| id).collect()
-        } else {
-            Vec::new()
+            .filter_map(|&(id, d)| (!contributions.contains_key(&id)).then_some(d))
+            .collect();
+        let coarse = self.conv.session(ConvolveMode::Degraded);
+        let (rebuilt, rebuild) = coarse.scalar_step(input, kernel).compress_all(&absent);
+        // Processed work is what was received or computed before the fold.
+        let mut report = ConvolveReport {
+            domains_processed: 0,
+            total_samples: 0,
+            exchange_bytes: 0,
+            ..rebuild
         };
-        self.conv
-            .accumulate_map_impl(contributions, input, kernel, &recovered, &degraded, region)
+        report.count(contributions.values().map(|f| f.plan().as_ref()), 1);
+        if matches!(self.mode, ConvolveMode::Recover(_)) {
+            for f in orphans.iter().filter_map(|(id, _)| contributions.get(id)) {
+                report.recovered_domains += 1;
+                report.recovery_extra_flops += self.conv.local().flops_estimate(f.plan());
+                report.recovery_extra_bytes += f.message_bytes();
+            }
+        }
+        let mut out = Grid3::zeros(region.size());
+        let fields = contributions.values().chain(rebuilt.iter().map(|[f]| f));
+        fold_fields(fields, region, &mut out);
+        obs::CONVOLVE_DOMAINS_RECOVERED.add(report.recovered_domains as u64);
+        (out, report)
     }
 
-    /// Full fault-free pipeline: compress every sub-domain, then
-    /// accumulate. Bit-identical to the legacy
-    /// [`LowCommConvolver::convolve`] fold.
+    /// The whole convolution of `input`: every sub-domain compressed by the
+    /// mode and folded over the cube, in waves no larger than the result
+    /// (see [`crate::fold`]).
     pub fn convolve(
         &self,
         input: &Grid3<f64>,
         kernel: &dyn KernelSpectrum,
     ) -> (Grid3<f64>, ConvolveReport) {
         let _sp = lcc_obs::span("session_convolve");
-        let (fields, report) = self.conv.compress_domains_impl(input, kernel);
-        (self.conv.accumulate_impl(&fields), report)
+        let (cfg, step) = (self.conv.config(), self.scalar_step(input, kernel));
+        let ([out], report) = step.fold(&decompose_uniform(cfg.n, cfg.k), &BoxRegion::cube(cfg.n));
+        (out, report)
+    }
+
+    /// [`Self::convolve`] for a symmetric tensor field (its six Voigt
+    /// components) and a tensor kernel: MASSIF's `Γ̂ : σ̂`. A sub-domain's
+    /// response region is the sub-domain, the tensor kernels being centered.
+    pub fn convolve_tensor(
+        &self,
+        sigma: [&Grid3<f64>; 6],
+        kernel: &dyn TensorKernelSpectrum,
+    ) -> ([Grid3<f64>; 6], ConvolveReport) {
+        let _sp = lcc_obs::span("session_convolve_tensor");
+        let (conv, (plans, degraded_rate)) = (self.conv, self.plans(&sigma));
+        let step = DomainStep {
+            inputs: sigma,
+            plan: |d: &BoxRegion| plans.plan_for(*d),
+            local: |d: &BoxRegion, plan| {
+                let sub = sigma.map(|g| g.extract(d));
+                conv.local()
+                    .convolve_tensor_compressed(&sub, d.lo, kernel, plan)
+            },
+            degraded_rate,
+        };
+        let cfg = conv.config();
+        step.fold(&decompose_uniform(cfg.n, cfg.k), &BoxRegion::cube(cfg.n))
+    }
+
+    /// The per-domain step of a scalar run.
+    fn scalar_step<'s>(
+        &'s self,
+        input: &'s Grid3<f64>,
+        kernel: &'s dyn KernelSpectrum,
+    ) -> DomainStep<'s, 1, impl PlanFn + 's, impl LocalFn<1> + 's> {
+        let (conv, (plans, degraded_rate)) = (self.conv, self.plans(&[input]));
+        DomainStep {
+            inputs: [input],
+            plan: move |d: &BoxRegion| plans.plan_for(conv.response_region(d, kernel)),
+            local: move |d: &BoxRegion, plan| {
+                [conv
+                    .local()
+                    .convolve_compressed(&input.extract(d), d.lo, kernel, plan)]
+            },
+            degraded_rate,
+        }
+    }
+
+    /// The plans the mode rule compresses `inputs` under, and the rate a
+    /// report charges them to when they are the degraded ones. Panics
+    /// unless every input is on the session's `n³` grid.
+    fn plans(&self, inputs: &[&Grid3<f64>]) -> (&'a PlanCache, Option<u32>) {
+        let n = self.conv.config().n;
+        assert!(inputs.iter().all(|g| g.shape() == (n, n, n)), "input shape");
+        match self.mode {
+            ConvolveMode::Degraded => (&self.conv.degraded_plans, Some(self.conv.coarsest_rate())),
+            _ => (self.conv.plan_cache(), None),
+        }
     }
 
     /// Ends the session, returning the observability report when this
@@ -228,22 +297,73 @@ mod tests {
         })
     }
 
+    fn bits(g: &Grid3<f64>) -> Vec<u64> {
+        g.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `convolve` folds in waves no larger than the output; every wave cut
+    /// must leave the result bit-identical to compressing every domain and
+    /// folding once, under the pool and sequentially.
     #[test]
-    fn normal_session_matches_legacy_convolve_bitwise() {
+    fn waves_bit_identical_to_compress_then_accumulate() {
         let n = 16;
-        let conv = LowCommConvolver::new(LowCommConfig::paper_default(n, 4, 8));
+        let k = 4;
+        let conv = LowCommConvolver::new(LowCommConfig::paper_default(n, k, 8));
         let kernel = GaussianKernel::new(n, 1.0);
+        let mut single = Grid3::zeros((n, n, n));
+        single[(5, 9, 2)] = 1.5;
+        for input in [smooth_input(n), single] {
+            let session = conv.session(ConvolveMode::Normal);
+            let (fields, want_report) = session.compress_domains(&input, &kernel);
+            let want = bits(&session.accumulate_fields(&fields));
+            let (got, report) = session.convolve(&input, &kernel);
+            assert_eq!(bits(&got), want);
+            let (sequential, _) = rayon::run_sequential(|| session.convolve(&input, &kernel));
+            assert_eq!(bits(&sequential), want);
+            assert_eq!(report.domains_processed, want_report.domains_processed);
+            assert_eq!(report.domains_skipped, want_report.domains_skipped);
+            assert_eq!(report.total_samples, want_report.total_samples);
+            assert_eq!(report.exchange_bytes, want_report.exchange_bytes);
+        }
+        // The dense input's fields outweigh the output many times over, so
+        // it folds in many waves; the single domain is one wave.
+        let (_, dense) = conv
+            .session(ConvolveMode::Normal)
+            .compress_domains(&smooth_input(n), &kernel);
+        assert!(dense.total_samples > 8 * n * n * n, "{dense:?}");
+
+        // A Degraded session compresses every domain at the coarsest rate.
         let input = smooth_input(n);
-        let (legacy, legacy_report) = conv.convolve(&input, &kernel);
-        let session = conv.session(ConvolveMode::Normal);
+        let session = conv.session(ConvolveMode::Degraded);
+        let fields: Vec<CompressedField> = lcc_grid::decompose_uniform(n, k)
+            .iter()
+            .filter_map(|d| session.compress_domain(&input, d, &kernel))
+            .collect();
+        let want = bits(&session.accumulate_fields(&fields));
         let (got, report) = session.convolve(&input, &kernel);
-        assert_eq!(
-            legacy.as_slice(),
-            got.as_slice(),
-            "session must be bit-identical"
-        );
-        assert_eq!(legacy_report.domains_processed, report.domains_processed);
-        assert_eq!(legacy_report.exchange_bytes, report.exchange_bytes);
+        assert_eq!(bits(&got), want);
+        assert_eq!(report.degraded_domains, fields.len());
+        assert_eq!(report.degraded_rate, Some(conv.coarsest_rate()));
+    }
+
+    /// The pool's size is fixed for the life of a process, so the identity
+    /// above runs again in child processes, one per pool size.
+    #[test]
+    fn waves_bit_identical_under_pools_of_1_2_and_4_threads() {
+        let exe = std::env::current_exe().expect("test binary path");
+        for threads in ["1", "2", "4"] {
+            let out = std::process::Command::new(&exe)
+                .arg("waves_bit_identical_to_compress_then_accumulate")
+                .env("LCC_THREADS", threads)
+                .output()
+                .expect("spawn the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "LCC_THREADS={threads}:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,13 @@ impl TensorField {
         }
     }
 
+    /// The field whose Voigt components are `comps`, each an n³ grid.
+    pub fn from_components(comps: [Grid3<f64>; 6]) -> Self {
+        let n = comps[0].shape().0;
+        assert!(comps.iter().all(|g| g.shape() == (n, n, n)));
+        TensorField { n, comps }
+    }
+
     /// Grid size.
     pub fn n(&self) -> usize {
         self.n

@@ -24,7 +24,7 @@ use crate::checkpoint::{self, Checkpoint, CheckpointConfig, CheckpointError};
 use crate::fields::TensorField;
 use crate::microstructure::Microstructure;
 
-use lcc_core::{fold_fields, LowCommConfig, LowCommConvolver};
+use lcc_core::{ConvolveMode, LowCommConfig, LowCommConvolver};
 
 /// Strategy for computing `Δε = Γ⁰ ⊛ σ`.
 pub trait GammaConvolution {
@@ -105,7 +105,8 @@ impl GammaConvolution for SpectralGamma {
     }
 }
 
-/// Algorithm 2: the low-communication inner loop. Each sub-domain's six
+/// Algorithm 2: the low-communication inner loop, one
+/// [`lcc_core::ConvolveSession::convolve_tensor`]. Each sub-domain's six
 /// stress components stream through the shared tensor pipeline (forward
 /// stages once per component, the full Γ̂ : σ̂ contraction applied per
 /// frequency pencil), are octree-compressed, and accumulate by
@@ -133,29 +134,9 @@ impl LowCommGamma {
 
 impl GammaConvolution for LowCommGamma {
     fn apply_gamma(&self, sigma: &TensorField) -> TensorField {
-        use lcc_grid::{decompose_uniform, BoxRegion, Grid3};
-        let n = sigma.n();
-        let k = self.conv.config().k;
-        let cube = BoxRegion::cube(n);
-        let mut out = TensorField::zeros(n);
-        // Γ̂ is origin-centered, so each sub-domain's response region is the
-        // sub-domain itself.
-        for d in decompose_uniform(n, k) {
-            // Tested in place: a skipped sub-domain costs no copy.
-            if (0..6).all(|c| sigma.component(c).all_in(&d, |&v| v == 0.0)) {
-                continue;
-            }
-            let sub: [Grid3<f64>; 6] = std::array::from_fn(|c| sigma.component(c).extract(&d));
-            let plan = self.conv.plan_for(d);
-            let fields =
-                self.conv
-                    .local()
-                    .convolve_tensor_compressed(&sub, d.lo, &self.gamma, plan);
-            for (c, f) in fields.iter().enumerate() {
-                fold_fields([f], &cube, out.component_mut(c));
-            }
-        }
-        out
+        let sigma = std::array::from_fn(|c| sigma.component(c));
+        let session = self.conv.session(ConvolveMode::Normal);
+        TensorField::from_components(session.convolve_tensor(sigma, &self.gamma).0)
     }
 
     fn name(&self) -> &'static str {

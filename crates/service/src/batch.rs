@@ -66,26 +66,13 @@ fn respond(req: &ConvolveRequest, mode: ServedMode, out: Grid3<f64>) -> Convolve
 }
 
 /// Serves one request alone — the reference execution the coalesced path
-/// must match bit-for-bit. Normal service is the plain
-/// [`ConvolveSession::convolve`] pipeline; degraded service compresses
-/// every sub-domain at the schedule's coarsest rate.
+/// must match bit-for-bit: [`ConvolveSession::convolve`] in the session of
+/// the served mode, so degraded service compresses every sub-domain at the
+/// schedule's coarsest rate.
 pub fn serve_solo(entry: &PlanEntry, req: &ConvolveRequest, mode: ServedMode) -> ConvolveResponse {
     let _sp = lcc_obs::span("service_serve_solo");
-    let conv = entry.convolver();
-    let grid = input_grid(req);
-    let session = conv.session(convolve_mode(mode));
-    let out = match mode {
-        ServedMode::Normal => session.convolve(&grid, entry.kernel()).0,
-        ServedMode::Degraded => {
-            let domains = decompose_uniform(entry.n(), conv.config().k);
-            // lcc-lint: allow(alloc) — per-request contribution list.
-            let fields: Vec<CompressedField> = domains
-                .iter()
-                .filter_map(|d| session.compress_domain(&grid, d, entry.kernel()))
-                .collect();
-            session.accumulate_fields(&fields)
-        }
-    };
+    let session = entry.convolver().session(convolve_mode(mode));
+    let out = session.convolve(&input_grid(req), entry.kernel()).0;
     obs::SERVICE_REQUESTS_COMPLETED.incr();
     respond(req, mode, out)
 }

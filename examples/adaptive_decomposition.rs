@@ -6,7 +6,9 @@
 //! cargo run --release --example adaptive_decomposition
 //! ```
 
-use lcc_core::{AdaptiveConvolver, LowCommConfig, LowCommConvolver, TraditionalConvolver};
+use lcc_core::{
+    AdaptiveConvolver, ConvolveMode, LowCommConfig, LowCommConvolver, TraditionalConvolver,
+};
 use lcc_greens::GaussianKernel;
 use lcc_grid::{decompose_adaptive, relative_l2, AdaptiveDecomposition, Grid3};
 use lcc_octree::RateSchedule;
@@ -34,7 +36,9 @@ fn main() {
         schedule: RateSchedule::for_kernel_spread(8, sigma, 16),
     });
     let t0 = std::time::Instant::now();
-    let (reg_out, reg_report) = regular.convolve(&input, &kernel);
+    let (reg_out, reg_report) = regular
+        .session(ConvolveMode::Normal)
+        .convolve(&input, &kernel);
     let t_reg = t0.elapsed();
     let reg_err = relative_l2(exact.as_slice(), reg_out.as_slice());
 

@@ -12,7 +12,7 @@
 //! cargo run --release --example poisson_hockney
 //! ```
 
-use lcc_core::{LowCommConfig, LowCommConvolver, TraditionalConvolver};
+use lcc_core::{ConvolveMode, LowCommConfig, LowCommConvolver, TraditionalConvolver};
 use lcc_greens::PoissonSpectrum;
 use lcc_grid::{relative_l2, Grid3};
 use lcc_octree::{RateBand, RateSchedule};
@@ -65,7 +65,7 @@ fn main() {
             batch: 1024,
             schedule,
         });
-        let (approx, report) = conv.convolve(&rho, &spectrum);
+        let (approx, report) = conv.session(ConvolveMode::Normal).convolve(&rho, &spectrum);
         let err = relative_l2(exact.as_slice(), approx.as_slice());
         println!(
             "{:<10} {:>14} {:>14} {:>12.4}",

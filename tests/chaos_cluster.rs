@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use lcc_bench::chaos::{self, N, SIGMA};
 use lcc_comm::{CommStats, FaultPlan, RetryPolicy};
-use lcc_core::{LowCommConvolver, TraditionalConvolver};
+use lcc_core::{ConvolveMode, LowCommConvolver, TraditionalConvolver};
 use lcc_grid::{relative_l2, Grid3};
 
 const P: usize = 4;
@@ -74,7 +74,9 @@ fn rank_crash_degrades_accuracy_but_completes() {
     let input = chaos::input();
     let kernel = lcc_greens::GaussianKernel::new(N, SIGMA);
     let oracle = TraditionalConvolver::new(N).convolve(&input, &kernel);
-    let (healthy, _) = LowCommConvolver::new(chaos::config()).convolve(&input, &kernel);
+    let (healthy, _) = LowCommConvolver::new(chaos::config())
+        .session(ConvolveMode::Normal)
+        .convolve(&input, &kernel);
     let healthy_err = relative_l2(oracle.as_slice(), healthy.as_slice());
 
     // Crash rank 3 under light drop noise as well: the run must still

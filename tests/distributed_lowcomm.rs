@@ -50,7 +50,7 @@ fn distributed_matches_serial_lowcomm_and_oracle() {
         batch: 512,
         schedule: RateSchedule::for_kernel_spread(k, sigma, 16),
     });
-    let (serial, _) = conv.convolve(&input, &kernel);
+    let (serial, _) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
     let oracle = TraditionalConvolver::new(n).convolve(&input, &kernel);
 
     let deployment = Deployment::replicated(n, k, 4);
@@ -117,7 +117,7 @@ fn sparse_exchange_matches_serial_and_eq6_bytes_exactly() {
     input[(3, 5, 7)] = 1.0;
     input[(12, 30, 2)] = -2.0;
     input[(27, 9, 17)] = 0.5;
-    let (serial, report) = conv.convolve(&input, &kernel);
+    let (serial, report) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
     assert_eq!(report.domains_processed, 3);
     let domains = decompose_uniform(n, k);
 

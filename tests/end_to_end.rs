@@ -1,7 +1,7 @@
 //! Cross-crate end-to-end validation: the full low-communication pipeline
 //! against the dense oracle, across kernels, schedules, and geometries.
 
-use lcc_core::{LowCommConfig, LowCommConvolver, TraditionalConvolver};
+use lcc_core::{ConvolveMode, LowCommConfig, LowCommConvolver, TraditionalConvolver};
 use lcc_greens::{GaussianKernel, KernelSpectrum, PoissonSpectrum};
 use lcc_grid::{relative_l2, Grid3};
 use lcc_octree::RateSchedule;
@@ -25,7 +25,7 @@ fn gaussian_kernel_paper_tolerance_n32() {
         schedule: RateSchedule::for_kernel_spread(k, sigma, 16),
     });
     let input = wavy(n);
-    let (approx, report) = conv.convolve(&input, &kernel);
+    let (approx, report) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
     let exact = TraditionalConvolver::new(n).convolve(&input, &kernel);
     let err = relative_l2(exact.as_slice(), approx.as_slice());
     assert!(err < 0.03, "error {err} above tolerance");
@@ -45,7 +45,7 @@ fn gaussian_kernel_n64_compression_wins() {
         schedule: RateSchedule::for_kernel_spread(k, sigma, 16),
     });
     let input = wavy(n);
-    let (approx, report) = conv.convolve(&input, &kernel);
+    let (approx, report) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
     let exact = TraditionalConvolver::new(n).convolve(&input, &kernel);
     let err = relative_l2(exact.as_slice(), approx.as_slice());
     assert!(err < 0.03, "error {err} above tolerance");
@@ -74,7 +74,7 @@ fn poisson_kernel_with_conservative_schedule() {
         batch: 512,
         schedule: RateSchedule::for_kernel_spread(k, 4.0, 4),
     });
-    let (approx, report) = conv.convolve(&rho, &spectrum);
+    let (approx, report) = conv.session(ConvolveMode::Normal).convolve(&rho, &spectrum);
     let exact = TraditionalConvolver::new(n).convolve(&rho, &spectrum);
     let err = relative_l2(exact.as_slice(), approx.as_slice());
     assert!(err < 0.05, "Poisson error {err}");
@@ -96,7 +96,7 @@ fn error_decreases_with_denser_far_field() {
             batch: 512,
             schedule: RateSchedule::for_kernel_spread(k, 2.0, far),
         });
-        let (approx, _) = conv.convolve(&input, &kernel);
+        let (approx, _) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
         let err = relative_l2(exact.as_slice(), approx.as_slice());
         assert!(
             err <= last * 1.2,
@@ -131,7 +131,7 @@ fn kernel_center_drives_response_region() {
             batch: 512,
             schedule: RateSchedule::for_kernel_spread(k, 3.0, 4),
         });
-        let (approx, _) = conv.convolve(&input, kern);
+        let (approx, _) = conv.session(ConvolveMode::Normal).convolve(&input, kern);
         let exact = TraditionalConvolver::new(n).convolve(&input, kern);
         let err = relative_l2(exact.as_slice(), approx.as_slice());
         assert!(err < 0.05, "{name}: error {err}");
@@ -154,7 +154,7 @@ fn massif_gamma_component_convolution_cross_crate() {
         batch: 256,
         schedule: RateSchedule::uniform(1),
     });
-    let (approx, _) = conv.convolve(&input, &kernel);
+    let (approx, _) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
     let exact = TraditionalConvolver::new(n).convolve(&input, &kernel);
     let err = relative_l2(exact.as_slice(), approx.as_slice());
     assert!(err < 1e-9, "lossless Γ̂ component error {err}");

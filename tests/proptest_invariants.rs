@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lcc_core::{LocalConvolver, LowCommConfig, LowCommConvolver, TraditionalConvolver};
+use lcc_core::{
+    ConvolveMode, LocalConvolver, LowCommConfig, LowCommConvolver, TraditionalConvolver,
+};
 use lcc_fft::{c64, dft::dft, fft_in_place, Complex64, FftDirection, FftPlanner};
 use lcc_greens::GaussianKernel;
 use lcc_grid::{relative_l2, BoxRegion, Grid3};
@@ -220,7 +222,7 @@ proptest! {
         let input = Grid3::from_fn((n, n, n), |x, y, z| {
             (x as f64 * f1).sin() + (y as f64 * f2).cos() + 0.1 * z as f64
         });
-        let (approx, _) = conv.convolve(&input, &kernel);
+        let (approx, _) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
         let exact = TraditionalConvolver::new(n).convolve(&input, &kernel);
         prop_assert!(relative_l2(exact.as_slice(), approx.as_slice()) < 1e-9);
     }

@@ -1,8 +1,8 @@
 //! Property tests for the unified [`ConvolveSession`] API: a `Normal`-mode
-//! session must be bit-identical to the legacy `convolve` path over random
-//! inputs and configurations, and turning observability on or off must not
-//! perturb a single bit of the numerics (spans and counters are pure
-//! side-channels).
+//! session's `convolve`, which folds in waves, must be bit-identical to
+//! compressing every domain and then accumulating, over random inputs and
+//! configurations, and turning observability on or off must not perturb a
+//! single bit of the numerics (spans and counters are pure side-channels).
 
 use proptest::prelude::*;
 
@@ -17,10 +17,11 @@ fn random_input(n: usize, ax: f64, ay: f64, bias: f64) -> Grid3<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `session(Normal).convolve` and the legacy `convolve` run the same
-    /// fold and must agree bit for bit, with identical accounting.
+    /// `session(Normal).convolve` and `accumulate_fields(compress_domains)`
+    /// fold the same fields in the same order and must agree bit for bit,
+    /// with identical accounting.
     #[test]
-    fn normal_session_is_bit_identical_to_legacy_convolve(
+    fn normal_session_is_bit_identical_to_compress_then_accumulate(
         log_n in 4usize..6,
         k in prop_oneof![Just(4usize), Just(8)],
         ax in 0.1f64..0.6,
@@ -32,14 +33,16 @@ proptest! {
         let kernel = GaussianKernel::new(n, 1.0);
         let input = random_input(n, ax, ay, bias);
 
-        let (legacy, legacy_report) = conv.convolve(&input, &kernel);
-        let (session, report) = conv.session(ConvolveMode::Normal).convolve(&input, &kernel);
+        let session = conv.session(ConvolveMode::Normal);
+        let (fields, want_report) = session.compress_domains(&input, &kernel);
+        let want = session.accumulate_fields(&fields);
+        let (got, report) = session.convolve(&input, &kernel);
 
-        prop_assert_eq!(legacy.as_slice(), session.as_slice());
-        prop_assert_eq!(legacy_report.domains_processed, report.domains_processed);
-        prop_assert_eq!(legacy_report.domains_skipped, report.domains_skipped);
-        prop_assert_eq!(legacy_report.total_samples, report.total_samples);
-        prop_assert_eq!(legacy_report.exchange_bytes, report.exchange_bytes);
+        prop_assert_eq!(want.as_slice(), got.as_slice());
+        prop_assert_eq!(want_report.domains_processed, report.domains_processed);
+        prop_assert_eq!(want_report.domains_skipped, report.domains_skipped);
+        prop_assert_eq!(want_report.total_samples, report.total_samples);
+        prop_assert_eq!(want_report.exchange_bytes, report.exchange_bytes);
     }
 
     /// Span and counter collection is a pure side-channel: enabling it must

@@ -4,7 +4,10 @@
 //!
 //! * **pipeline** — `LocalConvolver::convolve_compressed` wall-clock at
 //!   1/2/4 threads × (n, k, B) × kernel variant, the speedup vs 1 thread,
-//!   and the steady-state allocator traffic of a warm call;
+//!   and the steady-state allocator traffic of a warm call. Dense cells
+//!   fill the whole sub-domain; one sparse cell holds a radius-3 ball, so
+//!   its stage 1 and z forward run on the support cube (`support_k` in
+//!   the row, `k` for dense cells);
 //! * **fftrate** — raw single-core batched-FFT throughput for a contiguous
 //!   and a cache-blocked strided pencil layout, per kernel variant.
 //!
@@ -22,6 +25,8 @@
 //! bandwidth ceiling `stream_gbs × arithmetic intensity`, with bandwidth
 //! measured by [`lcc_bench::roofline::stream_bandwidth_gbs`]. These are
 //! numbers even on single-core hosts, where `speedup_vs_1` stays `null`.
+//! The sparse cell's are `null`: `flops_estimate` prices the dense `k³`
+//! domain, so its rate would count work the support cube skips.
 //!
 //! Assertions:
 //! * the output checksum is identical across thread counts *within a
@@ -31,7 +36,7 @@
 //! * `ConvolveSession::accumulate_fields` of the cell's contributions has
 //!   the same checksum across thread counts and allocates only its output;
 //! * on hosts with ≥ 4 cores (full mode), ≥ 2× speedup at 4 threads for
-//!   the (n=128, k=32) configuration;
+//!   the dense (n=128, k=32) configuration;
 //! * on AVX2+FMA hosts (full mode), the vector variant sustains ≥ 1.5×
 //!   the scalar GFLOP/s on contiguous fftrate cells with ≥ 256 pencils.
 //!
@@ -61,30 +66,25 @@ struct Config {
     k: usize,
     batch: usize,
     reps: usize,
+    /// A radius-3 ball instead of a dense sub-domain.
+    sparse: bool,
 }
 
 fn configs(smoke: bool) -> Vec<Config> {
+    let cell = |n, k, batch, reps, sparse| Config {
+        n,
+        k,
+        batch,
+        reps,
+        sparse,
+    };
     if smoke {
-        vec![Config {
-            n: 32,
-            k: 8,
-            batch: 64,
-            reps: 1,
-        }]
+        vec![cell(32, 8, 64, 1, false), cell(64, 16, 64, 1, true)]
     } else {
         vec![
-            Config {
-                n: 64,
-                k: 16,
-                batch: 64,
-                reps: 3,
-            },
-            Config {
-                n: 128,
-                k: 32,
-                batch: 128,
-                reps: 3,
-            },
+            cell(64, 16, 64, 3, false),
+            cell(128, 32, 128, 3, false),
+            cell(128, 32, 128, 3, true),
         ]
     }
 }
@@ -131,6 +131,7 @@ fn child_main() {
     let (n, k) = (env_usize("LCC_PPERF_N"), env_usize("LCC_PPERF_K"));
     let batch = env_usize("LCC_PPERF_B");
     let reps = env_usize("LCC_PPERF_REPS").max(1);
+    let sparse = std::env::var("LCC_PPERF_MODE").as_deref() == Ok("sparse");
 
     let lowcomm = LowCommConvolver::new(LowCommConfig {
         n,
@@ -144,8 +145,15 @@ fn child_main() {
     let domain = BoxRegion::new(corner, [corner[0] + k, corner[1] + k, corner[2] + k]);
     let plan = Arc::new(SamplingPlan::build(n, domain, &RateSchedule::uniform(1)));
     let sub = Grid3::from_fn((k, k, k), |x, y, z| {
-        1.0 + (x as f64 * 0.8).sin() + 0.5 * y as f64 - 0.1 * (z * z) as f64
+        let v = 1.0 + (x as f64 * 0.8).sin() + 0.5 * y as f64 - 0.1 * (z * z) as f64;
+        let r2 = [x, y, z].map(|i| (i as f64 - (k / 2) as f64).powi(2));
+        if sparse && r2.iter().sum::<f64>() > 9.0 {
+            0.0
+        } else {
+            v
+        }
     });
+    let support_k = conv.support_side(&sub);
     let flops = conv.flops_estimate(&plan);
     let bytes = conv.bytes_estimate(&plan);
 
@@ -197,7 +205,7 @@ fn child_main() {
         "RESULT threads={} n={n} k={k} batch={batch} wall_ns={best_ns} \
          alloc_bytes={} alloc_count={} pencils={} variant={} flops={flops} \
          bytes={bytes} checksum={sum:016x} fold_alloc_count={} \
-         fold_checksum={fold_sum:016x}",
+         fold_checksum={fold_sum:016x} support_k={support_k}",
         rayon::current_num_threads(),
         stats.bytes,
         stats.count,
@@ -270,6 +278,8 @@ struct Cell {
     /// (pipeline cells only).
     fold_alloc_count: u64,
     fold_checksum: String,
+    /// Side of the cube stage 1 ran on (pipeline cells only).
+    support_k: usize,
 }
 
 fn parse_result(stdout: &str) -> Cell {
@@ -288,6 +298,7 @@ fn parse_result(stdout: &str) -> Cell {
         checksum: String::new(),
         fold_alloc_count: 0,
         fold_checksum: String::new(),
+        support_k: 0,
     };
     for tok in line.split_whitespace().skip(1) {
         let (key, val) = tok.split_once('=').expect("key=value token");
@@ -302,6 +313,7 @@ fn parse_result(stdout: &str) -> Cell {
             "checksum" => cell.checksum = val.to_string(),
             "fold_alloc_count" => cell.fold_alloc_count = val.parse().expect("fold_alloc_count"),
             "fold_checksum" => cell.fold_checksum = val.to_string(),
+            "support_k" => cell.support_k = val.parse().expect("support_k"),
             _ => {}
         }
     }
@@ -339,6 +351,10 @@ fn run_cell(threads: usize, cfg: Config, scalar: bool) -> Cell {
             ("LCC_PPERF_K", cfg.k.to_string()),
             ("LCC_PPERF_B", cfg.batch.to_string()),
             ("LCC_PPERF_REPS", cfg.reps.to_string()),
+            (
+                "LCC_PPERF_MODE",
+                if cfg.sparse { "sparse" } else { "dense" }.to_string(),
+            ),
         ],
         scalar,
     )
@@ -381,9 +397,10 @@ fn main() {
 
     // ---- pipeline sweep: threads × config × variant -------------------
     println!(
-        "{:>5} {:>4} {:>6} {:>8} {:>8} {:>12} {:>10} {:>9} {:>9} {:>12}  checksum",
+        "{:>5} {:>4} {:>4} {:>6} {:>8} {:>8} {:>12} {:>10} {:>9} {:>9} {:>12}  checksum",
         "n",
         "k",
+        "k'",
         "batch",
         "variant",
         "threads",
@@ -451,7 +468,7 @@ fn main() {
                 );
             }
             // Speedup on real multicore hardware (the CI acceptance number).
-            if !smoke && host_threads >= 4 && cfg.n == 128 {
+            if !smoke && host_threads >= 4 && cfg.n == 128 && !cfg.sparse {
                 let c4 = cells
                     .iter()
                     .find(|c| c.threads == 4)
@@ -465,14 +482,19 @@ fn main() {
             }
 
             // Single-core FLOP rate and roofline fraction: one number per
-            // (config, variant), attached to every thread row.
-            let g1 = gflops(cells[0].flops, base_ns);
-            let intensity = if cells[0].bytes > 0.0 {
-                cells[0].flops / cells[0].bytes
+            // dense (config, variant), attached to every thread row.
+            let (g1, rf) = if cfg.sparse {
+                (Json::Null, Json::Null)
             } else {
-                0.0
+                let g1 = gflops(cells[0].flops, base_ns);
+                let intensity = if cells[0].bytes > 0.0 {
+                    cells[0].flops / cells[0].bytes
+                } else {
+                    0.0
+                };
+                let rf = roofline_fraction(&g1, stream_gbs, intensity);
+                (g1, rf)
             };
-            let rf = roofline_fraction(&g1, stream_gbs, intensity);
 
             for c in &cells {
                 // `null` (printed n/a) on single-core hosts: a "speedup"
@@ -488,9 +510,10 @@ fn main() {
                     _ => format!("{:>9}", "n/a"),
                 };
                 println!(
-                    "{:>5} {:>4} {:>6} {:>8} {:>8} {:>12.3} {} {} {} {:>12}  {}",
+                    "{:>5} {:>4} {:>4} {:>6} {:>8} {:>8} {:>12.3} {} {} {} {:>12}  {}",
                     cfg.n,
                     cfg.k,
+                    c.support_k,
                     cfg.batch,
                     variant,
                     c.threads,
@@ -505,6 +528,8 @@ fn main() {
                     ("kind", Json::str("pipeline")),
                     ("n", Json::int(cfg.n as i64)),
                     ("k", Json::int(cfg.k as i64)),
+                    ("support_k", Json::int(c.support_k as i64)),
+                    ("sparse", Json::Bool(cfg.sparse)),
                     ("batch", Json::int(cfg.batch as i64)),
                     ("variant", Json::str(variant.clone())),
                     ("threads", Json::int(c.threads as i64)),

@@ -67,15 +67,35 @@
 //! `(y − c_y) mod N`. Index arithmetic is exact; a phase multiply would
 //! round every bin.
 //!
+//! **Support cube.** The k → N padding is not the only zero structure: a
+//! sub-domain holding a small inclusion or a point source is mostly zero
+//! *inside* its `k³` box too. One pass over the call's `C` inputs finds
+//! their union nonzero support, `lo..hi` per axis, and stage 1 and the
+//! z stage's forward run on the smallest cube that holds it whose side
+//! `k′` divides `k` (so `k′` divides `N` and has a planned pruned
+//! transform; an all-zero input gets `k′ = 1`). The cube sits at offset
+//! `a = min(lo, k − k′)` per axis, inside the sub-domain, so by the shift
+//! theorem above it is a sub-domain of side `k′` at corner
+//! `(c + a) mod N`: the y pass transforms `k′·k′` rows of `k′` entries,
+//! the x pass and the block slab hold `k′` planes, and every z pencil's
+//! forward reads `k′` rows. The z inverse, stage 3, the capture and the
+//! plan are those of the `k³` call. With `k′ = k` (every dense input) the
+//! call is the dense one to the bit; with `k′ < k` the samples equal it up
+//! to rounding, since the pruned transforms of a shorter support round
+//! differently. The work and footprint models
+//! ([`LocalConvolver::flops_estimate`], [`LocalConvolver::footprint`])
+//! keep pricing the dense `k³` domain, an upper bound.
+//!
 //! **Non-Hermitian kernels.** The result is defined as `Re(ifft(K̂·X̂))` for
 //! any [`KernelSpectrum`]. With `X̂` Hermitian the real part keeps exactly
 //! the Hermitian part of the product,
 //! `½(K̂(f)X̂(f) + conj(K̂(−f)X̂(−f))) = K̂ₕ(f)·X̂(f)` with
 //! `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))`, so the z stage multiplies by `K̂ₕ`
-//! ([`KernelSpectrum::eval_hermitian_pencil_axis2`]). For the shipped
-//! Hermitian kernels that is one kernel pencil; `MassifGamma` components
-//! that are odd in one `ξᵢ` are not Hermitian on bins with a Nyquist
-//! coordinate (DESIGN.md §5a) and take the trait's two-pencil default.
+//! ([`KernelSpectrum::eval_hermitian_tile_axis2`]). The shipped scalar
+//! kernels are real and separable and build a tile's multiplier in lanes;
+//! `MassifGamma` components that are odd in one `ξᵢ` are not Hermitian on
+//! bins with a Nyquist coordinate (DESIGN.md §5a) and take the trait's
+//! two-pencil default.
 
 // lcc-lint: hot-path — pipeline stages 1-3; only per-solve setup may allocate.
 
@@ -84,7 +104,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-use lcc_fft::tile::{carve, load_row, store_row, Row, W};
+use lcc_fft::tile::{carve, load_row, store_row, W};
 use lcc_fft::{
     as_reals, workspace, Complex64, FftDirection, FftPlanner, PrunedInputFft, RealIfft, TileFft,
     WorkspaceGuard, ZStage, ZTile,
@@ -163,30 +183,20 @@ fn for_each_plane(
 }
 
 /// The scalar pipeline's pointwise z-stage step on `block`: the kernel's
-/// Hermitian part (module doc), one pencil per live lane, multiplied in
-/// lane by lane. It needs [`scalar_scratch`].
+/// Hermitian part (module doc) in lane form, one multiplier row per tile
+/// row ([`KernelSpectrum::eval_hermitian_tile_axis2`]), applied as one
+/// vector op. It needs [`scalar_scratch`].
 fn scalar_pointwise(
     kernel: &dyn KernelSpectrum,
     n: usize,
     block: Block,
 ) -> impl Fn(ZTile<'_>) + Sync + '_ {
     move |tile: ZTile<'_>| {
-        let (pencils, mirror) = tile.cbuf.split_at_mut(W * n);
-        for (lane, pencil) in pencils.chunks_exact_mut(n).enumerate() {
-            if lane < tile.live {
-                let (fx, fy) = block.bin(tile.q0 + lane);
-                kernel.eval_hermitian_pencil_axis2(fx, fy, pencil, mirror);
-            } else {
-                // Padding lanes: keep their (zero) spectra finite.
-                pencil.fill(Complex64::ZERO);
-            }
-        }
-        // The multiplier of one tile row is built in registers, lane `l`
-        // from pencil `l`, and applied as one vector op.
-        let pencils = &pencils[..W * n];
-        for (fz, &row) in tile.rows.iter().enumerate() {
-            let mre: Row = std::array::from_fn(|l| pencils[l * n + fz].re);
-            let mim: Row = std::array::from_fn(|l| pencils[l * n + fz].im);
+        let bins: [(usize, usize); W] = std::array::from_fn(|l| block.bin(tile.q0 + l));
+        let mut real = tile.rbuf;
+        let (mre, mim) = (carve(&mut real, n), carve(&mut real, n));
+        kernel.eval_hermitian_tile_axis2(&bins[..tile.live], mre, mim, tile.cbuf);
+        for ((&row, mre), mim) in tile.rows.iter().zip(&*mre).zip(&*mim) {
             let (re, im) = (&mut tile.re[row as usize], &mut tile.im[row as usize]);
             let (xr, xi) = (*re, *im);
             *re = std::array::from_fn(|l| xr[l] * mre[l] - xi[l] * mim[l]);
@@ -195,10 +205,27 @@ fn scalar_pointwise(
     }
 }
 
-/// The `(complex, real)` scratch [`scalar_pointwise`] asks for: `W` kernel
-/// pencils and a mirror pencil.
+/// The `(complex, real)` scratch [`scalar_pointwise`] asks for: the
+/// kernel's tile scratch and the multiplier's two tiles.
 fn scalar_scratch(n: usize) -> (usize, usize) {
-    ((W + 1) * n, 0)
+    ((W + 1) * n, 2 * n * W)
+}
+
+/// The cube stage 1 and the z stage's forward run on (module doc, "Support
+/// cube"): side `k′ = pruned.support()`, low corner `offset` within the
+/// `k³` sub-domain, each `≤ k − k′`.
+#[derive(Clone, Copy)]
+struct Cube<'a> {
+    /// Pruned `k′ → n` forward transform shared by all three axes.
+    pruned: &'a PrunedInputFft,
+    offset: [usize; 3],
+}
+
+impl Cube<'_> {
+    /// The side `k′`.
+    fn side(self) -> usize {
+        self.pruned.support()
+    }
 }
 
 /// Planned streaming convolver for `(n, k)` sub-domain convolutions.
@@ -206,8 +233,10 @@ pub struct LocalConvolver {
     n: usize,
     k: usize,
     batch: usize,
-    /// Pruned k→N forward transform shared by all three axes.
-    pruned: PrunedInputFft,
+    /// Pruned `k′ → N` forward transforms, one per divisor `k′` of `k` in
+    /// increasing order, the last for `k` itself: a call runs on its
+    /// support cube's ([`Cube`]).
+    pruned: Vec<PrunedInputFft>,
     /// Dense inverse over tiles of adjacent pencils: along z in stage 2,
     /// along x in stage 3.
     inverse: TileFft,
@@ -229,7 +258,10 @@ impl LocalConvolver {
             n,
             k,
             batch,
-            pruned: PrunedInputFft::new(&planner, n, k, FftDirection::Forward),
+            pruned: (1..=k)
+                .filter(|d| k.is_multiple_of(*d))
+                .map(|d| PrunedInputFft::new(&planner, n, d, FftDirection::Forward))
+                .collect(),
             inverse: TileFft::new(&planner, n, FftDirection::Inverse),
             c2r: RealIfft::new(&planner, n),
         }
@@ -250,6 +282,15 @@ impl LocalConvolver {
         self.batch
     }
 
+    /// The side `k′` of the cube stage 1 and the z stage's forward run on
+    /// for `sub` (module doc, "Support cube"): the smallest divisor of `k`
+    /// whose cube holds its nonzeros, 1 when it has none.
+    pub fn support_side(&self, sub: &Grid3<f64>) -> usize {
+        let k = self.k;
+        assert_eq!(sub.shape(), (k, k, k), "sub-domain must be k³");
+        self.support_cube([sub]).side()
+    }
+
     /// `h = n/2 + 1`: the non-redundant bins along y of a real field's
     /// spectrum, and the length of every sampled row.
     fn half(&self) -> usize {
@@ -265,12 +306,58 @@ impl LocalConvolver {
         })
     }
 
+    /// The whole `k³` sub-domain as a cube: what a dense input runs on.
+    fn dense(&self) -> Cube<'_> {
+        Cube {
+            pruned: &self.pruned[self.pruned.len() - 1],
+            offset: [0; 3],
+        }
+    }
+
+    /// The support cube of `subs` (module doc): one pass over their `k³`
+    /// values for the union `lo..hi` per axis, then the smallest planned
+    /// side `k′ ≥` the largest extent, placed at `min(lo, k − k′)`.
+    fn support_cube<const C: usize>(&self, subs: [&Grid3<f64>; C]) -> Cube<'_> {
+        let k = self.k;
+        let (mut lo, mut hi) = ([k; 3], [0; 3]);
+        for sub in subs {
+            // Rows run along z, row `r` at `(x, y) = (r / k, r % k)`.
+            for (r, row) in sub.as_slice().chunks_exact(k).enumerate() {
+                let Some(first) = row.iter().position(|&v| v != 0.0) else {
+                    continue;
+                };
+                let last = row.iter().rposition(|&v| v != 0.0).unwrap_or(first);
+                for (a, (l, h)) in [(r / k, r / k), (r % k, r % k), (first, last)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    lo[a] = lo[a].min(l);
+                    hi[a] = hi[a].max(h + 1);
+                }
+            }
+        }
+        let extent = (lo.iter().zip(&hi)).fold(0, |e, (l, h)| e.max(h.saturating_sub(*l)));
+        let plans = &self.pruned;
+        let pruned = &plans[plans.partition_point(|p| p.support() < extent)];
+        let side = pruned.support();
+        Cube {
+            pruned,
+            offset: lo.map(|l| l.min(k - side)),
+        }
+    }
+
     /// The z stage over `plan`'s retained planes for a sub-domain at z
-    /// corner `shift`, shared by the scalar and the tensor pipeline: they
-    /// differ only in the pointwise step they hand to [`ZStage::run`].
-    fn z_stage<'a>(&'a self, plan: &'a SamplingPlan, shift: usize) -> ZStage<'a, SetBits<'a>> {
+    /// corner `shift` whose `cube` the slab holds, shared by the scalar and
+    /// the tensor pipeline: they differ only in the pointwise step they
+    /// hand to [`ZStage::run`].
+    fn z_stage<'a>(
+        &'a self,
+        plan: &'a SamplingPlan,
+        shift: usize,
+        cube: Cube<'a>,
+    ) -> ZStage<'a, SetBits<'a>> {
         ZStage {
-            forward: &self.pruned,
+            forward: cube.pruned,
             inverse: &self.inverse,
             retained: plan.retained_planes(),
             shift,
@@ -288,10 +375,27 @@ impl LocalConvolver {
         subs: [&Grid3<f64>; C],
         corner: [usize; 3],
         plan: Arc<SamplingPlan>,
+        step: (f64, (usize, usize)),
+        pointwise: impl Fn(Block) -> F,
+    ) -> [CompressedField; C] {
+        let cube = self.support_cube(subs);
+        self.convolve_cube(subs, cube, corner, plan, step, pointwise)
+    }
+
+    /// [`Self::convolve_blocks`] with stage 1 and the z stage's forward on
+    /// `cube` of `subs`, which must hold all their nonzeros.
+    fn convolve_cube<const C: usize, F: Fn(ZTile<'_>) + Sync>(
+        &self,
+        subs: [&Grid3<f64>; C],
+        cube: Cube<'_>,
+        corner: [usize; 3],
+        plan: Arc<SamplingPlan>,
         (scale, scratch): (f64, (usize, usize)),
         pointwise: impl Fn(Block) -> F,
     ) -> [CompressedField; C] {
-        let (n, k, h) = (self.n, self.k, self.half());
+        let (n, k, h) = (self.n, cube.side(), self.half());
+        // The cube is a sub-domain of side k′ at the shifted corner.
+        let corner: [usize; 3] = std::array::from_fn(|a| (corner[a] + cube.offset[a]) % n);
         let (nzr, rows) = (plan.retained_plane_count(), plan.sampled_row_count());
         metrics::PIPELINE_PENCILS.add((C * n * h) as u64);
         metrics::PIPELINE_STAGE3_ROWS_SAMPLED.add((C * rows) as u64);
@@ -304,11 +408,11 @@ impl LocalConvolver {
         // stage's stores over every (plane, pencil), and column `fy` of
         // every sampled row by the x inverse of the block holding `fy`.
         let mut ws = workspace();
-        let [yrows, slab, retained, sampled] = ws.complex_bufs(self.arena_lens::<C>(&plan));
+        let [yrows, slab, retained, sampled] = ws.complex_bufs(self.arena_lens::<C>(&plan, k));
         let s1 = lcc_obs::span("stage1_2d_fft");
-        self.forward_y(subs, yrows);
+        self.forward_y(subs, cube, yrows);
         drop(s1);
-        let z_stage = self.z_stage(&plan, corner[2]);
+        let z_stage = self.z_stage(&plan, corner[2], cube);
         for block in self.blocks() {
             let stride = block.stride(n);
             let (slab, retained) = (
@@ -316,7 +420,7 @@ impl LocalConvolver {
                 &mut retained[..C * nzr * stride],
             );
             let s1 = lcc_obs::span("stage1_2d_fft");
-            self.forward_x(yrows, block, slab);
+            self.forward_x(yrows, cube.pruned, block, slab);
             drop(s1);
             let s2 = lcc_obs::span("stage2_z_pencils");
             z_stage.run(
@@ -335,10 +439,11 @@ impl LocalConvolver {
     }
 
     /// The call arena of [`Self::convolve_blocks`] for `C` components under
-    /// `plan`, in complex elements: the y rows, one block slab, one block
-    /// of retained planes and the sampled rows (module doc).
-    fn arena_lens<const C: usize>(&self, plan: &SamplingPlan) -> [usize; 4] {
-        let (n, k, h) = (self.n, self.k, self.half());
+    /// `plan` on a cube of side `k`, in complex elements: the y rows, one
+    /// block slab, one block of retained planes and the sampled rows
+    /// (module doc).
+    fn arena_lens<const C: usize>(&self, plan: &SamplingPlan, k: usize) -> [usize; 4] {
+        let (n, h) = (self.n, self.half());
         let widest = self.blocks().map(|b| b.stride(n)).max().unwrap_or(0);
         [
             C * k * k * h,
@@ -348,24 +453,31 @@ impl LocalConvolver {
         ]
     }
 
-    /// Stage 1's y pass: row `x` of z-slice `zloc` of component `c` (`k`
-    /// nonzero entries) transformed along y, its `h` non-redundant bins
-    /// stored at `((c·k + zloc)·k + x)·h` of `yrows`. Columns `fy ≥ h` are
-    /// the conjugate mirror of these and are never formed.
-    fn forward_y<const C: usize>(&self, subs: [&Grid3<f64>; C], yrows: &mut [Complex64]) {
-        let (n, k, h) = (self.n, self.k, self.half());
-        let pruned = &self.pruned;
+    /// Stage 1's y pass on `cube` (side `k`, offset `a`): row `x` of
+    /// z-slice `zloc` of component `c` — the `k` entries from
+    /// `a + (x, 0, zloc)` along y — transformed along y, its `h`
+    /// non-redundant bins stored at `((c·k + zloc)·k + x)·h` of `yrows`.
+    /// Columns `fy ≥ h` are the conjugate mirror of these and are never
+    /// formed.
+    fn forward_y<const C: usize>(
+        &self,
+        subs: [&Grid3<f64>; C],
+        cube: Cube<'_>,
+        yrows: &mut [Complex64],
+    ) {
+        let (n, k, h) = (self.n, cube.side(), self.half());
+        let (pruned, [ax, ay, az]) = (cube.pruned, cube.offset);
         yrows
             .par_chunks_mut(k * h)
             .enumerate()
             .for_each_init(workspace, |ws, (slice, out)| {
-                let (sub, zloc) = (subs[slice / k], slice % k);
+                let (sub, z) = (subs[slice / k], az + slice % k);
                 // Every buffer is fully written before it is read: row_in
                 // per row, row by the transform, scratch inside it.
                 let [scratch, row_in, row] = ws.complex_bufs([k, k, n]);
                 for (x, out) in out.chunks_exact_mut(h).enumerate() {
                     for (y, v) in row_in.iter_mut().enumerate() {
-                        *v = Complex64::from_real(sub[(x, y, zloc)]);
+                        *v = Complex64::from_real(sub[(ax + x, ay + y, z)]);
                     }
                     pruned.process(row_in, row, scratch);
                     out.copy_from_slice(&row[..h]);
@@ -373,13 +485,19 @@ impl LocalConvolver {
             });
     }
 
-    /// Stage 1's x pass over `block`: each slice's `k` y-transformed rows
-    /// (x < k), the block's columns loaded straight into the lanes of one
-    /// pruned tile transform, into `slab` as `(c, zloc, p)` — `k` planes
-    /// ([`Block::stride`]) of the block's `n·w` pencils per component.
-    fn forward_x(&self, yrows: &[Complex64], block: Block, slab: &mut [Complex64]) {
-        let (n, k, h) = (self.n, self.k, self.half());
-        let pruned = &self.pruned;
+    /// Stage 1's x pass over `block` by `pruned` (`k → n`): each slice's
+    /// `k` y-transformed rows (x < k), the block's columns loaded straight
+    /// into the lanes of one pruned tile transform, into `slab` as
+    /// `(c, zloc, p)` — `k` planes ([`Block::stride`]) of the block's `n·w`
+    /// pencils per component.
+    fn forward_x(
+        &self,
+        yrows: &[Complex64],
+        pruned: &PrunedInputFft,
+        block: Block,
+        slab: &mut [Complex64],
+    ) {
+        let (n, k, h) = (self.n, pruned.support(), self.half());
         let lane_len = pruned.tile_scratch_len();
         slab.par_chunks_mut(block.stride(n))
             .enumerate()
@@ -523,8 +641,15 @@ impl LocalConvolver {
     ///   ([`SamplingPlan::sampled_row_count`]); rows no sample lies on are
     ///   never transformed.
     ///
+    /// The count models the dense `k³` domain. A call whose input is
+    /// nonzero in a smaller support cube (module doc) does less stage 1 and
+    /// stage 2 work, so this is an upper bound, and a rate computed from it
+    /// over such calls (the ledger's `core.compress_gflops` on sparse
+    /// inputs) rises with the work skipped, not with kernel speed.
+    ///
     /// This is the unit the recovery accounting uses to price an exact
-    /// recompute of a dead rank's domain.
+    /// recompute of a dead rank's domain; it keeps the dense price, which
+    /// does not depend on the data.
     pub fn flops_estimate(&self, plan: &SamplingPlan) -> f64 {
         let (n, k, h) = (self.n, self.k, self.half());
         let retained = plan.retained_plane_count();
@@ -549,6 +674,8 @@ impl LocalConvolver {
     /// half spectrum. Compulsory traffic only: extra write-allocate fills
     /// and conflict misses make the real number higher, which biases
     /// `roofline_frac` conservative (reported fraction ≤ true fraction).
+    /// Like [`Self::flops_estimate`] it models the dense `k³` domain, an
+    /// upper bound for an input with a smaller support cube.
     pub fn bytes_estimate(&self, plan: &SamplingPlan) -> f64 {
         /// Complex64 read + write per element per streaming pass.
         const PASS_BYTES: f64 = 32.0;
@@ -565,14 +692,18 @@ impl LocalConvolver {
     /// `plan`: the call arena's four buffers (module doc), the largest
     /// tile-scratch lease one participant takes, and the compressed output.
     /// Table 4's host column; the paper's whole-slab device model is
-    /// [`PipelineFootprint::model`].
+    /// [`PipelineFootprint::model`]. It sizes the dense `k³` domain: an
+    /// input with a smaller support cube (module doc) leases less for the
+    /// y rows, the block slab and the z stage, so this is an upper bound.
     pub fn footprint(&self, plan: &SamplingPlan) -> PipelineFootprint {
         let (n, k) = (self.n, self.k);
         // The z stage's lease is the largest of any phase but the y pass's
         // `2k + n` complex; the x passes and the c2r lease less.
-        let (complex, real) = self.z_stage(plan, 0).lease_len::<1>(scalar_scratch(n));
+        let (complex, real) = self
+            .z_stage(plan, 0, self.dense())
+            .lease_len::<1>(scalar_scratch(n));
         let complex = complex.max(2 * k + n);
-        let [yrows, slab, retained, sampled] = self.arena_lens::<1>(plan);
+        let [yrows, slab, retained, sampled] = self.arena_lens::<1>(plan, k);
         PipelineFootprint {
             slab_bytes: 16 * (yrows + slab) as u64,
             retained_bytes: 16 * (retained + sampled) as u64,
@@ -664,7 +795,7 @@ mod tests {
             let planes = plan.retained_plane_count() * n * h;
             let mut slabs: Vec<Complex64> = subs.iter().flat_map(|s| self.whole_slab(s)).collect();
             let mut kept = vec![Complex64::ZERO; C * planes];
-            self.z_stage(&plan, corner[2]).run(
+            self.z_stage(&plan, corner[2], self.dense()).run(
                 parts::<C>(&mut slabs, k * n * h).map(|s| &*s),
                 parts::<C>(&mut kept, planes),
                 n * h,
@@ -681,7 +812,8 @@ mod tests {
             let (n, k, h) = (self.n, self.k, self.half());
             let mut slab = vec![Complex64::ZERO; k * n * h];
             let (mut rows, mut scratch) = (vec![Complex64::ZERO; k * n], vec![Complex64::ZERO; k]);
-            let mut lane = vec![Complex64::ZERO; self.pruned.tile_scratch_len()];
+            let pruned = self.dense().pruned;
+            let mut lane = vec![Complex64::ZERO; pruned.tile_scratch_len()];
             let tile = |len| vec![[0.0; W]; len];
             let (mut xre, mut xim, mut sre, mut sim) = (tile(k), tile(k), tile(k), tile(k));
             let (mut ore, mut oim) = (tile(n), tile(n));
@@ -690,14 +822,14 @@ mod tests {
                     let row_in: Vec<Complex64> = (0..k)
                         .map(|y| Complex64::from_real(sub[(x, y, zloc)]))
                         .collect();
-                    self.pruned.process(&row_in, row, &mut scratch);
+                    pruned.process(&row_in, row, &mut scratch);
                 }
                 for fy in (0..h).step_by(W) {
                     let live = W.min(h - fy);
                     for x in 0..k {
                         load_row(&rows[x * n + fy..][..live], &mut xre[x], &mut xim[x]);
                     }
-                    self.pruned.process_tile(
+                    pruned.process_tile(
                         (&xre, &xim),
                         (&mut ore, &mut oim),
                         (&mut sre, &mut sim),
@@ -827,6 +959,131 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Nonzeros in a box inside the sub-domain: the support-cube call
+        /// equals the same blocks run on the whole `k³` cube up to
+        /// rounding, and to the bit when the cube is the whole domain — for
+        /// box extents 1..=k that may touch the high faces, wrapping
+        /// corners, power-of-two and other divisors, scalar kernels and Γ̂
+        /// with a support of its own per component.
+        #[test]
+        fn support_cube_matches_full_cube_oracle(
+            grid in 0usize..4,
+            k_pick in 0usize..2,
+            extent in (1usize..=64, 1usize..=64, 1usize..=64),
+            lo in (0usize..64, 0usize..64, 0usize..64),
+            corner in (0usize..64, 0usize..64, 0usize..64),
+            kernel_pick in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let (n, k) = match grid {
+                0 => (16, [4, 8][k_pick]),
+                1 => (32, [8, 16][k_pick]),
+                2 => (64, [8, 16][k_pick]),
+                _ => (60, 12),
+            };
+            let extent = [extent.0, extent.1, extent.2].map(|e| 1 + (e - 1) % k);
+            let lo: [usize; 3] =
+                std::array::from_fn(|a| [lo.0, lo.1, lo.2][a] % (k - extent[a] + 1));
+            let corner = [corner.0 % n, corner.1 % n, corner.2 % n];
+            let plan = if n.is_power_of_two() {
+                let at = corner.map(|c| c % (n - k + 1));
+                let domain = BoxRegion::new(at, at.map(|l| l + k));
+                Arc::new(SamplingPlan::build(n, domain, &RateSchedule::paper_default(k, 8)))
+            } else {
+                decoded(n, &[([0; 3], n, 1)])
+            };
+            // Component `c` fills its own box inside `lo + extent`; the
+            // first fills all of it, so the union is that box.
+            let component = |c: usize| {
+                let (clo, chi): ([usize; 3], [usize; 3]) = if c == 0 {
+                    (lo, std::array::from_fn(|a| lo[a] + extent[a]))
+                } else {
+                    let e: [usize; 3] = std::array::from_fn(|a| {
+                        1 + (seed as usize + 5 * c + a) % extent[a]
+                    });
+                    let l: [usize; 3] = std::array::from_fn(|a| {
+                        lo[a] + (3 * seed as usize + c + 2 * a) % (extent[a] - e[a] + 1)
+                    });
+                    (l, std::array::from_fn(|a| l[a] + e[a]))
+                };
+                Grid3::from_fn((k, k, k), |x, y, z| {
+                    let at = [x, y, z];
+                    if (0..3).all(|a| (clo[a]..chi[a]).contains(&at[a])) {
+                        let phase = (x * 3 + y * 5 + z * 7 + c) as f64 * 0.31;
+                        1.5 + (phase + seed as f64 * 0.013).sin()
+                    } else {
+                        0.0
+                    }
+                })
+            };
+            let conv = LocalConvolver::new(n, k, 64);
+            let side = conv.support_side(&component(0));
+            let largest = extent.into_iter().max().unwrap_or(0);
+            proptest::prop_assert_eq!(side, (largest..=k).find(|d| k.is_multiple_of(*d)).unwrap_or(k));
+            let cube = (n * n * n) as f64;
+            let (got, want): (Vec<CompressedField>, Vec<CompressedField>) = if kernel_pick == 2 {
+                let gamma = MassifGamma::new(n, 1.3, 0.8);
+                let subs: [Grid3<f64>; 6] = std::array::from_fn(component);
+                let got = conv.convolve_tensor_compressed(&subs, corner, &gamma, plan.clone());
+                // The tensor pipeline's own step, on the whole domain.
+                let step = (0.5 / cube, (0, 0));
+                let subs = subs.each_ref();
+                let want = conv.convolve_cube(subs, conv.dense(), corner, plan, step, |b| {
+                    tensor_pointwise(&gamma, n, b)
+                });
+                (got.into(), want.into())
+            } else {
+                let sub = component(0);
+                let kernel: Box<dyn KernelSpectrum> = if kernel_pick == 0 {
+                    Box::new(GaussianKernel::new(n, 1.2))
+                } else {
+                    Box::new(PoissonSpectrum::new(n))
+                };
+                let got = conv.convolve_compressed(&sub, corner, kernel.as_ref(), plan.clone());
+                let step = (1.0 / cube, scalar_scratch(n));
+                let want = conv.convolve_cube([&sub], conv.dense(), corner, plan, step, |b| {
+                    scalar_pointwise(kernel.as_ref(), n, b)
+                });
+                (vec![got], want.into())
+            };
+            for (got, want) in got.iter().zip(&want) {
+                let peak = want.samples().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                proptest::prop_assert_eq!(got.samples().len(), want.samples().len());
+                for (i, (a, b)) in got.samples().iter().zip(want.samples()).enumerate() {
+                    let ok = if side == k {
+                        a.to_bits() == b.to_bits()
+                    } else {
+                        (a - b).abs() <= 1e-13 * peak
+                    };
+                    proptest::prop_assert!(
+                        ok,
+                        "n={n} k={k} k'={side} box {lo:?}+{extent:?} corner={corner:?} \
+                         sample {i}: {a:e} vs {b:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_sub_domain_runs_on_a_unit_cube() {
+        let (n, k) = (16, 8);
+        let conv = LocalConvolver::new(n, k, 64);
+        let zero = Grid3::zeros((k, k, k));
+        assert_eq!(conv.support_side(&zero), 1);
+        let plan = dense_plan(n, BoxRegion::new([0; 3], [k; 3]));
+        for kernel in [
+            &GaussianKernel::new(n, 1.2) as &dyn KernelSpectrum,
+            &PoissonSpectrum::new(n),
+        ] {
+            let field = conv.convolve_compressed(&zero, [5, 14, 9], kernel, plan.clone());
+            assert!(field.samples().iter().all(|&v| v == 0.0));
         }
     }
 

@@ -34,6 +34,7 @@ use crate::complex::Complex64;
 
 /// A reusable scratch arena. Obtain via [`workspace`]; split into buffers
 /// with [`Workspace::complex_bufs`] / [`Workspace::split`].
+#[cfg_attr(not(any(debug_assertions, feature = "analysis")), derive(Default))]
 pub struct Workspace {
     cbuf: Vec<Complex64>,
     rbuf: Vec<f64>,
@@ -44,14 +45,13 @@ pub struct Workspace {
     id: u64,
 }
 
+#[cfg(any(debug_assertions, feature = "analysis"))]
 impl Default for Workspace {
     fn default() -> Self {
-        #[cfg(any(debug_assertions, feature = "analysis"))]
         static NEXT_ARENA: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         Workspace {
             cbuf: Vec::new(), // lcc-lint: allow(alloc) — empty arena, warm-up only
             rbuf: Vec::new(), // lcc-lint: allow(alloc) — empty arena, warm-up only
-            #[cfg(any(debug_assertions, feature = "analysis"))]
             id: NEXT_ARENA.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -63,9 +63,7 @@ impl Workspace {
     /// fully overwrite each buffer before reading it.
     pub fn complex_bufs<const M: usize>(&mut self, lens: [usize; M]) -> [&mut [Complex64]; M] {
         let total: usize = lens.iter().sum();
-        if self.cbuf.len() < total {
-            self.cbuf.resize(total, Complex64::ZERO);
-        }
+        grow(&mut self.cbuf, total, Complex64::ZERO);
         let mut rest: &mut [Complex64] = &mut self.cbuf[..total];
         lens.map(|l| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
@@ -76,9 +74,7 @@ impl Workspace {
 
     /// A single real buffer of length `len` (unspecified contents).
     pub fn real_buf(&mut self, len: usize) -> &mut [f64] {
-        if self.rbuf.len() < len {
-            self.rbuf.resize(len, 0.0);
-        }
+        grow(&mut self.rbuf, len, 0.0);
         &mut self.rbuf[..len]
     }
 
@@ -90,12 +86,8 @@ impl Workspace {
         real_len: usize,
     ) -> ([&mut [Complex64]; M], &mut [f64]) {
         let total: usize = complex_lens.iter().sum();
-        if self.cbuf.len() < total {
-            self.cbuf.resize(total, Complex64::ZERO);
-        }
-        if self.rbuf.len() < real_len {
-            self.rbuf.resize(real_len, 0.0);
-        }
+        grow(&mut self.cbuf, total, Complex64::ZERO);
+        grow(&mut self.rbuf, real_len, 0.0);
         let mut rest: &mut [Complex64] = &mut self.cbuf[..total];
         let bufs = complex_lens.map(|l| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
@@ -120,6 +112,16 @@ impl Workspace {
         {
             0
         }
+    }
+}
+
+/// Grows `buf` to at least `len` elements, to exactly `len` when it must
+/// grow: an arena holds the largest request it served, not the doubling
+/// headroom of a `Vec`, so the pool's size is the sum of its leases.
+fn grow<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T) {
+    if buf.len() < len {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, fill);
     }
 }
 
@@ -156,7 +158,7 @@ impl Drop for WorkspaceGuard {
             // Release the lease *before* the arena re-enters the pool:
             // otherwise another thread could pop it and register a
             // conflicting lease while ours is still live.
-            drop(self.lease.take());
+            self.lease = None;
             let mut pool = FREE_LIST.lock();
             if pool.len() < FREE_LIST_CAP {
                 pool.push(ws);

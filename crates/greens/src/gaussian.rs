@@ -12,10 +12,11 @@
 //! single 1D spectrum — O(N) storage, evaluated on the fly per bin, exactly
 //! the "compute the kernel during convolution" structure the paper exploits.
 
+use lcc_fft::tile::Row;
 use lcc_fft::{Complex64, FftDirection, FftPlanner};
 use lcc_grid::Grid3;
 
-use crate::kernel::KernelSpectrum;
+use crate::kernel::{real_tile, KernelSpectrum};
 
 /// A centered 3D Gaussian kernel `exp(-|x - N/2|² / 2σ²)` with its exact
 /// (discrete) real-valued spectrum.
@@ -106,15 +107,26 @@ impl KernelSpectrum for GaussianKernel {
         }
     }
 
-    /// The spectrum is real and its table exactly even, so `K̂ₕ = K̂`.
-    fn eval_hermitian_pencil_axis2(
+    /// The spectrum is real and its table exactly even, so `K̂ₕ = K̂`: a
+    /// row is the lanes' `spec1d[f0]·spec1d[f1]` times one `spec1d[fz]`.
+    fn eval_hermitian_tile_axis2(
         &self,
-        f0: usize,
-        f1: usize,
-        out: &mut [Complex64],
-        _mirror: &mut [Complex64],
+        bins: &[(usize, usize)],
+        re: &mut [Row],
+        im: &mut [Row],
+        _scratch: &mut [Complex64],
     ) {
-        self.eval_pencil_axis2(f0, f1, out);
+        let s = &self.spec1d;
+        real_tile(
+            bins,
+            re,
+            im,
+            |(f0, f1)| s[f0] * s[f1],
+            |xy, fz| {
+                let z = s[fz];
+                std::array::from_fn(|l| xy[l] * z)
+            },
+        );
     }
 }
 

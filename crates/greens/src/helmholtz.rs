@@ -9,10 +9,11 @@
 //! (`u − Δt·∇²u = f`) are this kernel with `κ² = 1/Δt`, which is the "heat
 //! flow" instance.
 
+use lcc_fft::tile::Row;
 use lcc_fft::Complex64;
 use lcc_grid::Grid3;
 
-use crate::kernel::KernelSpectrum;
+use crate::kernel::{real_tile, KernelSpectrum};
 use crate::poisson::laplacian_table;
 
 /// Spectral inverse of the discrete screened Laplacian
@@ -75,15 +76,26 @@ impl KernelSpectrum for ScreenedPoissonSpectrum {
         }
     }
 
-    /// Real, with an exactly even table: `K̂ₕ = K̂`.
-    fn eval_hermitian_pencil_axis2(
+    /// Real, with an exactly even table: `K̂ₕ = K̂`, each lane's
+    /// `c[f0] + c[f1]` plus one `c[fz]`, screened and inverted.
+    fn eval_hermitian_tile_axis2(
         &self,
-        f0: usize,
-        f1: usize,
-        out: &mut [Complex64],
-        _mirror: &mut [Complex64],
+        bins: &[(usize, usize)],
+        re: &mut [Row],
+        im: &mut [Row],
+        _scratch: &mut [Complex64],
     ) {
-        self.eval_pencil_axis2(f0, f1, out);
+        let (c, k2) = (&self.c, self.kappa * self.kappa);
+        real_tile(
+            bins,
+            re,
+            im,
+            |(f0, f1)| c[f0] + c[f1],
+            |xy, fz| {
+                let cz = c[fz];
+                std::array::from_fn(|l| 1.0 / (k2 + (xy[l] + cz)))
+            },
+        );
     }
 }
 

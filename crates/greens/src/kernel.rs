@@ -5,6 +5,7 @@
 //! MASSIF is known in frequency domain, so it can be computed on-the-fly
 //! during convolution, further reducing memory requirement" (§2.2).
 
+use lcc_fft::tile::{Row, W};
 use lcc_fft::Complex64;
 
 /// Integer frequency index wrapped to the symmetric range
@@ -28,7 +29,7 @@ pub fn wrap_freq(f: usize, n: usize) -> i64 {
 /// *real part* of the spatial kernel: only the Hermitian part
 /// `½(K̂(f) + conj K̂(−f))` of the spectrum contributes, and the half-spectrum
 /// pipeline multiplies by exactly that
-/// ([`KernelSpectrum::eval_hermitian_pencil_axis2`]). [`hermitian_defect`]
+/// ([`KernelSpectrum::eval_hermitian_tile_axis2`]). [`hermitian_defect`]
 /// measures how far a spectrum is from its Hermitian part.
 pub trait KernelSpectrum: Send + Sync {
     /// Grid size n.
@@ -59,31 +60,82 @@ pub trait KernelSpectrum: Send + Sync {
         }
     }
 
-    /// Writes the Hermitian part `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))` of the
-    /// pencil along axis 2 at `(f0, f1)` into `out` (length n) — the
-    /// multiplier the half-spectrum pipeline applies. `mirror` (length n)
-    /// is scratch.
+    /// The multiplier of one z-stage tile in lane form: row `fz` of `re` /
+    /// `im` (each length n) holds, in lane `l`, the Hermitian part at
+    /// `(f0, f1, fz)` for `(f0, f1) = bins[l]`; lanes at or beyond
+    /// `bins.len()` (at most [`W`]) are zero. `scratch` holds at least
+    /// `(W + 1)·n` complex.
     ///
-    /// The default evaluates the mirrored pencil at `(−f0, −f1)` into
-    /// `mirror` and combines the two, reading it in reversed `f2` order. A
-    /// spectrum that is Hermitian *exactly* in floating point
-    /// (`K̂(−f) == conj K̂(f)` bit for bit) may override this with one
-    /// [`Self::eval_pencil_axis2`]: the default then computes
-    /// `½(2·K̂(f))`, which is `K̂(f)` to the bit.
-    fn eval_hermitian_pencil_axis2(
+    /// The default writes one Hermitian pencil per lane into `scratch` —
+    /// the pencil at `(f0, f1)` and its mirror at `(−f0, −f1)`, combined —
+    /// and gathers the rows across lanes. A spectrum that is Hermitian
+    /// *exactly* in floating point (`K̂(−f) == conj K̂(f)` bit for bit) gets
+    /// `½(2·K̂(f))` from it, which is `K̂(f)` to the bit; if it is also
+    /// separable it may override this to build each row from per-lane
+    /// `(f0, f1)` factors and one `fz` factor, in the same expression order
+    /// as its [`Self::eval_pencil_axis2`], so the values are the default's
+    /// to the bit.
+    fn eval_hermitian_tile_axis2(
         &self,
-        f0: usize,
-        f1: usize,
-        out: &mut [Complex64],
-        mirror: &mut [Complex64],
+        bins: &[(usize, usize)],
+        re: &mut [Row],
+        im: &mut [Row],
+        scratch: &mut [Complex64],
     ) {
         let n = self.n();
-        self.eval_pencil_axis2(f0, f1, out);
-        self.eval_pencil_axis2((n - f0) % n, (n - f1) % n, mirror);
-        // −f2 is n − f2 except at f2 = 0, peeled.
-        out[0] = (out[0] + mirror[0].conj()).scale(0.5);
-        for (o, m) in out[1..].iter_mut().zip(mirror[1..].iter().rev()) {
-            *o = (*o + m.conj()).scale(0.5);
+        let (pencils, mirror) = scratch[..(W + 1) * n].split_at_mut(W * n);
+        for (lane, pencil) in pencils.chunks_exact_mut(n).enumerate() {
+            match bins.get(lane) {
+                Some(&(f0, f1)) => hermitian_pencil(self, f0, f1, pencil, mirror),
+                None => pencil.fill(Complex64::ZERO),
+            }
+        }
+        for (fz, (re, im)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+            *re = std::array::from_fn(|l| pencils[l * n + fz].re);
+            *im = std::array::from_fn(|l| pencils[l * n + fz].im);
+        }
+    }
+}
+
+/// The Hermitian part `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))` of `kernel`'s pencil
+/// along axis 2 at `(f0, f1)` into `out` (length n): the mirrored pencil at
+/// `(−f0, −f1)` goes to `mirror` (length n, scratch) and is read in
+/// reversed `f2` order.
+fn hermitian_pencil<K: KernelSpectrum + ?Sized>(
+    kernel: &K,
+    f0: usize,
+    f1: usize,
+    out: &mut [Complex64],
+    mirror: &mut [Complex64],
+) {
+    let n = kernel.n();
+    kernel.eval_pencil_axis2(f0, f1, out);
+    kernel.eval_pencil_axis2((n - f0) % n, (n - f1) % n, mirror);
+    // −f2 is n − f2 except at f2 = 0, peeled.
+    out[0] = (out[0] + mirror[0].conj()).scale(0.5);
+    for (o, m) in out[1..].iter_mut().zip(mirror[1..].iter().rev()) {
+        *o = (*o + m.conj()).scale(0.5);
+    }
+}
+
+/// Lane form for the real, separable spectra: row `fz` of `re` is
+/// `row(xy, fz)` in the lanes of `bins` and zero beyond them, where `xy`
+/// holds `lane((f0, f1))` per bin; `im` is zero.
+pub(crate) fn real_tile(
+    bins: &[(usize, usize)],
+    re: &mut [Row],
+    im: &mut [Row],
+    lane: impl Fn((usize, usize)) -> f64,
+    row: impl Fn(&Row, usize) -> Row,
+) {
+    let xy: Row = std::array::from_fn(|l| bins.get(l).map_or(0.0, |&b| lane(b)));
+    for (fz, (re, im)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+        *re = row(&xy, fz);
+        *im = [0.0; W];
+    }
+    if bins.len() < W {
+        for re in re {
+            re[bins.len()..].fill(0.0);
         }
     }
 }
@@ -162,7 +214,7 @@ mod tests {
         assert_eq!(hermitian_defect(&Flat(4)), 0.0);
     }
 
-    /// Forwards everything but the Hermitian pencil, so it runs the
+    /// Forwards everything but the tile multiplier, so it runs the
     /// trait's default on the wrapped kernel's own pencils.
     struct DefaultHermitian<'a>(&'a dyn KernelSpectrum);
     impl KernelSpectrum for DefaultHermitian<'_> {
@@ -177,6 +229,10 @@ mod tests {
         }
     }
 
+    /// The lane overrides equal the trait's default — one Hermitian pencil
+    /// per lane, gathered — to the bit, signed zeros included: on every
+    /// bin (Nyquist coordinates among them), on full and partial tiles,
+    /// with the lanes past the tile's bins zero.
     #[test]
     fn hermitian_overrides_equal_the_default_bitwise() {
         use crate::{GaussianKernel, PoissonSpectrum, ScreenedPoissonSpectrum};
@@ -188,21 +244,26 @@ mod tests {
             kernels.push(Box::new(PoissonSpectrum::new(n)));
             kernels.push(Box::new(ScreenedPoissonSpectrum::new(n, 0.6)));
         }
+        let bits =
+            |rows: &[Row]| -> Vec<u64> { rows.iter().flatten().map(|v| v.to_bits()).collect() };
         for kernel in &kernels {
             let n = kernel.n();
             let reference = DefaultHermitian(kernel.as_ref());
-            let (mut got, mut want) = (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
-            let mut mirror = vec![Complex64::ZERO; n];
-            for f0 in 0..n {
-                for f1 in 0..n {
-                    kernel.eval_hermitian_pencil_axis2(f0, f1, &mut got, &mut mirror);
-                    reference.eval_hermitian_pencil_axis2(f0, f1, &mut want, &mut mirror);
-                    for (f2, (a, b)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            (a.re.to_bits(), a.im.to_bits()),
-                            (b.re.to_bits(), b.im.to_bits()),
-                            "n={n} bin ({f0},{f1},{f2})"
-                        );
+            let mut scratch = vec![Complex64::ZERO; (W + 1) * n];
+            // Every (f0, f1), f1 running fastest, in partial tiles of 1 and
+            // 3 lanes and in full ones.
+            let all: Vec<(usize, usize)> = (0..n * n).map(|i| (i / n, i % n)).collect();
+            for live in [1, 3, W] {
+                for bins in all.chunks(live) {
+                    // Unwritten rows would show as NaN.
+                    let nan = || vec![[f64::NAN; W]; n];
+                    let (mut gre, mut gim, mut wre, mut wim) = (nan(), nan(), nan(), nan());
+                    kernel.eval_hermitian_tile_axis2(bins, &mut gre, &mut gim, &mut scratch);
+                    reference.eval_hermitian_tile_axis2(bins, &mut wre, &mut wim, &mut scratch);
+                    assert_eq!(bits(&gre), bits(&wre), "n={n} re, bins {bins:?}");
+                    assert_eq!(bits(&gim), bits(&wim), "n={n} im, bins {bins:?}");
+                    for row in gre.iter().chain(gim.iter()) {
+                        assert!(row[bins.len()..].iter().all(|v| v.to_bits() == 0));
                     }
                 }
             }
@@ -222,9 +283,10 @@ mod tests {
                 Complex64::I
             }
         }
-        let (mut out, mut mirror) = (vec![Complex64::ONE; 5], vec![Complex64::ZERO; 5]);
-        ConstI.eval_hermitian_pencil_axis2(1, 2, &mut out, &mut mirror);
-        assert!(out.iter().all(|v| *v == Complex64::ZERO));
+        let (mut re, mut im) = (vec![[1.0; W]; 5], vec![[1.0; W]; 5]);
+        let mut scratch = vec![Complex64::ZERO; (W + 1) * 5];
+        ConstI.eval_hermitian_tile_axis2(&[(1, 2), (0, 0)], &mut re, &mut im, &mut scratch);
+        assert!(re.iter().chain(&im).flatten().all(|v| *v == 0.0));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! a target application. We provide both the continuous spatial form and the
 //! discrete spectral inverse Laplacian used by actual grid solvers.
 
+use lcc_fft::tile::Row;
 use lcc_fft::Complex64;
 use lcc_grid::Grid3;
 
-use crate::kernel::KernelSpectrum;
+use crate::kernel::{real_tile, KernelSpectrum};
 
 /// The separable 1D factor of the 7-point Laplacian symbol,
 /// `c[f] = 2 − 2cos(2πf/n)` for `f in 0..n` — the symbol at bin `f` is
@@ -77,15 +78,26 @@ impl KernelSpectrum for PoissonSpectrum {
         }
     }
 
-    /// Real, with an exactly even table ([`laplacian_table`]): `K̂ₕ = K̂`.
-    fn eval_hermitian_pencil_axis2(
+    /// Real, with an exactly even table (`laplacian_table`): `K̂ₕ = K̂`,
+    /// each lane's `c[f0] + c[f1]` plus one `c[fz]`, gauged and inverted.
+    fn eval_hermitian_tile_axis2(
         &self,
-        f0: usize,
-        f1: usize,
-        out: &mut [Complex64],
-        _mirror: &mut [Complex64],
+        bins: &[(usize, usize)],
+        re: &mut [Row],
+        im: &mut [Row],
+        _scratch: &mut [Complex64],
     ) {
-        self.eval_pencil_axis2(f0, f1, out);
+        let c = &self.c;
+        real_tile(
+            bins,
+            re,
+            im,
+            |(f0, f1)| c[f0] + c[f1],
+            |xy, fz| {
+                let cz = c[fz];
+                std::array::from_fn(|l| gauged_inverse(xy[l] + cz).re)
+            },
+        );
     }
 }
 

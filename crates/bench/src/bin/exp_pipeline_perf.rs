@@ -186,11 +186,15 @@ fn child_main() {
         );
     }
 
-    // The accumulate fold of three such contributions: warm once (the
-    // kernel's per-thread scratch grows), then count one steady call.
+    // The accumulate fold of three such contributions: warm every pool
+    // participant with a fold of its own (each grows its interpolation
+    // scratch and cell sums; a worker that joined no slab of a pooled warm-up
+    // fold would otherwise grow them in the counted call), then count one
+    // steady call.
     let field = conv.convolve_compressed(&sub, corner, &kernel, plan);
     let fields = [field.clone(), field.clone(), field];
     let session = lowcomm.session(ConvolveMode::Normal);
+    rayon::pool::run(&|| drop(session.accumulate_fields(&fields)));
     let fold_sum = checksum(session.accumulate_fields(&fields).as_slice());
     ALLOC.reset();
     let folded = session.accumulate_fields(&fields);

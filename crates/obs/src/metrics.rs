@@ -170,6 +170,10 @@ pub static PIPELINE_STAGE3_ROWS_SKIPPED: Counter = Counter::new("pipeline.stage3
 pub static OCTREE_PLANS_BUILT: Counter = Counter::new("octree.plans_built");
 /// Compressed samples captured out of retained planes.
 pub static OCTREE_SAMPLES_CAPTURED: Counter = Counter::new("octree.samples_captured");
+/// Field cells (of rate > 1) whose samples went into a fold's shared sum.
+pub static OCTREE_CELLS_SUMMED: Counter = Counter::new("octree.cells_summed");
+/// Distinct summed cells a fold interpolated into its output.
+pub static OCTREE_CELLS_INTERPOLATED: Counter = Counter::new("octree.cells_interpolated");
 
 /// Sub-domains convolved at full fidelity.
 pub static CONVOLVE_DOMAINS_PROCESSED: Counter = Counter::new("convolve.domains_processed");
@@ -235,7 +239,7 @@ pub static MASSIF_RESIDUAL: Gauge = Gauge::new("massif.residual");
 /// Current total queued depth across all tenants of the service.
 pub static SERVICE_QUEUE_DEPTH: Gauge = Gauge::new("service.queue_depth");
 
-static COUNTERS: [&Counter; 45] = [
+static COUNTERS: [&Counter; 47] = [
     &COMM_BYTES_LOGICAL,
     &COMM_MESSAGES_LOGICAL,
     &COMM_BYTES_PHYSICAL,
@@ -255,6 +259,8 @@ static COUNTERS: [&Counter; 45] = [
     &PIPELINE_STAGE3_ROWS_SKIPPED,
     &OCTREE_PLANS_BUILT,
     &OCTREE_SAMPLES_CAPTURED,
+    &OCTREE_CELLS_SUMMED,
+    &OCTREE_CELLS_INTERPOLATED,
     &CONVOLVE_DOMAINS_PROCESSED,
     &CONVOLVE_DOMAINS_SKIPPED,
     &CONVOLVE_DOMAINS_DEGRADED,

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use lcc_grid::{BoxRegion, Grid3};
 
-use crate::plan::SamplingPlan;
+use crate::plan::{OctCell, SamplingPlan};
 use crate::reconstruct;
 
 /// A field compressed under a sampling plan.
@@ -161,11 +161,13 @@ impl CompressedField {
         self.plan.compressed_bytes()
     }
 
-    /// Adds another compressed field sampled under an *identical* plan.
+    /// Adds another compressed field sampled under an *identical* plan:
+    /// the same plan, or one with the same cells in the same order. Equal
+    /// sample counts are not enough — the plans of two translated domains
+    /// usually have them, and their samples belong to different cells.
     pub fn accumulate(&mut self, other: &CompressedField) {
-        assert_eq!(
-            self.samples.len(),
-            other.samples.len(),
+        assert!(
+            Arc::ptr_eq(&self.plan, &other.plan) || self.plan.cells() == other.plan.cells(),
             "accumulate requires identical plans"
         );
         for (a, b) in self.samples.iter_mut().zip(&other.samples) {
@@ -279,21 +281,35 @@ impl CompressedField {
             "output length must match region"
         );
         let _sp = lcc_obs::span("octree_add_region");
-        let plan = &self.plan;
-        reconstruct::with_scratch(|scratch| {
-            for (i, cell) in plan.cells().iter().enumerate() {
-                // Nearly every cell misses a thin x-slab; reject on x alone.
-                if cell.corner[0] >= region.hi[0] || cell.corner[0] + cell.size <= region.lo[0] {
-                    continue;
-                }
-                let Some(overlap) = cell.region().intersect(region) else {
-                    continue;
-                };
-                let base = plan.cell_offset(i) as usize;
-                let cell_samples = &self.samples[base..base + cell.sample_count()];
-                reconstruct::add_cell(scratch, cell, cell_samples, &overlap, region, out, scale);
-            }
-        });
+        self.add_cells_into_slice(|_| true, region, out, scale);
+    }
+
+    /// [`Self::add_region_into_slice`] (scale 1) restricted to the cells of
+    /// rate 1, whose samples are their values: the part of a fold that
+    /// [`CellSums`](crate::CellSums) does not sum.
+    pub fn add_rate1_into_slice(&self, region: &BoxRegion, out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            region.volume(),
+            "output length must match region"
+        );
+        self.add_cells_into_slice(|cell| cell.rate == 1, region, out, 1.0);
+    }
+
+    /// Adds `scale ×` the reconstruction of the cells `keep` accepts.
+    fn add_cells_into_slice(
+        &self,
+        keep: impl Fn(&OctCell) -> bool,
+        region: &BoxRegion,
+        out: &mut [f64],
+        scale: f64,
+    ) {
+        let plan = &*self.plan;
+        let cells = plan.x_candidates(region.lo[0], region.hi[0]);
+        let first = cells.start;
+        let offset = |i| plan.cell_offset(first + i) as usize;
+        let cells = &plan.cells()[cells];
+        reconstruct::add_cells(cells, &self.samples, offset, keep, region, out, scale);
     }
 
     /// The per-point form of [`Self::add_region_into`] that the streaming
@@ -576,6 +592,22 @@ mod tests {
         for &s in b.samples() {
             assert!((s - 3.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulate requires identical plans")]
+    fn accumulate_rejects_a_translated_plan_of_equal_sample_count() {
+        let (n, k) = (32, 8);
+        let schedule = RateSchedule::for_kernel_spread(k, 1.0, 8);
+        let plan = |lo: [usize; 3]| {
+            let domain = BoxRegion::new(lo, lo.map(|l| l + k));
+            Arc::new(SamplingPlan::build(n, domain, &schedule))
+        };
+        let (a, b) = (plan([8, 8, 8]), plan([16, 8, 8]));
+        assert_eq!(a.total_samples(), b.total_samples());
+        assert_ne!(a.cells(), b.cells());
+        let mut sum = CompressedField::zeros(a);
+        sum.accumulate(&CompressedField::zeros(b));
     }
 
     #[test]

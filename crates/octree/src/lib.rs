@@ -13,7 +13,9 @@
 //!   table of planes and rows that carry a sample;
 //! * a [`field::CompressedField`] — sample values, streaming per-z-plane
 //!   capture for the pipeline, and trilinear reconstruction for the final
-//!   accumulation-and-interpolation step.
+//!   accumulation-and-interpolation step;
+//! * a [`CellSums`] — the fold's sample-space sums: fields that share a
+//!   cell add their samples, and the cell is interpolated once.
 
 pub mod bounds;
 pub mod cache;
@@ -21,6 +23,7 @@ pub mod field;
 pub mod plan;
 mod reconstruct;
 pub mod schedule;
+mod sums;
 
 pub use bounds::{
     plan_error_bound, schedule_error_bound, BandBound, DecayModel, GaussianDecay,
@@ -30,3 +33,4 @@ pub use cache::PlanCache;
 pub use field::{CompressedField, PayloadError, RegionPayload};
 pub use plan::{OctCell, RateStats, SamplingPlan, SetBits};
 pub use schedule::{RateBand, RateSchedule};
+pub use sums::CellSums;

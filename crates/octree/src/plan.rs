@@ -23,16 +23,18 @@ pub struct OctCell {
     pub corner: [usize; 3],
     /// Cube side length (power of two).
     pub size: usize,
-    /// Sampling stride within the cube. Always divides `size`, so a cell
-    /// contributes exactly `(size/rate)³` samples.
+    /// Sampling stride within the cube: a power of two that divides
+    /// `size`, so a cell contributes exactly `(size/rate)³` samples.
     pub rate: u32,
 }
 
 impl OctCell {
-    /// Samples per axis, `size / rate` (exact by construction).
+    /// Samples per axis, `size / rate` (exact by construction; a shift,
+    /// the rate being a power of two).
     #[inline]
     pub fn samples_per_axis(&self) -> usize {
-        self.size / self.rate as usize
+        debug_assert!(self.rate.is_power_of_two() && self.size.is_multiple_of(self.rate as usize));
+        self.size >> self.rate.trailing_zeros()
     }
 
     /// Total samples in this cell.
@@ -223,6 +225,10 @@ pub struct SamplingPlan {
     planes: usize,
     /// Sampled rows over all planes (set row bits).
     sampled_rows: usize,
+    /// The largest cell side when the cells come in ascending corner-x
+    /// order (as `build` sorts them), so the cells that meet an x-range are
+    /// one run of the list; `None` when they do not.
+    x_reach: Option<usize>,
 }
 
 impl SamplingPlan {
@@ -242,6 +248,8 @@ impl SamplingPlan {
         }
         let planes = SetBits::new(&table, 0, n).count();
         let sampled_rows = SetBits::new(&table, n, n * n).count();
+        let x_sorted = cells.windows(2).all(|w| w[0].corner[0] <= w[1].corner[0]);
+        let x_reach = x_sorted.then(|| cells.iter().map(|c| c.size).max().unwrap_or(0));
         SamplingPlan {
             n,
             domain,
@@ -250,6 +258,7 @@ impl SamplingPlan {
             table,
             planes,
             sampled_rows,
+            x_reach,
         }
     }
 
@@ -335,6 +344,20 @@ impl SamplingPlan {
     /// The octree leaves.
     pub fn cells(&self) -> &[OctCell] {
         &self.cells
+    }
+
+    /// The indices of the cells that can meet the x-range `lo..hi`: every
+    /// cell outside the range misses it, so a pass over a thin x-slab need
+    /// not scan the whole list (a cell inside may still miss it).
+    pub(crate) fn x_candidates(&self, lo: usize, hi: usize) -> std::ops::Range<usize> {
+        match self.x_reach {
+            Some(reach) => {
+                let start = self.cells.partition_point(|c| c.corner[0] + reach <= lo);
+                let end = self.cells.partition_point(|c| c.corner[0] < hi);
+                start..end.max(start)
+            }
+            None => 0..self.cells.len(),
+        }
     }
 
     /// Prefix sample count for cell `i`.
@@ -764,6 +787,38 @@ mod tests {
         assert!(total < n * n * n / 4, "compression too weak: {total}");
         assert!(total > k * k * k, "must keep at least the dense domain");
         assert!(plan.compression_ratio() > 4.0);
+    }
+
+    #[test]
+    fn x_candidates_hold_every_cell_meeting_the_range() {
+        let n = 64;
+        let k = 16;
+        let domain = centered_domain(n, k);
+        let plan = SamplingPlan::build(n, domain, &RateSchedule::paper_default(k, 16));
+        // The same cells in descending corner order: no run to cut out.
+        let mut encoded: Vec<[u64; 5]> = plan
+            .encode()
+            .chunks_exact(5)
+            .map(|e| [e[0], e[1], e[2], e[3], 0])
+            .collect();
+        encoded.reverse();
+        let mut before = 0;
+        let mut flat = Vec::new();
+        for (e, c) in encoded.iter_mut().zip(plan.cells().iter().rev()) {
+            e[4] = before;
+            before += c.sample_count() as u64;
+            flat.extend(*e);
+        }
+        let reversed = SamplingPlan::decode(n, domain, &flat, before).unwrap();
+        for (lo, hi) in [(0, 1), (5, 9), (31, 33), (60, 64), (0, 64), (17, 17)] {
+            let meets = |c: &OctCell| c.corner[0] < hi && c.corner[0] + c.size > lo;
+            let range = plan.x_candidates(lo, hi);
+            assert!(range.len() < plan.cells().len() || (lo, hi) == (0, 64));
+            for (i, c) in plan.cells().iter().enumerate() {
+                assert!(!meets(c) || range.contains(&i), "{lo}..{hi}: cell {c:?}");
+            }
+            assert_eq!(reversed.x_candidates(lo, hi), 0..reversed.cells().len());
+        }
     }
 
     #[test]

@@ -19,8 +19,22 @@
 //! per-point form survives as the test oracle in `field.rs`.
 //!
 //! Scratch is per thread and only grows: the table holds `size` entries and
-//! the two expanded planes `2 · rows · run` doubles, 16 KiB for a 32³
-//! rate-1 cell, so a warm call allocates nothing.
+//! the two expanded planes `2 · rows · run` doubles, 8 KiB for a 32³
+//! rate-2 cell, so a warm call allocates nothing.
+//!
+//! # Rate-1 cells
+//!
+//! A cell of rate 1 samples every point it covers: its samples are its
+//! values, and every fraction of the lerps above is 0 (1 at the
+//! extrapolated last interval, which reads the next sample back). So it
+//! skips all three passes and adds each z-run of samples straight into the
+//! output, `o += scale · sample`, with no table, no expanded planes and no
+//! lerp. That is the per-point form's value with its zero-weighted terms
+//! dropped, so the two agree bit for bit whenever the samples are finite
+//! and none is `-0.0` (a zero-weighted `+0.0` addend turns `-0.0` into
+//! `+0.0`; a zero-weighted infinity turns anything into NaN). In a fold,
+//! rate-1 cells are added field by field; only coarser cells are summed in
+//! sample space first ([`crate::CellSums`]).
 
 // lcc-lint: hot-path — per-cell interpolation; only scratch growth may allocate.
 
@@ -32,7 +46,7 @@ use crate::plan::OctCell;
 
 /// Reusable buffers of the kernel, one set per thread.
 #[derive(Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     /// `(size, rate)` of the cell the table below was last built for; cells
     /// of one shape come in long runs and share it.
     table_of: (usize, u32),
@@ -49,15 +63,78 @@ thread_local! {
 }
 
 /// Runs `f` with this thread's scratch.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// Adds `scale ×` the reconstruction of every cell of `cells` that `keep`
+/// accepts and that meets `region` into `out`, the region's row-major
+/// buffer, in the cells' order. Cell `i`'s samples are
+/// `samples[offset(i)..offset(i + 1)]`.
+pub(crate) fn add_cells(
+    cells: &[OctCell],
+    samples: &[f64],
+    offset: impl Fn(usize) -> usize,
+    keep: impl Fn(&OctCell) -> bool,
+    region: &BoxRegion,
+    out: &mut [f64],
+    scale: f64,
+) {
+    with_scratch(|scratch| {
+        for (i, cell) in cells.iter().enumerate() {
+            // Nearly every cell misses a thin x-slab; reject on x alone.
+            if cell.corner[0] >= region.hi[0] || cell.corner[0] + cell.size <= region.lo[0] {
+                continue;
+            }
+            if !keep(cell) {
+                continue;
+            }
+            if let Some(overlap) = cell.region().intersect(region) {
+                let cell_samples = &samples[offset(i)..offset(i + 1)];
+                if cell.rate == 1 {
+                    add_rate1_cell(cell, cell_samples, &overlap, region, out, scale);
+                } else {
+                    add_cell(scratch, cell, cell_samples, &overlap, region, out, scale);
+                }
+            }
+        }
+    });
+}
+
+/// [`add_cell`] for a cell of rate 1, whose samples are its values: adds
+/// its z-runs as they are (module doc, "Rate-1 cells").
+#[inline]
+fn add_rate1_cell(
+    cell: &OctCell,
+    samples: &[f64],
+    overlap: &BoxRegion,
+    region: &BoxRegion,
+    out: &mut [f64],
+    scale: f64,
+) {
+    let (s, (_, sy, sz)) = (cell.size, region.size());
+    let (nx, ny, nz) = overlap.size();
+    let [cx, cy, cz] = cell.corner;
+    let mut src = ((overlap.lo[0] - cx) * s + (overlap.lo[1] - cy)) * s + (overlap.lo[2] - cz);
+    let mut dst = ((overlap.lo[0] - region.lo[0]) * sy + (overlap.lo[1] - region.lo[1])) * sz
+        + (overlap.lo[2] - region.lo[2]);
+    for _ in 0..nx {
+        for j in 0..ny {
+            let run = &samples[src + j * s..][..nz];
+            for (o, &v) in out[dst + j * sz..][..nz].iter_mut().zip(run) {
+                *o += scale * v;
+            }
+        }
+        src += s * s;
+        dst += sy * sz;
+    }
 }
 
 /// Adds `scale ×` the reconstruction of `cell` over `overlap` into `out`,
 /// the row-major buffer of `region`. `samples` are the cell's own, in
 /// `(tx, ty, tz)` row-major order; `overlap` must be non-empty and lie
 /// inside both the cell and the region.
-pub(crate) fn add_cell(
+fn add_cell(
     scratch: &mut Scratch,
     cell: &OctCell,
     samples: &[f64],

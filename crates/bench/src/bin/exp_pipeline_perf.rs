@@ -54,6 +54,7 @@ use lcc_fft::{fft_axis, Complex64, FftDirection, FftPlanner};
 use lcc_greens::GaussianKernel;
 use lcc_grid::{BoxRegion, Grid3};
 use lcc_octree::{RateSchedule, SamplingPlan};
+use lcc_service::wire::fnv1a_f64;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -106,18 +107,6 @@ fn thread_counts(smoke: bool) -> Vec<usize> {
     }
 }
 
-/// FNV-1a over the sample bit patterns: equal iff the runs are
-/// bit-identical.
-fn checksum(samples: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in samples {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 fn env_usize(key: &str) -> usize {
     std::env::var(key)
         .unwrap_or_default()
@@ -159,7 +148,7 @@ fn child_main() {
 
     // Warm-up: builds plans, phase tables, and grows the workspace arenas.
     let field = conv.convolve_compressed(&sub, corner, &kernel, plan.clone());
-    let sum = checksum(field.samples());
+    let sum = fnv1a_f64(field.samples());
     drop(field);
 
     // Steady-state allocator traffic of one warm call.
@@ -167,7 +156,7 @@ fn child_main() {
     let field = conv.convolve_compressed(&sub, corner, &kernel, plan.clone());
     let stats = ALLOC.snapshot();
     assert_eq!(
-        checksum(field.samples()),
+        fnv1a_f64(field.samples()),
         sum,
         "warm run changed the result"
     );
@@ -180,7 +169,7 @@ fn child_main() {
         let field = conv.convolve_compressed(&sub, corner, &kernel, plan.clone());
         best_ns = best_ns.min(t0.elapsed().as_nanos());
         assert_eq!(
-            checksum(field.samples()),
+            fnv1a_f64(field.samples()),
             sum,
             "timed run changed the result"
         );
@@ -195,12 +184,12 @@ fn child_main() {
     let fields = [field.clone(), field.clone(), field];
     let session = lowcomm.session(ConvolveMode::Normal);
     rayon::pool::run(&|| drop(session.accumulate_fields(&fields)));
-    let fold_sum = checksum(session.accumulate_fields(&fields).as_slice());
+    let fold_sum = fnv1a_f64(session.accumulate_fields(&fields).as_slice());
     ALLOC.reset();
     let folded = session.accumulate_fields(&fields);
     let fold_stats = ALLOC.snapshot();
     assert_eq!(
-        checksum(folded.as_slice()),
+        fnv1a_f64(folded.as_slice()),
         fold_sum,
         "warm fold changed the result"
     );
@@ -254,7 +243,7 @@ fn fftrate_child_main() {
     // SAFETY: Complex64 is repr(C) { re: f64, im: f64 }; viewing the
     // buffer as 2× as many f64s reads the same initialized bytes.
     let sum =
-        checksum(unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<f64>(), buf.len() * 2) });
+        fnv1a_f64(unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<f64>(), buf.len() * 2) });
     let flops = lcc_device::fft_flops(len, pencils);
     // Streaming model: one Complex64 read + write per element per pass —
     // the same 32 B/elem convention as `LocalConvolver::bytes_estimate`.

@@ -33,9 +33,7 @@ use std::sync::Arc;
 use lcc_comm::transport::socket::{
     run_socket_cluster, RestartPolicy, SocketClusterConfig, SocketFamily, SocketRun,
 };
-use lcc_comm::{
-    encode_f64s, run_cluster_with_faults, CommError, CommStats, CommWorld, FaultPlan, RetryPolicy,
-};
+use lcc_comm::{run_cluster_with_faults, CommError, CommStats, CommWorld, FaultPlan, RetryPolicy};
 use lcc_core::RecoveryPolicy;
 use lcc_greens::MassifGamma;
 use lcc_grid::{IsotropicStiffness, Sym3};
@@ -43,6 +41,7 @@ use lcc_massif::{
     solve_with_checkpoints, CheckpointConfig, Microstructure, SolveResult, SolverConfig,
     SpectralGamma,
 };
+use lcc_obs::codec::Writer;
 
 use crate::recovery::{self, fast_retry, RecoveryCase};
 
@@ -144,13 +143,24 @@ pub fn rank_workload(w: &mut CommWorld, case: &SurvivalCase) -> Vec<u8> {
     let out = recovery::rank_workload(w, &case.recovery)
         .expect("survival ranks never desert mid-exchange");
 
+    encode_payload(
+        out.epoch,
+        [out.report.recovered_domains, out.report.degraded_domains],
+        &solved.residuals,
+        out.result.as_slice(),
+    )
+}
+
+/// One completed rank's payload (layout in the module doc); `domains` is
+/// `[recovered, degraded]`.
+fn encode_payload(epoch: u64, domains: [usize; 2], residuals: &[f64], field: &[f64]) -> Vec<u8> {
     let mut buf = vec![1u8];
-    buf.extend_from_slice(&out.epoch.to_le_bytes());
-    buf.extend_from_slice(&(out.report.recovered_domains as u64).to_le_bytes());
-    buf.extend_from_slice(&(out.report.degraded_domains as u64).to_le_bytes());
-    buf.extend_from_slice(&(solved.residuals.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&encode_f64s(&solved.residuals));
-    buf.extend_from_slice(&encode_f64s(out.result.as_slice()));
+    buf.put_u64(epoch);
+    buf.put_u64(domains[0] as u64);
+    buf.put_u64(domains[1] as u64);
+    buf.put_u64(residuals.len() as u64);
+    buf.put_f64s(residuals);
+    buf.put_f64s(field);
     buf
 }
 
@@ -193,6 +203,15 @@ pub fn run_survival_socket(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn payload_golden() {
+        assert_eq!(
+            lcc_obs::codec::hex(&encode_payload(2, [1, 0], &[0.5], &[1.0, 2.0])),
+            "0102000000000000000100000000000000000000000000000001000000000000\
+            00000000000000e03f000000000000f03f0000000000000040"
+        );
+    }
 
     #[test]
     fn fault_free_survival_is_deterministic_across_runs() {

@@ -55,6 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lcc_obs::codec::{CodecError, Reader, Writer};
 use lcc_obs::metrics as obs;
 
 use crate::actor::{
@@ -294,12 +295,28 @@ impl CommStatsSnapshot {
         ]
     }
 
+    /// Reads the layout [`CommStatsSnapshot::to_bytes`] writes.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.need(Self::WIRE_BYTES)?;
+        Ok(CommStatsSnapshot {
+            bytes_sent: r.u64()?,
+            messages: r.u64()?,
+            collective_rounds: r.u64()?,
+            retransmits: r.u64()?,
+            duplicates_suppressed: r.u64()?,
+            timeouts: r.u64()?,
+            bytes_physical: r.u64()?,
+            messages_physical: r.u64()?,
+            acks: r.u64()?,
+        })
+    }
+
     /// Fixed-layout little-endian serialization (the socket backend's
     /// RESULT frames carry this).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::WIRE_BYTES);
         for f in self.fields() {
-            out.extend_from_slice(&f.to_le_bytes());
+            out.put_u64(f);
         }
         out
     }
@@ -307,29 +324,10 @@ impl CommStatsSnapshot {
     /// Inverse of [`CommStatsSnapshot::to_bytes`], rejecting wrong-sized
     /// payloads with a typed error.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        if bytes.len() != Self::WIRE_BYTES {
-            return Err(CodecError {
-                len: bytes.len(),
-                elem_size: Self::WIRE_BYTES,
-            });
-        }
-        let mut f = [0u64; 9];
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(chunk);
-            f[i] = u64::from_le_bytes(b);
-        }
-        Ok(CommStatsSnapshot {
-            bytes_sent: f[0],
-            messages: f[1],
-            collective_rounds: f[2],
-            retransmits: f[3],
-            duplicates_suppressed: f[4],
-            timeouts: f[5],
-            bytes_physical: f[6],
-            messages_physical: f[7],
-            acks: f[8],
-        })
+        let mut r = Reader::new(bytes);
+        let snapshot = Self::decode(&mut r)?;
+        r.finish()?;
+        Ok(snapshot)
     }
 }
 
@@ -821,8 +819,8 @@ impl CommWorld {
     fn recv_epoch_from(&mut self, from: usize) -> Result<Vec<u8>, CommError> {
         loop {
             let frame = self.recv_from(from)?;
-            let (remote, payload) =
-                frame::decode_epoch(&frame).map_err(|e| e.into_comm_error(self.rank, from))?;
+            let (remote, payload) = frame::decode_epoch(&frame)
+                .map_err(|e| CommError::from_codec(self.rank, from, e))?;
             match self.actor.classify_epoch(remote) {
                 // Stale: from an attempt aborted pre-detection.
                 EpochDisposition::Stale => continue,
@@ -1094,53 +1092,29 @@ where
     (results, stats)
 }
 
-/// Codec failure: a payload whose length is not a whole number of elements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError {
-    /// Payload length in bytes.
-    pub len: usize,
-    /// Size of the element the decoder expected.
-    pub elem_size: usize,
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "payload of {} bytes is not a whole number of {}-byte elements",
-            self.len, self.elem_size
-        )
-    }
-}
-
-impl std::error::Error for CodecError {}
-
 /// Serializes f64 values little-endian.
 pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = Vec::new();
+    out.put_f64s(values);
     out
 }
 
-/// Deserializes f64 values little-endian, rejecting ragged payloads with a
-/// typed error.
+/// Deserializes f64 values little-endian; a payload that is not a whole
+/// number of f64s is [`CodecError::Truncated`] with `expected: 8`.
 pub fn try_decode_f64s(bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(CodecError {
+    whole_elements(bytes, 8)?;
+    Reader::new(bytes).f64s(bytes.len() / 8)
+}
+
+/// Fails unless `bytes` is a whole number of `elem_size`-byte elements.
+pub(crate) fn whole_elements(bytes: &[u8], elem_size: usize) -> Result<(), CodecError> {
+    if !bytes.len().is_multiple_of(elem_size) {
+        return Err(CodecError::Truncated {
             len: bytes.len(),
-            elem_size: 8,
+            expected: elem_size,
         });
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            f64::from_le_bytes(b)
-        })
-        .collect())
+    Ok(())
 }
 
 /// Deserializes f64 values little-endian. Panics on ragged input; use
@@ -1244,9 +1218,9 @@ mod tests {
         let err = try_decode_f64s(&[0u8; 9]).unwrap_err();
         assert_eq!(
             err,
-            CodecError {
+            CodecError::Truncated {
                 len: 9,
-                elem_size: 8
+                expected: 8
             }
         );
         assert!(err.to_string().contains("9 bytes"));

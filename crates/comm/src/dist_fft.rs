@@ -12,15 +12,17 @@
 
 use lcc_fft::{fft_axis, scale_in_place, Complex64, FftDirection, FftPlanner};
 
-use crate::cluster::{CodecError, CommWorld};
+use lcc_obs::codec::{CodecError, Reader, Writer};
+
+use crate::cluster::{whole_elements, CommWorld};
 use crate::fault::CommError;
 
 /// Serializes a complex slice as little-endian f64 pairs.
 pub fn encode_complex(values: &[Complex64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 16);
     for v in values {
-        out.extend_from_slice(&v.re.to_le_bytes());
-        out.extend_from_slice(&v.im.to_le_bytes());
+        out.put_f64(v.re);
+        out.put_f64(v.im);
     }
     out
 }
@@ -28,20 +30,12 @@ pub fn encode_complex(values: &[Complex64]) -> Vec<u8> {
 /// Deserializes little-endian f64 pairs into complex values, rejecting
 /// ragged payloads with a typed error.
 pub fn try_decode_complex(bytes: &[u8]) -> Result<Vec<Complex64>, CodecError> {
-    if !bytes.len().is_multiple_of(16) {
-        return Err(CodecError {
-            len: bytes.len(),
-            elem_size: 16,
-        });
-    }
-    let mut halves = bytes.chunks_exact(8).map(|c| {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(c);
-        f64::from_le_bytes(b)
-    });
-    let mut out = Vec::with_capacity(bytes.len() / 16);
-    while let (Some(re), Some(im)) = (halves.next(), halves.next()) {
-        out.push(Complex64 { re, im });
+    whole_elements(bytes, 16)?;
+    let count = bytes.len() / 16;
+    let mut r = Reader::new(bytes);
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        out.push(Complex64::new(r.f64()?, r.f64()?));
     }
     Ok(out)
 }
@@ -89,12 +83,8 @@ pub fn transpose_exchange(
     for (s, payload) in incoming.iter().enumerate() {
         // A truncated, ragged or wrong-shape block is a typed error, not a
         // panic: the frame crossed a (simulated) wire.
-        let block = try_decode_complex(payload).map_err(|e| CommError::Decode {
-            rank: my_rank,
-            peer: s,
-            len: e.len,
-            elem_size: e.elem_size,
-        })?;
+        let block =
+            try_decode_complex(payload).map_err(|e| CommError::from_codec(my_rank, s, e))?;
         if block.len() != c * c * n {
             return Err(CommError::Decode {
                 rank: my_rank,
@@ -363,9 +353,9 @@ mod tests {
         let err = try_decode_complex(&[0u8; 17]).unwrap_err();
         assert_eq!(
             err,
-            CodecError {
+            CodecError::Truncated {
                 len: 17,
-                elem_size: 16
+                expected: 16
             }
         );
         let v = vec![c64(1.0, -2.0)];

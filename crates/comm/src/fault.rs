@@ -17,6 +17,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Duration;
 
+use lcc_obs::codec::CodecError;
+
 /// Typed failure surfaced by communication calls instead of a hang or panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
@@ -104,6 +106,24 @@ pub enum CommError {
         local_epoch: u64,
         remote_epoch: u64,
     },
+}
+
+impl CommError {
+    /// The [`CommError::Decode`] for a frame from `peer` that `rank` could
+    /// not decode: a short or ragged frame's `expected` is the `elem_size`
+    /// (comm layouts only ever fail as [`CodecError::Truncated`]).
+    pub fn from_codec(rank: usize, peer: usize, e: CodecError) -> CommError {
+        let (len, elem_size) = match e {
+            CodecError::Truncated { len, expected } => (len, expected),
+            _ => (0, 0),
+        };
+        CommError::Decode {
+            rank,
+            peer,
+            len,
+            elem_size,
+        }
+    }
 }
 
 impl fmt::Display for CommError {

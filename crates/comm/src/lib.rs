@@ -52,14 +52,15 @@ pub use actor::{
     ProtocolActor, SendPlan, SweepOutcome,
 };
 pub use cluster::{
-    decode_f64s, encode_f64s, run_cluster, run_cluster_with_faults, try_decode_f64s, CodecError,
-    CommStats, CommStatsSnapshot, CommWorld, ConvergedExchange, ACK_WIRE_BYTES,
+    decode_f64s, encode_f64s, run_cluster, run_cluster_with_faults, try_decode_f64s, CommStats,
+    CommStatsSnapshot, CommWorld, ConvergedExchange, ACK_WIRE_BYTES,
 };
 pub use dist_fft::{
     convolve_distributed, decode_complex, encode_complex, forward_3d, gather_slabs, inverse_3d,
     scatter_slabs, transpose_exchange, try_decode_complex,
 };
 pub use fault::{CommError, FaultPlan, RetryConfig, RetryPolicy};
+pub use lcc_obs::codec::CodecError;
 pub use membership::ClusterView;
 pub use model::{lowcomm_volume, traditional_conv_volume, AlphaBeta, CommScenario};
 pub use transport::fault::{FaultEvent, FaultEventLog, FaultTransport};

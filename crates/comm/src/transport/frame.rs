@@ -18,10 +18,14 @@
 //!    [`decode_epoch`]). This sits above the reliability protocol and
 //!    below the application payload.
 //!
-//! Every decoder in this module returns a typed [`FrameDecodeError`]
-//! (convertible to [`CommError::Decode`]) — truncated, corrupt, or
-//! unknown-kind input must never panic. The property tests in
+//! The layouts are written and read through `lcc_obs::codec` (DESIGN.md
+//! §5p), so every decoder here returns its typed
+//! [`CodecError::Truncated`] (convertible with [`CommError::from_codec`] to
+//! [`CommError::Decode`]) — truncated, corrupt, or unknown-kind input must
+//! never panic. The property tests in
 //! `crates/comm/tests/transport_frame_props.rs` pin that contract.
+
+use lcc_obs::codec::{CodecError, Reader, Writer};
 
 use crate::fault::CommError;
 
@@ -86,65 +90,14 @@ pub enum WireFrameView<'a> {
     },
 }
 
-/// Typed decode failure: the frame was `len` bytes where the layout
-/// required at least (or exactly) `expected`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameDecodeError {
-    /// Length of the undecodable input in bytes.
-    pub len: usize,
-    /// The size the decoder needed to make progress (header length for
-    /// truncation, exact frame length for malformed acks, 1 for an
-    /// unknown kind byte).
-    pub expected: usize,
-}
-
-impl FrameDecodeError {
-    /// Converts into the protocol-level [`CommError::Decode`], attributing
-    /// the bad frame to `(rank, peer)`.
-    pub fn into_comm_error(self, rank: usize, peer: usize) -> CommError {
-        CommError::Decode {
-            rank,
-            peer,
-            len: self.len,
-            elem_size: self.expected,
-        }
-    }
-}
-
-impl std::fmt::Display for FrameDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "undecodable {}-byte wire frame (layout requires {})",
-            self.len, self.expected
-        )
-    }
-}
-
-impl std::error::Error for FrameDecodeError {}
-
-#[inline]
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
-#[inline]
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
 /// Encodes a data frame into `buf` (cleared first). Reusing one buffer per
 /// peer keeps the steady-state send path allocation-free.
 pub fn encode_data_into(buf: &mut Vec<u8>, seq: u64, attempt: u32, payload: &[u8]) {
     buf.clear();
     buf.reserve(DATA_HEADER + payload.len());
     buf.push(KIND_DATA);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&attempt.to_le_bytes());
+    buf.put_u64(seq);
+    buf.put_u32(attempt);
     buf.extend_from_slice(payload);
 }
 
@@ -159,8 +112,8 @@ pub fn encode_data(seq: u64, attempt: u32, payload: &[u8]) -> Vec<u8> {
 pub fn encode_ack(seq: u64, k: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(ACK_FRAME_LEN);
     buf.push(KIND_ACK);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&k.to_le_bytes());
+    buf.put_u64(seq);
+    buf.put_u64(k);
     buf
 }
 
@@ -168,56 +121,39 @@ pub fn encode_ack(seq: u64, k: u64) -> Vec<u8> {
 pub fn encode_heartbeat(beat: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEARTBEAT_FRAME_LEN);
     buf.push(KIND_HEARTBEAT);
-    buf.extend_from_slice(&beat.to_le_bytes());
+    buf.put_u64(beat);
     buf
 }
 
-/// Decodes a frame without copying the payload.
-pub fn decode_view(frame: &[u8]) -> Result<WireFrameView<'_>, FrameDecodeError> {
-    let Some(&kind) = frame.first() else {
-        return Err(FrameDecodeError {
-            len: 0,
-            expected: 1,
-        });
-    };
-    match kind {
+/// Decodes a frame without copying the payload. A short frame names its
+/// whole layout as `expected`, and an unknown kind byte names 1.
+pub fn decode_view(frame: &[u8]) -> Result<WireFrameView<'_>, CodecError> {
+    let mut r = Reader::new(frame);
+    match r.u8()? {
         KIND_DATA => {
-            if frame.len() < DATA_HEADER {
-                return Err(FrameDecodeError {
-                    len: frame.len(),
-                    expected: DATA_HEADER,
-                });
-            }
+            r.need(DATA_HEADER - 1)?;
             Ok(WireFrameView::Data {
-                seq: read_u64(frame, 1),
-                attempt: read_u32(frame, 9),
-                payload: &frame[DATA_HEADER..],
+                seq: r.u64()?,
+                attempt: r.u32()?,
+                payload: r.rest(),
             })
         }
         KIND_ACK => {
-            if frame.len() != ACK_FRAME_LEN {
-                return Err(FrameDecodeError {
-                    len: frame.len(),
-                    expected: ACK_FRAME_LEN,
-                });
-            }
-            Ok(WireFrameView::Ack {
-                seq: read_u64(frame, 1),
-                k: read_u64(frame, 9),
-            })
+            r.need(ACK_FRAME_LEN - 1)?;
+            let view = WireFrameView::Ack {
+                seq: r.u64()?,
+                k: r.u64()?,
+            };
+            r.finish()?;
+            Ok(view)
         }
         KIND_HEARTBEAT => {
-            if frame.len() != HEARTBEAT_FRAME_LEN {
-                return Err(FrameDecodeError {
-                    len: frame.len(),
-                    expected: HEARTBEAT_FRAME_LEN,
-                });
-            }
-            Ok(WireFrameView::Heartbeat {
-                beat: read_u64(frame, 1),
-            })
+            r.need(HEARTBEAT_FRAME_LEN - 1)?;
+            let view = WireFrameView::Heartbeat { beat: r.u64()? };
+            r.finish()?;
+            Ok(view)
         }
-        _ => Err(FrameDecodeError {
+        _ => Err(CodecError::Truncated {
             len: frame.len(),
             expected: 1,
         }),
@@ -226,7 +162,7 @@ pub fn decode_view(frame: &[u8]) -> Result<WireFrameView<'_>, FrameDecodeError> 
 
 /// Decodes a frame, converting the buffer into the owned payload in place
 /// (one `memmove`, no allocation).
-pub fn decode_owned(mut frame: Vec<u8>) -> Result<WireFrame, FrameDecodeError> {
+pub fn decode_owned(mut frame: Vec<u8>) -> Result<WireFrame, CodecError> {
     match decode_view(&frame)? {
         WireFrameView::Data { seq, attempt, .. } => {
             frame.drain(..DATA_HEADER);
@@ -244,26 +180,21 @@ pub fn decode_owned(mut frame: Vec<u8>) -> Result<WireFrame, FrameDecodeError> {
 /// Decodes a frame received from `peer`, mapping failures to the typed
 /// protocol error.
 pub fn decode_for(rank: usize, peer: usize, frame: Vec<u8>) -> Result<WireFrame, CommError> {
-    decode_owned(frame).map_err(|e| e.into_comm_error(rank, peer))
+    decode_owned(frame).map_err(|e| CommError::from_codec(rank, peer, e))
 }
 
 /// Prepends the membership epoch to a collective payload.
 pub fn encode_epoch(epoch: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(EPOCH_HEADER + payload.len());
-    out.extend_from_slice(&epoch.to_le_bytes());
+    out.put_u64(epoch);
     out.extend_from_slice(payload);
     out
 }
 
 /// Splits an epoch-framed payload into `(epoch, payload)`.
-pub fn decode_epoch(frame: &[u8]) -> Result<(u64, &[u8]), FrameDecodeError> {
-    if frame.len() < EPOCH_HEADER {
-        return Err(FrameDecodeError {
-            len: frame.len(),
-            expected: EPOCH_HEADER,
-        });
-    }
-    Ok((read_u64(frame, 0), &frame[EPOCH_HEADER..]))
+pub fn decode_epoch(frame: &[u8]) -> Result<(u64, &[u8]), CodecError> {
+    let mut r = Reader::new(frame);
+    Ok((r.u64()?, r.rest()))
 }
 
 #[cfg(test)]
@@ -311,7 +242,7 @@ mod tests {
         beat.push(0);
         assert_eq!(
             decode_view(&beat).unwrap_err(),
-            FrameDecodeError {
+            CodecError::Truncated {
                 len: HEARTBEAT_FRAME_LEN + 1,
                 expected: HEARTBEAT_FRAME_LEN
             }
@@ -322,14 +253,14 @@ mod tests {
     fn truncated_and_unknown_frames_are_typed_errors() {
         assert_eq!(
             decode_view(&[]).unwrap_err(),
-            FrameDecodeError {
+            CodecError::Truncated {
                 len: 0,
                 expected: 1
             }
         );
         assert_eq!(
             decode_view(&[KIND_DATA, 1, 2]).unwrap_err(),
-            FrameDecodeError {
+            CodecError::Truncated {
                 len: 3,
                 expected: DATA_HEADER
             }
@@ -339,7 +270,7 @@ mod tests {
         ack.push(0xFF);
         assert_eq!(
             decode_view(&ack).unwrap_err(),
-            FrameDecodeError {
+            CodecError::Truncated {
                 len: ACK_FRAME_LEN + 1,
                 expected: ACK_FRAME_LEN
             }

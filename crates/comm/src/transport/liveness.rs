@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use lcc_obs::codec::{CodecError, Reader, Writer};
 use lcc_obs::metrics as obs;
 
 use crate::fault::RetryPolicy;
@@ -128,42 +129,41 @@ impl LivenessStats {
 
     /// Fixed-size wire encoding (six little-endian `u64`s) for the socket
     /// backend's RESULT frame.
-    pub fn to_bytes(&self) -> [u8; LIVENESS_STATS_LEN] {
-        let mut out = [0u8; LIVENESS_STATS_LEN];
-        for (i, v) in [
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(LIVENESS_STATS_LEN);
+        for v in [
             self.heartbeats_sent,
             self.heartbeats_received,
             self.hard_evidence,
             self.suspicions,
             self.deaths_detected,
             self.rejoins,
-        ]
-        .iter()
-        .enumerate()
-        {
-            out[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+        ] {
+            out.put_u64(v);
         }
         out
     }
 
-    /// Inverse of [`LivenessStats::to_bytes`]; `None` on a short buffer.
-    pub fn from_bytes(bytes: &[u8]) -> Option<LivenessStats> {
-        if bytes.len() < LIVENESS_STATS_LEN {
-            return None;
-        }
-        let word = |i: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-            u64::from_le_bytes(b)
-        };
-        Some(LivenessStats {
-            heartbeats_sent: word(0),
-            heartbeats_received: word(1),
-            hard_evidence: word(2),
-            suspicions: word(3),
-            deaths_detected: word(4),
-            rejoins: word(5),
+    /// Reads the layout [`LivenessStats::to_bytes`] writes.
+    pub fn decode(r: &mut Reader<'_>) -> Result<LivenessStats, CodecError> {
+        r.need(LIVENESS_STATS_LEN)?;
+        Ok(LivenessStats {
+            heartbeats_sent: r.u64()?,
+            heartbeats_received: r.u64()?,
+            hard_evidence: r.u64()?,
+            suspicions: r.u64()?,
+            deaths_detected: r.u64()?,
+            rejoins: r.u64()?,
         })
+    }
+
+    /// Inverse of [`LivenessStats::to_bytes`]; `None` unless `bytes` is
+    /// exactly one record.
+    pub fn from_bytes(bytes: &[u8]) -> Option<LivenessStats> {
+        let mut r = Reader::new(bytes);
+        let stats = Self::decode(&mut r).ok()?;
+        r.finish().ok()?;
+        Some(stats)
     }
 }
 

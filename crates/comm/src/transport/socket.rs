@@ -42,6 +42,8 @@ use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use lcc_obs::codec::{CodecError, Reader, Writer};
+
 use super::fault::FaultTransport;
 use super::frame::{self, MAX_FRAME_LEN};
 use super::liveness::{LivenessBoard, LivenessStats, LIVENESS_STATS_LEN};
@@ -236,7 +238,7 @@ fn coord_err(detail: String) -> CommError {
 fn write_frame(conn: &mut Conn, buf: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     buf.clear();
     buf.reserve(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.put_u32(payload.len() as u32);
     buf.extend_from_slice(payload);
     conn.write_all(buf)
 }
@@ -263,7 +265,9 @@ fn read_frame(conn: &mut Conn) -> io::Result<Option<Vec<u8>>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(len) as usize;
+    let len = Reader::new(&len)
+        .u32()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))? as usize;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -357,11 +361,7 @@ impl SocketTransport {
         } else {
             let mut conn = connect(self.family, addr)
                 .map_err(|e| io_err(rank, peer, "dial rejoining peer", e))?;
-            let mut shake = Vec::with_capacity(9);
-            shake.extend_from_slice(&HANDSHAKE_MAGIC.to_le_bytes());
-            shake.push(WIRE_VERSION);
-            shake.extend_from_slice(&(rank as u32).to_le_bytes());
-            conn.write_all(&shake)
+            conn.write_all(&encode_handshake(rank))
                 .map_err(|e| io_err(rank, peer, "handshake rejoining peer", e))?;
             conn
         };
@@ -467,10 +467,7 @@ impl Transport for SocketTransport {
     }
 
     fn protocol_point(&mut self, idx: u64) -> Result<PointOutcome, CommError> {
-        let mut msg = Vec::with_capacity(9);
-        msg.push(CTL_POINT);
-        msg.extend_from_slice(&idx.to_le_bytes());
-        self.ctl_send(&msg)?;
+        self.ctl_send(&encode_point(idx))?;
         loop {
             match self.point_rx.recv_timeout(self.point_timeout) {
                 Ok(PointMsg::Proceed) => break,
@@ -564,11 +561,8 @@ pub fn child_serve(registry: &[(&str, Workload)]) -> Result<(), CommError> {
     // Control channel up, introduce ourselves, learn everyone's address.
     let mut ctl = connect(SocketFamily::Uds, &ctl_path)
         .map_err(|e| io_err(rank, usize::MAX, "connect control socket", e))?;
-    let mut hello = vec![CTL_HELLO];
-    hello.extend_from_slice(&(rank as u32).to_le_bytes());
-    hello.extend_from_slice(my_addr.as_bytes());
     let mut scratch = Vec::new();
-    write_frame(&mut ctl, &mut scratch, &hello)
+    write_frame(&mut ctl, &mut scratch, &encode_hello(rank, &my_addr))
         .map_err(|e| io_err(rank, usize::MAX, "send HELLO", e))?;
     let start = read_frame(&mut ctl)
         .map_err(|e| io_err(rank, usize::MAX, "read START", e))?
@@ -591,11 +585,7 @@ pub fn child_serve(registry: &[(&str, Workload)]) -> Result<(), CommError> {
         let Some(addr) = addr else { continue };
         let mut conn =
             connect(family, addr).map_err(|e| io_err(rank, peer, "connect to peer", e))?;
-        let mut shake = Vec::with_capacity(9);
-        shake.extend_from_slice(&HANDSHAKE_MAGIC.to_le_bytes());
-        shake.push(WIRE_VERSION);
-        shake.extend_from_slice(&(rank as u32).to_le_bytes());
-        conn.write_all(&shake)
+        conn.write_all(&encode_handshake(rank))
             .map_err(|e| io_err(rank, peer, "send handshake", e))?;
         spawn_reader(
             peer,
@@ -789,21 +779,11 @@ pub fn child_serve(registry: &[(&str, Workload)]) -> Result<(), CommError> {
     let first_detection = stats.first_detection_ns().unwrap_or(0);
     let mut ctl = connect(SocketFamily::Uds, &ctl_path)
         .map_err(|e| io_err(rank, usize::MAX, "reconnect control socket", e))?;
-    let mut msg = Vec::with_capacity(RESULT_HEADER_LEN + result.len());
-    msg.push(CTL_RESULT);
-    msg.extend_from_slice(&(rank as u32).to_le_bytes());
-    msg.extend_from_slice(&snapshot.to_bytes());
-    msg.extend_from_slice(&liveness.to_bytes());
-    msg.extend_from_slice(&first_detection.to_le_bytes());
-    msg.extend_from_slice(&result);
+    let msg = encode_result(rank, &snapshot, &liveness, first_detection, &result);
     write_frame(&mut ctl, &mut scratch, &msg)
         .map_err(|e| io_err(rank, usize::MAX, "send RESULT", e))?;
     Ok(())
 }
-
-/// Byte length of a RESULT frame before its payload: kind, rank, stats
-/// snapshot, liveness counters, first-detection timestamp.
-const RESULT_HEADER_LEN: usize = 1 + 4 + CommStatsSnapshot::WIRE_BYTES + LIVENESS_STATS_LEN + 8;
 
 fn spawn_reader(
     peer: usize,
@@ -842,23 +822,6 @@ fn spawn_reader(
     });
 }
 
-fn encode_rejoin(rank: usize, addr: &str) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(5 + addr.len());
-    msg.push(CTL_REJOIN);
-    msg.extend_from_slice(&(rank as u32).to_le_bytes());
-    msg.extend_from_slice(addr.as_bytes());
-    msg
-}
-
-fn decode_rejoin(msg: &[u8]) -> Option<(usize, String)> {
-    if msg.len() < 5 || msg[0] != CTL_REJOIN {
-        return None;
-    }
-    let rank = u32::from_le_bytes([msg[1], msg[2], msg[3], msg[4]]) as usize;
-    let addr = String::from_utf8(msg[5..].to_vec()).ok()?;
-    Some((rank, addr))
-}
-
 fn now_unix_ns() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -867,69 +830,164 @@ fn now_unix_ns() -> u64 {
 }
 
 fn read_handshake(rank: usize, conn: &mut Conn) -> Result<usize, CommError> {
-    let mut shake = [0u8; 9];
+    let mut shake = [0u8; HANDSHAKE_LEN];
     conn.read_exact(&mut shake)
         .map_err(|e| io_err(rank, usize::MAX, "read handshake", e))?;
-    let magic = u32::from_le_bytes([shake[0], shake[1], shake[2], shake[3]]);
-    if magic != HANDSHAKE_MAGIC || shake[4] != WIRE_VERSION {
+    let (magic, version, peer) = decode_handshake(&shake)
+        .map_err(|e| coord_err(format!("bad handshake on rank {rank}'s listener: {e}")))?;
+    if magic != HANDSHAKE_MAGIC || version != WIRE_VERSION {
         return Err(coord_err(format!(
-            "bad handshake on rank {rank}'s listener (magic {magic:#x}, version {})",
-            shake[4]
+            "bad handshake on rank {rank}'s listener (magic {magic:#x}, version {version})"
         )));
     }
-    Ok(u32::from_le_bytes([shake[5], shake[6], shake[7], shake[8]]) as usize)
+    Ok(peer)
 }
 
-fn decode_start(msg: &[u8]) -> Result<Vec<Option<String>>, CommError> {
-    let err = || coord_err("malformed START frame".to_string());
-    if msg.first() != Some(&CTL_START) {
-        return Err(err());
+// ---------------------------------------------------------------------------
+// Control-frame codec (DESIGN.md §5p). Decoders return `CodecError`; their
+// callers turn it into the coordinator's typed `CommError`.
+// ---------------------------------------------------------------------------
+
+/// Byte length of a data-mesh handshake: magic, version, rank.
+const HANDSHAKE_LEN: usize = 4 + 1 + 4;
+
+fn encode_handshake(rank: usize) -> Vec<u8> {
+    let mut shake = Vec::with_capacity(HANDSHAKE_LEN);
+    shake.put_u32(HANDSHAKE_MAGIC);
+    shake.push(WIRE_VERSION);
+    shake.put_u32(rank as u32);
+    shake
+}
+
+/// `(magic, version, rank)` of a handshake.
+fn decode_handshake(shake: &[u8]) -> Result<(u32, u8, usize), CodecError> {
+    let mut r = Reader::new(shake);
+    let fields = (r.u32()?, r.u8()?, r.u32()? as usize);
+    r.finish()?;
+    Ok(fields)
+}
+
+/// A reader past the kind byte of a control frame that must be `kind`.
+fn ctl_reader(msg: &[u8], kind: u8) -> Result<Reader<'_>, CodecError> {
+    let mut r = Reader::new(msg);
+    match r.u8()? {
+        k if k == kind => Ok(r),
+        got => Err(CodecError::BadKind { got }),
     }
-    let mut at = 1usize;
-    let take = |at: &mut usize, n: usize| -> Result<Vec<u8>, CommError> {
-        let end = at.checked_add(n).ok_or_else(err)?;
-        if end > msg.len() {
-            return Err(err());
-        }
-        let bytes = msg[*at..end].to_vec();
-        *at = end;
-        Ok(bytes)
-    };
-    let count_bytes = take(&mut at, 4)?;
-    let count = u32::from_le_bytes([
-        count_bytes[0],
-        count_bytes[1],
-        count_bytes[2],
-        count_bytes[3],
-    ]) as usize;
-    let mut addrs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len_bytes = take(&mut at, 4)?;
-        let len =
-            u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-        if len == 0 {
-            addrs.push(None);
-            continue;
-        }
-        let addr = take(&mut at, len)?;
-        addrs.push(Some(String::from_utf8(addr).map_err(|_| err())?));
-    }
-    Ok(addrs)
+}
+
+/// A control frame of kind `kind` followed by a `u32` rank; returns the rank
+/// and a reader over the rest.
+fn decode_ranked(msg: &[u8], kind: u8) -> Result<(usize, Reader<'_>), CodecError> {
+    let mut r = ctl_reader(msg, kind)?;
+    Ok((r.u32()? as usize, r))
+}
+
+fn encode_ranked(kind: u8, rank: usize, rest: &[u8]) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(5 + rest.len());
+    msg.push(kind);
+    msg.put_u32(rank as u32);
+    msg.extend_from_slice(rest);
+    msg
+}
+
+fn encode_hello(rank: usize, addr: &str) -> Vec<u8> {
+    encode_ranked(CTL_HELLO, rank, addr.as_bytes())
+}
+
+fn decode_hello(msg: &[u8]) -> Result<(usize, String), CommError> {
+    let (rank, r) = decode_ranked(msg, CTL_HELLO)
+        .map_err(|_| coord_err("malformed HELLO frame".to_string()))?;
+    let addr = String::from_utf8(r.rest().to_vec())
+        .map_err(|_| coord_err("non-UTF-8 mesh address in HELLO".to_string()))?;
+    Ok((rank, addr))
+}
+
+fn encode_rejoin(rank: usize, addr: &str) -> Vec<u8> {
+    encode_ranked(CTL_REJOIN, rank, addr.as_bytes())
+}
+
+fn decode_rejoin(msg: &[u8]) -> Option<(usize, String)> {
+    let (rank, r) = decode_ranked(msg, CTL_REJOIN).ok()?;
+    let addr = String::from_utf8(r.rest().to_vec()).ok()?;
+    Some((rank, addr))
+}
+
+fn encode_point(idx: u64) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(9);
+    msg.push(CTL_POINT);
+    msg.put_u64(idx);
+    msg
+}
+
+fn decode_point(msg: &[u8]) -> Result<u64, CodecError> {
+    let mut r = ctl_reader(msg, CTL_POINT)?;
+    let idx = r.u64()?;
+    r.finish()?;
+    Ok(idx)
 }
 
 fn encode_start(addrs: &[Option<String>]) -> Vec<u8> {
     let mut msg = vec![CTL_START];
-    msg.extend_from_slice(&(addrs.len() as u32).to_le_bytes());
+    msg.put_u32(addrs.len() as u32);
     for addr in addrs {
-        match addr {
-            Some(a) => {
-                msg.extend_from_slice(&(a.len() as u32).to_le_bytes());
-                msg.extend_from_slice(a.as_bytes());
-            }
-            None => msg.extend_from_slice(&0u32.to_le_bytes()),
-        }
+        let addr = addr.as_deref().unwrap_or("");
+        msg.put_u32(addr.len() as u32);
+        msg.extend_from_slice(addr.as_bytes());
     }
     msg
+}
+
+fn decode_start(msg: &[u8]) -> Result<Vec<Option<String>>, CommError> {
+    let err = || coord_err("malformed START frame".to_string());
+    let mut r = ctl_reader(msg, CTL_START).map_err(|_| err())?;
+    // Each address costs at least its u32 length.
+    let count = r
+        .u32()
+        .and_then(|c| r.count(c as u64, 4))
+        .map_err(|_| err())?;
+    let mut addrs = Vec::with_capacity(count);
+    for _ in 0..count {
+        let len = r.u32().map_err(|_| err())? as usize;
+        let addr = r.bytes(len).map_err(|_| err())?;
+        addrs.push(match len {
+            0 => None,
+            _ => Some(String::from_utf8(addr.to_vec()).map_err(|_| err())?),
+        });
+    }
+    r.finish().map_err(|_| err())?;
+    Ok(addrs)
+}
+
+/// Byte length of a RESULT frame before its payload: kind, rank, stats
+/// snapshot, liveness counters, first-detection timestamp.
+const RESULT_HEADER_LEN: usize = 1 + 4 + CommStatsSnapshot::WIRE_BYTES + LIVENESS_STATS_LEN + 8;
+
+/// A decoded RESULT frame: rank, stats, liveness, first detection, payload.
+type ResultFrame<'a> = (usize, CommStatsSnapshot, LivenessStats, u64, &'a [u8]);
+
+fn encode_result(
+    rank: usize,
+    stats: &CommStatsSnapshot,
+    liveness: &LivenessStats,
+    first_detection_ns: u64,
+    payload: &[u8],
+) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(RESULT_HEADER_LEN + payload.len());
+    msg.push(CTL_RESULT);
+    msg.put_u32(rank as u32);
+    msg.extend_from_slice(&stats.to_bytes());
+    msg.extend_from_slice(&liveness.to_bytes());
+    msg.put_u64(first_detection_ns);
+    msg.extend_from_slice(payload);
+    msg
+}
+
+fn decode_result(msg: &[u8]) -> Result<ResultFrame<'_>, CodecError> {
+    let (rank, mut r) = decode_ranked(msg, CTL_RESULT)?;
+    let stats = CommStatsSnapshot::decode(&mut r)?;
+    let liveness = LivenessStats::decode(&mut r)?;
+    Ok((rank, stats, liveness, r.u64()?, r.rest()))
 }
 
 // ---------------------------------------------------------------------------
@@ -1369,27 +1427,17 @@ struct ResultSink {
 }
 
 fn absorb_result(sink: &mut ResultSink, msg: &[u8], p: usize) -> Result<(), CommError> {
-    if msg.len() < RESULT_HEADER_LEN {
-        return Err(coord_err("short RESULT frame".to_string()));
-    }
-    let rank = u32::from_le_bytes([msg[1], msg[2], msg[3], msg[4]]) as usize;
+    let (rank, stats, liveness, detect, payload) =
+        decode_result(msg).map_err(|_| coord_err("short RESULT frame".to_string()))?;
     if rank >= p || sink.results[rank].is_some() {
         return Err(coord_err(format!("unexpected RESULT from rank {rank}")));
     }
-    let snap_end = 5 + CommStatsSnapshot::WIRE_BYTES;
-    let snap = CommStatsSnapshot::from_bytes(&msg[5..snap_end])
-        .map_err(|e| coord_err(format!("undecodable stats snapshot from rank {rank}: {e}")))?;
-    let liv_end = snap_end + LIVENESS_STATS_LEN;
-    let liv = LivenessStats::from_bytes(&msg[snap_end..liv_end])
-        .ok_or_else(|| coord_err(format!("undecodable liveness stats from rank {rank}")))?;
-    // lcc-lint: allow(unwrap) — fixed-width slice of a length-checked frame.
-    let detect = u64::from_le_bytes(msg[liv_end..liv_end + 8].try_into().expect("8 bytes"));
-    sink.stats.add_snapshot(&snap);
-    sink.liveness.add(&liv);
+    sink.stats.add_snapshot(&stats);
+    sink.liveness.add(&liveness);
     if detect != 0 {
         sink.detect_min = Some(sink.detect_min.map_or(detect, |d| d.min(detect)));
     }
-    sink.results[rank] = Some(msg[RESULT_HEADER_LEN..].to_vec());
+    sink.results[rank] = Some(payload.to_vec());
     Ok(())
 }
 
@@ -1607,9 +1655,9 @@ fn serve_control(
             }
         };
         match msg.first() {
-            Some(&CTL_POINT) if msg.len() == 9 => {
-                // lcc-lint: allow(unwrap) — msg.len() == 9 checked by the arm guard.
-                let gate = u64::from_le_bytes(msg[1..9].try_into().expect("8 bytes"));
+            Some(&CTL_POINT) => {
+                let gate = decode_point(&msg)
+                    .map_err(|_| coord_err("unknown control message".to_string()))?;
                 let planned_kill = cfg.plan.kill_point(from) == Some(gate)
                     && !ctl.killed_points.contains(&(from, gate));
                 if planned_kill {
@@ -1670,16 +1718,6 @@ fn serve_control(
     })
 }
 
-fn decode_hello(msg: &[u8]) -> Result<(usize, String), CommError> {
-    if msg.len() < 5 || msg[0] != CTL_HELLO {
-        return Err(coord_err("malformed HELLO frame".to_string()));
-    }
-    let rank = u32::from_le_bytes([msg[1], msg[2], msg[3], msg[4]]) as usize;
-    let addr = String::from_utf8(msg[5..].to_vec())
-        .map_err(|_| coord_err("non-UTF-8 mesh address in HELLO".to_string()))?;
-    Ok((rank, addr))
-}
-
 fn spawn_control_reader(rank: usize, mut reader: Conn, tx: mpsc::Sender<(usize, Vec<u8>)>) {
     std::thread::spawn(move || {
         while let Ok(Some(msg)) = read_frame(&mut reader) {
@@ -1717,6 +1755,122 @@ mod tests {
             decode_start(&[0x42]),
             Err(CommError::Transport { .. })
         ));
+    }
+
+    #[test]
+    fn forged_start_count_is_a_typed_error() {
+        // Five bytes claiming u32::MAX addresses: the count is checked
+        // against the bytes behind it before anything is reserved.
+        assert!(matches!(
+            decode_start(&[CTL_START, 0xFF, 0xFF, 0xFF, 0xFF]),
+            Err(CommError::Transport { .. })
+        ));
+    }
+
+    fn snapshot() -> CommStatsSnapshot {
+        CommStatsSnapshot {
+            bytes_sent: 1,
+            messages: 2,
+            collective_rounds: 3,
+            retransmits: 4,
+            duplicates_suppressed: 5,
+            timeouts: 6,
+            bytes_physical: 7,
+            messages_physical: 8,
+            acks: 9,
+        }
+    }
+
+    fn liveness() -> LivenessStats {
+        LivenessStats {
+            heartbeats_sent: 1,
+            heartbeats_received: 2,
+            hard_evidence: 3,
+            suspicions: 4,
+            deaths_detected: 5,
+            rejoins: 6,
+        }
+    }
+
+    #[test]
+    fn control_frame_goldens() {
+        use lcc_obs::codec::hex;
+        assert_eq!(hex(&encode_handshake(3)), "5443434c0103000000");
+        let addrs = [Some("/a".to_string()), None];
+        assert_eq!(hex(&encode_start(&addrs)), "1102000000020000002f6100000000");
+        assert_eq!(hex(&encode_hello(2, "/x")), "10020000002f78");
+        assert_eq!(hex(&encode_rejoin(7, "/r")), "19070000002f72");
+        assert_eq!(
+            hex(&encode_result(1, &snapshot(), &liveness(), 42, &[0xee])),
+            "160100000001000000000000000200000000000000030000000000000004000000\
+             000000000500000000000000060000000000000007000000000000000800000000\
+             000000090000000000000001000000000000000200000000000000030000000000\
+             0000040000000000000005000000000000000600000000000000\
+             2a00000000000000ee"
+        );
+        assert_eq!(hex(&encode_point(6)), "170600000000000000");
+    }
+
+    /// Every strict prefix of `valid`, each 4- and 8-byte window forged to
+    /// all ones, and seeded random strings must decode to an error or to a
+    /// value that `reencode`s to exactly the input (as in
+    /// `tests/codec_hostile.rs`).
+    fn assert_decoder_total<E>(valid: &[u8], reencode: impl Fn(&[u8]) -> Result<Vec<u8>, E>) {
+        let mut inputs: Vec<Vec<u8>> = (0..valid.len()).map(|n| valid[..n].to_vec()).collect();
+        for width in [4, 8] {
+            for at in 0..(valid.len() + 1).saturating_sub(width) {
+                let mut forged = valid.to_vec();
+                forged[at..at + width].fill(0xFF);
+                inputs.push(forged);
+            }
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for case in 0..256u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(case);
+            let first =
+                [CTL_START, CTL_HELLO, CTL_REJOIN, CTL_POINT, CTL_RESULT][case as usize % 5];
+            let tail = (0..case % 61).map(|i| (state >> (i % 8 * 8)) as u8);
+            inputs.push(std::iter::once(first).chain(tail).collect());
+        }
+        for input in inputs {
+            if let Ok(again) = reencode(&input) {
+                assert_eq!(again, input, "decoded to another encoding");
+            }
+        }
+    }
+
+    #[test]
+    fn control_decoders_are_total_on_hostile_input() {
+        assert_decoder_total(&encode_handshake(3), |b| {
+            decode_handshake(b).map(|(magic, version, rank)| {
+                let mut shake = Vec::new();
+                shake.put_u32(magic);
+                shake.push(version);
+                shake.put_u32(rank as u32);
+                shake
+            })
+        });
+        let addrs = [Some("/a".to_string()), None];
+        assert_decoder_total(&encode_start(&addrs), |b| {
+            decode_start(b).map(|a| encode_start(&a))
+        });
+        assert_decoder_total(&encode_hello(2, "/x"), |b| {
+            decode_hello(b).map(|(rank, addr)| encode_hello(rank, &addr))
+        });
+        assert_decoder_total(&encode_rejoin(7, "/r"), |b| {
+            decode_rejoin(b)
+                .map(|(rank, addr)| encode_rejoin(rank, &addr))
+                .ok_or(())
+        });
+        assert_decoder_total(&encode_point(6), |b| decode_point(b).map(encode_point));
+        let result = encode_result(1, &snapshot(), &liveness(), 42, &[0xee]);
+        assert_decoder_total(&result, |b| {
+            decode_result(b).map(|(rank, stats, liveness, detect, payload)| {
+                encode_result(rank, &stats, &liveness, detect, payload)
+            })
+        });
     }
 
     #[test]

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use lcc_comm::{
     decode_complex, decode_f64s, encode_complex, encode_f64s, run_cluster, run_cluster_with_faults,
-    try_decode_complex, try_decode_f64s, AlphaBeta, CommStats, FaultPlan, RetryPolicy,
+    try_decode_complex, try_decode_f64s, AlphaBeta, CodecError, CommStats, FaultPlan, RetryPolicy,
 };
 use lcc_fft::c64;
 
@@ -109,8 +109,7 @@ proptest! {
         let mut ragged = bytes;
         ragged.extend(vec![0u8; cut]);
         let err = try_decode_f64s(&ragged).unwrap_err();
-        prop_assert_eq!(err.len, ragged.len());
-        prop_assert_eq!(err.elem_size, 8);
+        prop_assert_eq!(err, CodecError::Truncated { len: ragged.len(), expected: 8 });
     }
 
     /// Same for the complex codec (16-byte elements).
@@ -128,8 +127,7 @@ proptest! {
         let mut ragged = bytes;
         ragged.extend(vec![0u8; cut]);
         let err = try_decode_complex(&ragged).unwrap_err();
-        prop_assert_eq!(err.len, ragged.len());
-        prop_assert_eq!(err.elem_size, 16);
+        prop_assert_eq!(err, CodecError::Truncated { len: ragged.len(), expected: 16 });
     }
 }
 

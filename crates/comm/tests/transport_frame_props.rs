@@ -7,7 +7,7 @@
 //! 1. Every encoder/decoder pair round-trips every input (data frames with
 //!    arbitrary seq/attempt/payload, acks with arbitrary seq/k, epoch
 //!    headers nested inside data payloads).
-//! 2. Truncated or corrupt input is a *typed* [`FrameDecodeError`] (and a
+//! 2. Truncated or corrupt input is a *typed* [`CodecError`] (and a
 //!    typed [`CommError::Decode`] through `decode_for`) — never a panic.
 //! 3. The decoders are total: arbitrary byte soup decodes or errors, and
 //!    anything that decodes re-encodes to the exact original bytes (the
@@ -19,10 +19,10 @@ use proptest::prelude::*;
 
 use lcc_comm::transport::frame::{
     decode_epoch, decode_for, decode_owned, decode_view, encode_ack, encode_data, encode_epoch,
-    encode_heartbeat, FrameDecodeError, WireFrame, WireFrameView, ACK_FRAME_LEN, DATA_HEADER,
-    EPOCH_HEADER, KIND_ACK, KIND_DATA, KIND_HEARTBEAT,
+    encode_heartbeat, WireFrame, WireFrameView, ACK_FRAME_LEN, DATA_HEADER, EPOCH_HEADER, KIND_ACK,
+    KIND_DATA, KIND_HEARTBEAT,
 };
-use lcc_comm::{CommError, FaultPlan, RetryPolicy};
+use lcc_comm::{CodecError, CommError, FaultPlan, RetryPolicy};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -95,7 +95,7 @@ proptest! {
         bytes.truncate(keep);
         prop_assert_eq!(
             decode_view(&bytes),
-            Err(FrameDecodeError { len: keep, expected: DATA_HEADER })
+            Err(CodecError::Truncated { len: keep, expected: DATA_HEADER })
         );
     }
 
@@ -122,8 +122,7 @@ proptest! {
                 )))
             }
         };
-        prop_assert_eq!(err.len, bytes.len());
-        prop_assert_eq!(err.expected, ACK_FRAME_LEN);
+        prop_assert_eq!(err, CodecError::Truncated { len: bytes.len(), expected: ACK_FRAME_LEN });
     }
 
     /// Decoding is total over arbitrary byte soup: it never panics, and
@@ -146,7 +145,8 @@ proptest! {
                 prop_assert_eq!(bytes[0], KIND_HEARTBEAT);
                 prop_assert_eq!(encode_heartbeat(beat).to_vec(), bytes.clone());
             }
-            Err(e) => prop_assert_eq!(e.len, bytes.len()),
+            Err(CodecError::Truncated { len, .. }) => prop_assert_eq!(len, bytes.len()),
+            Err(e) => prop_assert!(false, "frame error of another kind: {:?}", e),
         }
         // The owning decoder agrees with the view decoder on every input.
         let view_ok = decode_view(&bytes).is_ok();

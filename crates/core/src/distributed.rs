@@ -32,6 +32,7 @@ use std::collections::BTreeMap;
 use lcc_comm::{ClusterView, CommError, CommWorld};
 use lcc_greens::KernelSpectrum;
 use lcc_grid::{decompose_uniform, BoxRegion, Grid3};
+use lcc_obs::codec::{Reader, Writer};
 use lcc_octree::{CompressedField, RegionPayload};
 
 use crate::lowcomm::{ConvolveReport, LowCommConvolver};
@@ -213,16 +214,13 @@ impl ConvolveSession<'_> {
         fields: impl IntoIterator<Item = (usize, &'f CompressedField)>,
         region: &BoxRegion,
     ) -> Vec<u8> {
-        let mut frame = vec![0u8; 8];
-        let mut count = 0u64;
+        let fields: Vec<_> = fields.into_iter().collect();
+        let mut frame = Vec::new();
+        frame.put_u64(fields.len() as u64);
         for (id, f) in fields {
-            frame.extend_from_slice(&(id as u64).to_le_bytes());
-            for v in f.region_payload(region).samples {
-                frame.extend_from_slice(&v.to_le_bytes());
-            }
-            count += 1;
+            frame.put_u64(id as u64);
+            frame.put_f64s(&f.region_payload(region).samples);
         }
-        frame[..8].copy_from_slice(&count.to_le_bytes());
         frame
     }
 
@@ -249,13 +247,11 @@ impl ConvolveSession<'_> {
             len: frame.len(),
             elem_size: 8,
         };
-        let mut words = frame
-            .chunks_exact(8)
-            .map(|c| <[u8; 8]>::try_from(c).unwrap_or_default());
-        let count = u64::from_le_bytes(words.next().ok_or_else(malformed)?);
+        let mut r = Reader::new(frame);
+        let count = r.u64().map_err(|_| malformed())?;
         let mut out: Vec<(usize, CompressedField)> = Vec::new();
         for _ in 0..count {
-            let raw = u64::from_le_bytes(words.next().ok_or_else(malformed)?);
+            let raw = r.u64().map_err(|_| malformed())?;
             let id = usize::try_from(raw).unwrap_or(usize::MAX);
             let repeated = out.last().is_some_and(|&(last, _)| last >= id);
             if id >= domains.len() || !expected(id) || repeated {
@@ -267,16 +263,39 @@ impl ConvolveSession<'_> {
             let len = cells.iter().map(|&c| plan.cells()[c].sample_count()).sum();
             let payload = RegionPayload {
                 cells: cells.into_iter().map(|c| c as u32).collect(),
-                // A frame that ends early leaves this short of `len`.
-                samples: words.by_ref().take(len).map(f64::from_le_bytes).collect(),
+                samples: r.f64s(len).map_err(|_| malformed())?,
             };
             let field = CompressedField::try_from_region_payload(plan, &payload);
             out.push((id, field.map_err(|_| malformed())?));
         }
-        // Whole words left over, or a ragged tail `chunks_exact` skipped.
-        if words.next().is_some() || !frame.len().is_multiple_of(8) {
-            return Err(malformed());
-        }
+        r.finish().map_err(|_| malformed())?;
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use lcc_greens::GaussianKernel;
+    use lcc_obs::codec::{fnv1a64, hex};
+
+    use super::*;
+    use crate::LowCommConfig;
+
+    #[test]
+    fn exchange_frame_golden() {
+        let (n, k) = (16, 8);
+        let conv = LowCommConvolver::new(LowCommConfig::paper_default(n, k, 8));
+        let kernel = GaussianKernel::new(n, 1.0);
+        let mut input = Grid3::zeros((n, n, n));
+        input[(1, 1, 9)] = 1.0;
+        let region = Deployment::replicated(n, k, 2).region(0);
+        let session = conv.session(ConvolveMode::Normal);
+        let domain = decompose_uniform(n, k)[1];
+        let field = session.compress_domain(&input, &domain, &kernel);
+        let frame = session.encode_frame([(1, field.as_ref().expect("nonzero"))], &region);
+        // 7 696 bytes: pinned by length, digest and the count/id header.
+        assert_eq!(frame.len(), 7696);
+        assert_eq!(fnv1a64(&frame), 0xc505_e7bc_db6f_d4b1);
+        assert_eq!(hex(&frame[..16]), "01000000000000000100000000000000");
     }
 }

@@ -24,6 +24,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use lcc_grid::Grid3;
+use lcc_obs::codec::{fnv1a64, CodecError, Reader, Writer};
+
 use crate::fields::TensorField;
 
 /// File magic, first 8 bytes of every checkpoint.
@@ -146,14 +149,12 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A read past a length [`check`] already validated cannot run short; the
+/// cursor's error still maps to a typed one rather than a panic.
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        CheckpointError::Malformed(e.to_string())
     }
-    h
 }
 
 fn encode(chk: &Checkpoint) -> Vec<u8> {
@@ -163,50 +164,40 @@ fn encode(chk: &Checkpoint) -> Vec<u8> {
         HEADER_BYTES + 8 * chk.residuals.len() + 8 * strain_len + CHECKSUM_BYTES,
     );
     buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(chk.iteration as u64).to_le_bytes());
-    buf.extend_from_slice(&(chk.residuals.len() as u64).to_le_bytes());
-    for r in &chk.residuals {
-        buf.extend_from_slice(&r.to_le_bytes());
-    }
+    buf.put_u32(VERSION);
+    buf.put_u64(n as u64);
+    buf.put_u64(chk.iteration as u64);
+    buf.put_u64(chk.residuals.len() as u64);
+    buf.put_f64s(&chk.residuals);
     for c in 0..6 {
-        for v in chk.strain.component(c).as_slice() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        buf.put_f64s(chk.strain.component(c).as_slice());
     }
     let digest = fnv1a64(&buf);
-    buf.extend_from_slice(&digest.to_le_bytes());
+    buf.put_u64(digest);
     buf
 }
 
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
 /// Parses and checks everything up to (but not including) field
-/// materialization; returns the header plus the offset of the residuals.
-fn check(bytes: &[u8]) -> Result<(CheckpointInfo, usize), CheckpointError> {
+/// materialization; returns the header, the residual count and a cursor at
+/// the residuals.
+fn check(bytes: &[u8]) -> Result<(CheckpointInfo, usize, Reader<'_>), CheckpointError> {
     if bytes.len() < HEADER_BYTES + CHECKSUM_BYTES {
         return Err(CheckpointError::Truncated {
             expected: HEADER_BYTES + CHECKSUM_BYTES,
             got: bytes.len(),
         });
     }
-    if bytes[..8] != MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.bytes(MAGIC.len())? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let mut vb = [0u8; 4];
-    vb.copy_from_slice(&bytes[8..12]);
-    let version = u32::from_le_bytes(vb);
+    let version = r.u32()?;
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let n = read_u64(bytes, 12) as usize;
-    let iteration = read_u64(bytes, 20) as usize;
-    let nres = read_u64(bytes, 28) as usize;
+    let n = r.u64()? as usize;
+    let iteration = r.u64()? as usize;
+    let nres = r.u64()? as usize;
     let strain_len = n
         .checked_mul(n)
         .and_then(|m| m.checked_mul(n))
@@ -214,7 +205,7 @@ fn check(bytes: &[u8]) -> Result<(CheckpointInfo, usize), CheckpointError> {
         .ok_or_else(|| CheckpointError::Malformed(format!("grid size {n} overflows")))?;
     let expected = nres
         .checked_mul(8)
-        .and_then(|b| b.checked_add(strain_len * 8))
+        .and_then(|b| b.checked_add(strain_len.checked_mul(8)?))
         .and_then(|b| b.checked_add(HEADER_BYTES + CHECKSUM_BYTES))
         .ok_or_else(|| CheckpointError::Malformed("payload length overflows".into()))?;
     if bytes.len() != expected {
@@ -224,7 +215,7 @@ fn check(bytes: &[u8]) -> Result<(CheckpointInfo, usize), CheckpointError> {
         });
     }
     let body = bytes.len() - CHECKSUM_BYTES;
-    let stored = read_u64(bytes, body);
+    let stored = Reader::new(&bytes[body..]).u64()?;
     let computed = fnv1a64(&bytes[..body]);
     if stored != computed {
         return Err(CheckpointError::ChecksumMismatch { stored, computed });
@@ -235,28 +226,24 @@ fn check(bytes: &[u8]) -> Result<(CheckpointInfo, usize), CheckpointError> {
             n,
             iteration,
         },
-        HEADER_BYTES,
+        nres,
+        r,
     ))
 }
 
 fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    let (info, mut at) = check(bytes)?;
+    let (info, nres, mut r) = check(bytes)?;
     let n = info.n;
-    let nres = read_u64(bytes, 28) as usize;
-    let mut residuals = Vec::with_capacity(nres);
-    for _ in 0..nres {
-        residuals.push(f64::from_le_bytes(
-            bytes[at..at + 8].try_into().expect("length checked"),
-        ));
-        at += 8;
-    }
-    let mut strain = TensorField::zeros(n);
-    for c in 0..6 {
-        for v in strain.component_mut(c).as_mut_slice() {
-            *v = f64::from_le_bytes(bytes[at..at + 8].try_into().expect("length checked"));
-            at += 8;
-        }
-    }
+    let residuals = r.f64s(nres)?;
+    let component = |r: &mut Reader<'_>| r.f64s(n * n * n).map(|v| Grid3::from_vec((n, n, n), v));
+    let strain = TensorField::from_components([
+        component(&mut r)?,
+        component(&mut r)?,
+        component(&mut r)?,
+        component(&mut r)?,
+        component(&mut r)?,
+        component(&mut r)?,
+    ]);
     Ok(Checkpoint {
         n,
         iteration: info.iteration,
@@ -289,7 +276,7 @@ pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
 /// Verifies a checkpoint (magic, version, length, checksum) without
 /// materializing the strain field; returns its header summary.
 pub fn validate(path: &Path) -> Result<CheckpointInfo, CheckpointError> {
-    check(&fs::read(path)?).map(|(info, _)| info)
+    check(&fs::read(path)?).map(|(info, ..)| info)
 }
 
 #[cfg(test)]
@@ -404,6 +391,28 @@ mod tests {
             Err(CheckpointError::ChecksumMismatch { .. })
         ));
         fs::remove_file(&path).ok();
+    }
+
+    fn tiny() -> Checkpoint {
+        let mut strain = TensorField::zeros(1);
+        strain.set(0, 0, 0, Sym3::new(1.0, 2.0, 3.0, 4.0, 5.0, 6.0));
+        Checkpoint {
+            n: 1,
+            iteration: 3,
+            residuals: vec![0.5],
+            strain,
+        }
+    }
+
+    #[test]
+    fn checkpoint_golden() {
+        assert_eq!(
+            lcc_obs::codec::hex(&encode(&tiny())),
+            "4c43434d434b5054010000000100000000000000030000000000000001000000\
+            00000000000000000000e03f000000000000f03f000000000000004000000000\
+            00000840000000000000104000000000000014400000000000001840d86ca77a\
+            b5c4854f"
+        );
     }
 
     #[test]

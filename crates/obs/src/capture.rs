@@ -17,12 +17,15 @@
 //!          u32 thread, i32 rank, u64 epoch
 //! ```
 //!
-//! All integers little-endian. Span and instrument names are pooled in one
-//! table so repeated spans cost 4 bytes of name reference, not a string.
+//! All integers little-endian, written and read through [`crate::codec`]:
+//! a count is checked against the bytes behind it before anything is
+//! reserved for it. Span and instrument names are pooled in one table so
+//! repeated spans cost 4 bytes of name reference, not a string.
 
 use std::io::{Read, Write};
 use std::path::Path;
 
+use crate::codec::{CodecError, Reader, Writer};
 use crate::session::ObsReport;
 use crate::span::{intern, SpanRecord};
 
@@ -72,47 +75,18 @@ impl From<std::io::Error> for ObsError {
     }
 }
 
-/// Cursor over a capture byte stream with typed underflow errors.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ObsError> {
-        let end = self.pos.checked_add(n).ok_or(ObsError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(ObsError::Truncated);
+impl From<CodecError> for ObsError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { .. } => ObsError::Truncated,
+            other => ObsError::Malformed(other.to_string()),
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, ObsError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn i32(&mut self) -> Result<i32, ObsError> {
-        Ok(self.u32()? as i32)
-    }
-
-    fn u64(&mut self) -> Result<u64, ObsError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// Bytes of one span record: name index, id, parent, start, duration,
+/// thread, rank, epoch.
+const SPAN_RECORD: usize = 4 + 8 * 4 + 4 + 4 + 8;
 
 /// Index of `name` in the pool, appending it on first sight.
 fn name_idx(pool: &mut Vec<String>, name: &str) -> u32 {
@@ -145,41 +119,41 @@ impl ObsReport {
 
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u64(&mut out, self.wall_ns);
-        put_u32(&mut out, names.len() as u32);
+        out.put_u32(VERSION);
+        out.put_u64(self.wall_ns);
+        out.put_u32(names.len() as u32);
         for n in &names {
-            put_u32(&mut out, n.len() as u32);
+            out.put_u32(n.len() as u32);
             out.extend_from_slice(n.as_bytes());
         }
-        put_u32(&mut out, self.counters.len() as u32);
+        out.put_u32(self.counters.len() as u32);
         for (i, (_, v)) in self.counters.iter().enumerate() {
-            put_u32(&mut out, counter_idx[i]);
-            put_u64(&mut out, *v);
+            out.put_u32(counter_idx[i]);
+            out.put_u64(*v);
         }
-        put_u32(&mut out, self.gauges.len() as u32);
+        out.put_u32(self.gauges.len() as u32);
         for (i, (_, v)) in self.gauges.iter().enumerate() {
-            put_u32(&mut out, gauge_idx[i]);
-            put_u64(&mut out, v.to_bits());
+            out.put_u32(gauge_idx[i]);
+            out.put_f64(*v);
         }
-        put_u64(&mut out, self.spans.len() as u64);
+        out.put_u64(self.spans.len() as u64);
         for (i, s) in self.spans.iter().enumerate() {
-            put_u32(&mut out, span_idx[i]);
-            put_u64(&mut out, s.id);
-            put_u64(&mut out, s.parent);
-            put_u64(&mut out, s.start_ns);
-            put_u64(&mut out, s.dur_ns);
-            put_u32(&mut out, s.thread);
-            put_u32(&mut out, s.rank as u32);
-            put_u64(&mut out, s.epoch);
+            out.put_u32(span_idx[i]);
+            out.put_u64(s.id);
+            out.put_u64(s.parent);
+            out.put_u64(s.start_ns);
+            out.put_u64(s.dur_ns);
+            out.put_u32(s.thread);
+            out.put_u32(s.rank as u32);
+            out.put_u64(s.epoch);
         }
         out
     }
 
     /// Parses a capture produced by [`to_bytes`](ObsReport::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<ObsReport, ObsError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(8)? != MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.bytes(MAGIC.len())? != MAGIC {
             return Err(ObsError::BadMagic);
         }
         let version = r.u32()?;
@@ -188,11 +162,13 @@ impl ObsReport {
         }
         let wall_ns = r.u64()?;
 
-        let n_names = r.u32()? as usize;
+        // Each name costs at least its u32 length.
+        let n_names = r.u32()? as u64;
+        let n_names = r.count(n_names, 4)?;
         let mut names: Vec<&'static str> = Vec::with_capacity(n_names);
         for _ in 0..n_names {
             let len = r.u32()? as usize;
-            let raw = r.take(len)?;
+            let raw = r.bytes(len)?;
             let s = std::str::from_utf8(raw)
                 .map_err(|_| ObsError::Malformed("non-UTF-8 name".to_string()))?;
             names.push(intern(s));
@@ -204,20 +180,23 @@ impl ObsReport {
                 .ok_or_else(|| ObsError::Malformed(format!("name index {idx} out of range")))
         };
 
-        let n_counters = r.u32()? as usize;
+        let n_counters = r.u32()? as u64;
+        let n_counters = r.count(n_counters, 4 + 8)?;
         let mut counters = Vec::with_capacity(n_counters);
         for _ in 0..n_counters {
             let name = lookup(r.u32()?)?;
             counters.push((name.to_string(), r.u64()?));
         }
-        let n_gauges = r.u32()? as usize;
+        let n_gauges = r.u32()? as u64;
+        let n_gauges = r.count(n_gauges, 4 + 8)?;
         let mut gauges = Vec::with_capacity(n_gauges);
         for _ in 0..n_gauges {
             let name = lookup(r.u32()?)?;
-            gauges.push((name.to_string(), f64::from_bits(r.u64()?)));
+            gauges.push((name.to_string(), r.f64()?));
         }
-        let n_spans = r.u64()? as usize;
-        let mut spans = Vec::with_capacity(n_spans.min(1 << 20));
+        let n_spans = r.u64()?;
+        let n_spans = r.count(n_spans, SPAN_RECORD)?;
+        let mut spans = Vec::with_capacity(n_spans);
         for _ in 0..n_spans {
             let name = lookup(r.u32()?)?;
             spans.push(SpanRecord {
@@ -227,7 +206,7 @@ impl ObsReport {
                 start_ns: r.u64()?,
                 dur_ns: r.u64()?,
                 thread: r.u32()?,
-                rank: r.i32()?,
+                rank: r.u32()? as i32,
                 epoch: r.u64()?,
             });
         }
@@ -321,6 +300,48 @@ mod tests {
             ObsReport::from_bytes(&bytes),
             Err(ObsError::UnsupportedVersion(99))
         ));
+    }
+
+    #[test]
+    fn capture_golden() {
+        assert_eq!(
+            crate::codec::hex(&sample_report().to_bytes()),
+            "4c43434f425300000100000039300000000000000500000012000000636f6d6d\
+            2e62797465735f6c6f676963616c13000000636f6d6d2e62797465735f706879\
+            736963616c0f0000006d61737369662e726573696475616c08000000636f6e76\
+            6f6c76650e0000007374616765325f70656e63696c7302000000000000000010\
+            000000000000010000000014000000000000010000000200000076830df4f521\
+            843e020000000000000003000000010000000000000000000000000000000a00\
+            000000000000f40100000000000000000000ffffffff00000000000000000400\
+            00000200000000000000010000000000000014000000000000002c0100000000\
+            000001000000030000000200000000000000"
+        );
+    }
+
+    #[test]
+    fn forged_counts_are_truncation_not_an_abort() {
+        // Magic, version 1, wall_ns 0, then each count in turn forged to
+        // its type's maximum with nothing behind it: the count is checked
+        // against the remaining bytes before anything is reserved.
+        let mut head = MAGIC.to_vec();
+        head.extend_from_slice(&[1, 0, 0, 0]);
+        head.extend_from_slice(&[0; 8]);
+        let zero = [0u8; 4];
+        let u32_max = [0xFF; 4];
+        let cases: [Vec<u8>; 4] = [
+            [head.as_slice(), &u32_max].concat(),
+            [head.as_slice(), &zero, &u32_max].concat(),
+            [head.as_slice(), &zero, &zero, &u32_max].concat(),
+            [head.as_slice(), &zero, &zero, &zero, &[0xFF; 8]].concat(),
+        ];
+        assert_eq!(cases[1].len(), 28, "the 28-byte capture of the report");
+        for bytes in cases {
+            assert!(
+                matches!(ObsReport::from_bytes(&bytes), Err(ObsError::Truncated)),
+                "{}",
+                crate::codec::hex(&bytes)
+            );
+        }
     }
 
     #[test]

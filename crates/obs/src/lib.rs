@@ -19,12 +19,19 @@
 //!   run can be dumped and re-rendered offline, plus a flamegraph-style
 //!   [`ObsReport::trace_tree`] text view.
 //!
+//! The crate also owns [`codec`], the workspace's one little-endian
+//! cursor/writer, typed [`codec::CodecError`] and FNV-1a: every byte format
+//! (transport frames, service messages, checkpoints, captures) reads and
+//! writes through it, because this zero-dependency leaf is the one crate
+//! every encoding crate already depends on (DESIGN.md §5p).
+//!
 //! Everything is inert until an [`ObsSession`] starts: with no session
 //! live, a span guard or counter add costs one relaxed atomic load and no
 //! allocation, which is what keeps the `exp_pipeline_perf` zero-alloc and
 //! bit-identity assertions true with instrumentation compiled in.
 
 pub mod capture;
+pub mod codec;
 pub mod metrics;
 pub mod session;
 pub mod span;

@@ -13,6 +13,7 @@
 //! face — so no probe-point heuristics are involved.
 
 use lcc_grid::BoxRegion;
+use lcc_obs::codec::{Reader, Writer};
 
 use crate::schedule::RateSchedule;
 
@@ -463,10 +464,10 @@ impl SamplingPlan {
         let mut out = Vec::with_capacity(self.cells.len() * 11);
         for c in &self.cells {
             for a in 0..3 {
-                out.extend_from_slice(&(c.corner[a] as u16).to_le_bytes());
+                out.put_u16(c.corner[a] as u16);
             }
             out.push(c.rate.trailing_zeros() as u8);
-            out.extend_from_slice(&(c.sample_count() as u32).to_le_bytes());
+            out.put_u32(c.sample_count() as u32);
         }
         out
     }
@@ -482,16 +483,15 @@ impl SamplingPlan {
         let mut cells = Vec::with_capacity(bytes.len() / 11);
         let mut cum = Vec::with_capacity(cells.capacity() + 1);
         let mut acc = 0u64;
-        for (i, rec) in bytes.chunks_exact(11).enumerate() {
-            let corner = [
-                u16::from_le_bytes([rec[0], rec[1]]) as usize,
-                u16::from_le_bytes([rec[2], rec[3]]) as usize,
-                u16::from_le_bytes([rec[4], rec[5]]) as usize,
-            ];
+        let mut r = Reader::new(bytes);
+        for i in 0..bytes.len() / 11 {
+            let mut field = || r.u16().map(usize::from).map_err(|e| e.to_string());
+            let corner = [field()?, field()?, field()?];
+            let log_rate = r.u8().map_err(|e| e.to_string())?;
             let rate = 1u32
-                .checked_shl(rec[6] as u32)
-                .ok_or_else(|| format!("cell {i}: rate 2^{} out of range", rec[6]))?;
-            let count = u32::from_le_bytes([rec[7], rec[8], rec[9], rec[10]]) as u64;
+                .checked_shl(log_rate as u32)
+                .ok_or_else(|| format!("cell {i}: rate 2^{log_rate} out of range"))?;
+            let count = r.u32().map_err(|e| e.to_string())? as u64;
             let spa =
                 integer_cbrt(count).ok_or_else(|| format!("sample count {count} is not a cube"))?;
             let cell = OctCell {
@@ -853,6 +853,20 @@ mod tests {
         for i in 0..plan.cells().len() {
             assert_eq!(decoded.cell_offset(i), plan.cell_offset(i));
         }
+    }
+
+    #[test]
+    fn packed_golden() {
+        let domain = BoxRegion::new([4; 3], [8; 3]);
+        let plan = SamplingPlan::build(16, domain, &RateSchedule::paper_default(4, 4));
+        let packed = plan.encode_packed();
+        // 64 cells of 11 bytes: pinned by length, digest and the first two.
+        assert_eq!(packed.len(), 704);
+        assert_eq!(lcc_obs::codec::fnv1a64(&packed), 0x1184_268a_4bdb_9bce);
+        assert_eq!(
+            lcc_obs::codec::hex(&packed[..22]),
+            "00000000000001080000000000000004000108000000"
+        );
     }
 
     #[test]

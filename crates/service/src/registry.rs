@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use lcc_obs::codec::fnv1a64_u64s;
 use lcc_obs::metrics as obs;
 use parking_lot::Mutex;
 
@@ -112,13 +113,7 @@ impl PlanRegistry {
 
     fn shard(&self, key: &PlanKey) -> &Mutex<HashMap<PlanKey, Cached>> {
         // FNV-1a over the key fields; the shard count is a power of two.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for part in [key.0 as u64, key.1 as u64, key.2 as u64, key.3] {
-            for byte in part.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+        let h = fnv1a64_u64s([key.0 as u64, key.1 as u64, key.2 as u64, key.3]);
         &self.shards[(h as usize) & (SHARDS - 1)]
     }
 

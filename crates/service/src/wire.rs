@@ -2,10 +2,10 @@
 //!
 //! The service speaks length-delimited binary messages in the style of
 //! `lcc_comm::transport::frame`: a fixed magic + version + kind header
-//! followed by a kind-specific body, every field little-endian, and every
-//! decoder total — truncated, corrupt, or inconsistent input comes back as
-//! a typed [`CodecError`], never a panic and never an attempted
-//! multi-gigabyte allocation. Anything that decodes re-encodes to the
+//! followed by a kind-specific body, every field little-endian through
+//! `lcc_obs::codec` (DESIGN.md §5p), and every decoder total — truncated,
+//! corrupt, or inconsistent input comes back as a typed [`CodecError`],
+//! never a panic and never an attempted multi-gigabyte allocation. Anything that decodes re-encodes to the
 //! exact original bytes (the layout is canonical), which the property
 //! suite in `crates/service/tests/wire_props.rs` pins alongside the
 //! round-trip and corruption contracts.
@@ -21,6 +21,9 @@
 //!   for checksum-only — the dense result field.
 //! * [`RejectNotice`] — a typed admission rejection carrying the
 //!   [`crate::ServiceError`] code and its detail values.
+
+pub use lcc_obs::codec::CodecError;
+use lcc_obs::codec::{fnv1a64_u64s, Reader, Writer};
 
 /// First magic byte of every service message (`'L'`).
 pub const MAGIC0: u8 = 0x4C;
@@ -195,98 +198,13 @@ pub enum WireMessage {
     Reject(RejectNotice),
 }
 
-/// Typed decode failure. Every malformed input maps to exactly one
-/// variant; none of them panic or allocate proportionally to corrupt
-/// length fields.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// The input was `len` bytes where the layout required `expected`
-    /// (minimum for truncation, exact for fixed-length messages).
-    Truncated { len: usize, expected: usize },
-    /// The first two bytes were not [`MAGIC0`], [`MAGIC1`].
-    BadMagic { got: [u8; 2] },
-    /// Unknown wire version.
-    BadVersion { got: u8 },
-    /// Unknown message kind byte.
-    BadKind { got: u8 },
-    /// An enum-like field held an unknown discriminant.
-    BadEnum { field: &'static str, got: u64 },
-    /// Two fields contradict each other (e.g. a dense sample count that is
-    /// not `n³`, or a delta coordinate outside the grid).
-    Inconsistent {
-        field: &'static str,
-        got: u64,
-        want: u64,
-    },
-    /// A count field implies a field larger than [`MAX_FIELD_CELLS`].
-    Oversize { cells: u64, max: u64 },
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated { len, expected } => {
-                write!(
-                    f,
-                    "undecodable {len}-byte message (layout requires {expected})"
-                )
-            }
-            CodecError::BadMagic { got } => {
-                write!(f, "bad magic {:#04x}{:02x}", got[0], got[1])
-            }
-            CodecError::BadVersion { got } => {
-                write!(f, "unknown wire version {got} (speaking {WIRE_VERSION})")
-            }
-            CodecError::BadKind { got } => write!(f, "unknown message kind {got:#04x}"),
-            CodecError::BadEnum { field, got } => {
-                write!(f, "unknown {field} discriminant {got}")
-            }
-            CodecError::Inconsistent { field, got, want } => {
-                write!(f, "inconsistent {field}: got {got}, layout requires {want}")
-            }
-            CodecError::Oversize { cells, max } => {
-                write!(
-                    f,
-                    "field of {cells} cells exceeds the {max}-cell wire bound"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-#[inline]
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
-#[inline]
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
 fn header_into(buf: &mut Vec<u8>, kind: u8) {
-    buf.push(MAGIC0);
-    buf.push(MAGIC1);
-    buf.push(WIRE_VERSION);
-    buf.push(kind);
+    buf.extend_from_slice(&[MAGIC0, MAGIC1, WIRE_VERSION, kind]);
 }
 
 /// FNV-1a over a slice of f64 bit patterns — the response checksum.
 pub fn fnv1a_f64(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    fnv1a64_u64s(values.iter().map(|v| v.to_bits()))
 }
 
 /// Encodes a request into `buf` (cleared first). Reusing one buffer per
@@ -294,12 +212,12 @@ pub fn fnv1a_f64(values: &[f64]) -> u64 {
 pub fn encode_request_into(buf: &mut Vec<u8>, req: &ConvolveRequest) {
     buf.clear();
     header_into(buf, KIND_REQUEST);
-    buf.extend_from_slice(&req.tenant.0.to_le_bytes());
-    buf.extend_from_slice(&req.request_id.to_le_bytes());
-    buf.extend_from_slice(&req.n.to_le_bytes());
-    buf.extend_from_slice(&req.k.to_le_bytes());
-    buf.extend_from_slice(&req.far_rate.to_le_bytes());
-    buf.extend_from_slice(&req.sigma.to_bits().to_le_bytes());
+    buf.put_u32(req.tenant.0);
+    buf.put_u64(req.request_id);
+    buf.put_u32(req.n);
+    buf.put_u32(req.k);
+    buf.put_u32(req.far_rate);
+    buf.put_f64(req.sigma);
     let mut flags = 0u8;
     if req.require_exact {
         flags |= FLAG_REQUIRE_EXACT;
@@ -311,19 +229,17 @@ pub fn encode_request_into(buf: &mut Vec<u8>, req: &ConvolveRequest) {
     match &req.input {
         RequestInput::Dense(samples) => {
             buf.push(INPUT_DENSE);
-            buf.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-            for v in samples {
-                buf.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            buf.put_u32(samples.len() as u32);
+            buf.put_f64s(samples);
         }
         RequestInput::Deltas(points) => {
             buf.push(INPUT_DELTAS);
-            buf.extend_from_slice(&(points.len() as u32).to_le_bytes());
-            for (x, y, z, v) in points {
-                buf.extend_from_slice(&x.to_le_bytes());
-                buf.extend_from_slice(&y.to_le_bytes());
-                buf.extend_from_slice(&z.to_le_bytes());
-                buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            buf.put_u32(points.len() as u32);
+            for &(x, y, z, v) in points {
+                buf.put_u32(x);
+                buf.put_u32(y);
+                buf.put_u32(z);
+                buf.put_f64(v);
             }
         }
     }
@@ -340,14 +256,12 @@ pub fn encode_request(req: &ConvolveRequest) -> Vec<u8> {
 pub fn encode_response_into(buf: &mut Vec<u8>, resp: &ConvolveResponse) {
     buf.clear();
     header_into(buf, KIND_RESPONSE);
-    buf.extend_from_slice(&resp.tenant.0.to_le_bytes());
-    buf.extend_from_slice(&resp.request_id.to_le_bytes());
+    buf.put_u32(resp.tenant.0);
+    buf.put_u64(resp.request_id);
     buf.push(resp.mode.to_u8());
-    buf.extend_from_slice(&resp.checksum.to_le_bytes());
-    buf.extend_from_slice(&(resp.result.len() as u32).to_le_bytes());
-    for v in &resp.result {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    buf.put_u64(resp.checksum);
+    buf.put_u32(resp.result.len() as u32);
+    buf.put_f64s(&resp.result);
 }
 
 /// Encodes a response into a fresh buffer.
@@ -361,72 +275,49 @@ pub fn encode_response(resp: &ConvolveResponse) -> Vec<u8> {
 pub fn encode_reject(reject: &RejectNotice) -> Vec<u8> {
     let mut buf = Vec::with_capacity(MESSAGE_HEADER + REJECT_BODY);
     header_into(&mut buf, KIND_REJECT);
-    buf.extend_from_slice(&reject.tenant.0.to_le_bytes());
-    buf.extend_from_slice(&reject.request_id.to_le_bytes());
+    buf.put_u32(reject.tenant.0);
+    buf.put_u64(reject.request_id);
     buf.push(reject.code);
-    buf.extend_from_slice(&reject.a.to_le_bytes());
-    buf.extend_from_slice(&reject.b.to_le_bytes());
+    buf.put_u64(reject.a);
+    buf.put_u64(reject.b);
     buf
 }
 
-/// Validates the common header and returns `(kind, body)`.
-fn split_header(bytes: &[u8]) -> Result<(u8, &[u8]), CodecError> {
-    if bytes.len() < MESSAGE_HEADER {
-        return Err(CodecError::Truncated {
-            len: bytes.len(),
-            expected: MESSAGE_HEADER,
+/// Fails with [`CodecError::Oversize`] when `cells` exceeds the wire bound.
+fn within_bound(cells: u64) -> Result<(), CodecError> {
+    if cells > MAX_FIELD_CELLS {
+        return Err(CodecError::Oversize {
+            cells,
+            max: MAX_FIELD_CELLS,
         });
     }
-    if bytes[0] != MAGIC0 || bytes[1] != MAGIC1 {
-        return Err(CodecError::BadMagic {
-            got: [bytes[0], bytes[1]],
-        });
-    }
-    if bytes[2] != WIRE_VERSION {
-        return Err(CodecError::BadVersion { got: bytes[2] });
-    }
-    match bytes[3] {
-        KIND_REQUEST | KIND_RESPONSE | KIND_REJECT => Ok((bytes[3], &bytes[MESSAGE_HEADER..])),
-        got => Err(CodecError::BadKind { got }),
-    }
+    Ok(())
 }
 
-fn decode_request_body(body: &[u8]) -> Result<ConvolveRequest, CodecError> {
-    if body.len() < REQUEST_FIXED {
-        return Err(CodecError::Truncated {
-            len: MESSAGE_HEADER + body.len(),
-            expected: MESSAGE_HEADER + REQUEST_FIXED,
-        });
-    }
-    let tenant = TenantId(read_u32(body, 0));
-    let request_id = read_u64(body, 4);
-    let n = read_u32(body, 12);
-    let k = read_u32(body, 16);
-    let far_rate = read_u32(body, 20);
-    let sigma = f64::from_bits(read_u64(body, 24));
-    let flags = body[32];
+fn decode_request_body(mut r: Reader<'_>) -> Result<ConvolveRequest, CodecError> {
+    r.need(REQUEST_FIXED)?;
+    let tenant = TenantId(r.u32()?);
+    let request_id = r.u64()?;
+    let n = r.u32()?;
+    let k = r.u32()?;
+    let far_rate = r.u32()?;
+    let sigma = r.f64()?;
+    let flags = r.u8()?;
     if flags & !FLAG_MASK != 0 {
         return Err(CodecError::BadEnum {
             field: "flags",
             got: flags as u64,
         });
     }
-    let input_kind = body[33];
-    let count = read_u32(body, 34) as u64;
-    let data = &body[REQUEST_FIXED..];
+    let input_kind = r.u8()?;
+    let count = r.u32()? as u64;
     // The grid bound applies to every input encoding: a sparse deltas
     // request names cells of the same n³ grid a dense one carries, and
     // serving it materializes that grid. u128 keeps n³ exact for any
     // u32 `n` (n³ overflows u64 from n = 2²², which would otherwise wrap
     // a huge grid back under the bound).
-    let cells = (n as u128).pow(3);
-    if cells > MAX_FIELD_CELLS as u128 {
-        return Err(CodecError::Oversize {
-            cells: u64::try_from(cells).unwrap_or(u64::MAX),
-            max: MAX_FIELD_CELLS,
-        });
-    }
-    let cells = cells as u64;
+    let cells = u64::try_from((n as u128).pow(3)).unwrap_or(u64::MAX);
+    within_bound(cells)?;
     let input = match input_kind {
         INPUT_DENSE => {
             if count != cells {
@@ -436,41 +327,18 @@ fn decode_request_body(body: &[u8]) -> Result<ConvolveRequest, CodecError> {
                     want: cells,
                 });
             }
-            let want = (count as usize) * 8;
-            if data.len() != want {
-                return Err(CodecError::Truncated {
-                    len: MESSAGE_HEADER + body.len(),
-                    expected: MESSAGE_HEADER + REQUEST_FIXED + want,
-                });
-            }
-            let mut samples = Vec::with_capacity(count as usize);
-            for i in 0..count as usize {
-                samples.push(f64::from_bits(read_u64(data, i * 8)));
-            }
+            let samples = r.f64s(count as usize)?;
+            r.finish()?;
             RequestInput::Dense(samples)
         }
         INPUT_DELTAS => {
-            if count > MAX_FIELD_CELLS {
-                return Err(CodecError::Oversize {
-                    cells: count,
-                    max: MAX_FIELD_CELLS,
-                });
-            }
-            let want = (count as usize) * 20;
-            if data.len() != want {
-                return Err(CodecError::Truncated {
-                    len: MESSAGE_HEADER + body.len(),
-                    expected: MESSAGE_HEADER + REQUEST_FIXED + want,
-                });
-            }
+            within_bound(count)?;
+            // The whole body is length-checked before any coordinate is.
+            let mut d = Reader::new(r.bytes(count as usize * 20)?);
+            r.finish()?;
             let mut points = Vec::with_capacity(count as usize);
-            for i in 0..count as usize {
-                let at = i * 20;
-                let (x, y, z) = (
-                    read_u32(data, at),
-                    read_u32(data, at + 4),
-                    read_u32(data, at + 8),
-                );
+            for _ in 0..count {
+                let (x, y, z) = (d.u32()?, d.u32()?, d.u32()?);
                 for c in [x, y, z] {
                     if c >= n {
                         return Err(CodecError::Inconsistent {
@@ -480,7 +348,7 @@ fn decode_request_body(body: &[u8]) -> Result<ConvolveRequest, CodecError> {
                         });
                     }
                 }
-                points.push((x, y, z, f64::from_bits(read_u64(data, at + 12))));
+                points.push((x, y, z, d.f64()?));
             }
             RequestInput::Deltas(points)
         }
@@ -504,36 +372,16 @@ fn decode_request_body(body: &[u8]) -> Result<ConvolveRequest, CodecError> {
     })
 }
 
-fn decode_response_body(body: &[u8]) -> Result<ConvolveResponse, CodecError> {
-    if body.len() < RESPONSE_FIXED {
-        return Err(CodecError::Truncated {
-            len: MESSAGE_HEADER + body.len(),
-            expected: MESSAGE_HEADER + RESPONSE_FIXED,
-        });
-    }
-    let tenant = TenantId(read_u32(body, 0));
-    let request_id = read_u64(body, 4);
-    let mode = ServedMode::from_u8(body[12])?;
-    let checksum = read_u64(body, 13);
-    let count = read_u32(body, 21) as u64;
-    if count > MAX_FIELD_CELLS {
-        return Err(CodecError::Oversize {
-            cells: count,
-            max: MAX_FIELD_CELLS,
-        });
-    }
-    let data = &body[RESPONSE_FIXED..];
-    let want = (count as usize) * 8;
-    if data.len() != want {
-        return Err(CodecError::Truncated {
-            len: MESSAGE_HEADER + body.len(),
-            expected: MESSAGE_HEADER + RESPONSE_FIXED + want,
-        });
-    }
-    let mut result = Vec::with_capacity(count as usize);
-    for i in 0..count as usize {
-        result.push(f64::from_bits(read_u64(data, i * 8)));
-    }
+fn decode_response_body(mut r: Reader<'_>) -> Result<ConvolveResponse, CodecError> {
+    r.need(RESPONSE_FIXED)?;
+    let tenant = TenantId(r.u32()?);
+    let request_id = r.u64()?;
+    let mode = ServedMode::from_u8(r.u8()?)?;
+    let checksum = r.u64()?;
+    let count = r.u32()? as u64;
+    within_bound(count)?;
+    let result = r.f64s(count as usize)?;
+    r.finish()?;
     Ok(ConvolveResponse {
         tenant,
         request_id,
@@ -543,30 +391,35 @@ fn decode_response_body(body: &[u8]) -> Result<ConvolveResponse, CodecError> {
     })
 }
 
-fn decode_reject_body(body: &[u8]) -> Result<RejectNotice, CodecError> {
-    if body.len() != REJECT_BODY {
-        return Err(CodecError::Truncated {
-            len: MESSAGE_HEADER + body.len(),
-            expected: MESSAGE_HEADER + REJECT_BODY,
-        });
-    }
-    Ok(RejectNotice {
-        tenant: TenantId(read_u32(body, 0)),
-        request_id: read_u64(body, 4),
-        code: body[12],
-        a: read_u64(body, 13),
-        b: read_u64(body, 21),
-    })
+fn decode_reject_body(mut r: Reader<'_>) -> Result<RejectNotice, CodecError> {
+    r.need(REJECT_BODY)?;
+    let reject = RejectNotice {
+        tenant: TenantId(r.u32()?),
+        request_id: r.u64()?,
+        code: r.u8()?,
+        a: r.u64()?,
+        b: r.u64()?,
+    };
+    r.finish()?;
+    Ok(reject)
 }
 
 /// Decodes any service message.
 pub fn decode_message(bytes: &[u8]) -> Result<WireMessage, CodecError> {
-    let (kind, body) = split_header(bytes)?;
-    match kind {
-        KIND_REQUEST => decode_request_body(body).map(WireMessage::Request),
-        KIND_RESPONSE => decode_response_body(body).map(WireMessage::Response),
-        KIND_REJECT => decode_reject_body(body).map(WireMessage::Reject),
-        // split_header only returns the three known kinds.
+    let mut r = Reader::new(bytes);
+    r.need(MESSAGE_HEADER)?;
+    let magic = [r.u8()?, r.u8()?];
+    if magic != [MAGIC0, MAGIC1] {
+        return Err(CodecError::BadMagic { got: magic });
+    }
+    match r.u8()? {
+        WIRE_VERSION => {}
+        got => return Err(CodecError::BadVersion { got }),
+    }
+    match r.u8()? {
+        KIND_REQUEST => decode_request_body(r).map(WireMessage::Request),
+        KIND_RESPONSE => decode_response_body(r).map(WireMessage::Response),
+        KIND_REJECT => decode_reject_body(r).map(WireMessage::Reject),
         got => Err(CodecError::BadKind { got }),
     }
 }
@@ -752,6 +605,58 @@ mod tests {
             decode_request(&encode_request(&req)).unwrap_err(),
             CodecError::Oversize { .. }
         ));
+    }
+
+    #[test]
+    fn message_goldens() {
+        use lcc_obs::codec::hex;
+        let dense = ConvolveRequest {
+            n: 2,
+            k: 1,
+            far_rate: 2,
+            require_exact: true,
+            checksum_only: false,
+            input: RequestInput::Dense((0..8).map(|i| i as f64).collect()),
+            ..request()
+        };
+        assert_eq!(
+            hex(&encode_request(&dense)),
+            "4c53010107000000630000000000000002000000010000000200000000000000\
+             0000f43f0100080000000000000000000000000000000000f03f000000000000\
+             0040000000000000084000000000000010400000000000001440000000000000\
+             18400000000000001c40"
+        );
+        assert_eq!(
+            hex(&encode_request(&request())),
+            "4c53010107000000630000000000000010000000040000000800000000000000\
+             0000f43f020102000000010000000200000003000000000000000000f03f0500\
+             0000050000000500000000000000000004c0"
+        );
+        let resp = ConvolveResponse {
+            tenant: TenantId(3),
+            request_id: 12,
+            mode: ServedMode::Degraded,
+            checksum: 0xDEAD_BEEF,
+            result: vec![1.0, -0.5],
+        };
+        assert_eq!(
+            hex(&encode_response(&resp)),
+            "4c530102030000000c0000000000000001efbeadde0000000002000000000000\
+             000000f03f000000000000e0bf"
+        );
+        let reject = RejectNotice {
+            tenant: TenantId(3),
+            request_id: 12,
+            code: 1,
+            a: 64,
+            b: 64,
+        };
+        assert_eq!(
+            hex(&encode_reject(&reject)),
+            "4c530103030000000c0000000000000001400000000000000040000000000000\
+             00"
+        );
+        assert_eq!(fnv1a_f64(&[1.0, 2.0]), 0x2f12_1cea_1c5c_97f8);
     }
 
     #[test]

@@ -38,6 +38,10 @@
 //!   `ChildExit`, …) must use `CommError::Timeout` /
 //!   `CommError::ChildExited` instead, or carry a
 //!   `// lcc-lint: allow(coord-err)` justification.
+//! * `le-bytes` — `to_le_bytes` / `from_le_bytes` in non-test code under
+//!   `crates/*/src` outside `crates/obs/src/codec.rs`: every byte format
+//!   reads and writes through `lcc_obs::codec`, the one module that
+//!   touches byte order (DESIGN.md §5p). No escape hatch.
 
 use std::collections::BTreeMap;
 
@@ -110,6 +114,10 @@ pub fn check_file(path: &str, file: &SourceFile) -> (Vec<Violation>, Vec<usize>)
     }
     if path.starts_with("crates/comm/src/transport/") {
         check_coord_err(path, file, &mut v);
+    }
+    let crate_src = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
+    if crate_src && path != CODEC_PATH {
+        check_le_bytes(path, file, &mut v);
     }
     (v, unwrap_sites)
 }
@@ -413,6 +421,26 @@ fn check_coord_err(path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
                      statement); use `CommError::Timeout` / `CommError::ChildExited`, \
                      or justify with `// lcc-lint: allow(coord-err)`"
                 ),
+            });
+        }
+    }
+}
+
+/// The one module allowed to touch byte order.
+const CODEC_PATH: &str = "crates/obs/src/codec.rs";
+
+/// `le-bytes`: byte-order conversions outside the codec module.
+fn check_le_bytes(path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
+    for (idx, line) in file.lines.iter().enumerate() {
+        let tok = ["to_le_bytes", "from_le_bytes"]
+            .into_iter()
+            .find(|tok| find_word(&line.code, tok, 0).is_some());
+        if let Some(tok) = tok.filter(|_| !line.in_test) {
+            out.push(Violation {
+                path: path.to_string(),
+                line: idx + 1,
+                rule: "le-bytes",
+                msg: format!("`{tok}` outside `lcc_obs::codec`; use its `Reader`/`Writer`"),
             });
         }
     }
@@ -787,6 +815,26 @@ fn dump() { println!(\"{state:?}\"); }
         assert_eq!(v[0].rule, "typed-error");
         // Test trees of the service crate are not ratcheted.
         assert!(check("crates/service/tests/admission.rs", unwraps).is_empty());
+    }
+
+    #[test]
+    fn le_bytes_is_confined_to_the_codec_module() {
+        let src = "\
+fn put(out: &mut Vec<u8>, v: u64) { out.extend_from_slice(&v.to_le_bytes()); }
+fn get(b: [u8; 4]) -> u32 { u32::from_le_bytes(b) }
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = 1u32.to_le_bytes(); }
+}
+";
+        let v = check("crates/service/src/wire.rs", src);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|x| x.rule == "le-bytes"));
+        assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![1, 2]);
+        // The codec module itself, and code outside crate sources, are exempt.
+        assert!(check(CODEC_PATH, src).is_empty());
+        assert!(check("crates/service/tests/wire_props.rs", src).is_empty());
+        assert!(check("tools/lcc-lint/src/main.rs", src).is_empty());
     }
 
     #[test]

@@ -71,12 +71,25 @@ impl LocalConvolver {
     }
 }
 
+/// The operator's Hermitian part at bin `f`, applied to the spectrum `sig`
+/// of a real tensor field — the part the real result keeps:
+/// `Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂)`, twice `K̂ₕ` (the ½ is left to the
+/// caller's c2r). The tensor pipeline's z stage and the dense
+/// [`crate::TraditionalConvolver::convolve_tensor`] both contract by it.
+pub(crate) fn hermitian_contract(
+    kernel: &dyn TensorKernelSpectrum,
+    [fx, fy, fz]: [usize; 3],
+    sig: &Sym3C,
+) -> Sym3C {
+    let n = kernel.n();
+    let mirror = kernel.apply([(n - fx) % n, (n - fy) % n, (n - fz) % n], &sig.conj());
+    kernel.apply([fx, fy, fz], sig).add(&mirror.conj())
+}
+
 /// The tensor pipeline's pointwise z-stage step on `block`: all six
 /// components share a pencil's frequency bin, so the stage's tiles hold
-/// them together and the contraction mixes them in place. The operator's
-/// Hermitian part is what the real result keeps:
-/// `Γ̂(f):σ̂ + conj(Γ̂(−f):conj σ̂)`, twice `K̂ₕ` (the ½ is left to the
-/// c2r). It needs no scratch.
+/// them together and [`hermitian_contract`] mixes them in place. It needs
+/// no scratch.
 pub(crate) fn tensor_pointwise(
     kernel: &dyn TensorKernelSpectrum,
     n: usize,
@@ -85,15 +98,13 @@ pub(crate) fn tensor_pointwise(
     move |tile: ZTile<'_>| {
         for (fz, &row) in tile.rows.iter().enumerate() {
             let row = row as usize;
-            let mz = (n - fz) % n;
             for lane in 0..tile.live {
                 let (fx, fy) = block.bin(tile.q0 + lane);
                 let mut sig = Sym3C::ZERO;
                 for c in 0..6 {
                     sig.c[c] = c64(tile.re[c * n + row][lane], tile.im[c * n + row][lane]);
                 }
-                let mirror = kernel.apply([(n - fx) % n, (n - fy) % n, mz], &sig.conj());
-                let d = kernel.apply([fx, fy, fz], &sig).add(&mirror.conj());
+                let d = hermitian_contract(kernel, [fx, fy, fz], &sig);
                 for c in 0..6 {
                     tile.re[c * n + row][lane] = d.c[c].re;
                     tile.im[c * n + row][lane] = d.c[c].im;

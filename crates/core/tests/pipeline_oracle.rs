@@ -1,10 +1,11 @@
-//! The half-spectrum pipeline against the dense full-complex oracle.
+//! The half-spectrum pipeline against the dense oracle.
 //!
-//! `LocalConvolver` forms only the `n/2 + 1` non-redundant bins of one axis
-//! and multiplies by the Hermitian part of the kernel spectrum;
-//! `TraditionalConvolver` transforms the whole complex grid and takes the
-//! real part at the end. Under a lossless plan the two must agree to
-//! round-off for every kernel the workspace ships — including the one that
+//! `LocalConvolver` forms only the `n/2 + 1` non-redundant bins of y and
+//! multiplies by the Hermitian part of the kernel spectrum;
+//! `TraditionalConvolver` does the same along z over the whole grid, with
+//! no sub-domain, padding or sampling (and is itself checked against the
+//! full-complex `lcc_fft::cyclic_convolve_3d`). Under a lossless plan the
+//! two must agree to round-off for every kernel the workspace ships — including the one that
 //! is not Hermitian on the grid — at every grid size the pipeline accepts:
 //! `n = 2` (half-length-1 c2r), sizes with and without a self-paired bin,
 //! non-powers of two, and odd `n` (the c2r's fallback, no Nyquist bin).

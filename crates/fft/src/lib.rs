@@ -41,7 +41,7 @@ pub mod workspace;
 
 pub use batch::{fft_axis, scale_in_place, Dims3};
 pub use complex::{as_reals, c64, Complex64};
-pub use nd::{cyclic_convolve_3d, fft_2d, fft_3d, fft_3d_axes01, ifft_3d_normalized};
+pub use nd::{cyclic_convolve_3d, fft_2d, fft_3d, ifft_3d_normalized};
 pub use planner::{fft_in_place, ifft_normalized, FftPlan, FftPlanner};
 pub use pruned::{PrunedInputFft, PrunedPlanner};
 pub use real::{RealFft, RealIfft};

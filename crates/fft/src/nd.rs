@@ -33,22 +33,10 @@ pub fn fft_2d(
     fft_axis(planner, data, d3, 1, direction);
 }
 
-/// Transforms only axes 0 and 1 of a 3D buffer — the paper's "2D transform to
-/// a slab" stage, leaving axis 2 (the short sub-domain axis) untransformed.
-pub fn fft_3d_axes01(
-    planner: &FftPlanner,
-    data: &mut [Complex64],
-    dims: Dims3,
-    direction: FftDirection,
-) {
-    fft_axis(planner, data, dims, 1, direction);
-    fft_axis(planner, data, dims, 0, direction);
-}
-
 /// Cyclic convolution of two equal-shape 3D signals via the convolution
-/// theorem. Returns the (exact, unapproximated) result. This is the
-/// "traditional" dense path used as the correctness oracle for the
-/// low-communication pipeline.
+/// theorem. Returns the (exact, unapproximated) result. Full-complex on
+/// purpose: it is the independent oracle the half-spectrum dense path
+/// (`lcc_core::TraditionalConvolver`) is checked against.
 pub fn cyclic_convolve_3d(
     planner: &FftPlanner,
     a: &[Complex64],
@@ -100,21 +88,6 @@ mod tests {
         fft_3d(&planner, &mut data, dims, FftDirection::Forward);
         for v in &data {
             assert!((*v - Complex64::ONE).norm() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn axes01_then_axis2_equals_full() {
-        let planner = FftPlanner::new();
-        let dims = (4, 4, 8);
-        let base = fill(dims);
-        let mut full = base.clone();
-        fft_3d(&planner, &mut full, dims, FftDirection::Forward);
-        let mut staged = base.clone();
-        crate::batch::fft_axis(&planner, &mut staged, dims, 2, FftDirection::Forward);
-        fft_3d_axes01(&planner, &mut staged, dims, FftDirection::Forward);
-        for (a, b) in full.iter().zip(&staged) {
-            assert!((*a - *b).norm() < 1e-8);
         }
     }
 

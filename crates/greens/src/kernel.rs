@@ -100,8 +100,9 @@ pub trait KernelSpectrum: Send + Sync {
 /// The Hermitian part `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))` of `kernel`'s pencil
 /// along axis 2 at `(f0, f1)` into `out` (length n): the mirrored pencil at
 /// `(−f0, −f1)` goes to `mirror` (length n, scratch) and is read in
-/// reversed `f2` order.
-fn hermitian_pencil<K: KernelSpectrum + ?Sized>(
+/// reversed `f2` order. The z stage's tile default and the dense
+/// convolver (`lcc_core::TraditionalConvolver`) both multiply by it.
+pub fn hermitian_pencil<K: KernelSpectrum + ?Sized>(
     kernel: &K,
     f0: usize,
     f1: usize,

@@ -22,7 +22,7 @@ pub mod sym;
 
 pub use gaussian::GaussianKernel;
 pub use helmholtz::{yukawa_kernel, ScreenedPoissonSpectrum};
-pub use kernel::{hermitian_defect, wrap_freq, KernelSpectrum};
+pub use kernel::{hermitian_defect, hermitian_pencil, wrap_freq, KernelSpectrum};
 
 // `wrap_freq` is re-exported above for downstream frequency bookkeeping.
 pub use massif_gamma::MassifGamma;

@@ -16,15 +16,14 @@
 //! inner loop); [`LowCommGamma`] is Algorithm 2 (per-sub-domain local
 //! convolution with octree compression — the paper's contribution).
 
-use lcc_fft::{fft_3d, ifft_3d_normalized, Complex64, FftDirection, FftPlanner};
-use lcc_greens::{MassifGamma, Sym3C};
+use lcc_greens::MassifGamma;
 use lcc_grid::Sym3;
 
 use crate::checkpoint::{self, Checkpoint, CheckpointConfig, CheckpointError};
 use crate::fields::TensorField;
 use crate::microstructure::Microstructure;
 
-use lcc_core::{ConvolveMode, LowCommConfig, LowCommConvolver};
+use lcc_core::{ConvolveMode, LowCommConfig, LowCommConvolver, TraditionalConvolver};
 
 /// Strategy for computing `Δε = Γ⁰ ⊛ σ`.
 pub trait GammaConvolution {
@@ -35,10 +34,12 @@ pub trait GammaConvolution {
     fn name(&self) -> &'static str;
 }
 
-/// Algorithm 1: dense spectral application of Γ̂ (the reference inner loop).
+/// Algorithm 1: dense spectral application of Γ̂ (the reference inner
+/// loop), one [`TraditionalConvolver::convolve_tensor`] — the half-spectrum
+/// dense path every speedup is measured against.
 pub struct SpectralGamma {
     gamma: MassifGamma,
-    planner: FftPlanner,
+    dense: TraditionalConvolver,
 }
 
 impl SpectralGamma {
@@ -46,58 +47,15 @@ impl SpectralGamma {
     pub fn new(gamma: MassifGamma) -> Self {
         SpectralGamma {
             gamma,
-            planner: FftPlanner::new(),
+            dense: TraditionalConvolver::new(gamma.n()),
         }
     }
 }
 
 impl GammaConvolution for SpectralGamma {
     fn apply_gamma(&self, sigma: &TensorField) -> TensorField {
-        let n = sigma.n();
-        let dims = (n, n, n);
-        // Forward FFT of all six components.
-        let mut hat: Vec<Vec<Complex64>> = (0..6)
-            .map(|c| {
-                let mut buf: Vec<Complex64> = sigma
-                    .component(c)
-                    .as_slice()
-                    .iter()
-                    .map(|&v| Complex64::from_real(v))
-                    .collect();
-                fft_3d(&self.planner, &mut buf, dims, FftDirection::Forward);
-                buf
-            })
-            .collect();
-        // Γ̂ : σ̂ per frequency bin.
-        for fx in 0..n {
-            for fy in 0..n {
-                for fz in 0..n {
-                    let idx = (fx * n + fy) * n + fz;
-                    let mut s = Sym3C::ZERO;
-                    for (sc, h) in s.c.iter_mut().zip(hat.iter()) {
-                        *sc = h[idx];
-                    }
-                    let d = self.gamma.apply([fx, fy, fz], &s);
-                    for (h, dc) in hat.iter_mut().zip(d.c.iter()) {
-                        h[idx] = *dc;
-                    }
-                }
-            }
-        }
-        // Inverse FFT back to six real grids.
-        let mut out = TensorField::zeros(n);
-        for (c, buf) in hat.iter_mut().enumerate() {
-            ifft_3d_normalized(&self.planner, buf, dims);
-            for (o, v) in out
-                .component_mut(c)
-                .as_mut_slice()
-                .iter_mut()
-                .zip(buf.iter())
-            {
-                *o = v.re;
-            }
-        }
-        out
+        let sigma = std::array::from_fn(|c| sigma.component(c));
+        TensorField::from_components(self.dense.convolve_tensor(sigma, &self.gamma))
     }
 
     fn name(&self) -> &'static str {
@@ -408,6 +366,15 @@ mod tests {
         for c in 0..6 {
             assert!((got.c[c] - want.c[c]).abs() < 1e-12);
         }
+    }
+
+    /// Γ̂ planned for another grid used to fold the field's bins onto the
+    /// wrong frequencies and return a wrong Δε without a word.
+    #[test]
+    #[should_panic(expected = "input shape mismatch")]
+    fn spectral_gamma_rejects_a_field_of_another_size() {
+        let engine = SpectralGamma::new(MassifGamma::new(8, 1.0, 1.0));
+        let _ = engine.apply_gamma(&TensorField::constant(16, Sym3::diagonal(1.0, 0.0, 0.0)));
     }
 
     #[test]

@@ -68,16 +68,18 @@ fn main() {
 
     let (s1, s2) = (alg1.effective_stress().c[0], alg2.effective_stress().c[0]);
     println!(
-        "\nAlg1: converged={} iters={} time={:.1} ms  sigma_xx_eff={s1:.5}",
+        "\nAlg1: converged={} iters={} time={:.1} ms ({:.2} ms/iter)  sigma_xx_eff={s1:.5}",
         alg1.converged,
         alg1.iterations(),
         t1,
+        t1 / alg1.iterations().max(1) as f64,
     );
     println!(
-        "Alg2: converged={} iters={} time={:.1} ms  sigma_xx_eff={s2:.5}",
+        "Alg2: converged={} iters={} time={:.1} ms ({:.2} ms/iter)  sigma_xx_eff={s2:.5}",
         alg2.converged,
         alg2.iterations(),
         t2,
+        t2 / alg2.iterations().max(1) as f64,
     );
     println!(
         "strain-field deviation Alg2 vs Alg1: {:.3e}",

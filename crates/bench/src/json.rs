@@ -105,46 +105,6 @@ impl std::fmt::Display for Json {
     }
 }
 
-/// The speedup-vs-baseline cell of a timing report: `baseline / contender`
-/// on hosts that can actually run the contenders concurrently, and `null`
-/// when they cannot (`host_parallelism < 2`). A "speedup" measured on one
-/// core is scheduler noise hovering around 1.0, and emitting it as a number
-/// lets plotting scripts chart noise as if it were a measurement; `null`
-/// keys the cell as *not measured*. A zero-duration contender (clock
-/// granularity) is likewise unmeasurable.
-pub fn speedup_vs_baseline(host_parallelism: usize, baseline_ns: u128, contender_ns: u128) -> Json {
-    if host_parallelism < 2 || contender_ns == 0 {
-        Json::Null
-    } else {
-        Json::Num(baseline_ns as f64 / contender_ns as f64)
-    }
-}
-
-/// The achieved-FLOP-rate cell of a timing report: `flops / wall_ns` is
-/// numerically GFLOP/s (flops per nanosecond). `null` when the cell is
-/// unmeasurable — zero wall time (clock granularity) or a non-positive
-/// flop model.
-pub fn gflops(flops: f64, wall_ns: u128) -> Json {
-    if wall_ns != 0 && flops > 0.0 {
-        Json::Num(flops / wall_ns as f64)
-    } else {
-        Json::Null
-    }
-}
-
-/// The roofline-fraction cell: achieved GFLOP/s over the bandwidth-bound
-/// ceiling `stream_gbs × intensity` (intensity in flops/byte). For a
-/// streaming-bound FFT pass this equals the achieved fraction of measured
-/// stream bandwidth. `null` when any input is unmeasurable.
-pub fn roofline_fraction(gflops: &Json, stream_gbs: f64, intensity: f64) -> Json {
-    match gflops {
-        Json::Num(g) if stream_gbs > 0.0 && intensity > 0.0 => {
-            Json::Num(g / (stream_gbs * intensity))
-        }
-        _ => Json::Null,
-    }
-}
-
 /// Writes `value` to `path` with a trailing newline, reporting but not
 /// failing on I/O errors (benchmarks should still print their tables).
 pub fn write_report(path: impl AsRef<Path>, value: &Json) {
@@ -181,79 +141,5 @@ mod tests {
     fn non_finite_numbers_become_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
-    }
-
-    #[test]
-    fn speedup_is_null_when_unmeasurable() {
-        // Single-core host: any "speedup" is scheduler noise, not data.
-        assert_eq!(speedup_vs_baseline(1, 100, 99).to_string(), "null");
-        assert_eq!(speedup_vs_baseline(0, 100, 50).to_string(), "null");
-        // Clock-granularity zero: division would fabricate infinity.
-        assert_eq!(speedup_vs_baseline(8, 100, 0).to_string(), "null");
-        // Real multicore measurement passes through.
-        assert_eq!(speedup_vs_baseline(4, 100, 50).to_string(), "2");
-    }
-
-    /// Schema regression for the `BENCH_pipeline.json` rows: on a
-    /// single-core host `speedup_vs_1` must serialize as JSON `null` —
-    /// never as a number ≈ 1.0 — while every other field keeps its type.
-    #[test]
-    fn pipeline_row_schema_on_single_core_hosts() {
-        let row = |host: usize| {
-            Json::obj(vec![
-                ("threads", Json::int(4)),
-                ("wall_ms", Json::Num(12.5)),
-                ("speedup_vs_1", speedup_vs_baseline(host, 1000, 250)),
-            ])
-            .to_string()
-        };
-        assert_eq!(
-            row(1),
-            r#"{"threads":4,"wall_ms":12.5,"speedup_vs_1":null}"#
-        );
-        assert_eq!(row(8), r#"{"threads":4,"wall_ms":12.5,"speedup_vs_1":4}"#);
-    }
-
-    #[test]
-    fn gflops_is_flops_per_nanosecond_or_null() {
-        // 5e9 flops in 1e9 ns (one second) = 5 GFLOP/s.
-        assert_eq!(gflops(5e9, 1_000_000_000).to_string(), "5");
-        assert_eq!(gflops(5e9, 0).to_string(), "null");
-        assert_eq!(gflops(0.0, 100).to_string(), "null");
-        assert_eq!(gflops(f64::NAN, 100).to_string(), "null");
-    }
-
-    #[test]
-    fn roofline_fraction_null_propagates() {
-        let g = Json::Num(4.0);
-        // 4 GFLOP/s against a 10 GB/s × 0.8 flops/byte = 8 GFLOP/s ceiling.
-        assert_eq!(roofline_fraction(&g, 10.0, 0.8).to_string(), "0.5");
-        assert_eq!(
-            roofline_fraction(&Json::Null, 10.0, 0.8).to_string(),
-            "null"
-        );
-        assert_eq!(roofline_fraction(&g, 0.0, 0.8).to_string(), "null");
-        assert_eq!(roofline_fraction(&g, 10.0, 0.0).to_string(), "null");
-    }
-
-    /// Schema regression for the FLOP-rate fields: every pipeline row —
-    /// including on single-core hosts where `speedup_vs_1` is `null` —
-    /// carries a numeric `gflops_1core` and `roofline_frac`, plus the
-    /// kernel-variant label. Single-core hosts measure FLOP rate fine;
-    /// only *speedup* is unmeasurable there.
-    #[test]
-    fn pipeline_row_schema_with_flop_rate_fields() {
-        let g = gflops(2.0e9, 1_000_000_000);
-        let row = Json::obj(vec![
-            ("variant", Json::str("avx2fma")),
-            ("speedup_vs_1", speedup_vs_baseline(1, 1000, 250)),
-            ("gflops_1core", g.clone()),
-            ("roofline_frac", roofline_fraction(&g, 8.0, 1.0)),
-        ])
-        .to_string();
-        assert_eq!(
-            row,
-            r#"{"variant":"avx2fma","speedup_vs_1":null,"gflops_1core":2,"roofline_frac":0.25}"#
-        );
     }
 }

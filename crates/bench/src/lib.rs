@@ -1,4 +1,4 @@
-//! # lcc-bench — experiment regenerators and microbenchmarks
+//! # lcc-bench — experiment regenerators
 //!
 //! One binary per paper artifact (see DESIGN.md §4):
 //!
@@ -17,14 +17,14 @@
 //! | `exp_fftx_plan` | §6 / Fig. 5 — FFTX plan composition |
 //! | `exp_chaos` | fault-injection sweep — retry protocol vs message loss |
 //! | `exp_recovery` | self-healing sweep — crash × crash-time × recovery policy |
-//! | `exp_pipeline_perf` | threads × (n, k, B) × kernel-variant sweep — wall-clock, speedup vs 1 thread, steady-state allocations, single-core GFLOP/s + roofline fraction |
 //!
 //! `exp_chaos` and `exp_recovery` also emit machine-readable
 //! `BENCH_chaos.json` / `BENCH_recovery.json` (see [`json`]); the
 //! distributed self-healing workload they share lives in [`recovery`].
-//! Criterion benches live in `benches/`.
+//! Per-layer speed (FFT GFLOP/s, octree, pipeline stages, exchange,
+//! service) is measured in one place, the ledger in `bench/`
+//! (`bench/README.md`), which takes its stream bandwidth from [`roofline`].
 
-pub mod alloc_track;
 pub mod chaos;
 pub mod json;
 pub mod recovery;

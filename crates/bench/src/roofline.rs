@@ -1,18 +1,19 @@
 //! Streaming-bandwidth measurement for roofline estimates.
 //!
 //! The FFT pipeline is bandwidth-bound at large sizes: each transform pass
-//! streams every `Complex64` through the core once (read + write). To turn
-//! an achieved GFLOP/s number into a *fraction of attainable*, the perf
-//! regenerator needs the machine's sustained memory bandwidth — measured
-//! the same way the kernels use it, not quoted from a spec sheet.
+//! streams every `Complex64` through the core once (read + write). The
+//! sustained memory bandwidth is the ceiling an achieved GFLOP/s number is
+//! read against, so it is measured the same way the kernels use memory,
+//! not quoted from a spec sheet. The ledger in `bench/` reports it as its
+//! `fft.stream_gbs` row, next to the `fft.contig_gflops` and
+//! `fft.strided_gflops` rows of the same run.
 //!
 //! [`stream_bandwidth_gbs`] runs a simple out-of-cache streaming copy
 //! (`dst[i] = src[i]` over f64 buffers far larger than L2/L3) and reports
 //! the best-of-N rate in GB/s, counting both the read and the write stream.
 //! This is deliberately the *copy* kernel of the STREAM benchmark family —
 //! the closest traffic shape to an FFT pass over a pencil batch — and it
-//! runs single-threaded because the roofline denominator pairs with the
-//! single-core GFLOP/s cell (`gflops_1core`).
+//! runs single-threaded, so it is a per-core ceiling.
 
 use std::time::Instant;
 
@@ -27,9 +28,8 @@ const STREAM_REPS: usize = 3;
 /// Measures sustained single-thread streaming-copy bandwidth in GB/s
 /// (bytes counted = read + write = 16 per element per pass).
 ///
-/// Returns `0.0` if the clock resolves a pass as zero time — the caller
-/// ([`crate::json::roofline_fraction`]) maps that to a `null` cell rather
-/// than a fabricated fraction.
+/// Returns `0.0` if the clock resolves a pass as zero time, so a caller
+/// can tell an unmeasured bandwidth from a fabricated one.
 pub fn stream_bandwidth_gbs() -> f64 {
     let src: Vec<f64> = (0..STREAM_ELEMS).map(|i| i as f64 * 0.5).collect();
     let mut dst = vec![0.0f64; STREAM_ELEMS];

@@ -26,7 +26,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `LocalConvolver::convolve_compressed` produces bit-identical samples
-    /// under the thread pool and under forced sequential execution.
+    /// under the thread pool and under forced sequential execution, for a
+    /// dense sub-domain and for a sparse one (all zero but a block of side
+    /// `k/2`), whose stages 1-2 run on a support cube smaller than `k`.
     #[test]
     fn convolve_parallel_bit_identical_to_sequential(
         k in prop_oneof![Just(2usize), Just(4)],
@@ -40,8 +42,14 @@ proptest! {
         let n = k * mult;
         let span = n - k + 1;
         let corner = [cx % span, cy % span, cz % span];
-        let sub = Grid3::from_fn((k, k, k), |x, y, z| {
+        let dense = Grid3::from_fn((k, k, k), |x, y, z| {
             ((x * 3 + y * 5 + z * 7) as f64 * 0.31 + seed as f64 * 0.013).sin()
+        });
+        let side = k / 2;
+        let lo = [cx, cy, cz].map(|c| c % (k - side + 1));
+        let sparse = Grid3::from_fn((k, k, k), |x, y, z| {
+            let inside = [x, y, z].iter().zip(lo).all(|(&i, l)| (l..l + side).contains(&i));
+            if inside { 2.0 + dense[(x, y, z)] } else { 0.0 }
         });
         let kernel = GaussianKernel::new(n, 1.1);
         let domain = BoxRegion::new(
@@ -50,15 +58,19 @@ proptest! {
         );
         let plan = Arc::new(SamplingPlan::build(n, domain, &RateSchedule::uniform(1)));
         let conv = LocalConvolver::new(n, k, batch);
+        prop_assert_eq!(conv.support_side(&dense), k);
+        prop_assert!(conv.support_side(&sparse) < k);
 
-        let par = conv.convolve_compressed(&sub, corner, &kernel, plan.clone());
-        let seq = rayon::run_sequential(|| {
-            conv.convolve_compressed(&sub, corner, &kernel, plan.clone())
-        });
+        for sub in [&dense, &sparse] {
+            let par = conv.convolve_compressed(sub, corner, &kernel, plan.clone());
+            let seq = rayon::run_sequential(|| {
+                conv.convolve_compressed(sub, corner, &kernel, plan.clone())
+            });
 
-        prop_assert_eq!(par.samples().len(), seq.samples().len());
-        for (a, b) in par.samples().iter().zip(seq.samples()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            prop_assert_eq!(par.samples().len(), seq.samples().len());
+            for (a, b) in par.samples().iter().zip(seq.samples()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 

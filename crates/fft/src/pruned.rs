@@ -196,14 +196,6 @@ impl PrunedPlanner {
         Self::default()
     }
 
-    /// Creates a pruned-plan cache sharing an existing inner planner.
-    pub fn with_planner(planner: Arc<FftPlanner>) -> Self {
-        PrunedPlanner {
-            planner,
-            ..Self::default()
-        }
-    }
-
     /// The shared dense planner.
     pub fn inner(&self) -> &Arc<FftPlanner> {
         &self.planner

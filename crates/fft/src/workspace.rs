@@ -14,8 +14,9 @@
 //!
 //! Steady state: after warm-up the free list holds one workspace per pool
 //! thread (per nesting level), sized for the largest request seen, and the
-//! hot path performs **zero** heap allocations — the property the
-//! `exp_pipeline_perf` bench asserts with its counting allocator. Arenas
+//! hot path performs **zero** heap allocations per pencil — the property
+//! lcc-core's `warm_convolve_compressed_does_not_allocate_per_pencil`
+//! (`tests/fold_accounting.rs`) asserts with its counting allocator. Arenas
 //! only grow and are popped LIFO, so every extra level of nested leases
 //! costs one more arena grown to the largest request that level ever makes.
 //!
@@ -70,12 +71,6 @@ impl Workspace {
             rest = tail;
             head
         })
-    }
-
-    /// A single real buffer of length `len` (unspecified contents).
-    pub fn real_buf(&mut self, len: usize) -> &mut [f64] {
-        grow(&mut self.rbuf, len, 0.0);
-        &mut self.rbuf[..len]
     }
 
     /// Complex buffers plus one real buffer in a single borrow, for stages

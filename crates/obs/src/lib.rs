@@ -27,8 +27,9 @@
 //!
 //! Everything is inert until an [`ObsSession`] starts: with no session
 //! live, a span guard or counter add costs one relaxed atomic load and no
-//! allocation, which is what keeps the `exp_pipeline_perf` zero-alloc and
-//! bit-identity assertions true with instrumentation compiled in.
+//! allocation, which is what keeps lcc-core's allocation tests
+//! (`tests/fold_accounting.rs`) and pool bit-identity tests
+//! (`tests/parallel_identity.rs`) true with instrumentation compiled in.
 
 pub mod capture;
 pub mod codec;

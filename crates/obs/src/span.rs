@@ -6,8 +6,8 @@
 //! parent span (the innermost live span on the same thread). When no
 //! [`ObsSession`](crate::ObsSession) is active the whole machinery is a
 //! single relaxed atomic load per guard — no clock read, no thread-local
-//! touch, and crucially **no allocation**, so the `exp_pipeline_perf`
-//! zero-alloc assertions hold with observability compiled in.
+//! touch, and crucially **no allocation**, so lcc-core's allocation tests
+//! (`tests/fold_accounting.rs`) hold with observability compiled in.
 //!
 //! Collection path: each thread appends finished spans to its own buffer
 //! (registered once in a global registry); buffers that grow past

@@ -144,12 +144,6 @@ impl ConvolveService {
         Ok(())
     }
 
-    /// Offers one encoded request (the server's wire inbound path).
-    pub fn submit_bytes(&self, bytes: &[u8]) -> Result<(), ServiceError> {
-        let req = decode_request(bytes)?;
-        self.submit(req)
-    }
-
     /// Drains up to `max_batch` queued requests, coalesces them by plan
     /// key, and dispatches each group as one batched fan-out. Responses
     /// come back in dequeue order within each group; groups in first-seen

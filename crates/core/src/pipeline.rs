@@ -20,12 +20,14 @@
 //!      `p = fx·w + (fy − fy0)`;
 //!    - **z stage** (stage 2) — batches of `B` of those pencils (the
 //!      paper's batch parameter) are zero-padded `k → N` by a pruned
-//!      transform, multiplied by the kernel spectrum evaluated on the fly,
-//!      inverse transformed, and immediately **compressed**: only the
-//!      z-planes the octree plan retains are kept, as `n_zr` planes of the
-//!      block's pencils. Adjacent pencils are contiguous, so the stage runs
-//!      over [`lcc_fft::tile`]s of 8 of them ([`ZStage`], shared with the
-//!      tensor pipeline);
+//!      transform (the `N`-point schedule past its `N/k` head, on
+//!      broadcast rows), multiplied by the kernel spectrum evaluated on
+//!      the fly — the multiply writes each bin to the row the inverse
+//!      loads it from — inverse transformed, and immediately
+//!      **compressed**: only the z-planes the octree plan retains are
+//!      kept, as `n_zr` planes of the block's pencils. Adjacent pencils are
+//!      contiguous, so the stage runs over [`lcc_fft::tile`]s of 8 of them
+//!      ([`ZStage`], shared with the tensor pipeline);
 //!    - **x inverse** (stage 3) — each retained plane of the block is
 //!      inverse transformed along x, one tile, and only the x rows the plan
 //!      samples in that plane are stored ([`SamplingPlan::sampled_rows`]),
@@ -91,8 +93,8 @@
 //! the Hermitian part of the product,
 //! `½(K̂(f)X̂(f) + conj(K̂(−f)X̂(−f))) = K̂ₕ(f)·X̂(f)` with
 //! `K̂ₕ(f) = ½(K̂(f) + conj K̂(−f))`, so the z stage multiplies by `K̂ₕ`
-//! ([`KernelSpectrum::eval_hermitian_tile_axis2`]). The shipped scalar
-//! kernels are real and separable and build a tile's multiplier in lanes;
+//! ([`KernelSpectrum::apply_hermitian_tile_axis2`]). The shipped scalar
+//! kernels are real and separable and scale a tile's lanes by a real factor;
 //! `MassifGamma` components that are odd in one `ξᵢ` are not Hermitian on
 //! bins with a Nyquist coordinate (DESIGN.md §5a) and take the trait's
 //! two-pencil default.
@@ -183,32 +185,22 @@ fn for_each_plane(
 }
 
 /// The scalar pipeline's pointwise z-stage step on `block`: the kernel's
-/// Hermitian part (module doc) in lane form, one multiplier row per tile
-/// row ([`KernelSpectrum::eval_hermitian_tile_axis2`]), applied as one
-/// vector op. It needs [`scalar_scratch`].
-fn scalar_pointwise(
-    kernel: &dyn KernelSpectrum,
-    n: usize,
-    block: Block,
-) -> impl Fn(ZTile<'_>) + Sync + '_ {
+/// Hermitian part (module doc) applied in lane form, each forward row
+/// multiplied into the inverse's load row
+/// ([`KernelSpectrum::apply_hermitian_tile_axis2`]). It needs
+/// [`scalar_scratch`].
+fn scalar_pointwise(kernel: &dyn KernelSpectrum, block: Block) -> impl Fn(ZTile<'_>) + Sync + '_ {
     move |tile: ZTile<'_>| {
         let bins: [(usize, usize); W] = std::array::from_fn(|l| block.bin(tile.q0 + l));
-        let mut real = tile.rbuf;
-        let (mre, mim) = (carve(&mut real, n), carve(&mut real, n));
-        kernel.eval_hermitian_tile_axis2(&bins[..tile.live], mre, mim, tile.cbuf);
-        for ((&row, mre), mim) in tile.rows.iter().zip(&*mre).zip(&*mim) {
-            let (re, im) = (&mut tile.re[row as usize], &mut tile.im[row as usize]);
-            let (xr, xi) = (*re, *im);
-            *re = std::array::from_fn(|l| xr[l] * mre[l] - xi[l] * mim[l]);
-            *im = std::array::from_fn(|l| xr[l] * mim[l] + xi[l] * mre[l]);
-        }
+        let bins = &bins[..tile.live];
+        kernel.apply_hermitian_tile_axis2(bins, tile.src, tile.rows, tile.dst, tile.scratch);
     }
 }
 
-/// The `(complex, real)` scratch [`scalar_pointwise`] asks for: the
-/// kernel's tile scratch and the multiplier's two tiles.
-fn scalar_scratch(n: usize) -> (usize, usize) {
-    ((W + 1) * n, 2 * n * W)
+/// The complex scratch [`scalar_pointwise`] asks for: the default
+/// multiply's `W` pencils and their mirror.
+fn scalar_scratch(n: usize) -> usize {
+    (W + 1) * n
 }
 
 /// The cube stage 1 and the z stage's forward run on (module doc, "Support
@@ -375,7 +367,7 @@ impl LocalConvolver {
         subs: [&Grid3<f64>; C],
         corner: [usize; 3],
         plan: Arc<SamplingPlan>,
-        step: (f64, (usize, usize)),
+        step: (f64, usize),
         pointwise: impl Fn(Block) -> F,
     ) -> [CompressedField; C] {
         let cube = self.support_cube(subs);
@@ -390,7 +382,7 @@ impl LocalConvolver {
         cube: Cube<'_>,
         corner: [usize; 3],
         plan: Arc<SamplingPlan>,
-        (scale, scratch): (f64, (usize, usize)),
+        (scale, scratch): (f64, usize),
         pointwise: impl Fn(Block) -> F,
     ) -> [CompressedField; C] {
         let (n, k, h) = (self.n, cube.side(), self.half());
@@ -498,28 +490,21 @@ impl LocalConvolver {
         slab: &mut [Complex64],
     ) {
         let (n, k, h) = (self.n, pruned.support(), self.half());
-        let lane_len = pruned.tile_scratch_len();
+        let lane_len = self.inverse.scratch_len();
         slab.par_chunks_mut(block.stride(n))
             .enumerate()
             .for_each_init(workspace, |ws, (slice, plane)| {
                 let rows = &yrows[slice * k * h..][..k * h];
                 // Every buffer is fully written before it is read: the input
                 // rows by the loads, the rest inside the transform.
-                let ([lane], mut real) = ws.split([lane_len], (4 * k + 2 * n) * W);
+                let ([lane], mut real) = ws.split([lane_len], (2 * k + 2 * n) * W);
                 let real = &mut real;
                 let (xre, xim) = (carve(real, k), carve(real, k));
-                let (sre, sim) = (carve(real, k), carve(real, k));
                 let (ore, oim) = (carve(real, n), carve(real, n));
                 for (x, (re, im)) in xre.iter_mut().zip(xim.iter_mut()).enumerate() {
                     load_row(&rows[x * h + block.fy0..][..block.w], re, im);
                 }
-                pruned.process_tile(
-                    (&*xre, &*xim),
-                    (&mut *ore, &mut *oim),
-                    (&mut *sre, &mut *sim),
-                    lane,
-                    |fx| fx,
-                );
+                pruned.process_tile((&*xre, &*xim), (&mut *ore, &mut *oim), lane);
                 for (dst, (r, i)) in plane
                     .chunks_exact_mut(block.w)
                     .zip(ore.iter().zip(oim.iter()))
@@ -623,7 +608,7 @@ impl LocalConvolver {
         let scale = 1.0 / (n * n * n) as f64;
         let [field] =
             self.convolve_blocks([sub], corner, plan, (scale, scalar_scratch(n)), |block| {
-                scalar_pointwise(kernel, n, block)
+                scalar_pointwise(kernel, block)
             });
         field
     }
@@ -788,7 +773,7 @@ mod tests {
             subs: [&Grid3<f64>; C],
             corner: [usize; 3],
             plan: Arc<SamplingPlan>,
-            (scale, scratch): (f64, (usize, usize)),
+            (scale, scratch): (f64, usize),
             pointwise: impl Fn(Block) -> F,
         ) -> [CompressedField; C] {
             let (n, k, h) = (self.n, self.k, self.half());
@@ -813,9 +798,9 @@ mod tests {
             let mut slab = vec![Complex64::ZERO; k * n * h];
             let (mut rows, mut scratch) = (vec![Complex64::ZERO; k * n], vec![Complex64::ZERO; k]);
             let pruned = self.dense().pruned;
-            let mut lane = vec![Complex64::ZERO; pruned.tile_scratch_len()];
+            let mut lane = vec![Complex64::ZERO; self.inverse.scratch_len()];
             let tile = |len| vec![[0.0; W]; len];
-            let (mut xre, mut xim, mut sre, mut sim) = (tile(k), tile(k), tile(k), tile(k));
+            let (mut xre, mut xim) = (tile(k), tile(k));
             let (mut ore, mut oim) = (tile(n), tile(n));
             for (zloc, plane) in slab.chunks_exact_mut(n * h).enumerate() {
                 for (x, row) in rows.chunks_exact_mut(n).enumerate() {
@@ -829,13 +814,7 @@ mod tests {
                     for x in 0..k {
                         load_row(&rows[x * n + fy..][..live], &mut xre[x], &mut xim[x]);
                     }
-                    pruned.process_tile(
-                        (&xre, &xim),
-                        (&mut ore, &mut oim),
-                        (&mut sre, &mut sim),
-                        &mut lane,
-                        |fx| fx,
-                    );
+                    pruned.process_tile((&xre, &xim), (&mut ore, &mut oim), &mut lane);
                     for fx in 0..n {
                         store_row(&ore[fx], &oim[fx], &mut plane[fx * h + fy..][..live]);
                     }
@@ -938,7 +917,7 @@ mod tests {
                 let gamma = MassifGamma::new(n, 1.3, 0.8);
                 let subs: [Grid3<f64>; 6] = std::array::from_fn(component);
                 let got = conv.convolve_tensor_compressed(&subs, corner, &gamma, plan.clone());
-                let want = conv.unblocked(subs.each_ref(), corner, plan, (0.5 / cube, (0, 0)), |block| {
+                let want = conv.unblocked(subs.each_ref(), corner, plan, (0.5 / cube, 0), |block| {
                     tensor_pointwise(&gamma, n, block)
                 });
                 (got.into(), want.into())
@@ -946,7 +925,7 @@ mod tests {
                 let (sub, kernel) = (component(0), PoissonSpectrum::new(n));
                 let got = conv.convolve_compressed(&sub, corner, &kernel, plan.clone());
                 let want = conv.unblocked([&sub], corner, plan, (1.0 / cube, scalar_scratch(n)), |block| {
-                    scalar_pointwise(&kernel, n, block)
+                    scalar_pointwise(&kernel, block)
                 });
                 (vec![got], want.into())
             };
@@ -1032,7 +1011,7 @@ mod tests {
                 let subs: [Grid3<f64>; 6] = std::array::from_fn(component);
                 let got = conv.convolve_tensor_compressed(&subs, corner, &gamma, plan.clone());
                 // The tensor pipeline's own step, on the whole domain.
-                let step = (0.5 / cube, (0, 0));
+                let step = (0.5 / cube, 0);
                 let subs = subs.each_ref();
                 let want = conv.convolve_cube(subs, conv.dense(), corner, plan, step, |b| {
                     tensor_pointwise(&gamma, n, b)
@@ -1048,7 +1027,7 @@ mod tests {
                 let got = conv.convolve_compressed(&sub, corner, kernel.as_ref(), plan.clone());
                 let step = (1.0 / cube, scalar_scratch(n));
                 let want = conv.convolve_cube([&sub], conv.dense(), corner, plan, step, |b| {
-                    scalar_pointwise(kernel.as_ref(), n, b)
+                    scalar_pointwise(kernel.as_ref(), b)
                 });
                 (vec![got], want.into())
             };

@@ -65,7 +65,7 @@ impl LocalConvolver {
         // The contraction leaves out the ½ of the Hermitian projection; the
         // c2r applies it with the 1/n³.
         let scale = 0.5 / (n * n * n) as f64;
-        self.convolve_blocks(sub.each_ref(), corner, plan, (scale, (0, 0)), |block| {
+        self.convolve_blocks(sub.each_ref(), corner, plan, (scale, 0), |block| {
             tensor_pointwise(kernel, n, block)
         })
     }
@@ -88,26 +88,31 @@ pub(crate) fn hermitian_contract(
 
 /// The tensor pipeline's pointwise z-stage step on `block`: all six
 /// components share a pencil's frequency bin, so the stage's tiles hold
-/// them together and [`hermitian_contract`] mixes them in place. It needs
-/// no scratch.
+/// them together and [`hermitian_contract`] mixes them, each forward row
+/// into the inverse's load row, dead lanes zero. It needs no scratch.
 pub(crate) fn tensor_pointwise(
     kernel: &dyn TensorKernelSpectrum,
     n: usize,
     block: Block,
 ) -> impl Fn(ZTile<'_>) + Sync + '_ {
     move |tile: ZTile<'_>| {
+        let ((sre, sim), (dre, dim)) = (tile.src, tile.dst);
         for (fz, &row) in tile.rows.iter().enumerate() {
             let row = row as usize;
+            for c in 0..6 {
+                dre[c * n + row][tile.live..].fill(0.0);
+                dim[c * n + row][tile.live..].fill(0.0);
+            }
             for lane in 0..tile.live {
                 let (fx, fy) = block.bin(tile.q0 + lane);
                 let mut sig = Sym3C::ZERO;
                 for c in 0..6 {
-                    sig.c[c] = c64(tile.re[c * n + row][lane], tile.im[c * n + row][lane]);
+                    sig.c[c] = c64(sre[c * n + fz][lane], sim[c * n + fz][lane]);
                 }
                 let d = hermitian_contract(kernel, [fx, fy, fz], &sig);
                 for c in 0..6 {
-                    tile.re[c * n + row][lane] = d.c[c].re;
-                    tile.im[c * n + row][lane] = d.c[c].im;
+                    dre[c * n + row][lane] = d.c[c].re;
+                    dim[c * n + row][lane] = d.c[c].im;
                 }
             }
         }

@@ -3,19 +3,26 @@
 //! The paper's local convolution pipeline zero-pads a k-point signal to N
 //! points in each dimension ("zero structure is implicit in the 1D calls, so
 //! padding is applied to the 1D data"). Transforming the padded signal with a
-//! full N-point FFT wastes work on zeros; this module provides:
+//! full N-point FFT wastes work on zeros; [`PrunedInputFft`] is the forward
+//! N-point FFT of a signal whose only nonzero entries are the first `k`
+//! (k | N), at O(N log k) instead of O(N log N), in two forms:
 //!
-//! * [`PrunedInputFft`] — forward N-point FFT of a signal whose only nonzero
-//!   entries are the first `k` (k | N). Decomposes into `m = N/k` pre-twiddled
-//!   size-`k` FFTs: with `j = r + m·s`,
-//!   `X[r + m·s] = Σ_{n<k} (x[n]·w_N^{rn}) · w_k^{sn}`,
-//!   for a total cost of O(N log k) instead of O(N log N). The pre-twiddles
-//!   are a planned `(N/k) × k` table, and the same decomposition runs as a
-//!   tile operation ([`PrunedInputFft::process_tile`]): per `r` a
-//!   pre-twiddled `k`-row sub-tile through the `k`-point
-//!   [`crate::tile::TileFft`], its output rows written wherever the caller's
-//!   next step wants bin `r + m·s` — straight into the inverse transform's
-//!   digit-reversed row in the pipeline's z stage.
+//! * **One pencil** ([`PrunedInputFft::process`]): `m = N/k` pre-twiddled
+//!   size-`k` FFTs. With `j = r + m·s`,
+//!   `X[r + m·s] = Σ_{n<k} (x[n]·w_N^{rn}) · w_k^{sn}`; the pre-twiddles are
+//!   a planned `m × k` table.
+//! * **A tile of `W` pencils** ([`PrunedInputFft::process_tile`]): the last
+//!   stages of the N-point tile schedule. The schedule is
+//!   `plan_radices(m) ++ plan_radices(k)`; under its digit reversal input
+//!   `j < k` lands on a row that is a multiple of `m`, so each block of `m`
+//!   rows holds one nonzero, at its head, and the first stages — the `m`
+//!   head — would only copy it across its block, with unit twiddles. The
+//!   tile form writes each input row to its `m` rows (the broadcast) and
+//!   runs the remaining stages with the [`crate::tile`] kernels; its output
+//!   is in natural order. `k = N` is the full transform, `k = 1` the
+//!   broadcast alone, and a non-power-of-two N falls back lane by lane to
+//!   the planner's N-point plan on the zero-padded pencil, as
+//!   [`crate::tile::TileFft`] does.
 
 use std::sync::Arc;
 
@@ -35,7 +42,8 @@ pub struct PrunedInputFft {
     /// row `r` turns the head into the input of sub-transform `r`.
     pre_twiddle: Vec<Complex64>,
     inner: FftPlan,
-    inner_tile: TileFft,
+    /// The N-point tile schedule past its `m` head (module doc).
+    tile: TileFft,
 }
 
 impl PrunedInputFft {
@@ -55,7 +63,7 @@ impl PrunedInputFft {
             direction,
             pre_twiddle,
             inner: planner.plan(k, direction),
-            inner_tile: TileFft::new(planner, k, direction),
+            tile: TileFft::pruned(planner, n, k, direction),
         }
     }
 
@@ -111,52 +119,34 @@ impl PrunedInputFft {
         }
     }
 
-    /// Length of the `scratch` [`Self::process_tile`] needs (none unless `k`
-    /// takes [`TileFft`]'s per-lane fallback).
-    pub fn tile_scratch_len(&self) -> usize {
-        self.inner_tile.scratch_len()
-    }
-
-    /// [`Self::process`] across a tile of `W` pencils. `xin` holds the `k`
-    /// head rows in natural order; bin `f` of every pencil is written to row
-    /// `place(f)` of `out` (`n` rows) — the identity for natural order, or
-    /// the next transform's [`TileFft::load_rows`] so that no permutation
-    /// pass sits between the two. `sub` (`k` rows) and `scratch`
-    /// ([`Self::tile_scratch_len`]) are clobbered.
+    /// [`Self::process`] across a tile of `W` pencils (module doc): `xin`
+    /// holds the `k` head rows in natural order, `out` (`n` rows) receives
+    /// every bin in natural order. `scratch` has the length
+    /// [`TileFft::scratch_len`] of an `n`-point tile — `n` for the per-lane
+    /// fallback, none otherwise — and is clobbered.
     pub fn process_tile(
         &self,
         xin: (&[Row], &[Row]),
         out: (&mut [Row], &mut [Row]),
-        sub: (&mut [Row], &mut [Row]),
         scratch: &mut [Complex64],
-        place: impl Fn(usize) -> usize,
     ) {
         let (n, k) = (self.n, self.k);
         assert!(xin.0.len() == k && xin.1.len() == k, "xin must be k rows");
         assert!(out.0.len() == n && out.1.len() == n, "out must be n rows");
-        let m = n / k;
-        let load_rows = self.inner_tile.load_rows();
-        for (r, twiddles) in self.pre_twiddle.chunks_exact(k).enumerate() {
-            for (j, &w) in twiddles.iter().enumerate() {
-                let row = load_rows[j] as usize;
-                if r == 0 {
-                    sub.0[row] = xin.0[j];
-                    sub.1[row] = xin.1[j];
-                } else {
-                    for l in 0..W {
-                        let (xr, xi) = (xin.0[j][l], xin.1[j][l]);
-                        sub.0[row][l] = xr * w.re - xi * w.im;
-                        sub.1[row][l] = xr * w.im + xi * w.re;
-                    }
-                }
-            }
-            self.inner_tile.process(sub.0, sub.1, scratch);
-            for s in 0..k {
-                let row = place(r + m * s);
-                out.0[row] = sub.0[s];
-                out.1[row] = sub.1[s];
+        if self.tile.is_per_lane() {
+            out.0[..k].copy_from_slice(xin.0);
+            out.1[..k].copy_from_slice(xin.1);
+            out.0[k..].fill([0.0; W]);
+            out.1[k..].fill([0.0; W]);
+        } else {
+            let m = n / k;
+            for ((&head, xr), xi) in self.tile.load_rows().iter().zip(xin.0).zip(xin.1) {
+                let head = head as usize;
+                out.0[head..head + m].fill(*xr);
+                out.1[head..head + m].fill(*xi);
             }
         }
+        self.tile.process(out.0, out.1, scratch);
     }
 
     /// Allocating convenience wrapper around [`Self::process`].
@@ -165,14 +155,6 @@ impl PrunedInputFft {
         let mut scratch = vec![Complex64::ZERO; self.k];
         self.process(input, &mut out, &mut scratch);
         out
-    }
-
-    /// Number of complex multiply-adds relative to a full N-point FFT,
-    /// for reporting: `(N·log₂k) / (N·log₂N)` when both are powers of two.
-    pub fn work_fraction(&self) -> f64 {
-        let full = (self.n as f64).log2().max(1.0);
-        let pruned = (self.k as f64).log2().max(1.0);
-        pruned / full
     }
 }
 
@@ -266,14 +248,6 @@ mod tests {
         for v in got {
             assert!((v - c64(2.0, 1.0)).norm() < 1e-12);
         }
-    }
-
-    #[test]
-    fn work_fraction_reports_savings() {
-        let planner = FftPlanner::new();
-        let plan = PrunedInputFft::new(&planner, 1024, 32, FftDirection::Forward);
-        // log2(32)/log2(1024) = 5/10
-        assert!((plan.work_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! decimation-in-time: they want their input digit-reversed. Rows are loaded
 //! one at a time anyway, so element `t` is simply loaded into row
 //! [`TileFft::load_rows`]`[t]`; the output comes out in natural row order.
+//! In [`ZStage`] the pruned forward ([`PrunedInputFft::process_tile`], the
+//! last stages of the same schedule on broadcast rows) leaves natural rows
+//! and the pointwise step writes each bin to the inverse's load row as it
+//! multiplies, so no permutation pass sits between the transforms.
 //!
 //! **Tails.** A tile with fewer than `W` live pencils is padded with zero
 //! lanes and runs the same full-width kernels; only the live lanes are
@@ -136,44 +140,58 @@ fn prefetch_raw(start: *const Complex64, len: usize, write: bool) {
     let _ = (start, len, write);
 }
 
-/// Row order and lane-replicated stage tables of one `(n, direction)`.
+/// Row order and lane-replicated stage tables of one `(n, support,
+/// direction)`.
 struct LaneTables {
-    /// `load_rows[t]`: the tile row input element `t` is loaded into — the
-    /// inverse of the schedule's digit reversal, or the identity for the
-    /// lengths that have no stage schedule.
+    /// `load_rows[t]`: the tile row input element `t < support` is loaded
+    /// into — the inverse of the schedule's digit reversal, or the identity
+    /// for the lengths that have no stage schedule.
     load_rows: Vec<u32>,
-    /// Empty for `n = 1` and for the per-lane fallback lengths.
+    /// Empty for `n = 1`, for `support = 1` and for the per-lane fallback
+    /// lengths.
     stages: Vec<Stage>,
 }
 
 impl LaneTables {
-    fn build(n: usize, direction: FftDirection) -> Self {
+    /// The schedule `plan_radices(m) ++ plan_radices(support)`,
+    /// `m = n / support`, from its first stage past the `m` head. Under its
+    /// digit reversal input `t < support` lands on row `m·r` for some `r`,
+    /// so a block of `m` rows holds one nonzero, at its head, and the
+    /// skipped stages would only copy it across the block
+    /// ([`TileFft::pruned`]). With `support = n` this is the full schedule.
+    fn build(n: usize, support: usize, direction: FftDirection) -> Self {
         if !n.is_power_of_two() {
             return LaneTables {
                 // lcc-lint: allow(alloc) — plan-time table.
-                load_rows: (0..n as u32).collect(),
+                load_rows: (0..support as u32).collect(),
                 stages: Vec::new(), // lcc-lint: allow(alloc) — no stages
             };
         }
-        let radices = simd::plan_radices(n);
-        // lcc-lint: allow(alloc) — plan-time table, built once per (n, direction).
+        let head = simd::plan_radices(n / support);
+        // lcc-lint: allow(alloc) — plan-time schedule, built once per key.
+        let radices = [head.as_slice(), &simd::plan_radices(support)].concat();
+        // lcc-lint: allow(alloc) — plan-time table, built once per key.
         let mut load_rows = vec![0u32; n];
         for (row, &t) in simd::digit_reversal(n, &radices).iter().enumerate() {
             load_rows[t as usize] = row as u32;
         }
+        load_rows.truncate(support);
         LaneTables {
             load_rows,
-            stages: simd::stage_tables(n, direction, &radices, 0, W),
+            stages: simd::stage_tables(n, direction, &radices, head.len(), W),
         }
     }
 }
 
-/// Process-wide table cache: a service holds many convolvers, each with its
-/// own planner, and the tables depend on nothing but `(n, is_forward)`.
-static TABLES: RwLock<BTreeMap<(usize, bool), Arc<LaneTables>>> = RwLock::new(BTreeMap::new());
+/// Tables are keyed by `(n, support, is_forward)`.
+type TableKey = (usize, usize, bool);
 
-fn lane_tables(n: usize, direction: FftDirection) -> Arc<LaneTables> {
-    let key = (n, matches!(direction, FftDirection::Forward));
+/// Process-wide table cache: a service holds many convolvers, each with its
+/// own planner, and the tables depend on nothing but the key.
+static TABLES: RwLock<BTreeMap<TableKey, Arc<LaneTables>>> = RwLock::new(BTreeMap::new());
+
+fn lane_tables(n: usize, support: usize, direction: FftDirection) -> Arc<LaneTables> {
+    let key = (n, support, matches!(direction, FftDirection::Forward));
     if let Some(t) = TABLES.read().get(&key) {
         return t.clone();
     }
@@ -181,7 +199,7 @@ fn lane_tables(n: usize, direction: FftDirection) -> Arc<LaneTables> {
     TABLES
         .write()
         .entry(key)
-        .or_insert_with(|| Arc::new(LaneTables::build(n, direction)))
+        .or_insert_with(|| Arc::new(LaneTables::build(n, support, direction)))
         .clone()
 }
 
@@ -199,7 +217,23 @@ pub struct TileFft {
 impl TileFft {
     /// Plans the tile transform; kernels follow `planner`'s variant.
     pub fn new(planner: &FftPlanner, n: usize, direction: FftDirection) -> Self {
+        Self::pruned(planner, n, n, direction)
+    }
+
+    /// Plans the transform of a tile whose pencils are nonzero in their
+    /// first `support` elements only (`support | n`): [`Self::load_rows`]
+    /// has `support` entries, and before [`Self::process`] each input row
+    /// must fill its load row and the `n / support − 1` rows after it — the
+    /// value the schedule's first stages would have copied there. The
+    /// per-lane fallback wants the zero-padded pencil in natural order.
+    pub(crate) fn pruned(
+        planner: &FftPlanner,
+        n: usize,
+        support: usize,
+        direction: FftDirection,
+    ) -> Self {
         assert!(n >= 1, "cannot plan a zero-length FFT");
+        debug_assert!(support >= 1 && n.is_multiple_of(support));
         let variant = planner.simd_variant().unwrap_or_else(simd::variant);
         TileFft {
             n,
@@ -207,7 +241,7 @@ impl TileFft {
             // Forcing a variant the host lacks degrades to scalar, as for
             // single-pencil plans.
             variant: variant.or_scalar(),
-            tables: lane_tables(n, direction),
+            tables: lane_tables(n, support, direction),
             per_lane: (!n.is_power_of_two()).then(|| planner.plan(n, direction)),
         }
     }
@@ -226,6 +260,12 @@ impl TileFft {
     /// into before [`Self::process`]. Outputs are in natural row order.
     pub fn load_rows(&self) -> &[u32] {
         &self.tables.load_rows
+    }
+
+    /// Whether the length has no stage schedule, so that [`Self::process`]
+    /// runs the planner's plan one lane at a time.
+    pub(crate) fn is_per_lane(&self) -> bool {
+        self.per_lane.is_some()
     }
 
     /// Length of the scratch [`Self::process`] needs: none for
@@ -270,27 +310,35 @@ impl TileFft {
 
 /// What [`ZStage::run`]'s pointwise step sees of one tile: the spectra of
 /// pencils `q0..q0 + live` of every component, between the forward and the
-/// inverse transform.
+/// inverse transform. The step reads `src` and writes every row of `dst`.
 pub struct ZTile<'a> {
     /// First pencil of the tile.
     pub q0: usize,
-    /// Live lanes; lanes `live..W` are zero and are never stored.
+    /// Live lanes; lanes `live..W` of `src` are zero, those of `dst` must be
+    /// written zero, and none is stored.
     pub live: usize,
-    /// `rows[fz]`: the tile row holding bin `fz`.
+    /// `rows[fz]`: the row of `dst` that bin `fz` goes to — the inverse's
+    /// [`TileFft::load_rows`], so the step applies the digit reversal as it
+    /// writes.
     pub rows: &'a [u32],
-    /// Real parts, component `c` in rows `c·n..(c + 1)·n`.
-    pub re: &'a mut [Row],
-    /// Imaginary parts, same layout.
-    pub im: &'a mut [Row],
+    /// The forward's output in natural order, `(re, im)`: bin `fz` of
+    /// component `c` in row `c·n + fz`.
+    pub src: (&'a [Row], &'a [Row]),
+    /// The inverse's input, `(re, im)`: bin `fz` of component `c` goes to
+    /// row `c·n + rows[fz]`.
+    pub dst: (&'a mut [Row], &'a mut [Row]),
     /// The complex scratch the step asked for (contents unspecified).
-    pub cbuf: &'a mut [Complex64],
-    /// The real scratch the step asked for (contents unspecified).
-    pub rbuf: &'a mut [f64],
+    pub scratch: &'a mut [Complex64],
 }
 
 /// The pipeline's z stage over tiles of adjacent pencils: load `k` slab rows
 /// → pruned forward `k → n` → pointwise step → inverse → store the retained
 /// rows. Scalar and tensor pipelines differ only in the pointwise step.
+///
+/// The forward leaves its rows in natural order and the inverse wants them
+/// digit-reversed; the pointwise step reads and writes every row anyway, so
+/// it writes each to the inverse's load row ([`ZTile`]) and no permutation
+/// pass sits between the transforms.
 ///
 /// The sub-domain sits at the origin of its slab; its true z position
 /// `shift` is a circular shift of the inverse's output, so plane `z` is
@@ -312,14 +360,15 @@ pub struct ZStage<'a, P> {
 
 impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
     /// The `(complex, real)` lengths one participant of [`Self::run`]
-    /// leases for `C` components and a pointwise step asking for `scratch`.
-    pub fn lease_len<const C: usize>(&self, scratch: (usize, usize)) -> (usize, usize) {
+    /// leases for `C` components and a pointwise step asking for `scratch`
+    /// complex: the transforms' lane scratch, the `k` input rows and the
+    /// forward's and the inverse's `C·n` rows.
+    pub fn lease_len<const C: usize>(&self, scratch: usize) -> (usize, usize) {
         let (n, k) = (self.forward.len(), self.forward.support());
-        let lane_len = self
-            .forward
-            .tile_scratch_len()
-            .max(self.inverse.scratch_len());
-        (lane_len + scratch.0, (2 * C * n + 4 * k) * W + scratch.1)
+        (
+            self.inverse.scratch_len() + scratch,
+            (4 * C * n + 2 * k) * W,
+        )
     }
 
     /// Runs the stage over `C` components. `slabs[c]` is `k` planes of
@@ -329,17 +378,16 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
     /// power of two keeps the `k` rows a tile loads, and the rows it
     /// stores, out of each other's cache sets.
     ///
-    /// `pointwise` gets each tile with the `scratch = (complex, real)`
-    /// lengths of scratch it asked for, carved from the dispatch's own
-    /// workspace lease. With an `lcc_obs` session collecting, the four
-    /// phases of every tile are timed into the `pipeline.stage2_*_ns`
-    /// counters.
+    /// `pointwise` gets each tile with the `scratch` complex it asked for,
+    /// carved from the dispatch's own workspace lease. With an `lcc_obs`
+    /// session collecting, the four phases of every tile are timed into the
+    /// `pipeline.stage2_*_ns` counters.
     pub fn run<const C: usize>(
         &self,
         slabs: [&[Complex64]; C],
         kept: [&mut [Complex64]; C],
         pencils: usize,
-        scratch: (usize, usize),
+        scratch: usize,
         pointwise: impl Fn(ZTile<'_>) + Sync,
     ) {
         let (fwd, inv) = (self.forward, self.inverse);
@@ -363,7 +411,8 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
             );
         }
         let rows = inv.load_rows();
-        let lane_len = fwd.tile_scratch_len().max(inv.scratch_len());
+        // Both transforms are `n`-point, so their lane scratch is one length.
+        let lane_len = inv.scratch_len();
         let real_len = self.lease_len::<C>(scratch).1;
         let ptrs = kept.map(|out| SendPtr(out.as_mut_ptr()));
         crate::detector::begin_epoch();
@@ -391,23 +440,21 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
                 }
             }
             // Every buffer is fully written before it is read: the input
-            // rows by the loads below, `sub` and the tiles by the pruned
-            // transform.
-            let ([lane, cbuf], mut real) = ws.split([lane_len, scratch.0], real_len);
+            // rows by the loads below, the forward's rows by the forward and
+            // the inverse's by the pointwise step.
+            let ([lane, cbuf], mut real) = ws.split([lane_len, scratch], real_len);
             let real = &mut real;
+            let (fre, fim) = (carve(real, C * n), carve(real, C * n));
             let (re, im) = (carve(real, C * n), carve(real, C * n));
             let (xre, xim) = (carve(real, k), carve(real, k));
-            let (sre, sim) = (carve(real, k), carve(real, k));
             for (c, slab) in slabs.iter().enumerate() {
                 for (zloc, (xr, xi)) in xre.iter_mut().zip(xim.iter_mut()).enumerate() {
                     load_row(&slab[zloc * stride + q0..][..live], xr, xi);
                 }
                 fwd.process_tile(
                     (&*xre, &*xim),
-                    (&mut re[c * n..(c + 1) * n], &mut im[c * n..(c + 1) * n]),
-                    (&mut *sre, &mut *sim),
-                    &mut lane[..fwd.tile_scratch_len()],
-                    |fz| rows[fz] as usize,
+                    (&mut fre[c * n..(c + 1) * n], &mut fim[c * n..(c + 1) * n]),
+                    lane,
                 );
             }
             clock.lap(&metrics::PIPELINE_STAGE2_LOAD_NS);
@@ -415,15 +462,14 @@ impl<P: Iterator<Item = usize> + Clone + Sync> ZStage<'_, P> {
                 q0,
                 live,
                 rows,
-                re: &mut *re,
-                im: &mut *im,
-                cbuf,
-                rbuf: std::mem::take(real),
+                src: (&*fre, &*fim),
+                dst: (&mut *re, &mut *im),
+                scratch: cbuf,
             });
             clock.lap(&metrics::PIPELINE_STAGE2_POINTWISE_NS);
             for (c, p) in ptrs.iter().enumerate() {
                 let (re, im) = (&mut re[c * n..(c + 1) * n], &mut im[c * n..(c + 1) * n]);
-                inv.process(re, im, &mut lane[..inv.scratch_len()]);
+                inv.process(re, im, lane);
                 clock.lap(&metrics::PIPELINE_STAGE2_INVERSE_NS);
                 for (zi, z) in self.retained.clone().enumerate() {
                     let src = if z >= self.shift {

@@ -64,8 +64,7 @@ impl Workspace {
     /// fully overwrite each buffer before reading it.
     pub fn complex_bufs<const M: usize>(&mut self, lens: [usize; M]) -> [&mut [Complex64]; M] {
         let total: usize = lens.iter().sum();
-        grow(&mut self.cbuf, total, Complex64::ZERO);
-        let mut rest: &mut [Complex64] = &mut self.cbuf[..total];
+        let mut rest = grow_aligned(&mut self.cbuf, total, Complex64::ZERO);
         lens.map(|l| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
             rest = tail;
@@ -81,20 +80,18 @@ impl Workspace {
         real_len: usize,
     ) -> ([&mut [Complex64]; M], &mut [f64]) {
         let total: usize = complex_lens.iter().sum();
-        grow(&mut self.cbuf, total, Complex64::ZERO);
-        grow(&mut self.rbuf, real_len, 0.0);
-        let mut rest: &mut [Complex64] = &mut self.cbuf[..total];
+        let mut rest = grow_aligned(&mut self.cbuf, total, Complex64::ZERO);
         let bufs = complex_lens.map(|l| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
             rest = tail;
             head
         });
-        (bufs, &mut self.rbuf[..real_len])
+        (bufs, grow_aligned(&mut self.rbuf, real_len, 0.0))
     }
 
     /// Capacity currently held (complex elements), for diagnostics.
     pub fn complex_capacity(&self) -> usize {
-        self.cbuf.len()
+        self.cbuf.len().saturating_sub(pad::<Complex64>())
     }
 
     /// Detector identity of this arena (0 when the detector is compiled out).
@@ -110,14 +107,31 @@ impl Workspace {
     }
 }
 
-/// Grows `buf` to at least `len` elements, to exactly `len` when it must
-/// grow: an arena holds the largest request it served, not the doubling
-/// headroom of a `Vec`, so the pool's size is the sum of its leases.
-fn grow<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T) {
-    if buf.len() < len {
-        buf.reserve_exact(len - buf.len());
-        buf.resize(len, fill);
+/// Alignment of every buffer run handed out: one cache line, so a tile row
+/// (`W` = 8 `f64`, 64 bytes) sits in one line instead of straddling two,
+/// and a process's speed does not hang on where the allocator placed the
+/// arenas its threads pop.
+const LINE: usize = 64;
+
+/// Elements of headroom an arena of `T` keeps to start a run on a line.
+const fn pad<T>() -> usize {
+    LINE / std::mem::size_of::<T>()
+}
+
+/// Grows `buf` to hold `len` elements from its first cache-line boundary
+/// and returns them: to exactly `len` plus the line's headroom when it must
+/// grow, since an arena holds the largest request it served, not the
+/// doubling headroom of a `Vec`, so the pool's size is the sum of its leases.
+fn grow_aligned<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T) -> &mut [T] {
+    let need = len + pad::<T>();
+    if buf.len() < need {
+        buf.reserve_exact(need - buf.len());
+        buf.resize(need, fill);
     }
+    // An allocation too misaligned to reach a line boundary by whole
+    // elements (never, for the allocators Rust ships) starts at 0.
+    let off = buf.as_ptr().align_offset(LINE).min(pad::<T>());
+    &mut buf[off..off + len]
 }
 
 /// Free list of warm workspaces. Capped so pathological fan-out cannot pin
@@ -176,16 +190,17 @@ pub fn workspace() -> WorkspaceGuard {
     }
 }
 
-/// Bytes held by the workspaces currently on the free list (their
-/// allocated capacity), for diagnostics: with no lease live, this is
-/// everything the pool keeps warm.
+/// Bytes the workspaces currently on the free list can hand out (their
+/// allocated capacity less the 64-byte cache-line headroom of each of an
+/// arena's two buffers), for diagnostics: with no lease live, this is the
+/// sum of the largest leases the pool keeps warm.
 pub fn pooled_bytes() -> usize {
     FREE_LIST
         .lock()
         .iter()
         .map(|ws| {
-            ws.cbuf.capacity() * std::mem::size_of::<Complex64>()
-                + ws.rbuf.capacity() * std::mem::size_of::<f64>()
+            ws.cbuf.capacity().saturating_sub(pad::<Complex64>()) * std::mem::size_of::<Complex64>()
+                + ws.rbuf.capacity().saturating_sub(pad::<f64>()) * std::mem::size_of::<f64>()
         })
         .sum()
 }
@@ -218,6 +233,18 @@ mod tests {
         r[15] = 7.0;
         b[0] = c64(1.0, 1.0);
         assert_eq!(r[15], 7.0);
+    }
+
+    #[test]
+    fn buffers_start_on_a_cache_line() {
+        let mut ws = Workspace::default();
+        for len in [1, 7, 100, 1000, 3] {
+            let ([a, _], r) = ws.split([len, 1], 8 * len + 5);
+            assert_eq!(a.as_ptr() as usize % LINE, 0, "complex, len {len}");
+            assert_eq!(r.as_ptr() as usize % LINE, 0, "real, len {len}");
+            let [c] = ws.complex_bufs([len]);
+            assert_eq!(c.as_ptr() as usize % LINE, 0, "complex_bufs, len {len}");
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! The pencil-tile transforms (`lcc_fft::tile`) run the same stage kernels
 //! across 8 pencils at once; they are held to the same bound against the
 //! single-pencil plans of the *same* planner, lane by lane, and to bitwise
-//! independence of a pencil's result from the lane it sits in. Those cases
+//! independence of a pencil's result from the lane it sits in; the pruned
+//! tile forward, whose schedule no single-pencil plan shares, is held to
+//! the zero-padded `dft` oracle instead. Those cases
 //! are meaningful with the vector kernels and with `LCC_SIMD=off` (CI runs
 //! both).
 //!
@@ -36,6 +38,10 @@ use proptest::prelude::*;
 
 /// Maximum allowed elementwise divergence, in ulps at the output-norm scale.
 const MAX_ULP: f64 = 2.0;
+
+/// Allowed divergence of a fast transform from the O(n²) `dft` oracle, in
+/// the same metric, for `n ≤ 256` (`pruned_tile_matches_padded_dft`).
+const ORACLE_ULP: f64 = 8.0 * MAX_ULP;
 
 fn planners() -> (FftPlanner, FftPlanner) {
     (
@@ -296,39 +302,61 @@ proptest! {
         prop_assert!(same_bits(&in_lane0, &alone), "n={n}: lane 0 vs one-lane tail tile");
     }
 
-    /// The pruned forward as a tile operation against the single-pencil
-    /// `PrunedInputFft::process`, lane by lane — a composite, so the same
-    /// one-compounding headroom as `pruned_input_agrees`. `(60, 12)` takes
-    /// the per-lane fallback inside the tile transform.
+    /// The pruned forward as a tile operation against the zero-padded
+    /// O(n²) `dft`, lane by lane: every power-of-two `n ≤ 256` with every
+    /// divisor `k′` (1 and `n` among them), both directions, on the auto
+    /// and the forced-scalar planner, and the per-lane fallback at
+    /// `(60, 12)`, `(9, 3)` and `(15, 5)`. Tiles with `live < W` leave their
+    /// dead lanes zero.
+    ///
+    /// The oracle sums `k′` terms with `cis` twiddles of unreduced angles
+    /// and carries its own rounding, which grows with `n`: the
+    /// single-pencil `PrunedInputFft::process` and the full planned
+    /// transform are up to 11 ulp from it at `(256, 256)`, so the bound is
+    /// [`ORACLE_ULP`], not the two-planner `2 · MAX_ULP`.
     #[test]
-    fn pruned_tile_agrees_with_process(
-        nk in prop_oneof![
-            Just((8usize, 2usize)), Just((16, 4)), Just((64, 8)), Just((64, 64)),
-            Just((128, 32)), Just((60, 12)),
-        ],
+    fn pruned_tile_matches_padded_dft(
+        fwd in prop_oneof![Just(true), Just(false)],
+        live in 1usize..=W,
         seed in 0u64..1024,
     ) {
-        let (n, k) = nk;
+        let mut nks: Vec<(usize, usize)> = (0..=8)
+            .map(|p| 1usize << p)
+            .flat_map(|n| (0..=n.trailing_zeros()).map(move |q| (n, 1usize << q)))
+            .collect();
+        nks.extend([(60, 12), (9, 3), (15, 5)]);
         let (auto_p, scalar_p) = planners();
-        for planner in [&auto_p, &scalar_p] {
-            let pruned = PrunedInputFft::new(planner, n, k, FftDirection::Forward);
-            let heads: Vec<_> = (0..W as u64).map(|l| signal(k, seed + 1024 * l)).collect();
+        for (n, k) in nks {
+            let heads: Vec<_> = (0..live as u64).map(|l| signal(k, seed + 1024 * l)).collect();
             let lanes: Vec<&[Complex64]> = heads.iter().map(|p| p.as_slice()).collect();
             let identity: Vec<u32> = (0..k as u32).collect();
             let (xre, xim) = load_tile(&lanes, &identity);
-            let (mut ore, mut oim) = (vec![[0.0; W]; n], vec![[0.0; W]; n]);
-            let (mut sre, mut sim) = (vec![[0.0; W]; k], vec![[0.0; W]; k]);
-            pruned.process_tile(
-                (&xre, &xim),
-                (&mut ore, &mut oim),
-                (&mut sre, &mut sim),
-                &mut vec![Complex64::ZERO; pruned.tile_scratch_len()],
-                |f| f,
-            );
-            for (l, head) in heads.iter().enumerate() {
-                let want = pruned.transform(head);
-                let d = max_ulp_diff(&lane_of(&ore, &oim, l), &want);
-                prop_assert!(d <= 2.0 * MAX_ULP, "pruned tile n={n} k={k} lane {l}: {d} ulp");
+            let wants: Vec<_> = heads
+                .iter()
+                .map(|head| {
+                    let mut padded = head.clone();
+                    padded.resize(n, Complex64::ZERO);
+                    dft(&padded, dir_of(fwd))
+                })
+                .collect();
+            for planner in [&auto_p, &scalar_p] {
+                let pruned = PrunedInputFft::new(planner, n, k, dir_of(fwd));
+                let lane_len = TileFft::new(planner, n, dir_of(fwd)).scratch_len();
+                let (mut ore, mut oim) = (vec![[f64::NAN; W]; n], vec![[f64::NAN; W]; n]);
+                pruned.process_tile(
+                    (&xre, &xim),
+                    (&mut ore, &mut oim),
+                    &mut vec![Complex64::ZERO; lane_len],
+                );
+                for (l, want) in wants.iter().enumerate() {
+                    let d = max_ulp_diff(&lane_of(&ore, &oim, l), want);
+                    prop_assert!(
+                        d <= ORACLE_ULP,
+                        "pruned tile n={n} k={k} fwd={fwd} lane {l}: {d} ulp"
+                    );
+                }
+                let dead = ore.iter().chain(&oim).flat_map(|row| &row[live..]);
+                prop_assert!(dead.copied().all(|v| v == 0.0), "n={n} k={k}: dead lane");
             }
         }
     }

@@ -108,19 +108,22 @@ impl KernelSpectrum for GaussianKernel {
     }
 
     /// The spectrum is real and its table exactly even, so `K̂ₕ = K̂`: a
-    /// row is the lanes' `spec1d[f0]·spec1d[f1]` times one `spec1d[fz]`.
-    fn eval_hermitian_tile_axis2(
+    /// row's factor is the lanes' `spec1d[f0]·spec1d[f1]` times one
+    /// `spec1d[fz]`.
+    fn apply_hermitian_tile_axis2(
         &self,
         bins: &[(usize, usize)],
-        re: &mut [Row],
-        im: &mut [Row],
+        src: (&[Row], &[Row]),
+        rows: &[u32],
+        dst: (&mut [Row], &mut [Row]),
         _scratch: &mut [Complex64],
     ) {
         let s = &self.spec1d;
         real_tile(
             bins,
-            re,
-            im,
+            src,
+            rows,
+            dst,
             |(f0, f1)| s[f0] * s[f1],
             |xy, fz| {
                 let z = s[fz];

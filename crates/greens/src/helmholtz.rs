@@ -78,18 +78,20 @@ impl KernelSpectrum for ScreenedPoissonSpectrum {
 
     /// Real, with an exactly even table: `K̂ₕ = K̂`, each lane's
     /// `c[f0] + c[f1]` plus one `c[fz]`, screened and inverted.
-    fn eval_hermitian_tile_axis2(
+    fn apply_hermitian_tile_axis2(
         &self,
         bins: &[(usize, usize)],
-        re: &mut [Row],
-        im: &mut [Row],
+        src: (&[Row], &[Row]),
+        rows: &[u32],
+        dst: (&mut [Row], &mut [Row]),
         _scratch: &mut [Complex64],
     ) {
         let (c, k2) = (&self.c, self.kappa * self.kappa);
         real_tile(
             bins,
-            re,
-            im,
+            src,
+            rows,
+            dst,
             |(f0, f1)| c[f0] + c[f1],
             |xy, fz| {
                 let cz = c[fz];

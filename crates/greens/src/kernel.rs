@@ -29,7 +29,7 @@ pub fn wrap_freq(f: usize, n: usize) -> i64 {
 /// *real part* of the spatial kernel: only the Hermitian part
 /// `½(K̂(f) + conj K̂(−f))` of the spectrum contributes, and the half-spectrum
 /// pipeline multiplies by exactly that
-/// ([`KernelSpectrum::eval_hermitian_tile_axis2`]). [`hermitian_defect`]
+/// ([`KernelSpectrum::apply_hermitian_tile_axis2`]). [`hermitian_defect`]
 /// measures how far a spectrum is from its Hermitian part.
 pub trait KernelSpectrum: Send + Sync {
     /// Grid size n.
@@ -60,39 +60,45 @@ pub trait KernelSpectrum: Send + Sync {
         }
     }
 
-    /// The multiplier of one z-stage tile in lane form: row `fz` of `re` /
-    /// `im` (each length n) holds, in lane `l`, the Hermitian part at
-    /// `(f0, f1, fz)` for `(f0, f1) = bins[l]`; lanes at or beyond
-    /// `bins.len()` (at most [`W`]) are zero. `scratch` holds at least
-    /// `(W + 1)·n` complex.
+    /// Multiplies one z-stage tile by the Hermitian part, in lane form:
+    /// row `fz` of `src` (`n` rows each of `(re, im)`) times, in lane `l`,
+    /// `K̂ₕ(f0, f1, fz)` for `(f0, f1) = bins[l]` is written to row
+    /// `rows[fz]` of `dst` (`rows` a permutation of `0..n`, so every row of
+    /// `dst` is written); lanes at or beyond `bins.len()` (at most [`W`])
+    /// are written zero. `scratch` holds at least `(W + 1)·n` complex.
     ///
     /// The default writes one Hermitian pencil per lane into `scratch` —
-    /// the pencil at `(f0, f1)` and its mirror at `(−f0, −f1)`, combined —
-    /// and gathers the rows across lanes. A spectrum that is Hermitian
-    /// *exactly* in floating point (`K̂(−f) == conj K̂(f)` bit for bit) gets
-    /// `½(2·K̂(f))` from it, which is `K̂(f)` to the bit; if it is also
-    /// separable it may override this to build each row from per-lane
-    /// `(f0, f1)` factors and one `fz` factor, in the same expression order
-    /// as its [`Self::eval_pencil_axis2`], so the values are the default's
-    /// to the bit.
-    fn eval_hermitian_tile_axis2(
+    /// the pencil at `(f0, f1)` and its mirror at `(−f0, −f1)`, combined
+    /// ([`hermitian_pencil`]) — and multiplies. A spectrum that is
+    /// Hermitian *exactly* in floating point (`K̂(−f) == conj K̂(f)` bit
+    /// for bit) gets `½(2·K̂(f))` from it, which is `K̂(f)` to the bit; if
+    /// it is also real and separable it may override this to build each
+    /// row's factor from per-lane `(f0, f1)` factors and one `fz` factor,
+    /// in the same expression order as its [`Self::eval_pencil_axis2`], and
+    /// scale by it (`real_tile`): the products equal the default's, up
+    /// to the sign of a zero.
+    fn apply_hermitian_tile_axis2(
         &self,
         bins: &[(usize, usize)],
-        re: &mut [Row],
-        im: &mut [Row],
+        src: (&[Row], &[Row]),
+        rows: &[u32],
+        dst: (&mut [Row], &mut [Row]),
         scratch: &mut [Complex64],
     ) {
         let n = self.n();
         let (pencils, mirror) = scratch[..(W + 1) * n].split_at_mut(W * n);
-        for (lane, pencil) in pencils.chunks_exact_mut(n).enumerate() {
-            match bins.get(lane) {
-                Some(&(f0, f1)) => hermitian_pencil(self, f0, f1, pencil, mirror),
-                None => pencil.fill(Complex64::ZERO),
-            }
+        for (pencil, &(f0, f1)) in pencils.chunks_exact_mut(n).zip(bins) {
+            hermitian_pencil(self, f0, f1, pencil, mirror);
         }
-        for (fz, (re, im)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-            *re = std::array::from_fn(|l| pencils[l * n + fz].re);
-            *im = std::array::from_fn(|l| pencils[l * n + fz].im);
+        for (fz, &row) in rows.iter().enumerate() {
+            let (xr, xi) = (&src.0[fz], &src.1[fz]);
+            let (re, im) = (&mut dst.0[row as usize], &mut dst.1[row as usize]);
+            *re = [0.0; W];
+            *im = [0.0; W];
+            for (l, m) in pencils[fz..].iter().step_by(n).take(bins.len()).enumerate() {
+                re[l] = xr[l] * m.re - xi[l] * m.im;
+                im[l] = xr[l] * m.im + xi[l] * m.re;
+            }
         }
     }
 }
@@ -119,24 +125,29 @@ pub fn hermitian_pencil<K: KernelSpectrum + ?Sized>(
     }
 }
 
-/// Lane form for the real, separable spectra: row `fz` of `re` is
-/// `row(xy, fz)` in the lanes of `bins` and zero beyond them, where `xy`
-/// holds `lane((f0, f1))` per bin; `im` is zero.
+/// [`KernelSpectrum::apply_hermitian_tile_axis2`] for the real, separable
+/// spectra: row `fz` of `src` is scaled lane by lane by `row(xy, fz)` into
+/// row `rows[fz]` of `dst`, where `xy` holds `lane((f0, f1))` per bin, and
+/// the lanes beyond `bins` are zero.
 pub(crate) fn real_tile(
     bins: &[(usize, usize)],
-    re: &mut [Row],
-    im: &mut [Row],
+    src: (&[Row], &[Row]),
+    rows: &[u32],
+    dst: (&mut [Row], &mut [Row]),
     lane: impl Fn((usize, usize)) -> f64,
     row: impl Fn(&Row, usize) -> Row,
 ) {
+    let live = bins.len();
     let xy: Row = std::array::from_fn(|l| bins.get(l).map_or(0.0, |&b| lane(b)));
-    for (fz, (re, im)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-        *re = row(&xy, fz);
-        *im = [0.0; W];
-    }
-    if bins.len() < W {
-        for re in re {
-            re[bins.len()..].fill(0.0);
+    for (fz, &r) in rows.iter().enumerate() {
+        let f = row(&xy, fz);
+        let (xr, xi) = (&src.0[fz], &src.1[fz]);
+        let (re, im) = (&mut dst.0[r as usize], &mut dst.1[r as usize]);
+        *re = std::array::from_fn(|l| xr[l] * f[l]);
+        *im = std::array::from_fn(|l| xi[l] * f[l]);
+        if live < W {
+            re[live..].fill(0.0);
+            im[live..].fill(0.0);
         }
     }
 }
@@ -215,8 +226,8 @@ mod tests {
         assert_eq!(hermitian_defect(&Flat(4)), 0.0);
     }
 
-    /// Forwards everything but the tile multiplier, so it runs the
-    /// trait's default on the wrapped kernel's own pencils.
+    /// Forwards everything but the tile multiply, so it runs the trait's
+    /// default on the wrapped kernel's own pencils.
     struct DefaultHermitian<'a>(&'a dyn KernelSpectrum);
     impl KernelSpectrum for DefaultHermitian<'_> {
         fn n(&self) -> usize {
@@ -230,12 +241,35 @@ mod tests {
         }
     }
 
+    /// Runs `kernel`'s tile multiply on `src` with `rows` reversed, into a
+    /// NaN-filled `dst`, so an unwritten row shows.
+    fn apply(
+        kernel: &dyn KernelSpectrum,
+        bins: &[(usize, usize)],
+        src: &(Vec<Row>, Vec<Row>),
+    ) -> (Vec<Row>, Vec<Row>) {
+        let n = kernel.n();
+        let rows: Vec<u32> = (0..n as u32).rev().collect();
+        let (mut re, mut im) = (vec![[f64::NAN; W]; n], vec![[f64::NAN; W]; n]);
+        let mut scratch = vec![Complex64::ZERO; (W + 1) * n];
+        kernel.apply_hermitian_tile_axis2(
+            bins,
+            (&src.0, &src.1),
+            &rows,
+            (&mut re, &mut im),
+            &mut scratch,
+        );
+        (re, im)
+    }
+
     /// The lane overrides equal the trait's default — one Hermitian pencil
-    /// per lane, gathered — to the bit, signed zeros included: on every
-    /// bin (Nyquist coordinates among them), on full and partial tiles,
-    /// with the lanes past the tile's bins zero.
+    /// per lane, multiplied — value for value (`==`: only the sign of a
+    /// zero may differ, the default's `x·m − y·0` being the override's
+    /// `x·m`): on every bin (Nyquist coordinates among them), on full and
+    /// partial tiles, with the lanes past the tile's bins zero even where
+    /// `src` is not.
     #[test]
-    fn hermitian_overrides_equal_the_default_bitwise() {
+    fn hermitian_overrides_equal_the_default() {
         use crate::{GaussianKernel, PoissonSpectrum, ScreenedPoissonSpectrum};
         let mut kernels: Vec<Box<dyn KernelSpectrum>> = Vec::new();
         for n in [2usize, 4, 6, 8, 16] {
@@ -245,26 +279,27 @@ mod tests {
             kernels.push(Box::new(PoissonSpectrum::new(n)));
             kernels.push(Box::new(ScreenedPoissonSpectrum::new(n, 0.6)));
         }
-        let bits =
-            |rows: &[Row]| -> Vec<u64> { rows.iter().flatten().map(|v| v.to_bits()).collect() };
         for kernel in &kernels {
             let n = kernel.n();
             let reference = DefaultHermitian(kernel.as_ref());
-            let mut scratch = vec![Complex64::ZERO; (W + 1) * n];
+            let lanes = |phase: f64| -> Vec<Row> {
+                (0..n)
+                    .map(|t| std::array::from_fn(|l| ((t * W + l) as f64 * 0.37 + phase).sin()))
+                    .collect()
+            };
+            let src = (lanes(0.0), lanes(1.1));
             // Every (f0, f1), f1 running fastest, in partial tiles of 1 and
             // 3 lanes and in full ones.
             let all: Vec<(usize, usize)> = (0..n * n).map(|i| (i / n, i % n)).collect();
             for live in [1, 3, W] {
                 for bins in all.chunks(live) {
-                    // Unwritten rows would show as NaN.
-                    let nan = || vec![[f64::NAN; W]; n];
-                    let (mut gre, mut gim, mut wre, mut wim) = (nan(), nan(), nan(), nan());
-                    kernel.eval_hermitian_tile_axis2(bins, &mut gre, &mut gim, &mut scratch);
-                    reference.eval_hermitian_tile_axis2(bins, &mut wre, &mut wim, &mut scratch);
-                    assert_eq!(bits(&gre), bits(&wre), "n={n} re, bins {bins:?}");
-                    assert_eq!(bits(&gim), bits(&wim), "n={n} im, bins {bins:?}");
-                    for row in gre.iter().chain(gim.iter()) {
-                        assert!(row[bins.len()..].iter().all(|v| v.to_bits() == 0));
+                    let got = apply(kernel.as_ref(), bins, &src);
+                    let want = apply(&reference, bins, &src);
+                    for (g, w) in [(&got.0, &want.0), (&got.1, &want.1)] {
+                        for (fz, (g, w)) in g.iter().zip(w).enumerate() {
+                            assert!(g == w, "n={n} row {fz}, bins {bins:?}: {g:?} vs {w:?}");
+                            assert!(g[bins.len()..].iter().all(|v| *v == 0.0));
+                        }
                     }
                 }
             }
@@ -284,9 +319,8 @@ mod tests {
                 Complex64::I
             }
         }
-        let (mut re, mut im) = (vec![[1.0; W]; 5], vec![[1.0; W]; 5]);
-        let mut scratch = vec![Complex64::ZERO; (W + 1) * 5];
-        ConstI.eval_hermitian_tile_axis2(&[(1, 2), (0, 0)], &mut re, &mut im, &mut scratch);
+        let src = (vec![[1.0; W]; 5], vec![[1.0; W]; 5]);
+        let (re, im) = apply(&ConstI, &[(1, 2), (0, 0)], &src);
         assert!(re.iter().chain(&im).flatten().all(|v| *v == 0.0));
     }
 

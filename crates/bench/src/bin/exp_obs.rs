@@ -10,7 +10,8 @@
 //! 3. `--trace-tree` — a flamegraph-style text view of the span hierarchy.
 //!
 //! The run also asserts the acceptance invariant end to end: the obs
-//! `comm.*` counters must match the simulator's [`CommStats`] *exactly*.
+//! `comm.*` counters must match the run's [`CommStats`] table *exactly*
+//! (one `CommStats::add` call writes both).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -92,8 +93,8 @@ fn main() {
     let (results, stats) = run();
     let report = session.finish();
 
-    // The acceptance invariant: obs counters mirror CommStats at the same
-    // call sites, so the alltoall totals must match exactly.
+    // The acceptance invariant: one `CommStats::add` writes the table and
+    // the obs counter, so the alltoall totals must match exactly.
     let counter = |name: &str| report.counter(name).unwrap_or(0);
     assert_eq!(counter("comm.bytes_logical"), stats.bytes());
     assert_eq!(counter("comm.messages_logical"), stats.message_count());

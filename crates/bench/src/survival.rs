@@ -195,7 +195,6 @@ pub fn run_survival_socket(
         workload,
         family: SocketFamily::Uds,
         child_test,
-        obs_in_children: false,
         restart: RestartPolicy::for_plan(plan),
     })
 }

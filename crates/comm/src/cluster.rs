@@ -28,14 +28,16 @@
 //! [`run_cluster`] path) none of the protocol engages and the simulator
 //! behaves exactly like the original fire-and-forget implementation.
 //!
-//! Counter semantics: `bytes_sent` / `messages` count each *logical* send
-//! once, never its retransmissions or acks, so communication-volume
-//! experiments read the same with faults on or off. The parallel
-//! `bytes_physical` / `messages_physical` / `acks` counters record every
-//! frame that actually hits the wire — retransmissions, duplicates, frames
-//! lost in flight, and acknowledgements — so chaos runs can report the real
-//! wire cost next to the logical volume (see
-//! [`CommStats::modeled_time_physical`]).
+//! Counter semantics: every counted event is one [`CommStats::add`] into
+//! the run's table (see [`crate::stats`]), which also feeds the obs
+//! counter with the same meaning — one count, never a second copy to keep
+//! in step. `BytesSent` / `Messages` count each *logical* send once, never
+//! its retransmissions or acks, so communication-volume experiments read
+//! the same with faults on or off. The parallel `BytesPhysical` /
+//! `MessagesPhysical` / `Acks` counters record every frame that actually
+//! hits the wire — retransmissions, duplicates, frames lost in flight, and
+//! acknowledgements — so chaos runs can report the real wire cost next to
+//! the logical volume (see [`CommStats::modeled_time_physical`]).
 //!
 //! # Membership
 //!
@@ -51,289 +53,20 @@
 //! complete it under a common view.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lcc_obs::codec::{CodecError, Reader, Writer};
-use lcc_obs::metrics as obs;
 
 use crate::actor::{
     self, ActorState, ConvergedState, Convergence, DataDisposition, EpochDisposition,
 };
 use crate::fault::{CommError, FaultPlan, RetryPolicy};
 use crate::membership::ClusterView;
+use crate::stats::{CommCounter, CommStats};
 use crate::transport::fault::FaultTransport;
 use crate::transport::frame::{self, WireFrame};
-use crate::transport::liveness::LivenessStats;
 use crate::transport::{inproc, PointOutcome, RecvOutcome, Transport};
-
-/// Shared instrumentation counters for one cluster run.
-#[derive(Debug, Default)]
-pub struct CommStats {
-    /// Total payload bytes sent across all ranks (self-copies excluded,
-    /// retransmissions and acks excluded: logical traffic only).
-    pub bytes_sent: AtomicU64,
-    /// Total logical point-to-point messages (self-copies excluded).
-    pub messages: AtomicU64,
-    /// Number of collective rounds entered (counted once per collective,
-    /// not per rank).
-    pub collective_rounds: AtomicU64,
-    /// Data-frame retransmissions forced by the fault plan.
-    pub retransmits: AtomicU64,
-    /// Redundant deliveries discarded by receivers (retransmits that raced
-    /// a successful delivery, plus injected duplicates).
-    pub duplicates_suppressed: AtomicU64,
-    /// Ack waits that expired because the fault plan dropped the ack.
-    pub timeouts: AtomicU64,
-    /// Payload bytes of every data frame actually transmitted: first
-    /// attempts, retransmissions, injected duplicates, and frames lost in
-    /// flight all count (the sender paid for them either way).
-    pub bytes_physical: AtomicU64,
-    /// Data frames actually transmitted (same counting rule as
-    /// `bytes_physical`).
-    pub messages_physical: AtomicU64,
-    /// Ack frames transmitted, including acks the fault plan then dropped.
-    pub acks: AtomicU64,
-    /// Newly-dead ranks observed by [`CommWorld::detect_failures`] sweeps.
-    /// Lives here (not on the world) so the socket backend can ship the
-    /// count home after the workload has consumed its `CommWorld`.
-    /// Deliberately *not* part of [`CommStatsSnapshot`]: the nine-counter
-    /// wire codec and its exact-equality contracts are unchanged.
-    pub deaths_detected: AtomicU64,
-    /// Restart-from-checkpoint rejoins acknowledged at a protocol point.
-    pub rejoins: AtomicU64,
-    /// Wall-clock nanoseconds (UNIX epoch) of the first detection sweep
-    /// that demoted a rank; zero if no rank was ever demoted. First writer
-    /// wins, so on a shared in-process handle this is the cluster's
-    /// earliest detection.
-    pub first_detection_ns: AtomicU64,
-}
-
-impl CommStats {
-    /// Snapshot of total bytes sent.
-    pub fn bytes(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of total messages.
-    pub fn message_count(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of collective rounds.
-    pub fn rounds(&self) -> u64 {
-        self.collective_rounds.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of forced retransmissions.
-    pub fn retransmit_count(&self) -> u64 {
-        self.retransmits.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of suppressed duplicate deliveries.
-    pub fn duplicate_count(&self) -> u64 {
-        self.duplicates_suppressed.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of expired ack waits.
-    pub fn timeout_count(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of physically transmitted payload bytes (retransmissions,
-    /// duplicates and in-flight losses included).
-    pub fn physical_bytes(&self) -> u64 {
-        self.bytes_physical.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of physically transmitted data frames.
-    pub fn physical_message_count(&self) -> u64 {
-        self.messages_physical.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of transmitted ack frames.
-    pub fn ack_count(&self) -> u64 {
-        self.acks.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of newly-dead ranks observed across detection sweeps.
-    pub fn deaths_detected_count(&self) -> u64 {
-        self.deaths_detected.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of checkpoint-restart rejoins.
-    pub fn rejoin_count(&self) -> u64 {
-        self.rejoins.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock UNIX nanoseconds of the earliest failure detection, if
-    /// any rank was ever demoted.
-    pub fn first_detection_ns(&self) -> Option<u64> {
-        match self.first_detection_ns.load(Ordering::Relaxed) {
-            0 => None,
-            ns => Some(ns),
-        }
-    }
-
-    /// Records the wall-clock instant of a detection sweep that demoted a
-    /// rank; only the first report sticks.
-    pub fn note_first_detection(&self) {
-        let ns = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(1);
-        let _ = self.first_detection_ns.compare_exchange(
-            0,
-            ns.max(1),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// α-β modeled wall time of the recorded *logical* traffic on `p`
-    /// ranks, assuming all ranks inject concurrently on dedicated links
-    /// (the fully-connected assumption behind the paper's Eq. 1): every
-    /// message pays α, and each rank's share of the volume pays β serially.
-    pub fn modeled_time(&self, model: &crate::model::AlphaBeta, p: usize) -> f64 {
-        model.cluster_time(self.message_count(), self.bytes(), p)
-    }
-
-    /// α-β modeled wall time of the *physical* traffic: every transmitted
-    /// data frame and ack pays α, and the retransmitted/duplicated/lost
-    /// bytes pay β like any others (acks are modeled as
-    /// [`ACK_WIRE_BYTES`]-byte frames). Under an inert plan this equals
-    /// [`CommStats::modeled_time`] plus the ack cost of zero acks — i.e.
-    /// exactly the logical time.
-    pub fn modeled_time_physical(&self, model: &crate::model::AlphaBeta, p: usize) -> f64 {
-        let msgs = self.physical_message_count() + self.ack_count();
-        let bytes = self.physical_bytes() + ACK_WIRE_BYTES * self.ack_count();
-        model.cluster_time(msgs, bytes, p)
-    }
-
-    /// A plain-value copy of all nine counters, for cross-process
-    /// aggregation (socket-backend ranks each accumulate a local
-    /// `CommStats` and ship the snapshot home) and for exact equality
-    /// assertions in the conformance suite.
-    pub fn snapshot(&self) -> CommStatsSnapshot {
-        CommStatsSnapshot {
-            bytes_sent: self.bytes(),
-            messages: self.message_count(),
-            collective_rounds: self.rounds(),
-            retransmits: self.retransmit_count(),
-            duplicates_suppressed: self.duplicate_count(),
-            timeouts: self.timeout_count(),
-            bytes_physical: self.physical_bytes(),
-            messages_physical: self.physical_message_count(),
-            acks: self.ack_count(),
-        }
-    }
-
-    /// Folds a snapshot into these counters. Because every counter is an
-    /// exact function of the fault seed, summing per-process snapshots
-    /// reproduces the totals a shared-atomics run would have recorded.
-    pub fn add_snapshot(&self, s: &CommStatsSnapshot) {
-        self.bytes_sent.fetch_add(s.bytes_sent, Ordering::Relaxed);
-        self.messages.fetch_add(s.messages, Ordering::Relaxed);
-        self.collective_rounds
-            .fetch_add(s.collective_rounds, Ordering::Relaxed);
-        self.retransmits.fetch_add(s.retransmits, Ordering::Relaxed);
-        self.duplicates_suppressed
-            .fetch_add(s.duplicates_suppressed, Ordering::Relaxed);
-        self.timeouts.fetch_add(s.timeouts, Ordering::Relaxed);
-        self.bytes_physical
-            .fetch_add(s.bytes_physical, Ordering::Relaxed);
-        self.messages_physical
-            .fetch_add(s.messages_physical, Ordering::Relaxed);
-        self.acks.fetch_add(s.acks, Ordering::Relaxed);
-    }
-}
-
-/// A plain-value snapshot of [`CommStats`]; see [`CommStats::snapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommStatsSnapshot {
-    pub bytes_sent: u64,
-    pub messages: u64,
-    pub collective_rounds: u64,
-    pub retransmits: u64,
-    pub duplicates_suppressed: u64,
-    pub timeouts: u64,
-    pub bytes_physical: u64,
-    pub messages_physical: u64,
-    pub acks: u64,
-}
-
-impl CommStatsSnapshot {
-    /// Serialized size: nine little-endian `u64`s.
-    pub const WIRE_BYTES: usize = 72;
-
-    /// Field-wise sum, used by the socket coordinator to fold per-process
-    /// snapshots into cluster totals.
-    pub fn add_snapshot(&mut self, other: &CommStatsSnapshot) {
-        self.bytes_sent += other.bytes_sent;
-        self.messages += other.messages;
-        self.collective_rounds += other.collective_rounds;
-        self.retransmits += other.retransmits;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.timeouts += other.timeouts;
-        self.bytes_physical += other.bytes_physical;
-        self.messages_physical += other.messages_physical;
-        self.acks += other.acks;
-    }
-
-    fn fields(&self) -> [u64; 9] {
-        [
-            self.bytes_sent,
-            self.messages,
-            self.collective_rounds,
-            self.retransmits,
-            self.duplicates_suppressed,
-            self.timeouts,
-            self.bytes_physical,
-            self.messages_physical,
-            self.acks,
-        ]
-    }
-
-    /// Reads the layout [`CommStatsSnapshot::to_bytes`] writes.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.need(Self::WIRE_BYTES)?;
-        Ok(CommStatsSnapshot {
-            bytes_sent: r.u64()?,
-            messages: r.u64()?,
-            collective_rounds: r.u64()?,
-            retransmits: r.u64()?,
-            duplicates_suppressed: r.u64()?,
-            timeouts: r.u64()?,
-            bytes_physical: r.u64()?,
-            messages_physical: r.u64()?,
-            acks: r.u64()?,
-        })
-    }
-
-    /// Fixed-layout little-endian serialization (the socket backend's
-    /// RESULT frames carry this).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::WIRE_BYTES);
-        for f in self.fields() {
-            out.put_u64(f);
-        }
-        out
-    }
-
-    /// Inverse of [`CommStatsSnapshot::to_bytes`], rejecting wrong-sized
-    /// payloads with a typed error.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        let snapshot = Self::decode(&mut r)?;
-        r.finish()?;
-        Ok(snapshot)
-    }
-}
-
-/// Wire size charged per ack frame in the physical α-β model: one `u64`
-/// sequence number.
-pub const ACK_WIRE_BYTES: u64 = 8;
 
 /// One rank's endpoint into the cluster.
 ///
@@ -398,7 +131,7 @@ impl CommWorld {
         self.size
     }
 
-    /// The shared statistics handle.
+    /// The run's counter table.
     pub fn stats(&self) -> &Arc<CommStats> {
         &self.stats
     }
@@ -424,14 +157,9 @@ impl CommWorld {
                 peer: to,
             });
         }
-        self.stats
-            .bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        // The obs counters mirror `CommStats` at the same call site so a
-        // session's totals match the stats accounting exactly.
-        obs::COMM_BYTES_LOGICAL.add(payload.len() as u64);
-        obs::COMM_MESSAGES_LOGICAL.incr();
+        // Logical traffic: counted once here, never per retransmission.
+        self.stats.add(CommCounter::BytesSent, payload.len() as u64);
+        self.stats.add(CommCounter::Messages, 1);
         let seq = self.actor.alloc_seq(to);
         if !self.plan.is_active() {
             self.count_physical(payload.len());
@@ -443,12 +171,8 @@ impl CommWorld {
 
     /// Records one data frame hitting the wire.
     fn count_physical(&self, bytes: usize) {
-        self.stats
-            .bytes_physical
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.stats.messages_physical.fetch_add(1, Ordering::Relaxed);
-        obs::COMM_BYTES_PHYSICAL.add(bytes as u64);
-        obs::COMM_MESSAGES_PHYSICAL.incr();
+        self.stats.add(CommCounter::BytesPhysical, bytes as u64);
+        self.stats.add(CommCounter::MessagesPhysical, 1);
     }
 
     /// The sequenced/acked path. The fate of every transmission is a keyed
@@ -477,14 +201,8 @@ impl CommWorld {
             self.transport
                 .send_frame(to, frame::encode_data(seq, a, &payload))?;
         }
-        self.stats
-            .retransmits
-            .fetch_add(sp.retransmits, Ordering::Relaxed);
-        self.stats
-            .timeouts
-            .fetch_add(sp.timeouts, Ordering::Relaxed);
-        obs::COMM_RETRANSMITS.add(sp.retransmits);
-        obs::COMM_TIMEOUTS.add(sp.timeouts);
+        self.stats.add(CommCounter::Retransmits, sp.retransmits);
+        self.stats.add(CommCounter::Timeouts, sp.timeouts);
         if !sp.acked {
             return Err(CommError::RetriesExhausted {
                 rank: self.rank,
@@ -504,8 +222,7 @@ impl CommWorld {
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                obs::COMM_TIMEOUTS.incr();
+                self.stats.add(CommCounter::Timeouts, 1);
                 return Err(CommError::Timeout {
                     op: "ack",
                     rank: self.rank,
@@ -553,10 +270,7 @@ impl CommWorld {
         match self.actor.on_data(src, seq) {
             DataDisposition::Duplicate { ack_k } => {
                 // A retransmission of something already delivered.
-                self.stats
-                    .duplicates_suppressed
-                    .fetch_add(1, Ordering::Relaxed);
-                obs::COMM_DUPLICATES.incr();
+                self.stats.add(CommCounter::DuplicatesSuppressed, 1);
                 self.send_ack(src, seq, ack_k);
             }
             DataDisposition::Deliver { ack_k } => {
@@ -574,8 +288,7 @@ impl CommWorld {
     fn send_ack(&mut self, src: usize, seq: u64, k: u64) {
         // The ack is transmitted before the decorator may lose it:
         // physical cost either way.
-        self.stats.acks.fetch_add(1, Ordering::Relaxed);
-        obs::COMM_ACKS.incr();
+        self.stats.add(CommCounter::Acks, 1);
         // Best effort: the peer may already have finished its run.
         let _ = self.transport.send_frame(src, frame::encode_ack(seq, k));
     }
@@ -652,8 +365,7 @@ impl CommWorld {
             })
             .unwrap_or(0);
         if self.rank == lowest_live {
-            self.stats.collective_rounds.fetch_add(1, Ordering::Relaxed);
-            obs::COMM_COLLECTIVE_ROUNDS.incr();
+            self.stats.add(CommCounter::CollectiveRounds, 1);
         }
     }
 
@@ -754,11 +466,8 @@ impl CommWorld {
         let observed = self.transport.confirmed_dead();
         let out = self.actor.sweep(planned, observed);
         if out.changed {
-            self.stats
-                .deaths_detected
-                .fetch_add(out.newly_dead, Ordering::Relaxed);
+            self.stats.add(CommCounter::DeathsDetected, out.newly_dead);
             self.stats.note_first_detection();
-            obs::LIVENESS_DEATHS_DETECTED.add(out.newly_dead);
             // Spans this rank records from here on carry the new epoch.
             lcc_obs::set_epoch(out.epoch);
         }
@@ -777,8 +486,7 @@ impl CommWorld {
         match self.transport.protocol_point(idx) {
             Ok(PointOutcome::Proceed) => Ok(()),
             Ok(PointOutcome::Rejoined) => {
-                self.stats.rejoins.fetch_add(1, Ordering::Relaxed);
-                obs::LIVENESS_REJOINS.incr();
+                self.stats.add(CommCounter::Rejoins, 1);
                 Ok(())
             }
             Err(e) => {
@@ -789,18 +497,6 @@ impl CommWorld {
                 Err(e)
             }
         }
-    }
-
-    /// This rank's liveness counters: the protocol-level pair accounted on
-    /// the shared [`CommStats`] handle (`deaths_detected`, `rejoins` —
-    /// cluster totals on an in-process run, per-process on the socket
-    /// backend) merged with the transport detector's own (heartbeats,
-    /// evidence, suspicions).
-    pub fn liveness_stats(&self) -> LivenessStats {
-        let mut out = self.transport.liveness_stats();
-        out.deaths_detected += self.stats.deaths_detected_count();
-        out.rejoins += self.stats.rejoin_count();
-        out
     }
 
     /// Sends `payload` framed with this rank's current view epoch. Used by
@@ -1126,7 +822,7 @@ pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn ring_pass() {

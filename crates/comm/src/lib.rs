@@ -45,6 +45,7 @@ pub mod dist_fft;
 pub mod fault;
 pub mod membership;
 pub mod model;
+pub mod stats;
 pub mod transport;
 
 pub use actor::{
@@ -52,8 +53,8 @@ pub use actor::{
     ProtocolActor, SendPlan, SweepOutcome,
 };
 pub use cluster::{
-    decode_f64s, encode_f64s, run_cluster, run_cluster_with_faults, try_decode_f64s, CommStats,
-    CommStatsSnapshot, CommWorld, ConvergedExchange, ACK_WIRE_BYTES,
+    decode_f64s, encode_f64s, run_cluster, run_cluster_with_faults, try_decode_f64s, CommWorld,
+    ConvergedExchange,
 };
 pub use dist_fft::{
     convolve_distributed, decode_complex, encode_complex, forward_3d, gather_slabs, inverse_3d,
@@ -63,6 +64,7 @@ pub use fault::{CommError, FaultPlan, RetryConfig, RetryPolicy};
 pub use lcc_obs::codec::CodecError;
 pub use membership::ClusterView;
 pub use model::{lowcomm_volume, traditional_conv_volume, AlphaBeta, CommScenario};
+pub use stats::{CommCounter, CommStats, CommStatsSnapshot, ACK_WIRE_BYTES};
 pub use transport::fault::{FaultEvent, FaultEventLog, FaultTransport};
 pub use transport::liveness::{
     adaptive_threshold, ewma_observe, LivenessBoard, LivenessStats, EWMA_ALPHA, FLOOR_PERIODS,

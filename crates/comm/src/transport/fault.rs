@@ -24,7 +24,6 @@ use std::time::Duration;
 use std::collections::BTreeSet;
 
 use super::frame::{decode_view, WireFrameView};
-use super::liveness::LivenessStats;
 use super::{PointOutcome, RecvOutcome, Transport};
 use crate::fault::{CommError, FaultPlan};
 
@@ -269,10 +268,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
 
     fn depart(&mut self) {
         self.inner.depart()
-    }
-
-    fn liveness_stats(&self) -> LivenessStats {
-        self.inner.liveness_stats()
     }
 }
 

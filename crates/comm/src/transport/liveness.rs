@@ -28,21 +28,23 @@
 //! plan's deterministic ground truth, so planned deaths demote identically
 //! on every backend while unplanned deaths are caught from evidence alone.
 //!
-//! Wall-clock-driven counters (beats sent/received, suspicions, hard
-//! evidence) are scheduling noise and are excluded from the conformance
-//! suite's exact-equality clause; the deterministic pair
-//! (`deaths_detected`, `rejoins`) is counted above the seam in
-//! [`crate::cluster::CommWorld`] and *is* asserted equal across backends.
+//! The board counts its four events (beats sent and received, hard
+//! evidence, suspicions) into the run's [`CommStats`] table, beside the
+//! protocol's deaths and rejoins; [`LivenessStats`] is the table's view of
+//! all six. The board's four are wall-clock driven — scheduling noise —
+//! and are excluded from the conformance suite's exact-equality clause;
+//! the deterministic pair (`deaths_detected`, `rejoins`) is counted above
+//! the seam in [`crate::cluster::CommWorld`] and *is* asserted equal
+//! across backends.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lcc_obs::codec::{CodecError, Reader, Writer};
-use lcc_obs::metrics as obs;
 
 use crate::fault::RetryPolicy;
+use crate::stats::{CommCounter, CommStats};
 
 /// Number of EWMA standard deviations of silence that arouse suspicion.
 pub const PHI_SIGMAS: f64 = 4.0;
@@ -113,10 +115,10 @@ pub struct LivenessStats {
     pub rejoins: u64,
 }
 
-/// Byte length of the fixed [`LivenessStats`] wire encoding.
-pub const LIVENESS_STATS_LEN: usize = 6 * 8;
-
 impl LivenessStats {
+    /// Serialized size: six little-endian `u64`s.
+    pub const WIRE_BYTES: usize = 48;
+
     /// Accumulates `other` into `self` (cluster-wide totals).
     pub fn add(&mut self, other: &LivenessStats) {
         self.heartbeats_sent += other.heartbeats_sent;
@@ -130,7 +132,7 @@ impl LivenessStats {
     /// Fixed-size wire encoding (six little-endian `u64`s) for the socket
     /// backend's RESULT frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(LIVENESS_STATS_LEN);
+        let mut out = Vec::with_capacity(Self::WIRE_BYTES);
         for v in [
             self.heartbeats_sent,
             self.heartbeats_received,
@@ -146,7 +148,7 @@ impl LivenessStats {
 
     /// Reads the layout [`LivenessStats::to_bytes`] writes.
     pub fn decode(r: &mut Reader<'_>) -> Result<LivenessStats, CodecError> {
-        r.need(LIVENESS_STATS_LEN)?;
+        r.need(Self::WIRE_BYTES)?;
         Ok(LivenessStats {
             heartbeats_sent: r.u64()?,
             heartbeats_received: r.u64()?,
@@ -204,17 +206,21 @@ pub struct LivenessBoard {
     floor: Duration,
     cap: Duration,
     inner: Mutex<BoardInner>,
-    beats_sent: AtomicU64,
-    beats_received: AtomicU64,
-    hard_evidence: AtomicU64,
-    suspicions: AtomicU64,
+    /// The run's counter table: the board's four events count here.
+    stats: Arc<CommStats>,
 }
 
 impl LivenessBoard {
     /// A fresh board for `rank` in a `size`-rank cluster, with thresholds
     /// seeded from `policy` (floor = [`FLOOR_PERIODS`] heartbeat periods,
-    /// cap = [`RetryPolicy::suspicion_timeout`]).
-    pub fn new(rank: usize, size: usize, policy: &RetryPolicy) -> Arc<LivenessBoard> {
+    /// cap = [`RetryPolicy::suspicion_timeout`]), counting its events into
+    /// `stats`.
+    pub fn new(
+        rank: usize,
+        size: usize,
+        policy: &RetryPolicy,
+        stats: Arc<CommStats>,
+    ) -> Arc<LivenessBoard> {
         let now = Instant::now();
         Arc::new(LivenessBoard {
             rank,
@@ -235,10 +241,7 @@ impl LivenessBoard {
                 incarnations: vec![0; size],
                 last_sweep: now,
             }),
-            beats_sent: AtomicU64::new(0),
-            beats_received: AtomicU64::new(0),
-            hard_evidence: AtomicU64::new(0),
-            suspicions: AtomicU64::new(0),
+            stats,
         })
     }
 
@@ -264,8 +267,7 @@ impl LivenessBoard {
 
     /// Records a heartbeat arrival from `peer`.
     pub fn note_beat(&self, peer: usize) {
-        self.beats_received.fetch_add(1, Ordering::Relaxed);
-        obs::LIVENESS_HEARTBEATS_RECEIVED.incr();
+        self.stats.add(CommCounter::HeartbeatsReceived, 1);
         self.note_alive_at(peer, Instant::now());
     }
 
@@ -278,8 +280,7 @@ impl LivenessBoard {
     /// Records that this rank transmitted one round of heartbeats covering
     /// `fanout` peers.
     pub fn note_beats_sent(&self, fanout: u64) {
-        self.beats_sent.fetch_add(fanout, Ordering::Relaxed);
-        obs::LIVENESS_HEARTBEATS_SENT.add(fanout);
+        self.stats.add(CommCounter::HeartbeatsSent, fanout);
     }
 
     /// Registers hard evidence that `peer` is dead. Returns `true` the
@@ -287,8 +288,7 @@ impl LivenessBoard {
     pub fn mark_hard_dead(&self, peer: usize) -> bool {
         let fresh = self.lock().hard_dead.insert(peer);
         if fresh {
-            self.hard_evidence.fetch_add(1, Ordering::Relaxed);
-            obs::LIVENESS_HARD_EVIDENCE.incr();
+            self.stats.add(CommCounter::HardEvidence, 1);
         }
         fresh
     }
@@ -313,8 +313,7 @@ impl LivenessBoard {
             inner.hard_dead.insert(peer)
         };
         if fresh {
-            self.hard_evidence.fetch_add(1, Ordering::Relaxed);
-            obs::LIVENESS_HARD_EVIDENCE.incr();
+            self.stats.add(CommCounter::HardEvidence, 1);
         }
         fresh
     }
@@ -375,8 +374,7 @@ impl LivenessBoard {
                 }
                 if !h.suspected {
                     h.suspected = true;
-                    self.suspicions.fetch_add(1, Ordering::Relaxed);
-                    obs::LIVENESS_SUSPICIONS.incr();
+                    self.stats.add(CommCounter::Suspicions, 1);
                 }
                 dead.insert(peer);
             }
@@ -389,17 +387,11 @@ impl LivenessBoard {
         self.sweep_at(Instant::now())
     }
 
-    /// Snapshot of the board's counters (detector-side fields only;
-    /// `deaths_detected` / `rejoins` are counted above the seam).
+    /// The liveness view of the table this board counts into (in a
+    /// socket child, the world's: it includes the protocol's deaths and
+    /// rejoins).
     pub fn stats(&self) -> LivenessStats {
-        LivenessStats {
-            heartbeats_sent: self.beats_sent.load(Ordering::Relaxed),
-            heartbeats_received: self.beats_received.load(Ordering::Relaxed),
-            hard_evidence: self.hard_evidence.load(Ordering::Relaxed),
-            suspicions: self.suspicions.load(Ordering::Relaxed),
-            deaths_detected: 0,
-            rejoins: 0,
-        }
+        self.stats.liveness()
     }
 }
 
@@ -435,7 +427,7 @@ mod tests {
 
     #[test]
     fn hard_evidence_is_immediate_and_counted_once() {
-        let board = LivenessBoard::new(0, 3, &quick_policy());
+        let board = LivenessBoard::new(0, 3, &quick_policy(), Arc::default());
         assert!(board.confirmed_dead().is_empty());
         assert!(board.mark_hard_dead(2));
         assert!(!board.mark_hard_dead(2), "second report is not fresh");
@@ -448,7 +440,7 @@ mod tests {
 
     #[test]
     fn stale_evidence_from_a_previous_incarnation_is_dropped() {
-        let board = LivenessBoard::new(0, 3, &quick_policy());
+        let board = LivenessBoard::new(0, 3, &quick_policy(), Arc::default());
         // A reader thread records the incarnation when it starts…
         let observed = board.incarnation(2);
         // …the peer dies, restarts, and is re-admitted before the reader
@@ -465,7 +457,7 @@ mod tests {
 
     #[test]
     fn silence_beyond_cap_is_suspected_even_without_history() {
-        let board = LivenessBoard::new(0, 2, &quick_policy());
+        let board = LivenessBoard::new(0, 2, &quick_policy(), Arc::default());
         let cap = quick_policy().suspicion_timeout();
         let start = Instant::now();
         // Sweeps on a live cadence (each gap within the cap, so the
@@ -483,7 +475,7 @@ mod tests {
     #[test]
     fn a_stalled_sweeper_grants_amnesty_instead_of_burying() {
         let policy = quick_policy();
-        let board = LivenessBoard::new(0, 3, &policy);
+        let board = LivenessBoard::new(0, 3, &policy, Arc::default());
         let cap = policy.suspicion_timeout();
         let start = Instant::now();
         board.mark_hard_dead(2);
@@ -506,7 +498,7 @@ mod tests {
     #[test]
     fn steady_rhythm_tightens_the_threshold_and_traffic_resets_it() {
         let policy = quick_policy();
-        let board = LivenessBoard::new(0, 2, &policy);
+        let board = LivenessBoard::new(0, 2, &policy, Arc::default());
         let start = Instant::now();
         let period = policy.heartbeat_period();
         // A metronome peer: after enough samples the adaptive threshold is
@@ -533,7 +525,7 @@ mod tests {
     #[test]
     fn own_rank_is_never_suspected() {
         let policy = quick_policy();
-        let board = LivenessBoard::new(1, 2, &policy);
+        let board = LivenessBoard::new(1, 2, &policy, Arc::default());
         let cap = policy.suspicion_timeout();
         let start = Instant::now();
         // On-cadence sweeps (no stall amnesty) until the peer's silence

@@ -42,7 +42,6 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use crate::fault::CommError;
-use liveness::LivenessStats;
 
 /// What a receive attempt produced.
 #[derive(Debug, PartialEq, Eq)]
@@ -138,10 +137,4 @@ pub trait Transport: Send {
     /// the protocol layer, when this rank's own death is simulated; real
     /// processes need no bookkeeping — their exit is the withdrawal.
     fn depart(&mut self) {}
-
-    /// This backend's liveness-detector counters (all zero for backends
-    /// without real silence).
-    fn liveness_stats(&self) -> LivenessStats {
-        LivenessStats::default()
-    }
 }

@@ -27,9 +27,11 @@
 //!   address exchange (`HELLO` / `START`), and result delivery (`RESULT`
 //!   carries the workload's bytes plus the rank's [`CommStatsSnapshot`]).
 //!
-//! Because every `CommStats` counter is an exact function of the fault
+//! Each child counts into its own [`CommStats`] table — the protocol's
+//! events and its liveness board's alike — and ships the table's two views
+//! home. Because every comm counter is an exact function of the fault
 //! seed, summing the per-process snapshots reproduces the totals a
-//! shared-atomics in-process run records — the property the conformance
+//! shared-table in-process run records — the property the conformance
 //! suite (`tests/transport_conformance.rs`) asserts as exact equality.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,11 +48,12 @@ use lcc_obs::codec::{CodecError, Reader, Writer};
 
 use super::fault::FaultTransport;
 use super::frame::{self, MAX_FRAME_LEN};
-use super::liveness::{LivenessBoard, LivenessStats, LIVENESS_STATS_LEN};
+use super::liveness::{LivenessBoard, LivenessStats};
 use super::pool::BufferPool;
 use super::{PointOutcome, RecvOutcome, Transport};
-use crate::cluster::{CommStats, CommStatsSnapshot, CommWorld};
+use crate::cluster::CommWorld;
 use crate::fault::{CommError, FaultPlan, RetryPolicy};
+use crate::stats::{CommStats, CommStatsSnapshot};
 
 /// Handshake magic opening every data-mesh connection: "LCCT".
 const HANDSHAKE_MAGIC: u32 = 0x4C43_4354;
@@ -500,10 +503,6 @@ impl Transport for SocketTransport {
     fn confirmed_dead(&self) -> BTreeSet<usize> {
         self.board.confirmed_dead()
     }
-
-    fn liveness_stats(&self) -> LivenessStats {
-        self.board.stats()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -548,12 +547,6 @@ pub fn child_serve(registry: &[(&str, Workload)]) -> Result<(), CommError> {
         .find(|(name, _)| *name == workload_name)
         .map(|(_, f)| *f)
         .ok_or_else(|| coord_err(format!("workload `{workload_name}` not in child registry")))?;
-    let obs_session = if std::env::var_os("LCC_SOCKET_OBS").is_some() {
-        lcc_obs::ObsSession::start()
-    } else {
-        None
-    };
-
     let dir = PathBuf::from(env_var("LCC_SOCKET_DIR")?);
     let (listener, my_addr) = MeshListener::bind(family, &dir, rank)
         .map_err(|e| io_err(rank, usize::MAX, "bind data listener", e))?;
@@ -578,7 +571,9 @@ pub fn child_serve(registry: &[(&str, Workload)]) -> Result<(), CommError> {
     // Data mesh: connect down, accept up. Peers with no address (crashed
     // ranks) are skipped on both sides. Every reader thread shares the
     // liveness board: it reports arrivals and turns EOF into hard evidence.
-    let board = LivenessBoard::new(rank, size, &retry);
+    // The board and the world count into one table.
+    let stats = Arc::new(CommStats::default());
+    let board = LivenessBoard::new(rank, size, &retry, Arc::clone(&stats));
     let (frame_tx, frame_rx) = mpsc::channel::<(usize, Vec<u8>)>();
     let mut writers: Vec<Option<Conn>> = (0..size).map(|_| None).collect();
     for (peer, addr) in addrs.iter().enumerate().take(rank) {
@@ -734,52 +729,23 @@ pub fn child_serve(registry: &[(&str, Workload)]) -> Result<(), CommError> {
     };
 
     lcc_obs::set_rank(Some(rank as u32));
-    let stats = Arc::new(CommStats::default());
     let world = CommWorld::over(boxed, Arc::clone(&plan), retry, Arc::clone(&stats));
     let result = workload(world); // dropping the world runs the drain
     lcc_obs::set_rank(None);
     lcc_obs::set_epoch(0);
-    let snapshot = stats.snapshot();
-
-    if let Some(session) = obs_session {
-        // The obs counters are incremented at the same call sites as
-        // CommStats, and in this process the only rank is ours — the
-        // totals must agree to the byte, exactly as in the in-process
-        // obs_cluster suite.
-        let report = session.finish();
-        let counter = |name: &str| report.counter(name).unwrap_or(0);
-        let pairs = [
-            ("comm.bytes_logical", snapshot.bytes_sent),
-            ("comm.messages_logical", snapshot.messages),
-            ("comm.collective_rounds", snapshot.collective_rounds),
-            ("comm.retransmits", snapshot.retransmits),
-            ("comm.duplicates_suppressed", snapshot.duplicates_suppressed),
-            ("comm.timeouts", snapshot.timeouts),
-            ("comm.bytes_physical", snapshot.bytes_physical),
-            ("comm.messages_physical", snapshot.messages_physical),
-            ("comm.acks", snapshot.acks),
-        ];
-        for (name, want) in pairs {
-            let got = counter(name);
-            if got != want {
-                return Err(coord_err(format!(
-                    "rank {rank}: obs counter {name} = {got} but CommStats recorded {want}"
-                )));
-            }
-        }
-    }
-
-    // RESULT: rank, stats snapshot, liveness counters, first-detection
-    // timestamp, then the workload's bytes. Re-borrow the control writer
-    // from the transport we boxed away? No — the world consumed it. A
-    // fresh control connection keeps ownership simple.
-    let mut liveness = board.stats();
-    liveness.deaths_detected = stats.deaths_detected_count();
-    liveness.rejoins = stats.rejoin_count();
+    // RESULT: rank, the table's two views, the first-detection
+    // timestamp, then the workload's bytes. The world consumed the control
+    // writer, so a fresh control connection keeps ownership simple.
     let first_detection = stats.first_detection_ns().unwrap_or(0);
     let mut ctl = connect(SocketFamily::Uds, &ctl_path)
         .map_err(|e| io_err(rank, usize::MAX, "reconnect control socket", e))?;
-    let msg = encode_result(rank, &snapshot, &liveness, first_detection, &result);
+    let msg = encode_result(
+        rank,
+        &stats.snapshot(),
+        &stats.liveness(),
+        first_detection,
+        &result,
+    );
     write_frame(&mut ctl, &mut scratch, &msg)
         .map_err(|e| io_err(rank, usize::MAX, "send RESULT", e))?;
     Ok(())
@@ -961,7 +927,8 @@ fn decode_start(msg: &[u8]) -> Result<Vec<Option<String>>, CommError> {
 
 /// Byte length of a RESULT frame before its payload: kind, rank, stats
 /// snapshot, liveness counters, first-detection timestamp.
-const RESULT_HEADER_LEN: usize = 1 + 4 + CommStatsSnapshot::WIRE_BYTES + LIVENESS_STATS_LEN + 8;
+const RESULT_HEADER_LEN: usize =
+    1 + 4 + CommStatsSnapshot::WIRE_BYTES + LivenessStats::WIRE_BYTES + 8;
 
 /// A decoded RESULT frame: rank, stats, liveness, first detection, payload.
 type ResultFrame<'a> = (usize, CommStatsSnapshot, LivenessStats, u64, &'a [u8]);
@@ -1103,9 +1070,6 @@ pub struct SocketClusterConfig<'a> {
     /// [`child_serve`] (the coordinator re-executes the binary filtered to
     /// exactly this test).
     pub child_test: &'a str,
-    /// Start an [`lcc_obs::ObsSession`] inside each child and fail the
-    /// child if its `comm.*` counters diverge from its `CommStats`.
-    pub obs_in_children: bool,
 }
 
 /// What a socket-cluster run produced: one result slot per rank (`None`
@@ -1200,9 +1164,6 @@ impl<'a> ChildSupervisor<'a> {
         if rejoin {
             cmd.env(REJOIN_ENV, "1");
             *self.restarts.entry(rank).or_insert(0) += 1;
-        }
-        if cfg.obs_in_children {
-            cmd.env("LCC_SOCKET_OBS", "1");
         }
         let child = cmd
             .spawn()

@@ -109,7 +109,7 @@ proptest! {
 
 /// A board for `size` ranks observed from rank 0.
 fn board(size: usize) -> std::sync::Arc<LivenessBoard> {
-    LivenessBoard::new(0, size, &RetryPolicy::scaled_for(size))
+    LivenessBoard::new(0, size, &RetryPolicy::scaled_for(size), Default::default())
 }
 
 proptest! {

@@ -50,10 +50,6 @@ pub mod session;
 pub mod tensor_pipeline;
 pub mod traditional;
 
-#[cfg(test)]
-#[path = "../tests/common/mod.rs"]
-pub(crate) mod test_common;
-
 pub use adaptive::AdaptiveConvolver;
 pub use config::{ConfigError, LowCommConfigBuilder};
 pub use distributed::{Deployment, Exchanged};

@@ -122,8 +122,7 @@ pub(crate) fn tensor_pointwise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_common::GammaComp;
-    use lcc_greens::MassifGamma;
+    use lcc_greens::{GammaComponentKernel, MassifGamma};
     use lcc_grid::{relative_l2, BoxRegion};
     use lcc_octree::RateSchedule;
 
@@ -150,7 +149,7 @@ mod tests {
             let mut acc = vec![0.0f64; plan.total_samples()];
             for (ck, &kl) in pairs.iter().enumerate() {
                 let w = if ck < 3 { 1.0 } else { 2.0 };
-                let kernel = GammaComp { gamma, ij, kl };
+                let kernel = GammaComponentKernel::new(gamma, ij, kl);
                 let f = conv.convolve_compressed(&sub[ck], corner, &kernel, plan.clone());
                 for (a, s) in acc.iter_mut().zip(f.samples()) {
                     *a += w * s;

@@ -159,10 +159,10 @@ impl TraditionalConvolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_common::GammaComp;
     use lcc_fft::{c64, cyclic_convolve_3d, ifft_3d_normalized};
     use lcc_greens::{
-        hermitian_defect, GaussianKernel, MassifGamma, PoissonSpectrum, ScreenedPoissonSpectrum,
+        hermitian_defect, GammaComponentKernel, GaussianKernel, MassifGamma, PoissonSpectrum,
+        ScreenedPoissonSpectrum,
     };
     use lcc_grid::relative_l2;
 
@@ -238,7 +238,7 @@ mod tests {
                 let mut want = vec![0.0; n * n * n];
                 for (ck, &kl) in pairs.iter().enumerate() {
                     let w = if ck < 3 { 1.0 } else { 2.0 };
-                    let part = oracle(&sigma[ck], &GammaComp { gamma, ij, kl });
+                    let part = oracle(&sigma[ck], &GammaComponentKernel::new(gamma, ij, kl));
                     for (a, v) in want.iter_mut().zip(part) {
                         *a += w * v;
                     }

@@ -10,28 +10,21 @@
 //! `n = 2` (half-length-1 c2r), sizes with and without a self-paired bin,
 //! non-powers of two, and odd `n` (the c2r's fallback, no Nyquist bin).
 
-mod common;
-
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use common::GammaComp;
 use lcc_core::{LocalConvolver, TraditionalConvolver};
 use lcc_greens::{
-    hermitian_defect, GaussianKernel, KernelSpectrum, MassifGamma, PoissonSpectrum,
-    ScreenedPoissonSpectrum,
+    hermitian_defect, GammaComponentKernel, GaussianKernel, KernelSpectrum, MassifGamma,
+    PoissonSpectrum, ScreenedPoissonSpectrum,
 };
 use lcc_grid::{relative_l2, BoxRegion, Grid3};
 use lcc_octree::{RateSchedule, SamplingPlan};
 
 /// `Γ̂_0001 ∝ ξ₀ξ₁(…)`: odd in `ξ₀` and in `ξ₁`.
-fn odd_gamma_component(n: usize) -> GammaComp {
-    GammaComp {
-        gamma: MassifGamma::new(n, 1.3, 0.8),
-        ij: (0, 0),
-        kl: (0, 1),
-    }
+fn odd_gamma_component(n: usize) -> GammaComponentKernel {
+    GammaComponentKernel::new(MassifGamma::new(n, 1.3, 0.8), (0, 0), (0, 1))
 }
 
 /// A rate-1 plan over the whole grid: the octree proper needs a power of
@@ -120,10 +113,6 @@ fn odd_gamma_component_is_non_hermitian_exactly_on_nyquist_bins() {
     }
     assert!(hermitian_defect(&odd_gamma_component(9)) <= 1e-12);
     // A component even in every ξᵢ is Hermitian on Nyquist bins too.
-    let even = GammaComp {
-        ij: (0, 1),
-        kl: (0, 1),
-        ..odd_gamma_component(n)
-    };
+    let even = GammaComponentKernel::new(MassifGamma::new(n, 1.3, 0.8), (0, 1), (0, 1));
     assert!(hermitian_defect(&even) <= 1e-12);
 }

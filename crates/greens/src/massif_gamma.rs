@@ -17,7 +17,7 @@
 
 use lcc_fft::Complex64;
 
-use crate::kernel::wrap_freq;
+use crate::kernel::{wrap_freq, KernelSpectrum};
 use crate::sym::Sym3C;
 
 /// The Γ̂ operator for an `n³` grid and an isotropic reference medium.
@@ -110,6 +110,57 @@ impl MassifGamma {
         }
         out
     }
+}
+
+/// One component `Γ̂_ijkl(ξ)` for fixed `(i, j, k, l)` as a scalar
+/// [`KernelSpectrum`]. The contraction `Δε̂_ij = Γ̂_ijkl : σ̂_kl` decomposes
+/// into scalar convolutions of each stress component with one component —
+/// the paper's "9 convolutions … for updating each stress component" — so
+/// the generic scalar pipeline runs a MASSIF update unchanged, and the
+/// tensor pipeline's tests use a sum of them as their reference. A
+/// component odd in one `ξᵢ` (e.g. `ij = (0, 0)`, `kl = (0, 1)`) is the one
+/// shipped spectrum that is not Hermitian on bins with a Nyquist
+/// coordinate.
+#[derive(Clone, Copy, Debug)]
+pub struct GammaComponentKernel {
+    gamma: MassifGamma,
+    ij: (usize, usize),
+    kl: (usize, usize),
+}
+
+impl GammaComponentKernel {
+    /// Creates the component kernel.
+    pub fn new(gamma: MassifGamma, ij: (usize, usize), kl: (usize, usize)) -> Self {
+        assert!(ij.0 < 3 && ij.1 < 3 && kl.0 < 3 && kl.1 < 3);
+        GammaComponentKernel { gamma, ij, kl }
+    }
+
+    /// The output (strain) component indices.
+    pub fn ij(&self) -> (usize, usize) {
+        self.ij
+    }
+
+    /// The input (stress) component indices.
+    pub fn kl(&self) -> (usize, usize) {
+        self.kl
+    }
+}
+
+impl KernelSpectrum for GammaComponentKernel {
+    fn n(&self) -> usize {
+        self.gamma.n()
+    }
+
+    fn eval(&self, f: [usize; 3]) -> Complex64 {
+        Complex64::from_real(
+            self.gamma
+                .component(f, self.ij.0, self.ij.1, self.kl.0, self.kl.1),
+        )
+    }
+
+    // Γ̂ is homogeneous of degree 0 with its "impulse" at the origin: the
+    // spatial operator decays from x = 0, so the default center [0,0,0]
+    // applies.
 }
 
 #[cfg(test)]
@@ -239,5 +290,27 @@ mod tests {
     #[should_panic(expected = "mu0 must be positive")]
     fn invalid_reference_rejected() {
         MassifGamma::new(8, 1.0, 0.0);
+    }
+
+    #[test]
+    fn matches_gamma_component() {
+        let g = MassifGamma::new(16, 1.0, 1.0);
+        let k = GammaComponentKernel::new(g, (0, 1), (1, 2));
+        let f = [3usize, 7, 2];
+        assert_eq!(k.eval(f).re, g.component(f, 0, 1, 1, 2));
+        assert_eq!(k.eval(f).im, 0.0, "Γ̂ components are real");
+        assert_eq!(k.center(), [0, 0, 0]);
+        assert_eq!(k.n(), 16);
+    }
+
+    #[test]
+    fn pencil_evaluation_consistent() {
+        let g = MassifGamma::new(8, 2.0, 1.5);
+        let k = GammaComponentKernel::new(g, (2, 2), (0, 0));
+        let mut out = vec![Complex64::ZERO; 8];
+        k.eval_pencil_axis2(1, 5, &mut out);
+        for (fz, &v) in out.iter().enumerate() {
+            assert_eq!(v, k.eval([1, 5, fz]));
+        }
     }
 }

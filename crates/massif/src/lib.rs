@@ -9,8 +9,6 @@
 //! * [`microstructure`] — composite generation (spheres, laminates) and
 //!   per-voxel isotropic stiffness.
 //! * [`fields`] — symmetric tensor fields (SoA over six Voigt components).
-//! * [`gamma_kernels`] — scalar `Γ̂_ijkl` views pluggable into the generic
-//!   convolution pipeline.
 //! * [`solver`] — the fixed-point loop with two interchangeable inner
 //!   convolutions: dense spectral (Algorithm 1) and domain-local compressed
 //!   (Algorithm 2, the paper's contribution).
@@ -19,13 +17,11 @@
 
 pub mod checkpoint;
 pub mod fields;
-pub mod gamma_kernels;
 pub mod microstructure;
 pub mod solver;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, CheckpointInfo};
 pub use fields::TensorField;
-pub use gamma_kernels::GammaComponentKernel;
 pub use microstructure::Microstructure;
 pub use solver::{
     solve, solve_accelerated, solve_with_checkpoints, GammaConvolution, LowCommGamma, SolveResult,

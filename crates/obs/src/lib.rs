@@ -12,8 +12,9 @@
 //! * **Counters / gauges** ([`metrics`]) — typed instruments registered
 //!   once as statics (logical vs physical comm bytes, pencils transformed,
 //!   workspace leases, retries, degraded/recovered domains, …) and sampled
-//!   per session. The `comm.*` counters are incremented at the same call
-//!   sites as `CommStats`, so totals match it exactly.
+//!   per session. The `comm.*` and `liveness.*` counters are bumped by the
+//!   same call that writes `lcc_comm`'s per-run `CommStats` table, so
+//!   totals match it exactly.
 //! * **Capture / replay** ([`ObsReport::capture_into`] /
 //!   [`ObsReport::replay_from`]) — a versioned binary log so a cluster-sim
 //!   run can be dumped and re-rendered offline, plus a flamegraph-style

@@ -7,10 +7,14 @@
 //! with no session active a counter add is branch-not-taken and no store
 //! happens, preserving the hot path's performance envelope.
 //!
-//! The `comm.*` counters are incremented at the *same call sites* that
-//! update [`CommStats`] in `lcc_comm::cluster`, which is what makes the
-//! acceptance check "obs byte totals exactly match `CommStats`" hold by
-//! construction rather than by reconciliation.
+//! The `comm.*` and `liveness.*` counters have one writer:
+//! `lcc_comm::stats::CommStats::add`, which bumps a slot of the run's
+//! `CommStats` table and the counter here with the same meaning in one
+//! call. An obs total therefore equals the table's by construction rather
+//! than by reconciliation. The table, not these statics, is the store: a
+//! counter here is process-wide and moves only inside a session, while the
+//! table is per run and counts regardless. `lcc-lint`'s `one-comm-writer`
+//! rule keeps every other module from naming them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -123,28 +127,25 @@ impl Gauge {
 // instrument means adding it to the matching `all_*` list below.
 // ---------------------------------------------------------------------------
 
-/// Logical payload bytes entering `CommWorld::send` (mirrors
-/// `CommStats::bytes`).
+/// Logical payload bytes entering `CommWorld::send` (`CommStats::bytes`).
 pub static COMM_BYTES_LOGICAL: Counter = Counter::new("comm.bytes_logical");
-/// Logical messages (mirrors `CommStats::message_count`).
+/// Logical messages (`CommStats::message_count`).
 pub static COMM_MESSAGES_LOGICAL: Counter = Counter::new("comm.messages_logical");
-/// Physical wire bytes including retransmits and acks (mirrors
-/// `CommStats::bytes_physical`).
+/// Physical wire bytes including retransmits and duplicates
+/// (`CommStats::physical_bytes`).
 pub static COMM_BYTES_PHYSICAL: Counter = Counter::new("comm.bytes_physical");
-/// Physical transmission attempts (mirrors `CommStats::messages_physical`).
+/// Physical transmission attempts (`CommStats::physical_message_count`).
 pub static COMM_MESSAGES_PHYSICAL: Counter = Counter::new("comm.messages_physical");
-/// Acknowledgement frames sent (mirrors `CommStats::ack_count`).
+/// Acknowledgement frames sent (`CommStats::ack_count`).
 pub static COMM_ACKS: Counter = Counter::new("comm.acks");
-/// Retransmitted frames (mirrors `CommStats::retransmit_count`).
+/// Retransmitted frames (`CommStats::retransmit_count`).
 pub static COMM_RETRANSMITS: Counter = Counter::new("comm.retransmits");
-/// Send attempts that exhausted their retry deadline (mirrors
-/// `CommStats::timeout_count`).
+/// Expired ack waits (`CommStats::timeout_count`).
 pub static COMM_TIMEOUTS: Counter = Counter::new("comm.timeouts");
-/// Duplicate frames suppressed at the receiver (mirrors
-/// `CommStats::duplicates_suppressed`).
+/// Duplicate frames suppressed at the receiver
+/// (`CommStats::duplicate_count`).
 pub static COMM_DUPLICATES: Counter = Counter::new("comm.duplicates_suppressed");
-/// Collective rounds counted once per collective (mirrors
-/// `CommStats::collective_rounds`).
+/// Collective rounds counted once per collective (`CommStats::rounds`).
 pub static COMM_COLLECTIVE_ROUNDS: Counter = Counter::new("comm.collective_rounds");
 
 /// Workspace arenas leased from the global free list.
@@ -199,11 +200,10 @@ pub static LIVENESS_HEARTBEATS_RECEIVED: Counter = Counter::new("liveness.heartb
 pub static LIVENESS_HARD_EVIDENCE: Counter = Counter::new("liveness.hard_evidence");
 /// Peers that crossed the adaptive silence threshold.
 pub static LIVENESS_SUSPICIONS: Counter = Counter::new("liveness.suspicions");
-/// Newly-dead ranks observed across membership sweeps (mirrors
-/// `LivenessStats::deaths_detected`).
+/// Newly-dead ranks observed across membership sweeps
+/// (`LivenessStats::deaths_detected`).
 pub static LIVENESS_DEATHS_DETECTED: Counter = Counter::new("liveness.deaths_detected");
-/// Restart-from-checkpoint rejoins performed (mirrors
-/// `LivenessStats::rejoins`).
+/// Restart-from-checkpoint rejoins performed (`LivenessStats::rejoins`).
 pub static LIVENESS_REJOINS: Counter = Counter::new("liveness.rejoins");
 
 /// Requests offered to the service's admission controller.

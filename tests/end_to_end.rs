@@ -141,8 +141,7 @@ fn kernel_center_drives_response_region() {
 #[test]
 fn massif_gamma_component_convolution_cross_crate() {
     // A single Γ̂ component through the generic pipeline vs the dense path.
-    use lcc_greens::MassifGamma;
-    use lcc_massif::GammaComponentKernel;
+    use lcc_greens::{GammaComponentKernel, MassifGamma};
     let n = 16;
     let k = 8;
     let gamma = MassifGamma::new(n, 1.0, 1.0);

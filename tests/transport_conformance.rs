@@ -158,9 +158,10 @@ struct Scenario {
     /// All nine counters must be exactly equal across backends. Off only
     /// for scenarios whose failure *detection* is wall-clock driven.
     exact_stats: bool,
-    /// Wrap the run in an `ObsSession` and require the `comm.*` counters
-    /// to tie out against `CommStats` (in-proc directly; socket children
-    /// self-verify before reporting).
+    /// Wrap the in-proc run in an `ObsSession` and require the `comm.*`
+    /// counters to tie out against `CommStats`. Both are written by the one
+    /// `CommStats::add` call, in every process, so the socket leg needs no
+    /// check of its own.
     obs: bool,
 }
 
@@ -329,7 +330,6 @@ fn execute_socket(s: &Scenario, family: SocketFamily) -> BackendRun {
         workload: s.workload,
         family,
         child_test: CHILD_TEST,
-        obs_in_children: s.obs,
         restart: RestartPolicy::for_plan(&s.plan),
     })
     .unwrap_or_else(|e| panic!("{}: socket cluster run failed: {e}", s.name));
@@ -550,7 +550,6 @@ fn survival_unplanned_abort_is_survived() {
         workload: "abort2",
         family: SocketFamily::Uds,
         child_test: CHILD_TEST,
-        obs_in_children: false,
         restart: RestartPolicy::Never,
     })
     .expect("survivors finish without the aborted rank");

@@ -42,6 +42,12 @@
 //!   `crates/*/src` outside `crates/obs/src/codec.rs`: every byte format
 //!   reads and writes through `lcc_obs::codec`, the one module that
 //!   touches byte order (DESIGN.md §5p). No escape hatch.
+//! * `one-comm-writer` — a `COMM_*` / `LIVENESS_*` identifier (the comm
+//!   and liveness obs counters) in non-test code under `crates/*/src`
+//!   outside `crates/comm/src/stats.rs` and `crates/obs/src/metrics.rs`.
+//!   Every comm and liveness event is counted by one `CommStats::add`,
+//!   which writes the run's table and the obs counter together (DESIGN.md
+//!   §6); a second writer is a second count to drift. No escape hatch.
 
 use std::collections::BTreeMap;
 
@@ -117,7 +123,14 @@ pub fn check_file(path: &str, file: &SourceFile) -> (Vec<Violation>, Vec<usize>)
     }
     let crate_src = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
     if crate_src && path != CODEC_PATH {
-        check_le_bytes(path, file, &mut v);
+        let fix = "outside `lcc_obs::codec`; use its `Reader`/`Writer`";
+        let banned = |w: &str| matches!(w, "to_le_bytes" | "from_le_bytes");
+        check_confined(path, file, "le-bytes", banned, fix, &mut v);
+    }
+    if crate_src && !COMM_LEDGER_PATHS.contains(&path) {
+        let fix = "is an obs counter of the comm ledger; count through `CommStats::add`";
+        let banned = |w: &str| w.starts_with("COMM_") || w.starts_with("LIVENESS_");
+        check_confined(path, file, "one-comm-writer", banned, fix, &mut v);
     }
     (v, unwrap_sites)
 }
@@ -429,18 +442,32 @@ fn check_coord_err(path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
 /// The one module allowed to touch byte order.
 const CODEC_PATH: &str = "crates/obs/src/codec.rs";
 
-/// `le-bytes`: byte-order conversions outside the codec module.
-fn check_le_bytes(path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
+/// The comm ledger's table and the obs registry: the only modules that
+/// may name a comm or liveness obs counter.
+const COMM_LEDGER_PATHS: [&str; 2] = ["crates/comm/src/stats.rs", "crates/obs/src/metrics.rs"];
+
+/// The confinement rules (`le-bytes`, `one-comm-writer`): flags the first
+/// identifier on each non-test line that `banned` picks out; the caller
+/// has already exempted the one module the identifiers belong to.
+fn check_confined(
+    path: &str,
+    file: &SourceFile,
+    rule: &'static str,
+    banned: fn(&str) -> bool,
+    fix: &str,
+    out: &mut Vec<Violation>,
+) {
     for (idx, line) in file.lines.iter().enumerate() {
-        let tok = ["to_le_bytes", "from_le_bytes"]
-            .into_iter()
-            .find(|tok| find_word(&line.code, tok, 0).is_some());
-        if let Some(tok) = tok.filter(|_| !line.in_test) {
+        let hit = line
+            .code
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .find(|w| banned(w));
+        if let Some(tok) = hit.filter(|_| !line.in_test) {
             out.push(Violation {
                 path: path.to_string(),
                 line: idx + 1,
-                rule: "le-bytes",
-                msg: format!("`{tok}` outside `lcc_obs::codec`; use its `Reader`/`Writer`"),
+                rule,
+                msg: format!("`{tok}` {fix}"),
             });
         }
     }
@@ -835,6 +862,28 @@ mod tests {
         assert!(check(CODEC_PATH, src).is_empty());
         assert!(check("crates/service/tests/wire_props.rs", src).is_empty());
         assert!(check("tools/lcc-lint/src/main.rs", src).is_empty());
+    }
+
+    #[test]
+    fn comm_counters_are_named_only_by_the_ledger() {
+        let src = "\
+fn send(n: u64) { obs::COMM_BYTES_LOGICAL.add(n); }
+use lcc_obs::metrics::{LIVENESS_REJOINS, SERVICE_SHED};
+fn ok(stats: &CommStats) { stats.add(CommCounter::Acks, 1); let _ = MY_COMM_X; }
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = lcc_obs::metrics::COMM_ACKS.get(); }
+}
+";
+        let v = check("crates/comm/src/cluster.rs", src);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|x| x.rule == "one-comm-writer"));
+        assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![1, 2]);
+        // The table, the registry, and code outside crate sources are exempt.
+        for exempt in COMM_LEDGER_PATHS {
+            assert!(check(exempt, src).is_empty());
+        }
+        assert!(check("tests/obs_cluster.rs", src).is_empty());
     }
 
     #[test]

@@ -251,8 +251,8 @@ fn main() {
     );
 
     println!();
-    println!("A SIGKILLed rank is detected from hard socket evidence (reader EOF /");
-    println!("EPIPE) long before the adaptive suspicion deadline; with a restart");
+    println!("A SIGKILLed rank is detected from hard socket evidence (a reader's");
+    println!("EOF) long before the adaptive suspicion deadline; with a restart");
     println!("policy the supervisor respawns it from its latest checkpoint and the");
     println!("finished run is bit-identical to the fault-free one.");
 }

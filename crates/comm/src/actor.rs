@@ -434,7 +434,7 @@ pub enum Event {
     /// (degraded, partitioned, or just slow) but produced no hard
     /// evidence. Mirrors `alltoall_converged`'s recv-error branch.
     RecvTimeout { from: usize },
-    /// Hard evidence that `peer` is dead (EOF, EPIPE, overdue silence).
+    /// Hard evidence that `peer` is dead (a reader's EOF, overdue silence).
     Evidence { peer: usize },
     /// `peer` restarted from checkpoint and was re-admitted at the kill
     /// gate before any sweep could demote it.

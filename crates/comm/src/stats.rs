@@ -60,7 +60,8 @@ pub enum CommCounter {
     HeartbeatsSent,
     /// Heartbeat frames received by the liveness board.
     HeartbeatsReceived,
-    /// Peers demoted on hard socket evidence (EPIPE/ECONNRESET/reader EOF).
+    /// Peers demoted on hard socket evidence (a reader's EOF or read error
+    /// with no goodbye before it).
     HardEvidence,
     /// Peers that crossed the adaptive silence threshold.
     Suspicions,
@@ -253,16 +254,6 @@ impl CommStats {
             suspicions: self.get(CommCounter::Suspicions),
             deaths_detected: self.deaths_detected_count(),
             rejoins: self.rejoin_count(),
-        }
-    }
-
-    /// Folds a snapshot into the table, through [`CommStats::add`]. Because
-    /// every counter is an exact function of the fault seed, summing
-    /// per-process snapshots reproduces the totals a shared-table run
-    /// would have recorded.
-    pub fn add_snapshot(&self, s: &CommStatsSnapshot) {
-        for (c, v) in CommCounter::ALL.into_iter().zip(s.fields()) {
-            self.add(c, v);
         }
     }
 }

@@ -39,6 +39,11 @@ pub const KIND_ACK: u8 = 0x02;
 /// sequenced, acked, fault-decorated, or surfaced to [`super::Transport`]
 /// consumers.
 pub const KIND_HEARTBEAT: u8 = 0x03;
+/// Frame kind tag for a goodbye: the whole frame, one byte, that a socket
+/// rank writes to every peer once the run is over (after `ALL_DONE`), so
+/// the EOF that follows its exit is not taken for a death. Reader threads
+/// consume it like a heartbeat; it never reaches [`decode_view`].
+pub const KIND_BYE: u8 = 0x04;
 
 /// Bytes of a data frame header: kind, `u64` seq, `u32` attempt.
 pub const DATA_HEADER: usize = 1 + 8 + 4;

@@ -3,9 +3,10 @@
 //! The in-process backend cannot lose a peer without knowing it — a dead
 //! thread drops its channels and every survivor sees `Disbanded`
 //! immediately. A real process mesh has no such luxury: a SIGKILLed rank
-//! simply goes quiet, and the only signals are *hard evidence* (EPIPE /
-//! ECONNRESET on a write, EOF in a reader thread) and *absence* (no frames,
-//! no heartbeats). The [`LivenessBoard`] fuses both:
+//! simply goes quiet, and the only signals are *hard evidence* (EOF or a
+//! read error in a reader thread, unless the peer said goodbye first — see
+//! [`super::frame::KIND_BYE`]) and *absence* (no frames, no heartbeats).
+//! The [`LivenessBoard`] fuses both:
 //!
 //! * Every peer's reader thread reports arrivals (heartbeats and protocol
 //!   frames alike) with [`LivenessBoard::note_beat`] /
@@ -105,7 +106,8 @@ pub struct LivenessStats {
     pub heartbeats_sent: u64,
     /// Heartbeat frames this rank received.
     pub heartbeats_received: u64,
-    /// Peers demoted on hard socket evidence (EPIPE/ECONNRESET/reader EOF).
+    /// Peers demoted on hard socket evidence (a reader's EOF or read error
+    /// without a goodbye before it).
     pub hard_evidence: u64,
     /// Peers that crossed the adaptive silence threshold.
     pub suspicions: u64,

@@ -123,7 +123,8 @@ pub trait Transport: Send {
     }
 
     /// Peers this backend has *observed* to be dead — hard socket evidence
-    /// (EPIPE / ECONNRESET / reader EOF) or an overdue heartbeat, per the
+    /// (a reader's EOF or read error with no goodbye before it) or an
+    /// overdue heartbeat, per the
     /// [`liveness::LivenessBoard`]. Monotone. The membership sweep
     /// ([`crate::cluster::CommWorld::detect_failures`]) unions this with
     /// the fault plan's ground truth, so unplanned deaths are detected

@@ -372,9 +372,10 @@ impl SocketTransport {
             .try_clone()
             .map_err(|e| io_err(rank, peer, "clone rejoined stream", e))?;
         // Install the new conn and clear the dead predecessor's hard
-        // evidence under ONE writers lock: the heartbeat thread also marks
-        // hard evidence under that lock, so a broken-pipe verdict against
-        // the predecessor cannot land after the successor is admitted.
+        // evidence under ONE writers lock, so the heartbeat thread never
+        // beats a connection the board does not yet know the peer by. A
+        // late EOF on the predecessor's socket carries its incarnation
+        // and is dropped.
         {
             let mut writers = lock_writers(&self.writers);
             self.board.mark_rejoined(peer);
@@ -394,6 +395,14 @@ fn lock_writers(w: &Arc<Mutex<Vec<Option<Conn>>>>) -> std::sync::MutexGuard<'_, 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
         self.hb_stop.store(true, Ordering::SeqCst);
+        // At a clean end of run every peer hears a goodbye before this
+        // process exits, so the EOF that follows is not taken for a death.
+        if self.all_done() {
+            let mut buf = Vec::new();
+            for conn in lock_writers(&self.writers).iter_mut().flatten() {
+                let _ = write_frame(conn, &mut buf, &[frame::KIND_BYE]);
+            }
+        }
     }
 }
 
@@ -424,12 +433,10 @@ impl Transport for SocketTransport {
             }
         };
         self.pools[to].recycle(buf);
-        res.map_err(|e| {
-            // EPIPE / ECONNRESET on a data write is hard evidence the peer
-            // is gone; feed the detector before surfacing the typed error.
-            self.board.mark_hard_dead(to);
-            io_err(rank, to, "data write", e)
-        })
+        // A failed write is not evidence of its own: a peer that is gone
+        // closed the connection, and the reader's EOF on it is the
+        // evidence (or, after its goodbye, a clean exit).
+        res.map_err(|e| io_err(rank, to, "data write", e))
     }
 
     fn recv_frame(&mut self, timeout: Duration) -> Result<RecvOutcome, CommError> {
@@ -682,15 +689,14 @@ pub fn child_serve(registry: &[(&str, Workload)]) -> Result<(), CommError> {
                 let hb = frame::encode_heartbeat(beat);
                 let mut sent = 0u64;
                 let mut guard = lock_writers(&writers);
-                for (peer, slot) in guard.iter_mut().enumerate() {
+                for slot in guard.iter_mut() {
                     if let Some(conn) = slot {
                         if write_frame(conn, &mut buf, &hb).is_ok() {
                             sent += 1;
                         } else {
-                            // A broken pipe mid-beat is the same hard
-                            // evidence a data write would have produced.
+                            // The peer closed: its reader's EOF decides
+                            // whether that was a death.
                             *slot = None;
-                            board.mark_hard_dead(peer);
                         }
                     }
                 }
@@ -762,27 +768,38 @@ fn spawn_reader(
     // is admitted before this thread notices the EOF, the stale verdict is
     // dropped instead of condemning the successor.
     let incarnation = board.incarnation(peer);
-    std::thread::spawn(move || loop {
-        match read_frame(&mut conn) {
-            Ok(Some(fr)) => {
-                // Heartbeats live below the reliability protocol: they feed
-                // the detector and are never forwarded upward.
-                if fr.first() == Some(&frame::KIND_HEARTBEAT)
-                    && fr.len() == frame::HEARTBEAT_FRAME_LEN
-                {
-                    board.note_beat(peer);
-                    continue;
+    std::thread::spawn(move || {
+        // Set by the peer's goodbye: the run is over and it is leaving.
+        let mut bye = false;
+        loop {
+            match read_frame(&mut conn) {
+                Ok(Some(fr)) => {
+                    // Heartbeats and the goodbye live below the reliability
+                    // protocol: they feed the detector and are never
+                    // forwarded upward.
+                    if fr.first() == Some(&frame::KIND_HEARTBEAT)
+                        && fr.len() == frame::HEARTBEAT_FRAME_LEN
+                    {
+                        board.note_beat(peer);
+                        continue;
+                    }
+                    if fr[..] == [frame::KIND_BYE] {
+                        bye = true;
+                        continue;
+                    }
+                    board.note_traffic(peer);
+                    if tx.send((peer, fr)).is_err() {
+                        break;
+                    }
                 }
-                board.note_traffic(peer);
-                if tx.send((peer, fr)).is_err() {
+                // EOF or a socket error is hard evidence of a death, unless
+                // the peer said goodbye first: then it exited cleanly.
+                Ok(None) | Err(_) => {
+                    if !bye {
+                        board.mark_hard_dead_as_of(peer, incarnation);
+                    }
                     break;
                 }
-            }
-            // EOF or a socket error is hard evidence: decisive mid-run,
-            // harmless after a clean end-of-run (nothing sweeps it).
-            Ok(None) | Err(_) => {
-                board.mark_hard_dead_as_of(peer, incarnation);
-                break;
             }
         }
     });

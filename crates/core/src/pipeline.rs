@@ -32,13 +32,16 @@
 //!      inverse transformed along x, one tile, and only the x rows the plan
 //!      samples in that plane are stored ([`SamplingPlan::sampled_rows`]),
 //!      into their `w` columns of the sampled-row buffer.
-//! 3. **c2r and capture** (stage 3) — once every block has passed, each
+//! 3. **c2r and capture** (stage 3) — once every block has passed, every
 //!    sampled row is finished by a c2r along y, in place (`h` complex hold
-//!    their own `N` reals, see [`RealIfft::process_packed`]), and sampled
-//!    into the octree's compressed storage straight from the packed rows
-//!    ([`CompressedField::capture_sampled_rows`]), one task per plane. Rows
-//!    are independent, so a row nobody samples is never transformed and the
-//!    samples are the same to the bit as if every row had been.
+//!    their own `N` reals, see [`RealIfft::process_packed`]), the rows
+//!    spread over the pool. Then one pass over the plan's cells per
+//!    component reads each sample straight from the packed rows into a
+//!    recycled sample buffer ([`CompressedField::from_rows`]), each cell's
+//!    samples in order, through a `(z, x) → row` table carved from the call
+//!    arena ([`SamplingPlan::fill_row_table`]). Rows are independent, so a
+//!    row nobody samples is never transformed and the samples are the same
+//!    to the bit as if every row had been.
 //!
 //! The strided x transforms of stages 1 and 3 run over tiles with their
 //! lanes across the block's `fy` columns; the y transforms are along the
@@ -51,7 +54,7 @@
 //! (`k·k·h`), one block slab (`k` planes of `(N + 1)·W`: a spare row keeps
 //! the planes from sitting a power of two apart), one block of retained
 //! rows (`n_zr` such planes) and the sampled rows (`sampled_row_count·h`),
-//! all complex:
+//! all complex, and the sampled rows' table of `n·(1 + n_zr)` indices:
 //! 5.7 MB at `N = 128, k = 32` where the whole slab and planes took 12.8 MB,
 //! and 63 MB instead of 1.14 GB at `N = 1024, k = 32, r = 32`
 //! ([`LocalConvolver::footprint`], DESIGN.md §5l). Blocking changes the
@@ -400,7 +403,8 @@ impl LocalConvolver {
         // stage's stores over every (plane, pencil), and column `fy` of
         // every sampled row by the x inverse of the block holding `fy`.
         let mut ws = workspace();
-        let [yrows, slab, retained, sampled] = ws.complex_bufs(self.arena_lens::<C>(&plan, k));
+        let ([yrows, slab, retained, sampled], table) =
+            ws.indexed(self.arena_lens::<C>(&plan, k), plan.row_table_len());
         let s1 = lcc_obs::span("stage1_2d_fft");
         self.forward_y(subs, cube, yrows);
         drop(s1);
@@ -427,7 +431,7 @@ impl LocalConvolver {
             self.inverse_x::<C>(retained, block, corner[0], &plan, sampled);
         }
         let _s3 = lcc_obs::span("stage3_inverse_sample");
-        self.c2r_capture(sampled, corner[1], scale, plan)
+        self.c2r_capture(sampled, table, corner[1], scale, plan)
     }
 
     /// The call arena of [`Self::convolve_blocks`] for `C` components under
@@ -556,34 +560,31 @@ impl LocalConvolver {
         }
     }
 
-    /// Stage 3's last step: every sampled row c2r'd in place and captured,
-    /// column `y` from packed column `(y − c_y) mod n` (module doc), into
-    /// one fresh compressed field per component.
+    /// Stage 3's last step: every sampled row c2r'd in place, on the pool,
+    /// then each component captured in one pass over the plan's cells
+    /// through the `(z, x) → row` `table`, column `y` from packed column
+    /// `(y − c_y) mod n` (module doc), into one fresh compressed field per
+    /// component.
     fn c2r_capture<const C: usize>(
         &self,
         sampled: &mut [Complex64],
+        table: &mut [u32],
         cy: usize,
         scale: f64,
         plan: Arc<SamplingPlan>,
     ) -> [CompressedField; C] {
         let h = self.half();
-        let rows = plan.sampled_row_count() * h;
         let odd = self.c2r.scratch_len();
-        parts::<C>(sampled, rows).map(|sampled| {
-            // Each sample lies in exactly one plane, so the planes' captures
-            // commute: each task captures its own plane while it is still in
-            // cache, and the lock only orders writes to disjoint samples.
-            let field = Mutex::new(CompressedField::zeros(plan.clone()));
-            for_each_plane(sampled, h, &plan, |ws, (_, z), rows| {
+        sampled
+            .par_chunks_mut(h)
+            .for_each_init(workspace, |ws, row| {
                 let [scratch] = ws.complex_bufs([odd]);
-                for row in rows.chunks_exact_mut(h) {
-                    self.c2r.process_packed(row, scratch, scale);
-                }
-                field
-                    .lock()
-                    .capture_sampled_rows(z, as_reals(rows), 2 * h, cy);
+                self.c2r.process_packed(row, scratch, scale);
             });
-            field.into_inner()
+        plan.fill_row_table(table);
+        let rows = plan.sampled_row_count() * h;
+        parts::<C>(sampled, rows).map(|sampled| {
+            CompressedField::from_rows(plan.clone(), as_reals(sampled), 2 * h, cy, table)
         })
     }
 
@@ -674,8 +675,9 @@ impl LocalConvolver {
     }
 
     /// The host working set of one [`Self::convolve_compressed`] call under
-    /// `plan`: the call arena's four buffers (module doc), the largest
-    /// tile-scratch lease one participant takes, and the compressed output.
+    /// `plan`: the call arena's four buffers and row table (module doc), the
+    /// largest tile-scratch lease one participant takes, and the compressed
+    /// output.
     /// Table 4's host column; the paper's whole-slab device model is
     /// [`PipelineFootprint::model`]. It sizes the dense `k³` domain: an
     /// input with a smaller support cube (module doc) leases less for the
@@ -691,7 +693,7 @@ impl LocalConvolver {
         let [yrows, slab, retained, sampled] = self.arena_lens::<1>(plan, k);
         PipelineFootprint {
             slab_bytes: 16 * (yrows + slab) as u64,
-            retained_bytes: 16 * (retained + sampled) as u64,
+            retained_bytes: (16 * (retained + sampled) + 4 * plan.row_table_len()) as u64,
             batch_bytes: (16 * complex + 8 * real) as u64,
             compressed_bytes: plan.compressed_bytes() as u64,
             plan_workspace_bytes: 0,
@@ -1252,11 +1254,11 @@ mod tests {
             plan.sampled_row_count(),
         );
         // The call arena: the y rows and one block slab; one block of
-        // retained rows and the sampled rows.
+        // retained rows, the sampled rows and their `(z, x) → row` table.
         assert_eq!(fp.slab_bytes, 16 * (k * k * h + k * (n + 1) * W) as u64);
         assert_eq!(
             fp.retained_bytes,
-            16 * (nzr * (n + 1) * W + rows * h) as u64
+            (16 * (nzr * (n + 1) * W + rows * h) + 4 * n * (1 + nzr)) as u64
         );
         // The paper's model holds Table 1's 8·N·N·k half spectrum plus the
         // one Nyquist column, and every retained half-plane, whole.

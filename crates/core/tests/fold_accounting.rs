@@ -1,7 +1,8 @@
 //! What the pipeline and the sample-space fold cost, by count: a warm
 //! `convolve_compressed` allocates a small constant, never once per pencil;
-//! a warm fold allocates only its output, and its two counters equal a count
-//! taken from the plans alone.
+//! warm ops take their sample buffers from the free list, not the
+//! allocator; a warm fold allocates only its output, and its two counters
+//! equal a count taken from the plans alone.
 //!
 //! The allocator and the counters are process-global, which is why these
 //! tests have a file (a process) to themselves; the allocation counts run in
@@ -9,14 +10,34 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lcc_core::prelude::*;
 use lcc_obs::ObsSession;
 
-/// A [`System`]-backed allocator that counts allocations.
+/// A [`System`]-backed allocator that counts allocations and, while
+/// [`RECORDING`], records the sizes of the large ones.
 struct CountingAlloc(AtomicUsize);
+
+/// Set while [`record_sizes`] runs its closure.
+static RECORDING: AtomicBool = AtomicBool::new(false);
+/// Smallest allocation whose size is recorded.
+const RECORD_MIN: usize = 4096;
+/// Sizes of the allocations and reallocations of at least [`RECORD_MIN`]
+/// bytes made while recording, in order, as many as fit.
+static RECORDED: [AtomicUsize; 512] = [const { AtomicUsize::new(0) }; 512];
+static RECORDED_LEN: AtomicUsize = AtomicUsize::new(0);
+
+/// Notes an allocation of `size` bytes if recording and it is large.
+fn record(size: usize) {
+    if size >= RECORD_MIN && RECORDING.load(Ordering::Relaxed) {
+        let i = RECORDED_LEN.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = RECORDED.get(i) {
+            slot.store(size, Ordering::Relaxed);
+        }
+    }
+}
 
 // SAFETY: every call forwards its arguments unchanged to `System`; the
 // counter is a side effect only and never touches the memory handed out.
@@ -24,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: contract inherited verbatim from `GlobalAlloc::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.0.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         // SAFETY: forwarding the caller's layout unchanged to `System`.
         unsafe { System.alloc(layout) }
     }
@@ -31,6 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: contract inherited verbatim from `GlobalAlloc::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.0.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         // SAFETY: forwarding the caller's layout unchanged to `System`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -45,6 +68,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: contract inherited verbatim from `GlobalAlloc::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         self.0.fetch_add(1, Ordering::Relaxed);
+        record(new_size);
         // SAFETY: `ptr` and `layout` come from `System` via this allocator;
         // the caller guarantees `new_size` is valid for `layout`'s alignment.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -87,6 +111,24 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOC.0.load(Ordering::Relaxed);
     let out = f();
     (out, ALLOC.0.load(Ordering::Relaxed) - before)
+}
+
+/// The sizes of the large allocations `f` makes, with its result.
+fn record_sizes<T>(f: impl FnOnce() -> T) -> (T, Vec<usize>) {
+    RECORDED_LEN.store(0, Ordering::Relaxed);
+    RECORDING.store(true, Ordering::Relaxed);
+    let out = f();
+    RECORDING.store(false, Ordering::Relaxed);
+    let len = RECORDED_LEN.load(Ordering::Relaxed);
+    assert!(
+        len <= RECORDED.len(),
+        "{len} large allocations overflow the record"
+    );
+    let sizes = RECORDED[..len]
+        .iter()
+        .map(|s| s.load(Ordering::Relaxed))
+        .collect();
+    (out, sizes)
 }
 
 fn convolver(n: usize, k: usize) -> LowCommConvolver {
@@ -151,6 +193,60 @@ fn warm_convolve_compressed_does_not_allocate_per_pencil() {
             rayon::current_num_threads()
         );
     }
+}
+
+/// Once warm, sample buffers are recycled: compressing every domain,
+/// dropping the fields and compressing again allocates no buffer the size
+/// of a field's samples, and neither does a warm `convolve`, whose fold
+/// drops each wave's fields before the next wave takes buffers.
+#[test]
+fn warm_ops_allocate_no_sample_buffer() {
+    if !in_pool_child("warm_ops_allocate_no_sample_buffer") {
+        return;
+    }
+
+    let (n, k) = (32, 8);
+    let conv = convolver(n, k);
+    let kernel = GaussianKernel::new(n, 1.0);
+    let session = conv.session(ConvolveMode::Normal);
+    let input = dense_input(n);
+    // The byte size of every field's samples; a fresh sample buffer has one.
+    let sizes: HashSet<usize> = decompose_uniform(n, k)
+        .into_iter()
+        .map(|d| {
+            8 * conv
+                .plan_for(conv.response_region(&d, &kernel))
+                .total_samples()
+        })
+        .collect();
+    assert!(
+        !sizes.contains(&(8 * n * n * n)),
+        "the output grid has a size of its own"
+    );
+    let fresh = |recorded: &[usize]| recorded.iter().filter(|s| sizes.contains(s)).count();
+
+    drop(session.compress_domains(&input, &kernel));
+    let ((fields, _), recorded) = record_sizes(|| {
+        drop(session.compress_domains(&input, &kernel));
+        session.compress_domains(&input, &kernel)
+    });
+    assert_eq!(fields.len(), 64);
+    assert_eq!(
+        fresh(&recorded),
+        0,
+        "warm compress_domains allocated sample buffers: {recorded:?} (threads={})",
+        rayon::current_num_threads()
+    );
+    drop(fields);
+
+    drop(session.convolve(&input, &kernel));
+    let (_, recorded) = record_sizes(|| session.convolve(&input, &kernel));
+    assert_eq!(
+        fresh(&recorded),
+        0,
+        "warm convolve allocated sample buffers: {recorded:?} (threads={})",
+        rayon::current_num_threads()
+    );
 }
 
 #[test]

@@ -20,6 +20,9 @@
 //! only grow and are popped LIFO, so every extra level of nested leases
 //! costs one more arena grown to the largest request that level ever makes.
 //!
+//! A third buffer holds `u32` indices, for a call that keeps a lookup
+//! table beside its complex buffers ([`Workspace::indexed`]).
+//!
 //! Buffers are handed out **uninitialized** (they hold whatever the
 //! previous user left); every caller must fully overwrite a buffer before
 //! reading it. All in-tree users do (pruned transforms, Bluestein and
@@ -39,6 +42,7 @@ use crate::complex::Complex64;
 pub struct Workspace {
     cbuf: Vec<Complex64>,
     rbuf: Vec<f64>,
+    ibuf: Vec<u32>,
     /// Identity for the aliasing detector. An empty `Vec`'s dangling
     /// pointer is shared by every empty arena, so pointers cannot tell
     /// arenas apart — a process-unique counter can.
@@ -53,6 +57,7 @@ impl Default for Workspace {
         Workspace {
             cbuf: Vec::new(), // lcc-lint: allow(alloc) — empty arena, warm-up only
             rbuf: Vec::new(), // lcc-lint: allow(alloc) — empty arena, warm-up only
+            ibuf: Vec::new(), // lcc-lint: allow(alloc) — empty arena, warm-up only
             id: NEXT_ARENA.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -63,13 +68,7 @@ impl Workspace {
     /// arena, growing it if needed. Contents are unspecified; callers must
     /// fully overwrite each buffer before reading it.
     pub fn complex_bufs<const M: usize>(&mut self, lens: [usize; M]) -> [&mut [Complex64]; M] {
-        let total: usize = lens.iter().sum();
-        let mut rest = grow_aligned(&mut self.cbuf, total, Complex64::ZERO);
-        lens.map(|l| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
-            rest = tail;
-            head
-        })
+        carve(&mut self.cbuf, lens)
     }
 
     /// Complex buffers plus one real buffer in a single borrow, for stages
@@ -79,14 +78,19 @@ impl Workspace {
         complex_lens: [usize; M],
         real_len: usize,
     ) -> ([&mut [Complex64]; M], &mut [f64]) {
-        let total: usize = complex_lens.iter().sum();
-        let mut rest = grow_aligned(&mut self.cbuf, total, Complex64::ZERO);
-        let bufs = complex_lens.map(|l| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
-            rest = tail;
-            head
-        });
+        let bufs = carve(&mut self.cbuf, complex_lens);
         (bufs, grow_aligned(&mut self.rbuf, real_len, 0.0))
+    }
+
+    /// Complex buffers plus one index buffer in a single borrow, for a call
+    /// that keeps a lookup table beside its buffers.
+    pub fn indexed<const M: usize>(
+        &mut self,
+        complex_lens: [usize; M],
+        index_len: usize,
+    ) -> ([&mut [Complex64]; M], &mut [u32]) {
+        let bufs = carve(&mut self.cbuf, complex_lens);
+        (bufs, grow_aligned(&mut self.ibuf, index_len, 0))
     }
 
     /// Capacity currently held (complex elements), for diagnostics.
@@ -116,6 +120,18 @@ const LINE: usize = 64;
 /// Elements of headroom an arena of `T` keeps to start a run on a line.
 const fn pad<T>() -> usize {
     LINE / std::mem::size_of::<T>()
+}
+
+/// `M` disjoint buffers of the given lengths, one after another, from
+/// `buf` grown to hold them all.
+fn carve<const M: usize>(buf: &mut Vec<Complex64>, lens: [usize; M]) -> [&mut [Complex64]; M] {
+    let total: usize = lens.iter().sum();
+    let mut rest = grow_aligned(buf, total, Complex64::ZERO);
+    lens.map(|l| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
+        rest = tail;
+        head
+    })
 }
 
 /// Grows `buf` to hold `len` elements from its first cache-line boundary
@@ -192,7 +208,7 @@ pub fn workspace() -> WorkspaceGuard {
 
 /// Bytes the workspaces currently on the free list can hand out (their
 /// allocated capacity less the 64-byte cache-line headroom of each of an
-/// arena's two buffers), for diagnostics: with no lease live, this is the
+/// arena's three buffers), for diagnostics: with no lease live, this is the
 /// sum of the largest leases the pool keeps warm.
 pub fn pooled_bytes() -> usize {
     FREE_LIST
@@ -201,6 +217,7 @@ pub fn pooled_bytes() -> usize {
         .map(|ws| {
             ws.cbuf.capacity().saturating_sub(pad::<Complex64>()) * std::mem::size_of::<Complex64>()
                 + ws.rbuf.capacity().saturating_sub(pad::<f64>()) * std::mem::size_of::<f64>()
+                + ws.ibuf.capacity().saturating_sub(pad::<u32>()) * std::mem::size_of::<u32>()
         })
         .sum()
 }
@@ -233,6 +250,17 @@ mod tests {
         r[15] = 7.0;
         b[0] = c64(1.0, 1.0);
         assert_eq!(r[15], 7.0);
+    }
+
+    #[test]
+    fn indexed_hands_out_complex_and_index() {
+        let mut ws = Workspace::default();
+        let ([a, b], idx) = ws.indexed([3, 5], 17);
+        assert_eq!((a.len(), b.len(), idx.len()), (3, 5, 17));
+        assert_eq!(idx.as_ptr() as usize % LINE, 0);
+        idx[16] = 9;
+        a[2] = c64(1.0, 0.0);
+        assert_eq!(idx[16], 9);
     }
 
     #[test]

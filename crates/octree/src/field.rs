@@ -1,4 +1,4 @@
-//! Compressed fields: sample storage, streaming capture, reconstruction.
+//! Compressed fields: sample storage, capture, reconstruction.
 //!
 //! A [`CompressedField`] is the unit that workers exchange in the paper's
 //! single accumulation round: the octree metadata (shared as a
@@ -7,8 +7,30 @@
 //! "exchange of samples between the workers in the last step followed by
 //! interpolation gives us the approximate result of the full convolution"
 //! (§3.1).
+//!
+//! **Capture.** The pipeline leaves its result as the rows the plan
+//! samples, packed plane after plane. [`CompressedField::from_rows`]
+//! reads every sample from them in one pass over the cells, each cell's
+//! samples written in order, through a `(z, x) → row` table
+//! ([`SamplingPlan::fill_row_table`]) that the caller carves from its own
+//! scratch. [`CompressedField::capture_plane`] captures one dense plane.
+//!
+//! **Recycled samples.** A field's sample buffer goes back to a
+//! process-wide free list when the field drops, and new fields
+//! ([`CompressedField::zeros`], payload decoding, clones) take the
+//! smallest buffer there that fits before they allocate, unless it is more
+//! than twice the size they need: a small field never holds a large
+//! buffer, so live buffers hold at most twice the samples their fields
+//! use. The list frees its smallest buffers whenever the bytes it holds
+//! plus those of live buffers would exceed the most that live buffers
+//! ever held at once, so it keeps no more memory than the peak the program
+//! already reached (at most twice the peak of live samples), and needs no
+//! option or cap. A warm op that drops its fields and makes the same ones
+//! again therefore takes no fresh pages for them.
 
-use std::sync::Arc;
+// lcc-lint: hot-path — capture and the sample free list; only a miss allocates.
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use lcc_grid::{BoxRegion, Grid3};
 
@@ -16,60 +38,201 @@ use crate::plan::{OctCell, SamplingPlan};
 use crate::reconstruct;
 
 /// A field compressed under a sampling plan.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CompressedField {
     plan: Arc<SamplingPlan>,
     samples: Vec<f64>,
 }
 
-/// The capture loop behind [`CompressedField::capture_plane`] and
-/// [`CompressedField::capture_sampled_rows`]: `row(x)` is plane `z`'s row
-/// `x`, `n` values whose columns are rotated by `shift`. Only rows and
-/// columns that hold a sample are read.
-fn capture_with<'r>(
-    plan: &SamplingPlan,
-    samples: &mut [f64],
-    z: usize,
-    shift: usize,
-    row: impl Fn(usize) -> &'r [f64],
-) {
-    let n = plan.n();
-    let mut captured = 0u64;
-    for (i, cell) in plan.cells().iter().enumerate() {
-        // Most cells miss the plane: one subtraction and a mask (rates
-        // are powers of two) reject them without a division.
-        let r = cell.rate as usize;
-        let dz = z.wrapping_sub(cell.corner[2]);
-        if dz >= cell.size || dz & (r - 1) != 0 {
-            continue;
+/// Idle sample buffers and the bytes of live ones (module doc, "Recycled
+/// samples"). Bytes are capacities: what a buffer holds, not what it uses.
+struct SamplePool {
+    /// Idle buffers, ascending by capacity. They keep their last contents:
+    /// a taker that overwrites every sample need not zero them first.
+    idle: Vec<Vec<f64>>,
+    idle_bytes: usize,
+    /// Bytes of the buffers live fields hold.
+    live_bytes: usize,
+    /// The most `live_bytes` has been.
+    high_water: usize,
+}
+
+impl SamplePool {
+    const fn new() -> Self {
+        SamplePool {
+            idle: Vec::new(), // lcc-lint: allow(alloc) — const, allocates nothing
+            idle_bytes: 0,
+            live_bytes: 0,
+            high_water: 0,
         }
-        let tz = dz >> r.trailing_zeros();
-        let spa = cell.samples_per_axis();
-        let base = plan.cell_offset(i) as usize;
-        // Column of the cell's first sample; samples from `wrap` on sit
-        // past the rotated row's end and read `n` columns back.
-        let j0 = (cell.corner[1] + n - shift) % n;
-        let wrap = (n - j0).div_ceil(r).min(spa);
-        for tx in 0..spa {
-            let row = row(cell.corner[0] + tx * r);
-            // Sample (tx, ty, tz) is at `base + (tx·spa + ty)·spa + tz`.
-            let out = &mut samples[base + tx * spa * spa + tz..];
-            for ty in 0..wrap {
-                out[ty * spa] = row[j0 + ty * r];
-            }
-            for ty in wrap..spa {
-                out[ty * spa] = row[j0 + ty * r - n];
-            }
-        }
-        captured += (spa * spa) as u64;
     }
-    lcc_obs::metrics::OCTREE_SAMPLES_CAPTURED.add(captured);
+
+    /// A buffer with room for `len` samples, now live, holding stale
+    /// samples or none: the smallest idle one that fits, if it holds at
+    /// most `2·len`, else a fresh one of exactly `len`. So no live buffer
+    /// is more than twice the size its field asked for. Then idle buffers,
+    /// smallest first, are freed until idle and live bytes together are
+    /// within the high-water of live bytes.
+    fn take(&mut self, len: usize) -> Vec<f64> {
+        let at = self.idle.partition_point(|b| b.capacity() < len);
+        let fits = |b: &Vec<f64>| b.capacity() - len <= len;
+        let buf = if self.idle.get(at).is_some_and(fits) {
+            let buf = self.idle.remove(at);
+            self.idle_bytes -= bytes(&buf);
+            buf
+        } else {
+            Vec::with_capacity(len) // lcc-lint: allow(alloc) — a free-list miss
+        };
+        self.live_bytes += bytes(&buf);
+        self.high_water = self.high_water.max(self.live_bytes);
+        while self.idle_bytes + self.live_bytes > self.high_water {
+            let freed = self.idle.remove(0);
+            self.idle_bytes -= bytes(&freed);
+        }
+        buf
+    }
+
+    /// Takes back a live buffer. Its bytes move from live to idle, so the
+    /// two together stay within the high-water.
+    fn give(&mut self, buf: Vec<f64>) {
+        let b = bytes(&buf);
+        if b == 0 {
+            return;
+        }
+        self.live_bytes -= b;
+        let at = self.idle.partition_point(|x| x.capacity() < buf.capacity());
+        self.idle.insert(at, buf);
+        self.idle_bytes += b;
+    }
+}
+
+/// Bytes a sample buffer holds.
+fn bytes(buf: &Vec<f64>) -> usize {
+    buf.capacity() * std::mem::size_of::<f64>()
+}
+
+/// The process's free list. A poisoned lock is recovered: no update can
+/// panic half way, so the list is valid after any panic elsewhere.
+static SAMPLE_POOL: Mutex<SamplePool> = Mutex::new(SamplePool::new());
+
+/// A sample buffer with room for `len` samples, from the free list; it may
+/// hold stale samples.
+fn sample_buffer(len: usize) -> Vec<f64> {
+    SAMPLE_POOL
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take(len)
+}
+
+impl Drop for CompressedField {
+    fn drop(&mut self) {
+        let samples = std::mem::take(&mut self.samples);
+        SAMPLE_POOL
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .give(samples);
+    }
+}
+
+impl Clone for CompressedField {
+    fn clone(&self) -> Self {
+        let mut samples = sample_buffer(self.samples.len());
+        samples.clear();
+        samples.extend_from_slice(&self.samples);
+        CompressedField {
+            plan: Arc::clone(&self.plan),
+            samples,
+        }
+    }
+}
+
+/// The rows a capture reads (see [`CompressedField::from_rows`]).
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    rows: &'a [f64],
+    stride: usize,
+    shift: usize,
+    table: &'a [u32],
+}
+
+/// Captures the samples of every cell of `plan` into `out`, which holds
+/// exactly those samples, from `src`: each cell in turn, its samples
+/// written in order. Rates are powers of two, so no step divides.
+fn capture_cells(plan: &SamplingPlan, out: &mut [f64], src: Rows<'_>) {
+    let n = plan.n();
+    let mut rest = out;
+    for cell in plan.cells() {
+        let spa = cell.samples_per_axis();
+        let (out, tail) = std::mem::take(&mut rest).split_at_mut(spa * spa * spa);
+        rest = tail;
+        // Most cells hold 2³ or 4³ samples: a fixed size unrolls them.
+        match spa {
+            1 => capture_cell::<1>(cell, out, src, n),
+            2 => capture_cell::<2>(cell, out, src, n),
+            4 => capture_cell::<4>(cell, out, src, n),
+            _ => capture_large_cell(cell, out, src, n),
+        }
+    }
+}
+
+/// The columns of a cell's samples along y in the rotated rows: from its
+/// corner's, `r` apart, wrapping past the row's end.
+fn columns(cell: &OctCell, src: Rows<'_>, n: usize) -> impl Iterator<Item = usize> {
+    let r = cell.rate as usize;
+    let j0 = cell.corner[1] + n - src.shift;
+    let mut col = if j0 >= n { j0 - n } else { j0 };
+    std::iter::repeat_with(move || {
+        let c = col;
+        col += r;
+        if col >= n {
+            col -= n;
+        }
+        c
+    })
+}
+
+/// One cell of `S³` samples into `out`, in order (tx, ty, tz), tz fastest.
+fn capture_cell<const S: usize>(cell: &OctCell, out: &mut [f64], src: Rows<'_>, n: usize) {
+    let r = cell.rate as usize;
+    let mut cols = columns(cell, src, n);
+    let cols: [usize; S] = std::array::from_fn(|_| cols.next().unwrap_or(0));
+    let planes: [usize; S] =
+        std::array::from_fn(|tz| src.table[cell.corner[2] + tz * r] as usize + cell.corner[0]);
+    for (tx, out) in out.chunks_exact_mut(S * S).enumerate() {
+        let rows: [&[f64]; S] = std::array::from_fn(|tz| {
+            &src.rows[src.table[planes[tz] + tx * r] as usize * src.stride..][..n]
+        });
+        for (&col, out) in cols.iter().zip(out.chunks_exact_mut(S)) {
+            for (out, row) in out.iter_mut().zip(&rows) {
+                *out = row[col];
+            }
+        }
+    }
+}
+
+/// [`capture_cell`] for a cell of any size, a row at a time.
+fn capture_large_cell(cell: &OctCell, out: &mut [f64], src: Rows<'_>, n: usize) {
+    let (r, spa) = (cell.rate as usize, cell.samples_per_axis());
+    for tz in 0..spa {
+        let plane = src.table[cell.corner[2] + tz * r] as usize + cell.corner[0];
+        for tx in 0..spa {
+            let row = &src.rows[src.table[plane + tx * r] as usize * src.stride..][..n];
+            // Sample (tx, ty, tz) is at `(tx·spa + ty)·spa + tz`.
+            let out = out[tx * spa * spa + tz..].iter_mut().step_by(spa);
+            for (out, col) in out.zip(columns(cell, src, n)).take(spa) {
+                *out = row[col];
+            }
+        }
+    }
 }
 
 impl CompressedField {
     /// Creates an all-zero compressed field for `plan`.
     pub fn zeros(plan: Arc<SamplingPlan>) -> Self {
-        let samples = vec![0.0; plan.total_samples()];
+        let len = plan.total_samples();
+        let mut samples = sample_buffer(len);
+        samples.clear();
+        samples.resize(len, 0.0);
         CompressedField { plan, samples }
     }
 
@@ -100,26 +263,44 @@ impl CompressedField {
         }
     }
 
-    /// Streaming capture of one z-plane: for every sample the plan retains
-    /// at height `z`, reads `plane[x * n + y]` (row-major N×N plane).
-    ///
-    /// The low-communication pipeline calls this once per retained z-plane
-    /// as it streams out of the inverse transform; the dense N³ volume never
-    /// materializes.
+    /// Captures one dense z-plane: for every sample the plan retains at
+    /// height `z`, reads `plane[x * n + y]` (row-major N×N plane).
     pub fn capture_plane(&mut self, z: usize, plane: &[f64]) {
-        let n = self.plan.n();
+        let plan = &*self.plan;
+        let n = plan.n();
         assert_eq!(plane.len(), n * n, "plane must be N×N row-major");
-        capture_with(&self.plan, &mut self.samples, z, 0, |x| {
-            &plane[x * n..][..n]
-        });
+        let mut captured = 0u64;
+        for (i, cell) in plan.cells().iter().enumerate() {
+            // Most cells miss the plane: one subtraction and a mask (rates
+            // are powers of two) reject them without a division.
+            let r = cell.rate as usize;
+            let dz = z.wrapping_sub(cell.corner[2]);
+            if dz >= cell.size || dz & (r - 1) != 0 {
+                continue;
+            }
+            let tz = dz >> r.trailing_zeros();
+            let spa = cell.samples_per_axis();
+            let base = plan.cell_offset(i) as usize;
+            for tx in 0..spa {
+                let row = &plane[(cell.corner[0] + tx * r) * n..][..n];
+                // Sample (tx, ty, tz) is at `base + (tx·spa + ty)·spa + tz`.
+                let out = &mut self.samples[base + tx * spa * spa + tz..];
+                for ty in 0..spa {
+                    out[ty * spa] = row[cell.corner[1] + ty * r];
+                }
+            }
+            captured += (spa * spa) as u64;
+        }
+        lcc_obs::metrics::OCTREE_SAMPLES_CAPTURED.add(captured);
     }
 
-    /// [`Self::capture_plane`] for a plane that holds only the rows the
-    /// plan samples in it ([`SamplingPlan::sampled_rows`]), ascending, each
-    /// `stride ≥ n` values long with its columns rotated by `shift < n`:
-    /// the field at `(x, y, z)` is `rows[r·stride + (y − shift) mod n]`,
-    /// `r` the rank of `x` among the sampled rows
-    /// ([`SamplingPlan::sampled_row_rank`]).
+    /// A field under `plan` captured from the rows the plan samples
+    /// ([`SamplingPlan::sampled_rows`]), plane after plane and ascending
+    /// within a plane, each `stride ≥ n` values long with its columns
+    /// rotated by `shift < n`: the field at `(x, y, z)` is
+    /// `rows[r·stride + (y − shift) mod n]`, `r = table[table[z] + x]` the
+    /// row's position, from the table [`SamplingPlan::fill_row_table`]
+    /// filled for this field's plan.
     ///
     /// This is the form the pipeline's last inverse transform leaves: it
     /// c2r's only the sampled rows, packed one after the other; a c2r row
@@ -128,17 +309,37 @@ impl CompressedField {
     /// convolved at the origin reaches its true position `c` as a circular
     /// shift (the x shift is applied to the rows before they get here, the
     /// y shift is `c_y`).
-    pub fn capture_sampled_rows(&mut self, z: usize, rows: &[f64], stride: usize, shift: usize) {
-        let plan = &*self.plan;
-        let (n, count) = (plan.n(), plan.sampled_rows(z).count());
+    ///
+    /// One pass over the cells, on the caller, writes each cell's samples
+    /// in order (module doc), into a recycled buffer it need not zero
+    /// first.
+    pub fn from_rows(
+        plan: Arc<SamplingPlan>,
+        rows: &[f64],
+        stride: usize,
+        shift: usize,
+        table: &[u32],
+    ) -> Self {
+        let (n, count) = (plan.n(), plan.sampled_row_count());
         assert!(stride >= n && shift < n, "rows must hold n values");
         assert!(
             count == 0 || rows.len() >= (count - 1) * stride + n,
-            "rows must hold the plane's sampled rows"
+            "rows must hold the plan's sampled rows"
         );
-        capture_with(plan, &mut self.samples, z, shift, |x| {
-            &rows[plan.sampled_row_rank(z, x) * stride..][..n]
-        });
+        assert!(table.len() >= plan.row_table_len(), "row table too short");
+        let src = Rows {
+            rows,
+            stride,
+            shift,
+            table,
+        };
+        let total = plan.total_samples();
+        // Every sample is written below, so stale ones need no zeroing.
+        let mut samples = sample_buffer(total);
+        samples.resize(total, 0.0);
+        capture_cells(&plan, &mut samples, src);
+        lcc_obs::metrics::OCTREE_SAMPLES_CAPTURED.add(total as u64);
+        CompressedField { plan, samples }
     }
 
     /// The plan this field was sampled under.
@@ -182,6 +383,7 @@ impl CompressedField {
     pub fn region_payload(&self, region: &BoxRegion) -> RegionPayload {
         let plan = &self.plan;
         let cells = plan.cells_intersecting(region);
+        // lcc-lint: allow(alloc) — the payload leaves for another worker.
         let mut samples = Vec::new();
         for &i in &cells {
             let base = plan.cell_offset(i) as usize;
@@ -230,15 +432,15 @@ impl CompressedField {
                 got: payload.samples.len(),
             });
         }
-        let mut samples = vec![0.0; plan.total_samples()];
+        let mut field = CompressedField::zeros(plan);
         let mut off = 0;
         for &id in &payload.cells {
-            let base = plan.cell_offset(id as usize) as usize;
-            let count = cells[id as usize].sample_count();
-            samples[base..base + count].copy_from_slice(&payload.samples[off..off + count]);
+            let base = field.plan.cell_offset(id as usize) as usize;
+            let count = field.plan.cells()[id as usize].sample_count();
+            field.samples[base..base + count].copy_from_slice(&payload.samples[off..off + count]);
             off += count;
         }
-        Ok(CompressedField { plan, samples })
+        Ok(field)
     }
 
     /// Reconstructs the full dense grid by per-cell trilinear interpolation.
@@ -561,29 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_rows_capture_matches_dense_compress() {
-        // Only the sampled rows, packed at stride n + 3 with their columns
-        // rotated by `shift`.
-        let (n, shift, stride) = (32, 5, 35);
-        let plan = make_plan(n, 8, 8);
-        let dense = Grid3::from_fn((n, n, n), |x, y, z| {
-            (x as f64 * 0.3).sin() + (y as f64 * 0.7).cos() + z as f64 * 0.01
-        });
-        let direct = CompressedField::compress(plan.clone(), &dense);
-        let mut streamed = CompressedField::zeros(plan.clone());
-        for z in plan.retained_z() {
-            let mut rows = vec![f64::NAN; plan.sampled_rows(z).count() * stride];
-            for (r, x) in plan.sampled_rows(z).enumerate() {
-                for y in 0..n {
-                    rows[r * stride + (y + n - shift) % n] = dense[(x, y, z)];
-                }
-            }
-            streamed.capture_sampled_rows(z, &rows, stride, shift);
-        }
-        assert_eq!(direct.samples(), streamed.samples());
-    }
-
-    #[test]
     fn accumulate_adds_samples() {
         let plan = make_plan(16, 4, 4);
         let a = CompressedField::compress(plan.clone(), &Grid3::filled((16, 16, 16), 1.0));
@@ -819,6 +998,157 @@ mod tests {
                     got.unlinear(i)
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The one-pass row capture (`from_rows`) equals the per-sample capture of
+        /// `compress_with` bit for bit: power-of-two grids, every shift (so
+        /// cells wrap in y), uniform rates 1-16, the paper's schedules and
+        /// single-sample cells, planes without a sampled row, rows wider
+        /// than `n`, and table entries the plan does not use left stale.
+        #[test]
+        fn row_capture_matches_per_sample_oracle(
+            n_log in 1usize..=6,
+            k_log in 0usize..=4,
+            plan_kind in 0usize..4,
+            rate_log in 0usize..=4,
+            shift in 0usize..64,
+            pad in 0usize..3,
+            lo in (0usize..64, 0usize..64, 0usize..64),
+        ) {
+            let n = 1usize << n_log;
+            let k = 1usize << k_log.min(n_log - 1);
+            let shift = shift % n;
+            let lo = [lo.0, lo.1, lo.2].map(|l| l % (n - k + 1));
+            let domain = BoxRegion::new(lo, lo.map(|l| l + k));
+            let plan = match plan_kind {
+                0 => Arc::new(SamplingPlan::build(
+                    n,
+                    domain,
+                    &RateSchedule::uniform(1 << rate_log.min(n_log)),
+                )),
+                1 => Arc::new(SamplingPlan::build(n, domain, &RateSchedule::paper_default(k, 16))),
+                2 => Arc::new(SamplingPlan::build(
+                    n,
+                    domain,
+                    &RateSchedule::for_kernel_spread(k, 1.5, 8),
+                )),
+                _ => single_sample_cell_plan(n.max(2)),
+            };
+            let f = |x: usize, y: usize, z: usize| {
+                ((x * 131 + y * 31 + z * 7) as f64 * 0.37).sin() * 1e3
+            };
+            let want = CompressedField::compress_with(plan.clone(), f);
+
+            let stride = n + pad;
+            let mut rows = vec![f64::NAN; plan.sampled_row_count() * stride];
+            let mut r = 0;
+            for z in plan.retained_planes() {
+                for x in plan.sampled_rows(z) {
+                    for y in 0..n {
+                        rows[r * stride + (y + n - shift) % n] = f(x, y, z);
+                    }
+                    r += 1;
+                }
+            }
+            let mut table = vec![u32::MAX; plan.row_table_len()];
+            plan.fill_row_table(&mut table);
+            // Leave a buffer of stale samples on the free list.
+            let mut stale = CompressedField::zeros(plan.clone());
+            stale.samples_mut().fill(f64::NAN);
+            drop(stale);
+            let got = CompressedField::from_rows(plan.clone(), &rows, stride, shift, &table);
+            for (i, (a, b)) in got.samples().iter().zip(want.samples()).enumerate() {
+                proptest::prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "n={n} plan #{plan_kind} shift {shift} sample {i}: {a:e} vs {b:e}"
+                );
+            }
+        }
+
+        /// The free list never holds more than the most bytes live buffers
+        /// ever held at once, counting its own bytes together with the live
+        /// ones; no buffer is more than twice the length asked for, so that
+        /// is at most twice the most samples ever live at once, whatever
+        /// the mix of sizes; and a pool that took back every buffer serves
+        /// the same lengths again, in any order, without a fresh one.
+        #[test]
+        fn free_list_never_holds_more_than_the_live_high_water(
+            ops in proptest::collection::vec((0usize..3, 1usize..4096), 1..64),
+            order in 0usize..1 << 16,
+        ) {
+            let mut pool = SamplePool::new();
+            // Each live buffer with the length it was taken for.
+            let mut live: Vec<(Vec<f64>, usize)> = Vec::new();
+            let (mut high, mut high_used) = (0, 0);
+            for (kind, len) in ops {
+                if kind == 0 && !live.is_empty() {
+                    pool.give(live.swap_remove(len % live.len()).0);
+                } else {
+                    let buf = pool.take(len);
+                    proptest::prop_assert!(buf.capacity() >= len && buf.capacity() <= 2 * len);
+                    live.push((buf, len));
+                }
+                let held: usize = live.iter().map(|(b, _)| bytes(b)).sum();
+                let used: usize = live.iter().map(|&(_, len)| 8 * len).sum();
+                high = high.max(held);
+                high_used = high_used.max(used);
+                proptest::prop_assert_eq!(pool.live_bytes, held);
+                proptest::prop_assert_eq!(pool.high_water, high);
+                proptest::prop_assert_eq!(pool.idle_bytes, pool.idle.iter().map(bytes).sum::<usize>());
+                proptest::prop_assert!(pool.idle_bytes + pool.live_bytes <= pool.high_water);
+                proptest::prop_assert!(pool.idle_bytes + pool.live_bytes <= 2 * high_used);
+            }
+            let mut live: Vec<Vec<f64>> = live.into_iter().map(|(b, _)| b).collect();
+            let lens: Vec<usize> = live.iter().map(Vec::capacity).collect();
+            let mut ptrs: Vec<*const f64> = live.iter().map(|b| b.as_ptr()).collect();
+            for buf in live.drain(..) {
+                pool.give(buf);
+            }
+            // The same lengths in a shuffled order.
+            let mut shuffled = lens.clone();
+            shuffled.sort_by_key(|&len| (len + 1) * (order | 1) % 65_537);
+            let mut again: Vec<*const f64> = Vec::new();
+            for len in shuffled {
+                let buf = pool.take(len);
+                again.push(buf.as_ptr());
+                live.push(buf);
+            }
+            ptrs.sort();
+            again.sort();
+            again.dedup();
+            proptest::prop_assert!(again.iter().all(|p| ptrs.binary_search(p).is_ok()));
+        }
+    }
+
+    /// Fields of two sizes: small fields made while only large buffers are
+    /// idle get buffers of their own size, and the large ones they pass over
+    /// are kept for the next large field, so the bytes held never climb
+    /// past the peak of live samples.
+    #[test]
+    fn free_list_keeps_large_buffers_for_large_fields() {
+        let (large, small) = (4096, 100);
+        let mut pool = SamplePool::new();
+        let first = [pool.take(large), pool.take(large)];
+        let peak = 2 * 8 * large;
+        let ptrs = first.each_ref().map(|b| b.as_ptr());
+        first.into_iter().for_each(|b| pool.give(b));
+        for _ in 0..3 {
+            let smalls = [pool.take(small), pool.take(small)];
+            assert!(smalls.iter().all(|b| b.capacity() == small));
+            // Room for the small ones was made by freeing one idle large one.
+            let big = pool.take(large);
+            assert!(
+                ptrs.contains(&big.as_ptr()),
+                "a kept large buffer is reused"
+            );
+            assert_eq!(pool.high_water, peak);
+            assert!(pool.idle_bytes + pool.live_bytes <= peak);
+            smalls.into_iter().for_each(|b| pool.give(b));
+            pool.give(big);
         }
     }
 

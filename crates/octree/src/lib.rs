@@ -11,9 +11,9 @@
 //! * a [`plan::SamplingPlan`] — the octree of uniform-rate leaf cells,
 //!   serializable to the paper's 5-ints-per-cell metadata array, with the
 //!   table of planes and rows that carry a sample;
-//! * a [`field::CompressedField`] — sample values, streaming per-z-plane
-//!   capture for the pipeline, and trilinear reconstruction for the final
-//!   accumulation-and-interpolation step;
+//! * a [`field::CompressedField`] — sample values in recycled buffers,
+//!   captured in one pass from the pipeline's sampled rows, and trilinear
+//!   reconstruction for the final accumulation-and-interpolation step;
 //! * a [`CellSums`] — the fold's sample-space sums: fields that share a
 //!   cell add their samples, and the cell is interpolated once.
 

@@ -537,19 +537,33 @@ impl SamplingPlan {
         self.sampled_rows
     }
 
-    /// Position of row `x` among plane `z`'s sampled rows: how many of them
-    /// lie below `x`.
-    pub fn sampled_row_rank(&self, z: usize, x: usize) -> usize {
-        assert!(z < self.n && x <= self.n, "row ({x}, {z}) outside the grid");
-        let (mut bit, end) = (self.n + z * self.n, self.n + z * self.n + x);
-        let mut rank = 0;
-        while bit < end {
-            let take = (64 - bit % 64).min(end - bit);
-            let word = self.table[bit / 64] >> (bit % 64);
-            rank += (word & (u64::MAX >> (64 - take))).count_ones() as usize;
-            bit += take;
+    /// Length of the `(z, x) → row` table [`Self::fill_row_table`] fills:
+    /// `n` plane entries and `n` row entries per retained plane.
+    pub fn row_table_len(&self) -> usize {
+        self.n * (1 + self.planes)
+    }
+
+    /// Fills `table` (at least [`Self::row_table_len`] long) so that row
+    /// `x` of plane `z` is row `table[table[z] + x]` of the sampled rows
+    /// laid out plane after plane, ascending: `table[z]` is where plane
+    /// `z`'s `n` row entries start. Only the entries of retained planes and
+    /// of their sampled rows are written; the rest keep whatever they held.
+    pub fn fill_row_table(&self, table: &mut [u32]) {
+        let n = self.n;
+        assert!(table.len() >= self.row_table_len(), "row table too short");
+        assert!(
+            u32::try_from(self.row_table_len()).is_ok(),
+            "row table indices must fit u32"
+        );
+        let mut row = 0u32;
+        for (i, z) in self.retained_planes().enumerate() {
+            let start = n * (1 + i);
+            table[z] = start as u32;
+            for x in self.sampled_rows(z) {
+                table[start + x] = row;
+                row += 1;
+            }
         }
-        rank
     }
 
     /// Indices of the cells whose region intersects `region` — the cells a
@@ -933,15 +947,21 @@ mod tests {
                 .position(|&p| p == z)
                 .map_or(&[][..], |i| &rows[i]);
             assert_eq!(&plan.sampled_rows(z).collect::<Vec<_>>(), want, "plane {z}");
-            for x in 0..=plan.n() {
-                let below = want.iter().filter(|&&r| r < x).count();
-                assert_eq!(plan.sampled_row_rank(z, x), below, "row {x} of plane {z}");
-            }
         }
         assert_eq!(
             plan.sampled_row_count(),
             rows.iter().map(Vec::len).sum::<usize>()
         );
+        // The row table numbers the sampled rows plane after plane.
+        let mut table = vec![u32::MAX; plan.row_table_len()];
+        plan.fill_row_table(&mut table);
+        let mut next = 0;
+        for (&z, rows) in planes.iter().zip(&rows) {
+            for &x in rows {
+                assert_eq!(table[table[z] as usize + x], next, "row {x} of plane {z}");
+                next += 1;
+            }
+        }
     }
 
     proptest::proptest! {

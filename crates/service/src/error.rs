@@ -4,8 +4,9 @@
 //! rejections ([`ServiceError::QueueFull`], [`ServiceError::QuotaExceeded`],
 //! [`ServiceError::Shedding`]), reply-correlation conflicts
 //! ([`ServiceError::DuplicateRequest`]), malformed wire input
-//! ([`ServiceError::Codec`]), and semantically invalid plan parameters
-//! ([`ServiceError::Config`]). No stringly errors, no `Box<dyn Error>`:
+//! ([`ServiceError::Codec`]), semantically invalid plan parameters
+//! ([`ServiceError::Config`]), and grids the pipeline cannot run
+//! ([`ServiceError::UnsupportedGrid`]). No stringly errors, no `Box<dyn Error>`:
 //! the lcc-lint `typed-error` rule scans this crate.
 
 use lcc_core::prelude::ConfigError;
@@ -44,6 +45,11 @@ pub enum ServiceError {
     /// The plan parameters were structurally valid on the wire but
     /// semantically invalid (bad `n`/`k` divisibility, zero rate, …).
     Config(ConfigError),
+    /// A grid the configuration builder accepts but the octree pipeline
+    /// cannot run: `n` not a power of two, or fewer than two sub-domains
+    /// per axis (`n/k < 2`, so a sub-domain's response region would wrap
+    /// the periodic grid).
+    UnsupportedGrid { n: u32, k: u32 },
     /// The server is stopping and no longer accepts work.
     Stopped,
 }
@@ -61,6 +67,8 @@ pub const REJECT_CONFIG: u8 = 4;
 pub const REJECT_STOPPED: u8 = 5;
 /// Wire code: [`ServiceError::DuplicateRequest`].
 pub const REJECT_DUPLICATE: u8 = 6;
+/// Wire code: [`ServiceError::UnsupportedGrid`], with `n` and `k`.
+pub const REJECT_UNSUPPORTED_GRID: u8 = 7;
 
 impl ServiceError {
     /// `(code, a, b)` — the typed rejection flattened for the wire.
@@ -75,6 +83,9 @@ impl ServiceError {
             ServiceError::Shedding { queued, .. } => (REJECT_SHEDDING, *queued as u64, 0),
             ServiceError::DuplicateRequest { request_id, .. } => (REJECT_DUPLICATE, *request_id, 0),
             ServiceError::Config(_) => (REJECT_CONFIG, 0, 0),
+            ServiceError::UnsupportedGrid { n, k } => {
+                (REJECT_UNSUPPORTED_GRID, u64::from(*n), u64::from(*k))
+            }
             // A codec failure cannot echo ids it failed to decode; it is
             // reported per-connection, not per-request.
             ServiceError::Codec(e) => match e {
@@ -133,6 +144,10 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::Codec(e) => write!(f, "undecodable request: {e}"),
             ServiceError::Config(e) => write!(f, "invalid plan parameters: {e}"),
+            ServiceError::UnsupportedGrid { n, k } => write!(
+                f,
+                "grid n={n}, k={k} cannot run: the octree needs a power-of-two n and n/k >= 2"
+            ),
             ServiceError::Stopped => write!(f, "service stopped"),
         }
     }

@@ -128,7 +128,8 @@ impl PlanRegistry {
     /// Validated plan parameters for `req`. The wire codec already bounds
     /// n³ for decoded requests; re-checking here extends the same ceiling
     /// to directly constructed requests, before anything n³-proportional
-    /// is allocated.
+    /// is allocated. A grid the builder accepts but the octree pipeline
+    /// cannot run is [`ServiceError::UnsupportedGrid`].
     fn request_config(req: &ConvolveRequest) -> Result<LowCommConfig, ServiceError> {
         let cells = (req.n as u128).pow(3);
         if cells > MAX_FIELD_CELLS as u128 {
@@ -137,11 +138,15 @@ impl PlanRegistry {
                 max: MAX_FIELD_CELLS,
             }));
         }
-        Ok(LowCommConfig::builder()
+        let cfg = LowCommConfig::builder()
             .n(req.n as usize)
             .k(req.k as usize)
             .far_rate(req.far_rate)
-            .build()?)
+            .build()?;
+        if !cfg.n.is_power_of_two() || cfg.n / cfg.k < 2 {
+            return Err(ServiceError::UnsupportedGrid { n: req.n, k: req.k });
+        }
+        Ok(cfg)
     }
 
     /// The shared entry for `req`'s plan key, building it on first use.

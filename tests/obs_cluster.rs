@@ -128,8 +128,9 @@ fn obs_disabled_run_collects_nothing() {
 }
 
 /// The table's map onto obs names, written out: each counter has its own
-/// name, every name is one a session reports, and `add_snapshot` folds each
-/// snapshot field into the counter of the same meaning.
+/// name and every name is one a session reports; a snapshot carries each
+/// comm counter in the field of the same meaning, and the coordinator's
+/// `CommStatsSnapshot::add_snapshot` sums them field by field.
 #[test]
 fn every_table_counter_has_its_own_reported_obs_name() {
     let _gate = obs_test_gate();
@@ -164,25 +165,51 @@ fn every_table_counter_has_its_own_reported_obs_name() {
     names.sort_unstable();
     assert!(names.windows(2).all(|w| w[0] != w[1]), "names are distinct");
 
+    // A lossy run under a session: each comm counter's name reads the
+    // run's table, and the table's snapshot holds it in the field of the
+    // same meaning.
     let session = ObsSession::start().expect("no other obs session is active");
-    let table = CommStats::default();
-    table.add_snapshot(&CommStatsSnapshot {
-        bytes_sent: 1,
-        messages: 2,
-        collective_rounds: 3,
-        retransmits: 4,
-        duplicates_suppressed: 5,
-        timeouts: 6,
-        bytes_physical: 7,
-        messages_physical: 8,
-        acks: 9,
-    });
+    let table = run_two_ranks(FaultPlan::new(0xB5).with_drop(0.15).with_duplicates(0.05));
     let report = session.finish();
+    let s = table.snapshot();
+    let fields = [
+        s.bytes_sent,
+        s.messages,
+        s.collective_rounds,
+        s.retransmits,
+        s.duplicates_suppressed,
+        s.timeouts,
+        s.bytes_physical,
+        s.messages_physical,
+        s.acks,
+    ];
+    assert!(s.retransmits > 0, "the plan drops frames: {s:?}");
     for (i, (c, name)) in expect.into_iter().enumerate() {
-        let want = if i < 9 { i as u64 + 1 } else { 0 };
-        assert_eq!(report.counter(name), Some(want), "{name}");
-        assert_eq!(table.get(c), want, "{c:?}");
+        let want = table.get(c);
+        assert_eq!(report.counter(name).unwrap_or(0), want, "{name}");
+        if let Some(&field) = fields.get(i) {
+            assert_eq!(field, want, "{c:?}");
+        }
     }
+
+    // The coordinator's sum of per-process snapshots adds field by field.
+    let mut sum = CommStatsSnapshot::default();
+    sum.add_snapshot(&s);
+    sum.add_snapshot(&s);
+    assert_eq!(
+        sum,
+        CommStatsSnapshot {
+            bytes_sent: 2 * s.bytes_sent,
+            messages: 2 * s.messages,
+            collective_rounds: 2 * s.collective_rounds,
+            retransmits: 2 * s.retransmits,
+            duplicates_suppressed: 2 * s.duplicates_suppressed,
+            timeouts: 2 * s.timeouts,
+            bytes_physical: 2 * s.bytes_physical,
+            messages_physical: 2 * s.messages_physical,
+            acks: 2 * s.acks,
+        }
+    );
 }
 
 /// Deaths and rejoins: a `Recover`-mode exchange on three ranks with rank

@@ -443,6 +443,33 @@ for_each_backend!(recovery_crash_redistribute);
 for_each_backend!(recovery_deserter);
 for_each_backend!(obs_chaos_drop);
 
+/// A fault-free socket run ends cleanly: each rank says goodbye to its
+/// peers before it exits, so no rank takes the EOFs of the end of the run
+/// for a death, whichever order the ranks leave in.
+#[test]
+fn fault_free_socket_run_has_no_hard_evidence() {
+    let _serialize = cache();
+    let s = scenarios::smoke_allgather();
+    for _ in 0..3 {
+        let run = run_socket_cluster(&SocketClusterConfig {
+            p: s.p,
+            plan: s.plan.clone(),
+            retry: s.retry.clone(),
+            workload: s.workload,
+            family: SocketFamily::Uds,
+            child_test: CHILD_TEST,
+            restart: RestartPolicy::for_plan(&s.plan),
+        })
+        .expect("fault-free socket run");
+        assert!(
+            run.results.iter().all(Option::is_some),
+            "every rank reports"
+        );
+        assert_eq!(run.liveness.hard_evidence, 0, "{:?}", run.liveness);
+        assert_eq!(run.liveness.deaths_detected, 0, "{:?}", run.liveness);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Survival: mid-run SIGKILL of a live child process — the acceptance
 // scenario for the liveness layer. These bypass the Scenario machinery
@@ -451,6 +478,18 @@ for_each_backend!(obs_chaos_drop);
 // empty payload; and the liveness pair (deaths detected, rejoins) must
 // replay identically even though detection *latency* is wall-clock.
 // ---------------------------------------------------------------------------
+
+/// Every death reached every other rank's board as hard socket evidence
+/// (an EOF on its connection to the dead rank), not only as suspicion on
+/// silence: one count per other rank for each death the run logged.
+fn assert_hard_evidence_of_every_death(run: &socket::SocketRun) {
+    let deaths = (run.results.len() - 1) * run.kills.len();
+    assert_eq!(
+        run.liveness.hard_evidence, deaths as u64,
+        "every death is hard evidence on every other rank's board: {:?}",
+        run.liveness
+    );
+}
 
 /// A rank SIGKILLed mid-exchange with no restart policy: survivors detect
 /// the death without deadlock, redistribute, and produce payloads
@@ -497,10 +536,7 @@ fn survival_kill_redistribute_agrees() {
         .first_detection_ns
         .expect("survivors observed the death");
     assert!(detected >= kill.killed_at_ns, "detection follows the kill");
-    assert!(
-        run.liveness.hard_evidence >= 1,
-        "the socket evidence reached the liveness boards"
-    );
+    assert_hard_evidence_of_every_death(&run);
 }
 
 /// The same SIGKILL under `RestartPolicy::FromCheckpoint`: the supervisor
@@ -535,6 +571,7 @@ fn survival_kill_restart_agrees() {
     assert_eq!((kill.rank, kill.point), (1, 2));
     let respawned = kill.respawned_at_ns.expect("the victim was respawned");
     assert!(respawned >= kill.killed_at_ns, "respawn follows the kill");
+    assert_hard_evidence_of_every_death(&run);
 }
 
 /// An *unplanned* child death (a spontaneous `abort()` the fault plan never
@@ -566,10 +603,8 @@ fn survival_unplanned_abort_is_survived() {
         run.liveness.deaths_detected, 3,
         "each survivor detected the abort exactly once"
     );
-    assert!(
-        run.liveness.hard_evidence >= 1,
-        "detection came from socket evidence — the plan announced nothing"
-    );
+    // The plan announced nothing: socket evidence is all there was.
+    assert_hard_evidence_of_every_death(&run);
     assert!(run.first_detection_ns.is_some());
     let kill = run
         .kills
